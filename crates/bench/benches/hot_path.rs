@@ -4,16 +4,14 @@
 //! canary `scripts/bench_smoke` runs in CI).
 
 use ccraft_bench::{bench_cfg, bench_trace};
-use ccraft_core::factory::{run_scheme, run_scheme_exec, SchemeKind};
+use ccraft_core::factory::{run_scheme, SchemeKind};
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::dram::MapOrder;
 use ccraft_sim::mem_ctrl::{DramRequest, DramTag, MemCtrl};
 use ccraft_sim::msg::L2Request;
 use ccraft_sim::protection::{ChannelInterleave, NoProtection, ProtectionScheme};
 use ccraft_sim::types::{AccessKind, PhysLoc, SmId, TrafficClass};
-use ccraft_sim::ExecConfig;
 use ccraft_sim::{l2::L2Slice, types::Cycle};
-use ccraft_telemetry::TelemetryConfig;
 use ccraft_workloads::Workload;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::{Duration, Instant};
@@ -121,49 +119,6 @@ fn bench(c: &mut Criterion) {
             criterion::BenchmarkId::new("tiny_vecadd", kind.name()),
             &kind,
             |b, &kind| b.iter(|| run_scheme(&cfg, kind, &trace)),
-        );
-    }
-    g.finish();
-
-    // Channel-sharded execution sweep: the same whole-kernel run on the
-    // 8-channel GDDR6 machine at 1/4/8 sim threads. Statistics are
-    // bit-identical across the sweep (asserted below); only wall time
-    // moves, which is exactly what this group measures.
-    let wide_cfg = GpuConfig::gddr6();
-    let wide_trace = bench_trace(Workload::Triad);
-    let kind = SchemeKind::CacheCraft(ccraft_core::CacheCraftConfig::for_machine(&wide_cfg));
-    let baseline = run_scheme(&wide_cfg, kind, &wide_trace);
-    let mut g = c.benchmark_group("hot_sim_threads");
-    g.sample_size(10).measurement_time(Duration::from_secs(4));
-    for sim_threads in [1u32, 4, 8] {
-        let s = run_scheme_exec(
-            &wide_cfg,
-            kind,
-            &wide_trace,
-            &TelemetryConfig::disabled(),
-            None,
-            false,
-            &ExecConfig { sim_threads },
-        )
-        .stats;
-        assert_eq!(baseline, s, "sharded run diverged at {sim_threads} threads");
-        g.bench_with_input(
-            criterion::BenchmarkId::new("gddr6_triad_cachecraft", sim_threads),
-            &sim_threads,
-            |b, &sim_threads| {
-                b.iter(|| {
-                    run_scheme_exec(
-                        &wide_cfg,
-                        kind,
-                        &wide_trace,
-                        &TelemetryConfig::disabled(),
-                        None,
-                        false,
-                        &ExecConfig { sim_threads },
-                    )
-                    .stats
-                })
-            },
         );
     }
     g.finish();

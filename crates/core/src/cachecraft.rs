@@ -28,9 +28,7 @@ use crate::inline_map::{ChannelStore, InlineMap, StoreProbe};
 use ccraft_ecc::layout::EccPlacement;
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::fxmap::FxHashMap;
-use ccraft_sim::protection::{
-    ChannelScheme, FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan,
-};
+use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
 use ccraft_sim::types::{Cycle, LogicalAtom, PhysLoc};
 use std::collections::VecDeque;
 
@@ -204,9 +202,7 @@ impl CoalesceBuffer {
 /// One channel's worth of CacheCraft state: the coalescing buffer, the
 /// channel's fragment-store slice, and channel-local counters. The scheme
 /// logic lives here — [`CacheCraft`] routes every channel-scoped call to
-/// the owning channel, and sharded execution detaches these objects so
-/// shard workers tick them without synchronization. `cfg` and `map` are
-/// `Copy` replicas, so detaching moves no shared state.
+/// the owning channel.
 #[derive(Debug)]
 struct CacheCraftChannel {
     cfg: CacheCraftConfig,
@@ -263,9 +259,7 @@ impl CacheCraftChannel {
     fn is_drained(&self) -> bool {
         self.coalesce.is_empty() && self.store.as_ref().is_none_or(|s| s.is_drained())
     }
-}
 
-impl ChannelScheme for CacheCraftChannel {
     fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
         let ecc = self.map.ecc_atom(loc);
         // A pending coalesced write holds the freshest ECC on chip.
@@ -375,10 +369,6 @@ impl ChannelScheme for CacheCraftChannel {
         // and correctly pins the end-of-kernel drain to real cycles.
         self.coalesce.next_due()
     }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 /// The CacheCraft protection scheme.
@@ -386,7 +376,7 @@ impl ChannelScheme for CacheCraftChannel {
 pub struct CacheCraft {
     cfg: CacheCraftConfig,
     map: InlineMap,
-    /// One state block per channel; empty while detached for sharding.
+    /// One state block per channel.
     channels: Vec<CacheCraftChannel>,
 }
 
@@ -454,7 +444,7 @@ impl ProtectionScheme for CacheCraft {
     }
 
     fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
-        ChannelScheme::drain_ecc_writes(&mut self.channels[channel as usize], now, budget)
+        self.channels[channel as usize].drain_ecc_writes(now, budget)
     }
 
     fn flush(&mut self) {
@@ -489,35 +479,12 @@ impl ProtectionScheme for CacheCraft {
 
     fn stats(&self) -> ProtectionStats {
         // Counters sum and watermarks max across channels
-        // (order-independent), reproducing the single-struct aggregate a
-        // pre-split CacheCraft reported.
+        // (order-independent).
         let mut total = ProtectionStats::default();
         for c in &self.channels {
             total.merge(&c.stats);
         }
         total
-    }
-
-    fn detach_channels(&mut self) -> Option<Vec<Box<dyn ChannelScheme>>> {
-        Some(
-            std::mem::take(&mut self.channels)
-                .into_iter()
-                .map(|c| Box::new(c) as Box<dyn ChannelScheme>)
-                .collect(),
-        )
-    }
-
-    fn attach_channels(&mut self, channels: Vec<Box<dyn ChannelScheme>>) {
-        debug_assert!(self.channels.is_empty(), "attach over live channels");
-        self.channels = channels
-            .into_iter()
-            .map(|c| match c.into_any().downcast::<CacheCraftChannel>() {
-                Ok(c) => *c,
-                // Reaching this is an engine bookkeeping bug: the boxes a
-                // scheme re-attaches are the ones its own detach produced.
-                Err(_) => unreachable!("foreign channel object at attach"),
-            })
-            .collect();
     }
 }
 

@@ -13,9 +13,7 @@
 use crate::inline_map::{ChannelStore, InlineMap, StoreProbe};
 use ccraft_ecc::layout::EccPlacement;
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::protection::{
-    ChannelScheme, FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan,
-};
+use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
 use ccraft_sim::types::{Cycle, LogicalAtom, PhysLoc};
 
 /// Default dedicated capacity per memory controller (16 KiB, as in the
@@ -24,8 +22,7 @@ pub const DEFAULT_CAPACITY_PER_MC: u64 = 16 << 10;
 
 /// One memory controller's dedicated ECC cache plus channel-local
 /// counters. The scheme logic lives here — [`EccCache`] routes each
-/// channel-scoped call to the owning channel, and sharded execution
-/// detaches these objects for lock-free shard ownership.
+/// channel-scoped call to the owning channel.
 #[derive(Debug)]
 struct EccCacheChannel {
     map: InlineMap,
@@ -33,7 +30,7 @@ struct EccCacheChannel {
     stats: ProtectionStats,
 }
 
-impl ChannelScheme for EccCacheChannel {
+impl EccCacheChannel {
     fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
         let ecc = self.map.ecc_atom(loc);
         match self.store.probe_fill(ecc) {
@@ -81,17 +78,13 @@ impl ChannelScheme for EccCacheChannel {
         self.stats.ecc_structure_writebacks += drained.len() as u64;
         drained
     }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 /// The dedicated-ECC-cache scheme.
 #[derive(Debug)]
 pub struct EccCache {
     map: InlineMap,
-    /// One dedicated cache per channel; empty while detached for sharding.
+    /// One dedicated cache per channel.
     channels: Vec<EccCacheChannel>,
 }
 
@@ -154,7 +147,7 @@ impl ProtectionScheme for EccCache {
     }
 
     fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
-        ChannelScheme::drain_ecc_writes(&mut self.channels[channel as usize], now, budget)
+        self.channels[channel as usize].drain_ecc_writes(now, budget)
     }
 
     fn flush(&mut self) {
@@ -173,35 +166,12 @@ impl ProtectionScheme for EccCache {
     }
 
     fn stats(&self) -> ProtectionStats {
-        // Counters sum across channels (order-independent merge), matching
-        // the single-struct aggregate a pre-split EccCache reported.
+        // Counters sum across channels (order-independent merge).
         let mut total = ProtectionStats::default();
         for c in &self.channels {
             total.merge(&c.stats);
         }
         total
-    }
-
-    fn detach_channels(&mut self) -> Option<Vec<Box<dyn ChannelScheme>>> {
-        Some(
-            std::mem::take(&mut self.channels)
-                .into_iter()
-                .map(|c| Box::new(c) as Box<dyn ChannelScheme>)
-                .collect(),
-        )
-    }
-
-    fn attach_channels(&mut self, channels: Vec<Box<dyn ChannelScheme>>) {
-        debug_assert!(self.channels.is_empty(), "attach over live channels");
-        self.channels = channels
-            .into_iter()
-            .map(|c| match c.into_any().downcast::<EccCacheChannel>() {
-                Ok(c) => *c,
-                // The boxes a scheme re-attaches are the ones its own
-                // detach produced; anything else is an engine bug.
-                Err(_) => unreachable!("foreign channel object at attach"),
-            })
-            .collect();
     }
 }
 

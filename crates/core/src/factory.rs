@@ -148,33 +148,8 @@ pub fn run_scheme_profiled(
     faults: Option<&ccraft_sim::faults::FaultConfig>,
     profile: bool,
 ) -> ccraft_sim::SimOutput {
-    run_scheme_exec(
-        cfg,
-        kind,
-        trace,
-        tel,
-        faults,
-        profile,
-        &ccraft_sim::ExecConfig::default(),
-    )
-}
-
-/// Like [`run_scheme_profiled`], plus an execution configuration: with
-/// `exec.sim_threads > 1` the cycle loop is sharded across worker threads
-/// by memory channel. Sharding is an execution strategy, not a model
-/// change — stats stay bit-identical at every thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scheme_exec(
-    cfg: &GpuConfig,
-    kind: SchemeKind,
-    trace: &KernelTrace,
-    tel: &ccraft_telemetry::TelemetryConfig,
-    faults: Option<&ccraft_sim::faults::FaultConfig>,
-    profile: bool,
-    exec: &ccraft_sim::ExecConfig,
-) -> ccraft_sim::SimOutput {
     let mut scheme = kind.build(cfg);
-    ccraft_sim::gpu::simulate_with_exec(
+    ccraft_sim::gpu::simulate_profiled(
         cfg,
         MapOrder::RoBaCo,
         trace,
@@ -182,7 +157,6 @@ pub fn run_scheme_exec(
         tel,
         faults,
         profile,
-        exec,
     )
 }
 
@@ -320,52 +294,6 @@ mod tests {
         // CacheCraft's cached/reconstructed ECC exposes fewer ECC reads
         // to faults than fetch-per-access naive.
         assert!(craft.ecc_reads <= naive.ecc_reads);
-    }
-
-    #[test]
-    fn sharded_execution_is_bit_identical_for_every_scheme() {
-        // The tentpole guarantee at the harness level: each scheme's
-        // channel split (coalesce buffers, fragment/dedicated stores,
-        // per-channel counters) must reproduce single-threaded stats
-        // exactly. Write traffic is included so write-back/drain paths
-        // partition too.
-        let cfg = GpuConfig::tiny();
-        let mut warps: Vec<WarpTrace> = Vec::new();
-        for w in 0..4u64 {
-            let mut ops = Vec::new();
-            for i in 0..24u64 {
-                ops.push(WarpOp::Load {
-                    atoms: (0..4).map(|k| LogicalAtom(w * 512 + i * 4 + k)).collect(),
-                });
-                if i % 3 == 0 {
-                    ops.push(WarpOp::Store {
-                        atoms: (0..4).map(|k| LogicalAtom(w * 512 + i * 4 + k)).collect(),
-                        full: i % 2 == 0,
-                    });
-                }
-                ops.push(WarpOp::Compute {
-                    cycles: (8 + (w * 5 + i) % 17) as u32,
-                });
-            }
-            warps.push(WarpTrace::new(ops));
-        }
-        let trace = KernelTrace::new("mixed", warps);
-        let tel = ccraft_telemetry::TelemetryConfig::disabled();
-        let mut kinds = SchemeKind::headline(&cfg).to_vec();
-        kinds.push(SchemeKind::CompressedInline {
-            coverage: 8,
-            compress_pct: 70,
-        });
-        for kind in kinds {
-            let base = run_scheme(&cfg, kind, &trace);
-            for threads in [2u32, 8] {
-                let exec = ccraft_sim::ExecConfig {
-                    sim_threads: threads,
-                };
-                let sharded = run_scheme_exec(&cfg, kind, &trace, &tel, None, false, &exec);
-                assert_eq!(sharded.stats, base, "{kind} diverged at {threads} threads");
-            }
-        }
     }
 
     #[test]

@@ -18,20 +18,8 @@
 use crate::inline_map::InlineMap;
 use ccraft_ecc::layout::EccPlacement;
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::protection::{
-    ChannelScheme, FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan,
-};
+use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
 use ccraft_sim::types::{Cycle, LogicalAtom, PhysLoc};
-
-/// Deterministic per-atom compressibility draw (splitmix64 hash), shared
-/// by the whole-scheme and per-channel faces so they agree atom for atom.
-fn compressible_draw(atom: u64, compress_pct: u8) -> bool {
-    let mut z = atom.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % 100) < compress_pct as u64
-}
 
 /// The compression-backed inline-ECC scheme.
 #[derive(Debug)]
@@ -60,9 +48,13 @@ impl CompressedInline {
         }
     }
 
-    /// Deterministic per-atom compressibility draw.
+    /// Deterministic per-atom compressibility draw (splitmix64 hash).
     fn compressible(&self, atom: u64) -> bool {
-        compressible_draw(atom, self.compress_pct)
+        let mut z = atom.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        (z % 100) < self.compress_pct as u64
     }
 
     /// The configured compressibility percentage.
@@ -130,87 +122,6 @@ impl ProtectionScheme for CompressedInline {
 
     fn stats(&self) -> ProtectionStats {
         self.stats
-    }
-
-    fn detach_channels(&mut self) -> Option<Vec<Box<dyn ChannelScheme>>> {
-        // No buffered state: each channel object carries `Copy` replicas
-        // of the map and rate plus fresh counters, merged back into
-        // `self.stats` at attach so totals match a single-threaded run.
-        Some(
-            (0..self.map.channels())
-                .map(|_| {
-                    Box::new(CompressedInlineChannel {
-                        map: self.map,
-                        compress_pct: self.compress_pct,
-                        stats: ProtectionStats::default(),
-                    }) as Box<dyn ChannelScheme>
-                })
-                .collect(),
-        )
-    }
-
-    fn attach_channels(&mut self, channels: Vec<Box<dyn ChannelScheme>>) {
-        debug_assert_eq!(channels.len(), self.map.channels() as usize);
-        for c in channels {
-            match c.into_any().downcast::<CompressedInlineChannel>() {
-                Ok(c) => self.stats.merge(&c.stats),
-                // The boxes a scheme re-attaches are the ones its own
-                // detach produced; anything else is an engine bug.
-                Err(_) => unreachable!("foreign channel object at attach"),
-            }
-        }
-    }
-}
-
-/// The per-channel face of [`CompressedInline`]: the same deterministic
-/// draw and traffic policy, counting into channel-local stats.
-#[derive(Debug)]
-struct CompressedInlineChannel {
-    map: InlineMap,
-    compress_pct: u8,
-    stats: ProtectionStats,
-}
-
-impl ChannelScheme for CompressedInlineChannel {
-    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
-        if compressible_draw(loc.atom, self.compress_pct) {
-            self.stats.ecc_fetch_hits += 1; // counted as an avoided fetch
-            FillPlan::none()
-        } else {
-            self.stats.ecc_demand_fetches += 1;
-            FillPlan {
-                ecc_fetches: vec![self.map.ecc_atom(loc)],
-            }
-        }
-    }
-
-    fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
-
-    fn writeback(
-        &mut self,
-        loc: PhysLoc,
-        _now: Cycle,
-        _resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        if compressible_draw(loc.atom, self.compress_pct) {
-            self.stats.absorbed_writebacks += 1;
-            WritebackPlan::none()
-        } else {
-            self.stats.rmw_writebacks += 1;
-            let exc = self.map.ecc_atom(loc);
-            WritebackPlan {
-                ecc_reads: vec![exc],
-                ecc_writes: vec![exc],
-            }
-        }
-    }
-
-    fn drain_ecc_writes(&mut self, _now: Cycle, _budget: usize) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }
 

@@ -38,11 +38,6 @@ impl InlineMap {
         &self.layout
     }
 
-    /// Number of memory channels the map stripes across.
-    pub fn channels(&self) -> u16 {
-        self.interleave.channels()
-    }
-
     /// Maps a software-visible atom to its physical location.
     pub fn map(&self, logical: LogicalAtom) -> PhysLoc {
         let (channel, local) = self.interleave.split(logical);
@@ -61,21 +56,10 @@ impl InlineMap {
     }
 }
 
-/// An on-chip store of ECC atoms (a dedicated ECC cache or CacheCraft's
-/// repurposed-L2 fragment store): set-associative at ECC-atom granularity,
-/// with in-flight-fetch merging and a dirty-eviction write queue.
-///
-/// Internally one independent [`ChannelStore`] per channel; sharded
-/// execution detaches those channel stores so each shard worker can own
-/// its channel's ECC state (see
-/// [`ProtectionScheme::detach_channels`](ccraft_sim::protection::ProtectionScheme::detach_channels)).
-#[derive(Debug)]
-pub struct EccStore {
-    channels: Vec<ChannelStore>,
-}
-
-/// One channel's slice of an on-chip ECC store. All state is channel-local,
-/// so a detached `ChannelStore` ticks without synchronization.
+/// One channel's on-chip store of ECC atoms (a dedicated ECC cache or
+/// CacheCraft's repurposed-L2 fragment store): set-associative at
+/// ECC-atom granularity, with in-flight-fetch merging and a
+/// dirty-eviction write queue.
 #[derive(Debug)]
 pub struct ChannelStore {
     cache: SectorCache,
@@ -184,85 +168,6 @@ pub enum StoreProbe {
     Miss,
 }
 
-impl EccStore {
-    /// Builds a store with `bytes_per_channel` capacity per channel,
-    /// `ways`-associative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid (capacity must give a
-    /// power-of-two set count).
-    pub fn new(channels: u16, bytes_per_channel: u64, ways: u32) -> Self {
-        EccStore {
-            channels: (0..channels)
-                .map(|_| ChannelStore::new(bytes_per_channel, ways))
-                .collect(),
-        }
-    }
-
-    /// Capacity per channel in bytes.
-    pub fn capacity_per_channel(&self) -> u64 {
-        self.channels[0].capacity_bytes()
-    }
-
-    /// Probes for a demand fill: on a miss the atom is registered as in
-    /// flight, so concurrent misses to the same ECC atom fetch once.
-    pub fn probe_fill(&mut self, channel: u16, ecc_atom: u64) -> StoreProbe {
-        self.channels[channel as usize].probe_fill(ecc_atom)
-    }
-
-    /// Installs an ECC atom that arrived from DRAM (clears its in-flight
-    /// entry). Dirty evictions join the write queue.
-    pub fn install(&mut self, channel: u16, ecc_atom: u64, dirty: bool) {
-        self.channels[channel as usize].install(ecc_atom, dirty)
-    }
-
-    /// Attempts to absorb a write-back's ECC update: returns `true` when
-    /// the atom is resident (now marked dirty) and no DRAM traffic is
-    /// needed.
-    pub fn absorb_write(&mut self, channel: u16, ecc_atom: u64) -> bool {
-        self.channels[channel as usize].absorb_write(ecc_atom)
-    }
-
-    /// Dirty-eviction (and flush) write queue for `channel`, up to
-    /// `budget` atoms.
-    pub fn drain_writes(&mut self, channel: u16, budget: usize) -> Vec<u64> {
-        self.channels[channel as usize].drain_writes(budget)
-    }
-
-    /// Moves every dirty resident atom into the write queue (end of
-    /// kernel).
-    pub fn flush(&mut self) {
-        for ch in &mut self.channels {
-            ch.flush();
-        }
-    }
-
-    /// `true` when no pending writes remain in any channel.
-    pub fn is_drained(&self) -> bool {
-        self.channels.iter().all(|c| c.is_drained())
-    }
-
-    /// Number of dirty-eviction writes that have been queued but not yet
-    /// drained (diagnostics).
-    pub fn pending_write_count(&self) -> usize {
-        self.channels.iter().map(|c| c.pending_write_count()).sum()
-    }
-
-    /// Moves the per-channel stores out for shard ownership; the store is
-    /// empty (and must not be queried) until [`attach`](Self::attach).
-    pub fn detach(&mut self) -> Vec<ChannelStore> {
-        std::mem::take(&mut self.channels)
-    }
-
-    /// Restores channel stores previously produced by
-    /// [`detach`](Self::detach), in channel order.
-    pub fn attach(&mut self, channels: Vec<ChannelStore>) {
-        debug_assert!(self.channels.is_empty(), "attach over live channels");
-        self.channels = channels;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,13 +219,11 @@ mod tests {
 
     #[test]
     fn store_probe_transitions() {
-        let mut s = EccStore::new(2, 1024, 4);
-        assert_eq!(s.probe_fill(0, 5), StoreProbe::Miss);
-        assert_eq!(s.probe_fill(0, 5), StoreProbe::InFlight);
-        s.install(0, 5, false);
-        assert_eq!(s.probe_fill(0, 5), StoreProbe::Hit);
-        // Channels are independent.
-        assert_eq!(s.probe_fill(1, 5), StoreProbe::Miss);
+        let mut s = ChannelStore::new(1024, 4);
+        assert_eq!(s.probe_fill(5), StoreProbe::Miss);
+        assert_eq!(s.probe_fill(5), StoreProbe::InFlight);
+        s.install(5, false);
+        assert_eq!(s.probe_fill(5), StoreProbe::Hit);
     }
 
     #[test]
@@ -328,25 +231,25 @@ mod tests {
         // 1024 B, 4-way, atom granularity -> 32 entries total. Installing
         // more dirty atoms than the capacity must evict (set indices are
         // hashed, so overfill the whole store rather than one set).
-        let mut s = EccStore::new(1, 1024, 4);
+        let mut s = ChannelStore::new(1024, 4);
         for i in 0..48u64 {
-            s.install(0, i * 8, true);
+            s.install(i * 8, true);
         }
         assert!(s.pending_write_count() >= 16);
-        let w = s.drain_writes(0, 100);
+        let w = s.drain_writes(100);
         assert!(w.len() >= 16);
         assert!(s.is_drained());
     }
 
     #[test]
     fn absorb_write_requires_residency() {
-        let mut s = EccStore::new(1, 1024, 4);
-        assert!(!s.absorb_write(0, 3));
-        s.install(0, 3, false);
-        assert!(s.absorb_write(0, 3));
+        let mut s = ChannelStore::new(1024, 4);
+        assert!(!s.absorb_write(3));
+        s.install(3, false);
+        assert!(s.absorb_write(3));
         // Flushing pushes the now-dirty atom to the write queue.
         s.flush();
-        assert_eq!(s.drain_writes(0, 10), vec![3]);
+        assert_eq!(s.drain_writes(10), vec![3]);
         // Flush is idempotent.
         s.flush();
         assert!(s.is_drained());
@@ -354,12 +257,12 @@ mod tests {
 
     #[test]
     fn drain_respects_budget() {
-        let mut s = EccStore::new(1, 256, 1); // 8 sets, direct mapped
+        let mut s = ChannelStore::new(256, 1); // 8 sets, direct mapped
         for i in 0..8u64 {
-            s.install(0, i, true);
+            s.install(i, true);
         }
         s.flush();
-        assert_eq!(s.drain_writes(0, 3).len(), 3);
-        assert_eq!(s.drain_writes(0, 100).len(), 5);
+        assert_eq!(s.drain_writes(3).len(), 3);
+        assert_eq!(s.drain_writes(100).len(), 5);
     }
 }

@@ -13,9 +13,7 @@
 use crate::inline_map::InlineMap;
 use ccraft_ecc::layout::EccPlacement;
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::protection::{
-    ChannelScheme, FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan,
-};
+use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
 use ccraft_sim::types::{Cycle, LogicalAtom, PhysLoc};
 
 /// The naive inline-ECC scheme.
@@ -85,75 +83,6 @@ impl ProtectionScheme for InlineNaive {
 
     fn stats(&self) -> ProtectionStats {
         self.stats
-    }
-
-    fn detach_channels(&mut self) -> Option<Vec<Box<dyn ChannelScheme>>> {
-        // No buffered state: each channel object carries only a `Copy` of
-        // the map and fresh counters, merged back into `self.stats` at
-        // attach so totals match a single-threaded run exactly.
-        Some(
-            (0..self.map.channels())
-                .map(|_| {
-                    Box::new(InlineNaiveChannel {
-                        map: self.map,
-                        stats: ProtectionStats::default(),
-                    }) as Box<dyn ChannelScheme>
-                })
-                .collect(),
-        )
-    }
-
-    fn attach_channels(&mut self, channels: Vec<Box<dyn ChannelScheme>>) {
-        debug_assert_eq!(channels.len(), self.map.channels() as usize);
-        for c in channels {
-            match c.into_any().downcast::<InlineNaiveChannel>() {
-                Ok(c) => self.stats.merge(&c.stats),
-                // The boxes a scheme re-attaches are the ones its own
-                // detach produced; anything else is an engine bug.
-                Err(_) => unreachable!("foreign channel object at attach"),
-            }
-        }
-    }
-}
-
-/// The per-channel face of [`InlineNaive`]: the same stateless fetch
-/// policy, counting into channel-local stats.
-#[derive(Debug)]
-struct InlineNaiveChannel {
-    map: InlineMap,
-    stats: ProtectionStats,
-}
-
-impl ChannelScheme for InlineNaiveChannel {
-    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
-        self.stats.ecc_demand_fetches += 1;
-        FillPlan {
-            ecc_fetches: vec![self.map.ecc_atom(loc)],
-        }
-    }
-
-    fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
-
-    fn writeback(
-        &mut self,
-        loc: PhysLoc,
-        _now: Cycle,
-        _resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        self.stats.rmw_writebacks += 1;
-        let ecc = self.map.ecc_atom(loc);
-        WritebackPlan {
-            ecc_reads: vec![ecc],
-            ecc_writes: vec![ecc],
-        }
-    }
-
-    fn drain_ecc_writes(&mut self, _now: Cycle, _budget: usize) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }
 

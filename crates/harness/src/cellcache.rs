@@ -16,12 +16,6 @@
 //! sit an in-memory index of known digests and a bloom-style negative
 //! filter, so the common cold-miss path costs two hash probes, not a
 //! filesystem round trip.
-//!
-//! `sim_threads` is deliberately NOT part of the key: sharded execution
-//! is bit-identical to sequential execution at every setting (pinned by
-//! `thread_count_does_not_change_stats`), so a result computed at
-//! `--sim-threads 4` is valid for a request at 1. The entry records the
-//! producer's value for provenance only.
 
 use crate::error::Error;
 use crate::store;
@@ -116,7 +110,7 @@ impl CellKey {
 }
 
 /// One durable cache entry: the full key (for post-mortem and collision
-/// rejection), the result, and producer provenance.
+/// rejection) and the result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheEntry {
     /// Digest the entry was stored under.
@@ -125,9 +119,6 @@ pub struct CacheEntry {
     pub key: CellKey,
     /// The simulated result.
     pub stats: SimStats,
-    /// `sim_threads` the producer ran with (provenance only — results
-    /// are bit-identical across settings, so this is not part of the key).
-    pub sim_threads: u32,
 }
 
 /// Counters describing cache behavior, snapshot via
@@ -300,19 +291,19 @@ impl ResultCache {
         }
     }
 
-    /// Inserts a freshly computed result under `key`.
+    /// Inserts a freshly computed result under `key`. The third argument
+    /// is ignored; it once carried the producer's `sim_threads`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] when the durable write fails; the index is
     /// only updated on success.
-    pub fn insert(&self, key: &CellKey, stats: &SimStats, sim_threads: u32) -> Result<(), Error> {
+    pub fn insert(&self, key: &CellKey, stats: &SimStats, _sim_threads: u32) -> Result<(), Error> {
         let digest = key.digest();
         let entry = CacheEntry {
             digest: digest.clone(),
             key: key.clone(),
             stats: stats.clone(),
-            sim_threads,
         };
         let text = serde_json::to_string_pretty(&entry)
             .map_err(|e| Error::Config(format!("serializing cache entry {digest}: {e}")))?;
@@ -472,10 +463,9 @@ mod tests {
         let key = sample_key();
         assert!(cache.lookup(&key).is_none(), "cold cache misses");
         let stats = sample_stats();
-        cache.insert(&key, &stats, 4).expect("insert");
+        cache.insert(&key, &stats, 1).expect("insert");
         let entry = cache.lookup(&key).expect("hit after insert");
         assert_eq!(entry.stats, stats);
-        assert_eq!(entry.sim_threads, 4);
         assert_eq!(entry.key, key);
         // A different seed is a different cell: still a miss.
         let other = CellKey {
@@ -508,6 +498,16 @@ mod tests {
         let reopened = ResultCache::open(&dir).expect("reopen cache");
         assert_eq!(reopened.len(), 1);
         let entry = reopened.lookup(&key).expect("hit across instances");
+        assert_eq!(entry.stats, stats);
+        // Entries written by the channel-sharded engine also carried a
+        // `sim_threads` field; they still hit.
+        let path = dir.join(format!("{}.json", key.digest()));
+        let (text, _) = store::read_verified_string(&path).expect("read back");
+        let old = text.replacen("\"digest\":", "\"sim_threads\": 4, \"digest\":", 1);
+        assert_ne!(old, text, "no digest field to precede");
+        store::write_durable(&path, old.as_bytes()).expect("rewrite");
+        let reopened = ResultCache::open(&dir).expect("reopen cache");
+        let entry = reopened.lookup(&key).expect("old entry still hits");
         assert_eq!(entry.stats, stats);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -54,23 +54,10 @@ pub struct CellRecord {
     /// The cell's results, for successful cells.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stats: Option<SimStats>,
-    /// Threads the cell's cycle loop was *actually* sharded across.
-    /// Telemetry/fault-injection cells fall back to 1 regardless of the
-    /// requested `--sim-threads`; resumed cells replay this recorded
-    /// value so manifests stay truthful across a resume. Checkpoints
-    /// from before this field existed read back as 1.
-    #[serde(default = "default_cell_sim_threads")]
-    pub sim_threads: u32,
     /// Result-cache disposition (`"hit"` / `"miss"` / `"uncached"`);
     /// empty in checkpoints from before the cache existed.
     #[serde(default, skip_serializing_if = "String::is_empty")]
     pub cache: String,
-}
-
-/// Serde default: checkpoints from before sharded execution ran every
-/// cell single-threaded.
-fn default_cell_sim_threads() -> u32 {
-    1
 }
 
 impl CellRecord {
@@ -345,7 +332,6 @@ mod tests {
             attempts: 1,
             history: vec!["attempt 1: ok".to_string()],
             stats: Some(sample_stats()),
-            sim_threads: 1,
             cache: String::new(),
         }
     }
@@ -394,7 +380,6 @@ mod tests {
                 "attempt 2: failed: boom".to_string(),
             ],
             stats: None,
-            sim_threads: 1,
             cache: String::new(),
         })
         .unwrap();
@@ -497,7 +482,16 @@ mod tests {
         drop(s);
         let raw = std::fs::read(&path).unwrap();
         let payload = crate::store::strip_footer(&raw).to_vec();
-        std::fs::write(&path, payload).unwrap();
+        std::fs::write(&path, &payload).unwrap();
+        let resumed = Session::start("f", path.clone(), true);
+        assert!(resumed.resumable("m0/a/b").is_some());
+        assert!(resumed.warnings().is_empty());
+        // Cells written by the channel-sharded engine also carried a
+        // `sim_threads` field; it is ignored on read.
+        let old = String::from_utf8(payload).unwrap();
+        let with_threads = old.replacen("\"key\":", "\"sim_threads\": 4, \"key\":", 1);
+        assert_ne!(old, with_threads, "no cell record to extend");
+        std::fs::write(&path, with_threads).unwrap();
         let resumed = Session::start("f", path, true);
         assert!(resumed.resumable("m0/a/b").is_some());
         assert!(resumed.warnings().is_empty());
@@ -515,7 +509,6 @@ mod tests {
             attempts: 1,
             history: Vec::new(),
             stats: None,
-            sim_threads: 1,
             cache: String::new(),
         })
         .unwrap();

@@ -64,31 +64,12 @@ impl Default for DiffOptions {
     }
 }
 
-/// One entry of a `sim_threads` sweep in a schema-2 bench record: the
-/// same sweep re-run with the cycle loop sharded across `sim_threads`
-/// worker threads.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct BenchThreadEntry {
-    /// Shard count the sweep ran with.
-    #[serde(default)]
-    pub sim_threads: u32,
-    /// Wall time of the sweep at this shard count, seconds.
-    #[serde(default)]
-    pub wall_time_secs: f64,
-    /// Throughput at this shard count, cells per second.
-    #[serde(default)]
-    pub cells_per_sec: f64,
-    /// Wall-clock speedup vs the `sim_threads = 1` entry of the same
-    /// record (1.0 for the baseline entry itself).
-    #[serde(default)]
-    pub speedup: f64,
-}
-
 /// One `BENCH_*.json` record as written by `scripts/bench_smoke`.
 /// Schema documented in DESIGN.md ("Performance observatory").
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct BenchRecord {
-    /// Format version (2 since the `sim_threads` sweep; 1 before).
+    /// Format version: 3 since the record dropped schema 2's
+    /// thread-count sweep (whose extra fields are ignored on read).
     #[serde(default)]
     pub schema: u64,
     /// UTC timestamp of the bench run (RFC 3339).
@@ -115,18 +96,6 @@ pub struct BenchRecord {
     /// Throughput, cells per second.
     #[serde(default)]
     pub cells_per_sec: f64,
-    /// Shard count of the headline numbers above (1 = the plain loop;
-    /// schema-1 records omit it and read back as 1 via the sweep default).
-    #[serde(default = "default_bench_sim_threads")]
-    pub sim_threads: u32,
-    /// Per-`sim_threads` sweep entries (schema 2; empty in older records).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub sweep: Vec<BenchThreadEntry>,
-}
-
-/// Serde default: schema-1 bench records predate sharding.
-fn default_bench_sim_threads() -> u32 {
-    1
 }
 
 /// Everything loadable from one run directory.
@@ -247,20 +216,6 @@ pub fn comparability(a: &RunSnapshot, b: &RunSnapshot) -> Vec<String> {
         reasons.push(format!(
             "feature flags differ: {:?} vs {:?}",
             ma.provenance.features, mb.provenance.features
-        ));
-    }
-    // Stats are bit-identical across sim_threads, but wall-clock is
-    // not: a sharded run is expected to be several times faster, so a
-    // mixed comparison would mistake the execution strategy for a
-    // performance change. The comparison reads the per-cell *effective*
-    // values (telemetry/fault-injection cells fall back to 1 no matter
-    // what was requested) — two runs that both fell back are comparable
-    // even when their requested counts differ.
-    let ta = ma.effective_sim_threads();
-    let tb = mb.effective_sim_threads();
-    if ta != tb {
-        reasons.push(format!(
-            "effective sim_threads differs: {ta:?} vs {tb:?} (wall-clock not comparable)"
         ));
     }
     reasons
@@ -422,8 +377,7 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport 
                 b: ib,
                 delta: pct_delta(ia, ib),
                 delta_unit: "%",
-                // A more skewed channel distribution is a regression for
-                // the sharding plan.
+                // A more skewed channel distribution is a regression.
                 regressed: pct_delta(ia, ib) > opts.wall_threshold_pct,
             });
         }
@@ -435,13 +389,6 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport 
 
     // Bench records, when both runs have one.
     match (&a.bench, &b.bench) {
-        (Some(ba), Some(bb)) if ba.sim_threads != bb.sim_threads && !opts.force => {
-            report.notes.push(format!(
-                "bench records ran at different sim_threads ({} vs {}); \
-                 wall metrics skipped (--force to compare anyway)",
-                ba.sim_threads, bb.sim_threads
-            ));
-        }
         (Some(ba), Some(bb)) => {
             let drifted = (bb.wall_time_secs - ba.wall_time_secs).abs() >= opts.min_wall_delta_secs;
             report.rows.push(DiffRow {
@@ -643,95 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_mismatch_makes_runs_incomparable() {
-        let a = snapshot(10.0, 90, 10, [500, 500]);
-        let mut b = snapshot(10.0, 90, 10, [500, 500]);
-        b.manifest.sim_threads = 4;
-        let reasons = comparability(&a, &b);
-        assert_eq!(reasons.len(), 1, "{reasons:?}");
-        assert!(reasons[0].contains("sim_threads"), "{reasons:?}");
-    }
-
-    #[test]
-    fn fallback_cells_make_requested_sim_threads_comparable() {
-        use ccraft_telemetry::manifest::CellManifest;
-        let cell = |threads| CellManifest {
-            cell: "vecadd/no-protection".to_string(),
-            sim_threads: threads,
-            cache: "uncached".to_string(),
-            status: "ok".to_string(),
-        };
-        // Run B *requested* 4 shards but every cell fell back to 1
-        // (e.g. fault injection): the effective values agree with the
-        // plain run, so the guard must NOT refuse the comparison.
-        let mut a = snapshot(10.0, 90, 10, [500, 500]);
-        a.manifest.sim_threads = 1;
-        a.manifest.cells = vec![cell(1)];
-        let mut b = snapshot(10.0, 90, 10, [500, 500]);
-        b.manifest.sim_threads = 4; // the former lie
-        b.manifest.cells = vec![cell(1)];
-        assert!(
-            comparability(&a, &b).is_empty(),
-            "both runs effectively ran single-threaded"
-        );
-    }
-
-    #[test]
-    fn genuinely_sharded_cells_refuse_comparison() {
-        use ccraft_telemetry::manifest::CellManifest;
-        let cell = |threads| CellManifest {
-            cell: "vecadd/no-protection".to_string(),
-            sim_threads: threads,
-            cache: "uncached".to_string(),
-            status: "ok".to_string(),
-        };
-        let mut a = snapshot(10.0, 90, 10, [500, 500]);
-        a.manifest.sim_threads = 1;
-        a.manifest.cells = vec![cell(1)];
-        let mut b = snapshot(10.0, 90, 10, [500, 500]);
-        b.manifest.sim_threads = 4;
-        b.manifest.cells = vec![cell(4)]; // genuinely sharded
-        let reasons = comparability(&a, &b);
-        assert_eq!(reasons.len(), 1, "{reasons:?}");
-        assert!(reasons[0].contains("effective sim_threads"), "{reasons:?}");
-    }
-
-    #[test]
-    fn mixed_sim_threads_bench_walls_skipped_unless_forced() {
-        let mk = |sim_threads, wall| BenchRecord {
-            schema: 2,
-            wall_time_secs: wall,
-            cells: 22,
-            cells_per_sec: 22.0 / wall,
-            sim_threads,
-            ..BenchRecord::default()
-        };
-        let mut a = snapshot(10.0, 90, 10, [500, 500]);
-        let mut b = snapshot(10.0, 90, 10, [500, 500]);
-        a.bench = Some(mk(1, 40.0));
-        b.bench = Some(mk(4, 12.0)); // faster only because it is sharded
-        let report = diff(&a, &b, &DiffOptions::default());
-        assert!(!report.rows.iter().any(|r| r.metric.starts_with("bench_")));
-        assert!(report
-            .notes
-            .iter()
-            .any(|n| n.contains("different sim_threads")));
-        // --force compares anyway.
-        let forced = diff(
-            &a,
-            &b,
-            &DiffOptions {
-                force: true,
-                ..DiffOptions::default()
-            },
-        );
-        assert!(forced
-            .rows
-            .iter()
-            .any(|r| r.metric == "bench_wall_time_secs"));
-    }
-
-    #[test]
     fn end_to_end_perf_diff_on_written_directories() {
         let base = std::env::temp_dir().join(format!("ccraft-perfdiff-{}", std::process::id()));
         let dir_a = base.join("a");
@@ -754,6 +612,26 @@ mod tests {
         .unwrap();
         let report = perf_diff(&dir_a, &dir_b, &DiffOptions::default()).unwrap();
         assert!(report.regressions() >= 1);
+
+        // Schema-2 bench records carried a `sim_threads` and a `sweep`
+        // array; both are ignored, and records that differ only there
+        // now compare.
+        for (dir, threads, wall) in [(&dir_a, 1, 20.0), (&dir_b, 4, 20.5)] {
+            let record = format!(
+                r#"{{"schema": 2, "size": "tiny", "seed": 1, "wall_time_secs": {wall},
+                    "cells": 22, "cells_per_sec": 1.1, "sim_threads": {threads},
+                    "sweep": [{{"sim_threads": 1, "wall_time_secs": 20.0,
+                               "cells_per_sec": 1.1, "speedup": 1.0}}]}}"#
+            );
+            std::fs::write(dir.join("BENCH_20260101T000000Z.json"), record).unwrap();
+        }
+        let report = perf_diff(&dir_a, &dir_b, &DiffOptions::default()).unwrap();
+        let wall = report
+            .rows
+            .iter()
+            .find(|r| r.metric == "bench_wall_time_secs")
+            .expect("bench rows joined");
+        assert_eq!((wall.a, wall.b), (20.0, 20.5));
 
         // Incomparable without --force; diffable with it.
         b.manifest.seed = 99;

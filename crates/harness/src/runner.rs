@@ -11,7 +11,7 @@
 
 use crate::checkpoint::{self, CellRecord, STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT};
 use crate::error::Error;
-use ccraft_core::factory::{run_scheme_exec, run_scheme_instrumented, SchemeKind};
+use ccraft_core::factory::{run_scheme_instrumented, SchemeKind};
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::faults::FaultConfig;
 use ccraft_sim::stats::SimStats;
@@ -31,11 +31,6 @@ common experiment options:
   --size tiny|small|full   workload size class (default: small)
   --seed N                 trace-generation seed (default: 1)
   --threads N              worker threads, 0 = number of CPUs (default: 0)
-  --sim-threads N          shard each simulation's cycle loop across N
-                           threads by memory channel (default: 1); stats
-                           are bit-identical at every setting, and the
-                           worker pool shrinks so that
-                           workers x sim-threads stays within the budget
   --inject <pat>:<rate>    in-situ DRAM fault injection, e.g. symbol:1e-6
                            or bit2:fit=5000@24 (pattern bit1|bit2|bit3|
                            burst4|symbol|chiplane; rate per access or
@@ -51,7 +46,7 @@ common experiment options:
 
 Unrecognized flags are passed through so each binary can define its own,
 but they are reported (stderr + manifest warnings) so a typo like
---sim-thread is never silently ignored.";
+--thread is never silently ignored.";
 
 /// Flags parsed outside [`ExpOptions`] that are still legitimate on
 /// harness binaries: `--metrics-addr` is consumed by
@@ -79,9 +74,9 @@ pub struct ExpOptions {
     pub seed: u64,
     /// Worker threads (0 = number of CPUs).
     pub threads: usize,
-    /// Threads each simulation's cycle loop is sharded across (1 = the
-    /// plain single-threaded loop). Purely an execution strategy: stats
-    /// stay bit-identical at every setting.
+    /// Always 1, and read by nothing: every simulation runs the
+    /// single-threaded cycle loop. Kept so existing struct literals
+    /// compile; `--sim-threads` accepts only 1.
     pub sim_threads: u32,
     /// In-situ fault injection, when configured (`--inject`).
     pub inject: Option<FaultConfig>,
@@ -130,7 +125,7 @@ impl ExpOptions {
     /// parser did not recognize (excluding [`EXTRA_HARNESS_FLAGS`], which
     /// other harness layers consume). Values of unknown flags are not
     /// reported — only the flags themselves — so a typo like
-    /// `--sim-thread 4` surfaces as `--sim-thread`.
+    /// `--thread 4` surfaces as `--thread`.
     ///
     /// # Errors
     ///
@@ -166,10 +161,12 @@ impl ExpOptions {
                 "--sim-threads" => {
                     i += 1;
                     let n: u32 = parse_value(args, i, "--sim-threads", "an integer")?;
-                    if n == 0 {
-                        return Err(Error::config("--sim-threads must be at least 1"));
+                    if n != 1 {
+                        return Err(Error::config(
+                            "--sim-threads accepts only 1: sharded simulation was removed; \
+                             use --threads to run cells in parallel",
+                        ));
                     }
-                    opts.sim_threads = n;
                 }
                 "--inject" => {
                     i += 1;
@@ -232,34 +229,11 @@ impl ExpOptions {
         }
     }
 
-    /// Effective per-simulation shard count (floor 1). This is the
-    /// *requested* value; see [`ExpOptions::effective_cell_sim_threads`]
-    /// for what a standard simulation cell actually runs with.
-    pub fn effective_sim_threads(&self) -> u32 {
-        self.sim_threads.max(1)
-    }
-
-    /// Shard count a standard simulation cell *actually* runs with:
-    /// fault-injection cells always take the single-threaded
-    /// instrumented loop, regardless of `--sim-threads`. Manifests
-    /// record this truthful per-cell value, not the request.
-    pub fn effective_cell_sim_threads(&self) -> u32 {
-        if self.inject.is_some() {
-            1
-        } else {
-            self.effective_sim_threads()
-        }
-    }
-
     /// Worker count the matrix engine actually spawns: the effective
-    /// thread count clamped to `[1, 64]`, then shrunk so the total
-    /// `workers x sim_threads` footprint stays within the same budget —
-    /// sharded cells each occupy `sim_threads` CPUs, so the pool narrows
-    /// rather than oversubscribing. This — not the raw request — is what
-    /// run manifests record.
+    /// thread count clamped to `[1, 64]`. This — not the raw request —
+    /// is what run manifests record.
     pub fn effective_workers(&self) -> usize {
-        let budget = self.effective_threads().clamp(1, 64);
-        (budget / self.effective_sim_threads() as usize).max(1)
+        self.effective_threads().clamp(1, 64)
     }
 
     /// Canonical inject spec for checkpoint fingerprints (`"none"` when
@@ -427,19 +401,15 @@ impl CacheDisposition {
 pub struct CellRun {
     /// Simulation results.
     pub stats: SimStats,
-    /// Threads the cell's cycle loop was *actually* sharded across
-    /// (1 for fault-injection/telemetry fallbacks, whatever the request).
-    pub sim_threads: u32,
     /// Result-cache disposition.
     pub cache: CacheDisposition,
 }
 
 impl CellRun {
-    /// Wraps raw stats as a plain uncached, single-threaded execution.
+    /// Wraps raw stats as a plain uncached execution.
     pub fn plain(stats: SimStats) -> Self {
         CellRun {
             stats,
-            sim_threads: 1,
             cache: CacheDisposition::Uncached,
         }
     }
@@ -461,9 +431,6 @@ pub struct CellOutcome {
     /// Per-attempt outcome log (`"attempt 1: failed: <msg>"`, ...),
     /// persisted into the checkpoint record for post-mortems.
     pub history: Vec<String>,
-    /// Effective per-cell shard count (for resumed cells, the value the
-    /// original execution recorded).
-    pub sim_threads: u32,
     /// Result-cache disposition of the cell's stats.
     pub cache: CacheDisposition,
 }
@@ -562,7 +529,6 @@ fn run_one_cell(
                     stats: Some(run.stats),
                     attempts,
                     history,
-                    sim_threads: run.sim_threads,
                     cache: run.cache,
                 };
             }
@@ -583,10 +549,6 @@ fn run_one_cell(
                         stats: None,
                         attempts,
                         history,
-                        // The cell never completed; record the shard
-                        // count it was *going to* run with so degraded
-                        // manifests stay self-consistent.
-                        sim_threads: opts.effective_cell_sim_threads(),
                         cache: CacheDisposition::Uncached,
                     };
                 }
@@ -632,14 +594,11 @@ fn run_matrix_engine(
         let key = format!("{prefix}/{}/{}", w.name(), s.name());
         let replay = session.as_ref().and_then(|sess| {
             let sess = lock_clean(sess);
-            sess.resumable(&key).and_then(|r| {
-                r.stats
-                    .clone()
-                    .map(|stats| (stats, r.sim_threads, r.cache.clone()))
-            })
+            sess.resumable(&key)
+                .and_then(|r| r.stats.clone().map(|stats| (stats, r.cache.clone())))
         });
         match replay {
-            Some((stats, sim_threads, cache)) => {
+            Some((stats, cache)) => {
                 slots[idx] = Some(CellOutcome {
                     workload: w,
                     scheme: s,
@@ -648,8 +607,7 @@ fn run_matrix_engine(
                     attempts: 0,
                     history: vec!["resumed from checkpoint".to_string()],
                     // Replay the provenance the original execution
-                    // recorded, not this run's request.
-                    sim_threads,
+                    // recorded.
                     cache: CacheDisposition::from_str_lossy(&cache),
                 });
             }
@@ -728,7 +686,6 @@ fn run_matrix_engine(
                         attempts: outcome.attempts,
                         history: outcome.history.clone(),
                         stats: outcome.stats.clone(),
-                        sim_threads: outcome.sim_threads,
                         cache: outcome.cache.as_str().to_string(),
                     };
                     if let Err(e) = lock_clean(sess).record(record) {
@@ -769,7 +726,6 @@ fn run_matrix_engine(
                     stats: None,
                     attempts: 0,
                     history: vec!["skipped: --fail-fast abort".to_string()],
-                    sim_threads: opts.effective_cell_sim_threads(),
                     cache: CacheDisposition::Uncached,
                 }
             }
@@ -780,9 +736,6 @@ fn run_matrix_engine(
 
 /// Runs one standard simulation cell: generate the workload trace, run
 /// the scheme, with per-cell-seeded fault injection when configured.
-/// Returns the stats along with the truthful execution provenance —
-/// fault-injection cells take the single-threaded instrumented loop, so
-/// their [`CellRun::sim_threads`] is 1 whatever `--sim-threads` asked.
 pub fn run_cell(
     cfg: &GpuConfig,
     opts: &ExpOptions,
@@ -791,44 +744,23 @@ pub fn run_cell(
     scheme: SchemeKind,
 ) -> CellRun {
     let trace = workload.generate(opts.size, opts.seed);
-    let sim_threads = opts.effective_cell_sim_threads();
-    let stats = match opts.inject {
-        // Sharded execution is bit-identical, so the exec-aware entry
-        // point is safe for every cell; with `--sim-threads 1` it is
-        // the plain loop.
-        None => {
-            run_scheme_exec(
-                cfg,
-                scheme,
-                &trace,
-                &TelemetryConfig::disabled(),
-                None,
-                false,
-                &ccraft_sim::ExecConfig { sim_threads },
-            )
-            .stats
-        }
-        Some(fc) => {
-            // Each cell gets its own injection stream, derived from the
-            // experiment seed and the cell index so runs reproduce.
-            let seed = opts
-                .seed
-                .wrapping_add((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            run_scheme_instrumented(
-                cfg,
-                scheme,
-                &trace,
-                &TelemetryConfig::disabled(),
-                Some(&fc.with_seed(seed)),
-            )
-            .stats
-        }
-    };
-    CellRun {
-        stats,
-        sim_threads,
-        cache: CacheDisposition::Uncached,
-    }
+    // Each cell gets its own injection stream, derived from the
+    // experiment seed and the cell index so runs reproduce.
+    let faults = opts.inject.map(|fc| {
+        fc.with_seed(
+            opts.seed
+                .wrapping_add((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
+    });
+    let stats = run_scheme_instrumented(
+        cfg,
+        scheme,
+        &trace,
+        &TelemetryConfig::disabled(),
+        faults.as_ref(),
+    )
+    .stats;
+    CellRun::plain(stats)
 }
 
 /// Builds the standard cell body around [`run_cell`].
@@ -1003,13 +935,9 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
     manifest.size = opts.size.to_string();
     manifest.seed = opts.seed;
     manifest.threads = opts.effective_workers();
-    // The global field records the *requested* shard count; the per-cell
-    // records below carry the effective values (fault-injection cells
-    // fall back to 1), which is what perf-diff's guard reads.
-    manifest.sim_threads = opts.effective_sim_threads();
     manifest.wall_time_secs = started.elapsed().as_secs_f64();
     // Unrecognized flags are non-fatal but must not vanish: a typo like
-    // `--sim-thread 4` would otherwise silently change what ran.
+    // `--thread 4` would otherwise silently change what ran.
     for flag in &unknown_flags {
         manifest.warn(format!("unrecognized flag: {flag}"));
     }
@@ -1024,7 +952,6 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
         for cell in sess.cells() {
             manifest.record_cell(ccraft_telemetry::manifest::CellManifest {
                 cell: cell.key.clone(),
-                sim_threads: cell.sim_threads,
                 cache: if cell.cache.is_empty() {
                     CacheDisposition::Uncached.as_str().to_string()
                 } else {
@@ -1207,13 +1134,12 @@ mod tests {
 
     #[test]
     fn parse_with_unknown_reports_typos_but_not_harness_flags() {
-        // A typo like --sim-thread must be surfaced, not swallowed.
-        let (o, unknown) =
-            ExpOptions::parse_with_unknown(&argv(&["--sim-thread", "4", "--seed", "2"]))
-                .expect("unknown flags never fail the parse");
+        // A typo like --thread must be surfaced, not swallowed.
+        let (o, unknown) = ExpOptions::parse_with_unknown(&argv(&["--thread", "4", "--seed", "2"]))
+            .expect("unknown flags never fail the parse");
         assert_eq!(o.seed, 2);
-        assert_eq!(o.sim_threads, 1, "the typo must not set sim_threads");
-        assert_eq!(unknown, vec!["--sim-thread".to_string()]);
+        assert_eq!(o.threads, 0, "the typo must not set threads");
+        assert_eq!(unknown, vec!["--thread".to_string()]);
         // Flags the harness itself consumes (or hands to specific
         // binaries) are allowlisted, not reported.
         let (_, unknown) = ExpOptions::parse_with_unknown(&argv(&[
@@ -1231,57 +1157,41 @@ mod tests {
     }
 
     #[test]
-    fn effective_cell_sim_threads_falls_back_under_injection() {
-        let sharded = ExpOptions {
-            sim_threads: 4,
-            ..tiny_opts(1)
-        };
-        assert_eq!(sharded.effective_cell_sim_threads(), 4);
-        let injected = ExpOptions {
-            sim_threads: 4,
-            inject: Some(FaultConfig::parse("symbol:1.0").expect("valid spec")),
-            ..tiny_opts(1)
-        };
-        assert_eq!(
-            injected.effective_cell_sim_threads(),
-            1,
-            "fault injection forces single-threaded simulation"
-        );
+    fn sim_threads_flag_accepts_only_one() {
+        let o = ExpOptions::parse(&argv(&["--sim-threads", "1", "--seed", "3"]))
+            .expect("--sim-threads 1 still parses");
+        assert_eq!(o.seed, 3);
+        for n in ["0", "2", "8"] {
+            let e = ExpOptions::parse(&argv(&["--sim-threads", n])).unwrap_err();
+            assert!(matches!(e, Error::Config(_)), "{e}");
+            assert!(
+                e.to_string().contains("sharded simulation was removed"),
+                "{e}"
+            );
+        }
     }
 
     #[test]
-    fn outcomes_carry_effective_sim_threads_and_cache_disposition() {
+    fn outcomes_carry_cache_disposition() {
         let _guard = crate::checkpoint::test_guard();
         let cfg = GpuConfig::tiny();
-        // Sharded run: cells report the requested shard count.
-        let sharded = ExpOptions {
-            sim_threads: 2,
-            ..tiny_opts(1)
-        };
-        let outcomes = run_matrix_engine(
-            &[Workload::VecAdd],
-            &[SchemeKind::NoProtection],
-            &sharded,
-            standard_body(&cfg, &sharded),
-        );
-        assert_eq!(outcomes[0].sim_threads, 2);
-        assert_eq!(outcomes[0].cache, CacheDisposition::Uncached);
-        // Injected run: the per-cell truth is 1 even though 2 was asked.
-        let injected = ExpOptions {
-            sim_threads: 2,
-            inject: Some(FaultConfig::parse("symbol:1.0").expect("valid spec")),
-            ..tiny_opts(1)
-        };
-        let outcomes = run_matrix_engine(
-            &[Workload::VecAdd],
-            &[SchemeKind::NoProtection],
-            &injected,
-            standard_body(&cfg, &injected),
-        );
-        assert_eq!(
-            outcomes[0].sim_threads, 1,
-            "injection cells record the effective value, not the request"
-        );
+        for inject in [
+            None,
+            Some(FaultConfig::parse("symbol:1.0").expect("valid spec")),
+        ] {
+            let opts = ExpOptions {
+                inject,
+                ..tiny_opts(1)
+            };
+            let outcomes = run_matrix_engine(
+                &[Workload::VecAdd],
+                &[SchemeKind::NoProtection],
+                &opts,
+                standard_body(&cfg, &opts),
+            );
+            assert_eq!(outcomes[0].status, CellStatus::Ok);
+            assert_eq!(outcomes[0].cache, CacheDisposition::Uncached);
+        }
     }
 
     #[test]
@@ -1293,10 +1203,7 @@ mod tests {
         let path = dir.join("checkpoint.json");
         let _ = std::fs::remove_file(&path);
         let cfg = GpuConfig::tiny();
-        let opts = ExpOptions {
-            sim_threads: 2,
-            ..tiny_opts(1)
-        };
+        let opts = tiny_opts(1);
         checkpoint::install(checkpoint::Session::start("p", path.clone(), false));
         let first = run_matrix_engine(
             &[Workload::VecAdd],
@@ -1305,7 +1212,7 @@ mod tests {
             standard_body(&cfg, &opts),
         );
         checkpoint::clear();
-        assert_eq!(first[0].sim_threads, 2);
+        assert_eq!(first[0].cache, CacheDisposition::Uncached);
 
         checkpoint::install(checkpoint::Session::start("p", path.clone(), true));
         let second = run_matrix_engine(
@@ -1317,7 +1224,8 @@ mod tests {
         checkpoint::clear();
         assert_eq!(second[0].status, CellStatus::Resumed);
         assert_eq!(
-            second[0].sim_threads, 2,
+            second[0].cache,
+            CacheDisposition::Uncached,
             "resume must replay the provenance recorded at execution time"
         );
         let _ = std::fs::remove_file(&path);

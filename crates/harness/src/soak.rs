@@ -41,10 +41,6 @@ pub struct SoakOptions {
     pub seed: u64,
     /// Worker threads passed to the child (0 = number of CPUs).
     pub threads: usize,
-    /// `--sim-threads` passed to the child: threads each simulation's
-    /// cycle loop is sharded across. Results are bit-identical at every
-    /// setting, so the soak's byte-exact contract holds unchanged.
-    pub sim_threads: u32,
     /// Fault schedule installed in the chaos run's children. The seed
     /// field is re-mixed per attempt so a permanent injected failure
     /// cannot repeat deterministically on every resume.
@@ -74,7 +70,6 @@ impl Default for SoakOptions {
             size: "tiny".to_string(),
             seed: 1,
             threads: 0,
-            sim_threads: 1,
             chaos: ChaosConfig::quiet(1),
             kills: 3,
             max_attempts: 12,
@@ -191,9 +186,6 @@ fn child_command(
         .arg(opts.seed.to_string())
         .arg("--threads")
         .arg(opts.threads.to_string());
-    if opts.sim_threads > 1 {
-        cmd.arg("--sim-threads").arg(opts.sim_threads.to_string());
-    }
     if resume {
         cmd.arg("--resume");
     }

@@ -13,7 +13,7 @@
 //! ```
 
 use ccraft_core::cachecraft::CacheCraftConfig;
-use ccraft_core::factory::{run_scheme, run_scheme_exec, SchemeKind};
+use ccraft_core::factory::{run_scheme, run_scheme_profiled, SchemeKind};
 use ccraft_core::reliability::{Campaign, CodecKind};
 use ccraft_ecc::inject::ErrorPattern;
 use ccraft_harness::perfdiff::{self, DiffOptions};
@@ -34,7 +34,7 @@ ccx — CacheCraft simulator driver
 USAGE:
   ccx list
   ccx run --workload <name|all> [--scheme <name|all>] [--size tiny|small|full]
-          [--machine gddr6|hbm2] [--seed N] [--energy] [--sim-threads N]
+          [--machine gddr6|hbm2] [--seed N] [--energy]
           [--inject <pattern>:<rate>]
           [--hist] [--timeline <file>] [--trace <file>] [--profile]
   ccx reliability [--codec <secded|rs36|rs18|crc32|tagged4>]
@@ -42,12 +42,11 @@ USAGE:
   ccx perf-diff <run-dir-A> <run-dir-B> [--threshold-pct P] [--hit-threshold-pts P]
                 [--min-wall-delta SECS] [--bench-a FILE] [--bench-b FILE] [--force]
   ccx chaos-soak <exp-name> [--size smoke|tiny|small|full] [--seed N] [--threads N]
-                 [--sim-threads N] [--chaos <spec>] [--kills N] [--max-attempts N]
-                 [--exe PATH]
+                 [--chaos <spec>] [--kills N] [--max-attempts N] [--exe PATH]
   ccx serve [--addr HOST:PORT] [--cache-dir DIR]
   ccx submit [--addr HOST:PORT] [--workload <name,...|all>] [--scheme <name,...|all>]
              [--size tiny|small|full] [--machine gddr6|hbm2] [--seed N]
-             [--inject <pattern>:<rate>] [--sim-threads N]
+             [--inject <pattern>:<rate>]
              [--override-seed <workload>/<scheme>:<seed>]...
              [--csv-out FILE] [--manifest-out FILE]
 
@@ -61,15 +60,6 @@ EXPERIMENT SERVICE (ccx serve / ccx submit):
   returns byte-identical data. --override-seed re-runs exactly one cell.
   submit prints a greppable summary line: cells=N hits=N misses=N
   simulated=N.
-
-SHARDED SIMULATION (--sim-threads):
-  --sim-threads N    shard each simulation's cycle loop across N threads by
-                     memory channel. Statistics are bit-identical to
-                     --sim-threads 1; only wall-clock changes, so the value
-                     is recorded in manifest.json and perf-diff refuses
-                     mixed-sim_threads wall comparisons without --force.
-                     Telemetry (--hist/--timeline/--trace) and --inject
-                     fall back to the single-threaded loop.
 
 CHAOS SOAK (ccx chaos-soak):
   Verifies crash/fault recovery end to end: runs <exp-name> (e.g.
@@ -190,14 +180,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let show_energy = args.iter().any(|a| a == "--energy");
     let show_hist = args.iter().any(|a| a == "--hist");
     let profile = args.iter().any(|a| a == "--profile");
-    let sim_threads: u32 = match parse_flag(args, "--sim-threads").map(|s| s.parse()) {
-        None => 1,
-        Some(Ok(v)) if v >= 1 => v,
-        Some(_) => {
-            eprintln!("--sim-threads expects an integer >= 1\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
     let timeline_path = parse_flag(args, "--timeline");
     let trace_path = parse_flag(args, "--trace");
     for (flag, value) in [("--timeline", &timeline_path), ("--trace", &trace_path)] {
@@ -214,11 +196,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         TelemetryConfig::disabled()
     };
     let telemetry_on = tel.enabled || tel.trace_events;
-    if sim_threads > 1 && (telemetry_on || fault_cfg.is_some()) {
-        eprintln!(
-            "note: telemetry/fault-injection cells run single-threaded (--sim-threads ignored)"
-        );
-    }
     let Some(workload_arg) = parse_flag(args, "--workload") else {
         eprintln!("--workload is required\n\n{USAGE}");
         return ExitCode::FAILURE;
@@ -260,16 +237,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
         let trace = w.generate(size, seed);
         println!("\n{trace}");
         for &kind in &schemes {
-            let s = if profile || telemetry_on || fault_cfg.is_some() || sim_threads > 1 {
-                let out = run_scheme_exec(
-                    &cfg,
-                    kind,
-                    &trace,
-                    &tel,
-                    fault_cfg.as_ref(),
-                    profile,
-                    &ccraft_sim::ExecConfig { sim_threads },
-                );
+            let s = if profile || telemetry_on || fault_cfg.is_some() {
+                let out =
+                    run_scheme_profiled(&cfg, kind, &trace, &tel, fault_cfg.as_ref(), profile);
                 if let Some(chrome) = out.trace {
                     last_trace = Some((format!("{}/{}", w.name(), kind.name()), chrome));
                 }
@@ -347,20 +317,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
     manifest.size = size.to_string();
     manifest.seed = seed;
     manifest.threads = 1;
-    manifest.sim_threads = sim_threads;
     manifest.wall_time_secs = started.elapsed().as_secs_f64();
-    // Per-cell provenance: telemetry and fault-injection cells fall back
-    // to the single-threaded loop, so their *effective* sim_threads is 1
-    // regardless of the flag; perf-diff compares on this truth.
-    let effective = if telemetry_on || fault_cfg.is_some() {
-        1
-    } else {
-        sim_threads
-    };
     for name in &cell_names {
         manifest.record_cell(ccraft_telemetry::manifest::CellManifest {
             cell: name.clone(),
-            sim_threads: effective,
             cache: "uncached".to_string(),
             status: "ok".to_string(),
         });
@@ -581,7 +541,7 @@ fn cmd_chaos_soak(args: &[String]) -> ExitCode {
                     }
                 };
             }
-            "--seed" | "--threads" | "--sim-threads" | "--kills" | "--max-attempts" => {
+            "--seed" | "--threads" | "--kills" | "--max-attempts" => {
                 let flag = args[i].clone();
                 i += 1;
                 let Some(Ok(v)) = args.get(i).map(|s| s.parse::<u64>()) else {
@@ -591,7 +551,6 @@ fn cmd_chaos_soak(args: &[String]) -> ExitCode {
                 match flag.as_str() {
                     "--seed" => opts.seed = v,
                     "--threads" => opts.threads = v as usize,
-                    "--sim-threads" => opts.sim_threads = (v as u32).max(1),
                     "--kills" => opts.kills = v as u32,
                     _ => opts.max_attempts = v as u32,
                 }
@@ -767,14 +726,6 @@ fn cmd_submit(args: &[String]) -> ExitCode {
         Some(Ok(v)) => spec.seed = v,
         Some(Err(_)) => {
             eprintln!("--seed expects an integer\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
-    match parse_flag(args, "--sim-threads").map(|s| s.parse()) {
-        None => {}
-        Some(Ok(v)) if v >= 1 => spec.sim_threads = v,
-        Some(_) => {
-            eprintln!("--sim-threads expects an integer >= 1\n\n{USAGE}");
             return ExitCode::from(2);
         }
     }

@@ -32,8 +32,7 @@
 //! full config), workload, machine, size, effective seed, canonical
 //! inject spec, cargo feature flags, and the code version captured from
 //! [`ccraft_telemetry::manifest::Provenance`] at daemon startup (see
-//! `ccraft_harness::cellcache` for the digest definition). `sim_threads`
-//! is excluded: results are bit-identical at every setting.
+//! `ccraft_harness::cellcache` for the digest definition).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
@@ -91,9 +90,6 @@ pub struct JobSpec {
     /// Fault-injection spec (e.g. `symbol:1e-6`), if any.
     #[serde(default)]
     pub inject: Option<String>,
-    /// Shard count for simulated (non-injected) cells.
-    #[serde(default = "default_seed_u32")]
-    pub sim_threads: u32,
     /// Per-cell seed overrides.
     #[serde(default)]
     pub seed_overrides: Vec<SeedOverride>,
@@ -108,9 +104,6 @@ fn default_size() -> String {
 fn default_seed() -> u64 {
     1
 }
-fn default_seed_u32() -> u32 {
-    1
-}
 
 impl Default for JobSpec {
     fn default() -> Self {
@@ -121,7 +114,6 @@ impl Default for JobSpec {
             size: default_size(),
             seed: default_seed(),
             inject: None,
-            sim_threads: 1,
             seed_overrides: Vec::new(),
         }
     }
@@ -387,7 +379,6 @@ impl ServeState {
             size: resolved.size,
             seed: spec.seed,
             threads: 1,
-            sim_threads: spec.sim_threads.max(1),
             inject: resolved.inject,
             ..ExpOptions::default()
         };
@@ -459,7 +450,6 @@ impl ServeState {
             lock_clean(job).push_event(format!("cell {cell}: cache hit ({})", key.digest()));
             return CellRun {
                 stats: entry.stats,
-                sim_threads: entry.sim_threads,
                 cache: CacheDisposition::Hit,
             };
         }
@@ -471,7 +461,7 @@ impl ServeState {
         let idx = stable_cell_index(&cell);
         let mut run = run_cell(cfg, &cell_opts, idx, workload, scheme);
         run.cache = CacheDisposition::Miss;
-        if let Err(e) = self.cache.insert(&key, &run.stats, run.sim_threads) {
+        if let Err(e) = self.cache.insert(&key, &run.stats, 1) {
             lock_clean(job).push_event(format!("cell {cell}: cache insert failed: {e}"));
         } else {
             lock_clean(job).push_event(format!("cell {cell}: simulated and cached"));
@@ -523,8 +513,8 @@ fn job_csv(outcomes: &[CellOutcome]) -> String {
     table.to_csv()
 }
 
-/// Builds the job's manifest JSON: per-cell cache disposition and
-/// effective `sim_threads`, plus the sweep parameters.
+/// Builds the job's manifest JSON: per-cell cache disposition plus the
+/// sweep parameters.
 fn job_manifest_json(state: &ServeState, spec: &JobSpec, outcomes: &[CellOutcome]) -> String {
     let mut manifest = RunManifest::new("ccraft-serve");
     for f in &state.features {
@@ -533,7 +523,6 @@ fn job_manifest_json(state: &ServeState, spec: &JobSpec, outcomes: &[CellOutcome
     manifest.size = spec.size.clone();
     manifest.seed = spec.seed;
     manifest.threads = 1;
-    manifest.sim_threads = spec.sim_threads.max(1);
     for o in outcomes {
         let status = match &o.status {
             s if s.is_ok() => "ok".to_string(),
@@ -542,7 +531,6 @@ fn job_manifest_json(state: &ServeState, spec: &JobSpec, outcomes: &[CellOutcome
         };
         manifest.record_cell(CellManifest {
             cell: o.cell_name(),
-            sim_threads: o.sim_threads,
             cache: o.cache.as_str().to_string(),
             status,
         });
@@ -963,7 +951,6 @@ mod tests {
             size: "tiny".to_string(),
             seed: 1,
             inject: None,
-            sim_threads: 1,
             seed_overrides: Vec::new(),
         }
     }

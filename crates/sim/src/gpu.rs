@@ -31,9 +31,7 @@ use crate::trace::{KernelTrace, WarpTrace};
 use crate::types::{Cycle, SmId, TrafficClass};
 use crate::xbar::Crossbar;
 use ccraft_telemetry::chrome_trace::{ChromeTrace, TraceEvent};
-use ccraft_telemetry::profiler::{
-    ChannelLoad, HostStamp, MemoStats, PhaseTimer, ShardLoad, SimProfile,
-};
+use ccraft_telemetry::profiler::{ChannelLoad, HostStamp, MemoStats, PhaseTimer, SimProfile};
 use ccraft_telemetry::{Histogram, Sampler, TelemetryConfig};
 
 /// Result of an instrumented run: the stats (with optional histogram and
@@ -371,62 +369,6 @@ pub fn simulate_profiled(
     faults: Option<&FaultConfig>,
     profile: bool,
 ) -> SimOutput {
-    simulate_with_exec(
-        cfg,
-        order,
-        trace,
-        scheme,
-        tel,
-        faults,
-        profile,
-        &ExecConfig::default(),
-    )
-}
-
-/// Execution-engine knobs: how the cycle loop is driven, never what it
-/// computes. Every setting produces bit-identical [`SimStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Total threads for the channel-sharded prologue (see the `shard`
-    /// module): one SM-phase driver plus `sim_threads - 1` lane
-    /// workers. `1` (the default) is the classic single-threaded loop.
-    /// Values above `channels + 1` are clamped to it.
-    pub sim_threads: u32,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig { sim_threads: 1 }
-    }
-}
-
-/// [`simulate_profiled`], with explicit execution-engine configuration.
-///
-/// With `exec.sim_threads > 1` the bulk of the run executes on the
-/// channel-sharded engine — worker threads advance per-channel
-/// (L2 slice, memory controller, DRAM) lanes through crossbar-latency
-/// epochs while the main thread runs the SMs — and the single-threaded
-/// loop finishes the endgame. Sharding is a pure wall-clock
-/// optimization: request interleaving and [`SimStats`] stay
-/// bit-identical at every thread count. It silently falls back to the
-/// single-threaded loop whenever it cannot engage (single-channel
-/// machines, zero-latency crossbars, schemes without per-channel
-/// state partitioning, telemetry or fault injection on).
-///
-/// # Panics
-///
-/// Panics as [`simulate`] does.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_with_exec(
-    cfg: &GpuConfig,
-    order: MapOrder,
-    trace: &KernelTrace,
-    scheme: &mut dyn ProtectionScheme,
-    tel: &TelemetryConfig,
-    faults: Option<&FaultConfig>,
-    profile: bool,
-    exec: &ExecConfig,
-) -> SimOutput {
     // The config is validated up front; running with a broken machine
     // description is a programming error, not a recoverable condition.
     #[allow(clippy::expect_used)]
@@ -551,30 +493,6 @@ pub fn simulate_with_exec(
     // where the whole-machine fast-forward below never fires).
     let mut sm_wake: Vec<Cycle> = vec![0; sms.len()];
     let mut sm_done: Vec<bool> = vec![false; sms.len()];
-
-    // Channel-sharded prologue (see the `shard` module). When it can
-    // engage — multiple threads requested, a multi-channel machine,
-    // telemetry and fault injection off, the scheme partitionable by
-    // channel — it advances the whole machine through epoch-batched
-    // parallel execution and hands back at `now` with state
-    // bit-identical to having run the loop below from cycle 0. The
-    // loop then finishes the endgame (flush, drain, timeout)
-    // single-threaded. Telemetry and fault observation stay on the
-    // plain path so their sampling cadence is untouched.
-    let shard_report = if exec.sim_threads > 1 && !enabled && fault_inj.is_none() {
-        let mut senv = crate::shard::ShardEnv {
-            cfg,
-            sms: &mut sms,
-            slices: &mut slices,
-            xbar: &mut xbar,
-            sm_wake: &mut sm_wake,
-            sm_done: &mut sm_done,
-            now: &mut now,
-        };
-        crate::shard::run_prologue(&mut senv, scheme, exec.sim_threads, prof.is_some())
-    } else {
-        None
-    };
 
     // Runtime invariant oracle (see the `invariants` module docs). In this
     // build the idle fast-forward below is replaced by ticking through the
@@ -993,23 +911,6 @@ pub fn simulate_with_exec(
             p.other_ns
                 .saturating_add(sp.host_ns_total.saturating_sub(attributed)),
         );
-        // Shard attribution: worker busy/wait and the main thread's
-        // barrier waits. Worker lane time is *not* folded into the
-        // l2/mc/dram buckets (those cover the single-threaded endgame
-        // only); it lands in the per-shard table, and the wall time it
-        // overlaps shows up in the "other" residual above.
-        if let Some(r) = &shard_report {
-            sp.shard_epochs = r.epochs;
-            sp.shard_sm_wait_ns = r.sm_wait_ns;
-            for (i, w) in r.workers.iter().enumerate() {
-                sp.shards.push(ShardLoad {
-                    shard: i as u32,
-                    lanes: w.lanes,
-                    busy_ns: w.busy_ns,
-                    wait_ns: w.wait_ns,
-                });
-            }
-        }
         sp
     });
     SimOutput {
@@ -1017,6 +918,42 @@ pub fn simulate_with_exec(
         trace: trace_out,
         profile: profile_out,
     }
+}
+
+/// Execution-engine knobs. The cycle loop is single-threaded, so the
+/// only value is the default, `sim_threads: 1`; the type remains so that
+/// existing callers of [`simulate_with_exec`] keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExecConfig {
+    /// Always `1`: the simulator runs one cycle loop per cell, and
+    /// parallelism comes from running cells side by side.
+    pub sim_threads: u32,
+}
+
+impl Default for ExecConfig {
+    fn default() -> Self {
+        ExecConfig { sim_threads: 1 }
+    }
+}
+
+/// [`simulate_profiled`] under an [`ExecConfig`]. Forwards unchanged:
+/// `ExecConfig` has a single value.
+///
+/// # Panics
+///
+/// Panics as [`simulate`] does.
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_with_exec(
+    cfg: &GpuConfig,
+    order: MapOrder,
+    trace: &KernelTrace,
+    scheme: &mut dyn ProtectionScheme,
+    tel: &TelemetryConfig,
+    faults: Option<&FaultConfig>,
+    profile: bool,
+    _exec: &ExecConfig,
+) -> SimOutput {
+    simulate_profiled(cfg, order, trace, scheme, tel, faults, profile)
 }
 
 #[cfg(test)]
@@ -1471,108 +1408,5 @@ mod tests {
         let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
         assert!(!stats.timed_out);
         assert_eq!(stats.dram_bytes(), 0);
-    }
-
-    fn sharded(cfg: &GpuConfig, trace: &KernelTrace, threads: u32) -> SimOutput {
-        let mut scheme = tiny_scheme(cfg);
-        simulate_with_exec(
-            cfg,
-            MapOrder::RoBaCo,
-            trace,
-            &mut scheme,
-            &TelemetryConfig::disabled(),
-            None,
-            false,
-            &ExecConfig {
-                sim_threads: threads,
-            },
-        )
-    }
-
-    #[test]
-    fn sharded_execution_is_bit_identical_on_streaming() {
-        let cfg = GpuConfig::tiny();
-        let trace = streaming(8, 256);
-        let mut s1 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
-        for threads in [2u32, 3, 8] {
-            let out = sharded(&cfg, &trace, threads);
-            assert_eq!(plain, out.stats, "sim_threads={threads} diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_execution_is_bit_identical_on_mixed_kernel() {
-        // Loads, compute gaps and stores: exercises the endgame
-        // handback (flush) and the lane/SM idle skips.
-        let traces = (0..4u64)
-            .map(|w| {
-                let mut ops = Vec::new();
-                for i in 0..8 {
-                    ops.push(WarpOp::Load {
-                        atoms: (0..4).map(|k| LogicalAtom(w * 64 + i * 4 + k)).collect(),
-                    });
-                    ops.push(WarpOp::Compute {
-                        cycles: (16 + (w * 7 + i) % 23) as u32,
-                    });
-                    ops.push(WarpOp::Store {
-                        atoms: vec![LogicalAtom(w * 64 + i * 4)],
-                        full: i % 2 == 0,
-                    });
-                }
-                WarpTrace::new(ops)
-            })
-            .collect();
-        let trace = KernelTrace::new("mixed", traces);
-        let cfg = GpuConfig::tiny();
-        let mut s1 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
-        for threads in [2u32, 8] {
-            let out = sharded(&cfg, &trace, threads);
-            assert_eq!(plain, out.stats, "sim_threads={threads} diverged");
-        }
-    }
-
-    #[test]
-    fn sharded_profile_attributes_shard_load() {
-        let cfg = GpuConfig::tiny();
-        let trace = streaming(8, 256);
-        let mut s1 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
-        let mut s2 = tiny_scheme(&cfg);
-        let out = simulate_with_exec(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut s2,
-            &TelemetryConfig::disabled(),
-            None,
-            true,
-            &ExecConfig { sim_threads: 3 },
-        );
-        // Profiling a sharded run observes, never schedules.
-        assert_eq!(plain, out.stats);
-        let p = out.profile.expect("profile attached");
-        // tiny has 2 channels, so 3 threads = 2 lane workers.
-        assert_eq!(p.shards.len(), 2);
-        assert!(p.shard_epochs > 0, "prologue never engaged");
-        assert_eq!(p.shards.iter().map(|s| u64::from(s.lanes)).sum::<u64>(), 2);
-        assert!(p.shard_imbalance() >= 1.0);
-    }
-
-    #[test]
-    fn single_thread_exec_config_is_the_plain_loop() {
-        let cfg = GpuConfig::tiny();
-        let trace = streaming(4, 64);
-        let mut s1 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
-        let out = sharded(&cfg, &trace, 1);
-        assert_eq!(plain, out.stats);
-        // Empty traces fall straight through the prologue guard.
-        let empty = KernelTrace::new("empty", vec![]);
-        let mut s = tiny_scheme(&cfg);
-        let e_plain = simulate(&cfg, MapOrder::RoBaCo, &empty, &mut s);
-        let e_out = sharded(&cfg, &empty, 8);
-        assert_eq!(e_plain, e_out.stats);
     }
 }

@@ -69,7 +69,6 @@ pub mod l2;
 pub mod mem_ctrl;
 pub mod msg;
 pub mod protection;
-mod shard;
 pub mod sm;
 pub mod stats;
 pub mod trace;

@@ -157,8 +157,8 @@ fn is_zero(v: &u64) -> bool {
 impl ProtectionStats {
     /// Folds another stats block into this one. Counter fields sum; the
     /// two peak/depth watermarks take the max, which is order-independent,
-    /// so merging per-channel shard stats in any grouping reproduces the
-    /// single-threaded aggregate bit for bit.
+    /// so merging per-channel stats in any grouping gives the same
+    /// aggregate.
     pub fn merge(&mut self, other: &ProtectionStats) {
         self.ecc_demand_fetches += other.ecc_demand_fetches;
         self.ecc_fetch_hits += other.ecc_fetch_hits;
@@ -174,127 +174,6 @@ impl ProtectionStats {
         self.coalesce_max_merge_depth = self
             .coalesce_max_merge_depth
             .max(other.coalesce_max_merge_depth);
-    }
-}
-
-/// One channel's worth of a protection scheme, detached for shard
-/// ownership (see [`ProtectionScheme::detach_channels`]).
-///
-/// Every method mirrors its [`ProtectionScheme`] counterpart but is scoped
-/// to the single channel this object owns: `loc.channel` on incoming calls
-/// always equals that channel, and the returned plans reference only
-/// channel-local atoms. Implementations must be `Send` so a shard worker
-/// can own them for the duration of an epoch run.
-pub trait ChannelScheme: fmt::Debug + Send {
-    /// Scoped [`ProtectionScheme::demand_fill`].
-    fn demand_fill(&mut self, loc: PhysLoc, now: Cycle) -> FillPlan;
-
-    /// Scoped [`ProtectionScheme::ecc_arrived`].
-    fn ecc_arrived(&mut self, loc: PhysLoc, now: Cycle);
-
-    /// Scoped [`ProtectionScheme::writeback`].
-    fn writeback(
-        &mut self,
-        loc: PhysLoc,
-        now: Cycle,
-        resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan;
-
-    /// Scoped [`ProtectionScheme::drain_ecc_writes`] (the channel is
-    /// implicit).
-    fn drain_ecc_writes(&mut self, now: Cycle, budget: usize) -> Vec<u64>;
-
-    /// Scoped [`ProtectionScheme::next_timed_event`]: earliest cycle this
-    /// channel's buffered state can act on its own.
-    fn next_timed_event(&self) -> Option<Cycle> {
-        None
-    }
-
-    /// Surrenders the channel object for re-attachment. The scheme that
-    /// produced this box via [`ProtectionScheme::detach_channels`] downcasts
-    /// it back to its concrete channel type to recover buffered state and
-    /// per-channel counters; implementations simply return `self`.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-}
-
-/// Adapts one detached [`ChannelScheme`] back to the [`ProtectionScheme`]
-/// surface an [`crate::l2::L2Slice`] ticks against, so slice code is
-/// identical under sharded and single-threaded execution. The slice only
-/// ever makes channel-scoped calls; the whole-scheme methods (`map`,
-/// `name`, `stats`, flush/drain) are unreachable from a shard worker and
-/// panic if hit — reaching them is an engine bug, not a recoverable state.
-#[derive(Debug)]
-pub struct ShardSchemeAdapter {
-    inner: Box<dyn ChannelScheme>,
-    channel: u16,
-}
-
-impl ShardSchemeAdapter {
-    /// Wraps a detached channel scheme for the given channel.
-    pub fn new(inner: Box<dyn ChannelScheme>, channel: u16) -> Self {
-        ShardSchemeAdapter { inner, channel }
-    }
-
-    /// Unwraps the channel scheme for re-attachment.
-    pub fn into_inner(self) -> Box<dyn ChannelScheme> {
-        self.inner
-    }
-
-    /// Earliest cycle the wrapped channel's buffers can act on their own
-    /// (for the shard-local idle skip).
-    pub fn channel_timed_event(&self) -> Option<Cycle> {
-        self.inner.next_timed_event()
-    }
-}
-
-impl ProtectionScheme for ShardSchemeAdapter {
-    fn name(&self) -> &str {
-        "shard-adapter"
-    }
-
-    fn map(&self, _logical: LogicalAtom) -> PhysLoc {
-        unreachable!("address mapping is SM-side; shard workers never map")
-    }
-
-    fn demand_fill(&mut self, loc: PhysLoc, now: Cycle) -> FillPlan {
-        debug_assert_eq!(loc.channel, self.channel, "cross-channel demand fill");
-        self.inner.demand_fill(loc, now)
-    }
-
-    fn ecc_arrived(&mut self, loc: PhysLoc, now: Cycle) {
-        debug_assert_eq!(loc.channel, self.channel, "cross-channel ECC arrival");
-        self.inner.ecc_arrived(loc, now)
-    }
-
-    fn writeback(
-        &mut self,
-        loc: PhysLoc,
-        now: Cycle,
-        resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        debug_assert_eq!(loc.channel, self.channel, "cross-channel writeback");
-        self.inner.writeback(loc, now, resident)
-    }
-
-    fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
-        debug_assert_eq!(channel, self.channel, "cross-channel drain");
-        self.inner.drain_ecc_writes(now, budget)
-    }
-
-    fn flush(&mut self) {
-        unreachable!("flush runs in the single-threaded endgame, never in a shard")
-    }
-
-    fn is_drained(&self) -> bool {
-        unreachable!("drain checks run in the single-threaded endgame, never in a shard")
-    }
-
-    fn next_timed_event(&self) -> Option<Cycle> {
-        self.inner.next_timed_event()
-    }
-
-    fn stats(&self) -> ProtectionStats {
-        unreachable!("stats are read from the re-attached whole scheme")
     }
 }
 
@@ -361,40 +240,15 @@ pub trait ProtectionScheme: fmt::Debug + Send {
 
     /// The codec the in-situ fault injector should run decode trials
     /// through (see [`crate::faults`]). Defaults to
-    /// [`ProtectionCodec::Unprotected`]: any injected data fault is silent
-    /// corruption. Real schemes override this with their storage codec.
+    /// [`Unprotected`](crate::faults::ProtectionCodec::Unprotected): any
+    /// injected data fault is silent corruption. Real schemes override
+    /// this with their storage codec.
     fn fault_codec(&self) -> crate::faults::ProtectionCodec {
         crate::faults::ProtectionCodec::Unprotected
     }
 
     /// Aggregate counters.
     fn stats(&self) -> ProtectionStats;
-
-    /// Splits the scheme's channel-scoped mutable state into one
-    /// [`ChannelScheme`] per channel so shard workers can own `(L2 slice,
-    /// memory controller, DRAM channel, channel scheme)` stacks and tick
-    /// them without synchronization. Element `i` of the returned vec owns
-    /// channel `i`. Returns `None` (the default) when the scheme does not
-    /// partition, which disables sharded execution for the run — never a
-    /// correctness hazard, only a lost speedup.
-    ///
-    /// While detached, the scheme must still answer the immutable
-    /// whole-scheme queries (`map`, `name`, `l2_tax_bytes`, `fault_codec`);
-    /// the channel-scoped mutators are routed through the detached objects
-    /// until [`attach_channels`](Self::attach_channels) hands them back.
-    fn detach_channels(&mut self) -> Option<Vec<Box<dyn ChannelScheme>>> {
-        None
-    }
-
-    /// Re-absorbs channel state previously produced by
-    /// [`detach_channels`](Self::detach_channels), in channel order. After
-    /// this call the scheme's buffered state, drain behaviour and
-    /// [`stats`](Self::stats) must be exactly what a single-threaded run
-    /// reaching the same cycle would report.
-    fn attach_channels(&mut self, channels: Vec<Box<dyn ChannelScheme>>) {
-        let _ = channels;
-        unreachable!("attach_channels without a matching detach_channels");
-    }
 }
 
 /// ECC disabled: identity layout, no extra traffic. The performance
@@ -448,49 +302,6 @@ impl ProtectionScheme for NoProtection {
 
     fn stats(&self) -> ProtectionStats {
         ProtectionStats::default()
-    }
-
-    fn detach_channels(&mut self) -> Option<Vec<Box<dyn ChannelScheme>>> {
-        Some(
-            (0..self.interleave.channels())
-                .map(|_| Box::new(NoProtectionChannel) as Box<dyn ChannelScheme>)
-                .collect(),
-        )
-    }
-
-    fn attach_channels(&mut self, channels: Vec<Box<dyn ChannelScheme>>) {
-        // Stateless and counterless: the detached channels carry nothing
-        // back. Length-check only, to catch engine bookkeeping bugs.
-        debug_assert_eq!(channels.len(), self.interleave.channels() as usize);
-    }
-}
-
-/// The per-channel face of [`NoProtection`]: stateless, no ECC traffic.
-#[derive(Debug, Clone, Copy)]
-struct NoProtectionChannel;
-
-impl ChannelScheme for NoProtectionChannel {
-    fn demand_fill(&mut self, _loc: PhysLoc, _now: Cycle) -> FillPlan {
-        FillPlan::none()
-    }
-
-    fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
-
-    fn writeback(
-        &mut self,
-        _loc: PhysLoc,
-        _now: Cycle,
-        _resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        WritebackPlan::none()
-    }
-
-    fn drain_ecc_writes(&mut self, _now: Cycle, _budget: usize) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
     }
 }
 

@@ -291,37 +291,6 @@ impl SmCore {
         self.stats.idle_cycles += span;
         self.stats.stall_no_ready_warp += span;
     }
-
-    /// A cycle strictly before which this SM provably cannot have retired
-    /// every warp: the sharded execution engine runs whole epochs only
-    /// while `epoch_end <= done_horizon`, so the single-threaded loop's
-    /// per-cycle `all_warps_done` scan (and the flush/drain endgame behind
-    /// it) can be skipped for the entire epoch without changing when it
-    /// first returns true.
-    ///
-    /// The bound is conservative, never optimistic: a warp with `rem` ops
-    /// left cannot retire them faster than two per cycle (an LSU retire
-    /// plus a compute issue in the same tick is the maximum front-end
-    /// advance), and no warp finishes before its pending compute latency
-    /// expires. Warps blocked on outstanding loads contribute only `now` —
-    /// a response could land any cycle.
-    pub fn done_horizon(&self, now: Cycle) -> Cycle {
-        let mut horizon = now;
-        for w in &self.warps {
-            let rem = w.trace.len().saturating_sub(w.pc) as u64;
-            let earliest = if rem == 0 {
-                if w.outstanding > 0 {
-                    now
-                } else {
-                    w.ready_at.max(now)
-                }
-            } else {
-                w.ready_at.max(now + rem.div_ceil(2))
-            };
-            horizon = horizon.max(earliest);
-        }
-        horizon
-    }
 }
 
 #[cfg(test)]

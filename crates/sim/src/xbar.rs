@@ -12,10 +12,8 @@ use crate::msg::{L2Request, L2Response};
 use crate::types::Cycle;
 use std::collections::VecDeque;
 
-/// Per-slice request queue capacity (in-flight toward one slice). Shared
-/// with the shard gate, whose counter mirror must reject at exactly the
-/// same occupancy.
-pub(crate) const REQ_QUEUE_CAP: usize = 64;
+/// Per-slice request queue capacity (in-flight toward one slice).
+const REQ_QUEUE_CAP: usize = 64;
 
 /// Crossbar statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -211,66 +209,6 @@ impl Crossbar {
     /// Statistics snapshot.
     pub fn stats(&self) -> XbarStats {
         self.stats
-    }
-
-    // ---- Sharded-execution hooks (crate-internal; see `crate::shard`) ----
-    //
-    // During a sharded prologue the per-slice request queues are owned by
-    // shard workers and SM-side injection goes through a counter-mirrored
-    // gate; these hooks move queue contents out and back, and keep the
-    // stats and oracle counters consistent so the re-attached crossbar is
-    // bit-identical to one that ran the same cycles single-threaded.
-
-    /// The configured traversal latency (the shard epoch length).
-    pub(crate) fn latency(&self) -> u32 {
-        self.latency
-    }
-
-    /// The per-endpoint delivery port limit.
-    pub(crate) fn ports(&self) -> u32 {
-        self.ports
-    }
-
-    /// Detaches slice `ch`'s in-flight request queue for shard ownership.
-    pub(crate) fn take_requests(&mut self, ch: u16) -> VecDeque<(Cycle, L2Request)> {
-        std::mem::take(&mut self.req_q[ch as usize])
-    }
-
-    /// Restores slice `ch`'s request queue at shard reassembly. The queue
-    /// must be in send order (undelivered carry-overs first, then gated
-    /// sends not yet handed to the shard), which is exactly the order the
-    /// single-threaded queue would hold.
-    pub(crate) fn restore_requests(&mut self, ch: u16, q: VecDeque<(Cycle, L2Request)>) {
-        debug_assert!(
-            self.req_q[ch as usize].is_empty(),
-            "restore over live queue"
-        );
-        debug_assert!(q.len() <= REQ_QUEUE_CAP, "restored queue over capacity");
-        self.req_q[ch as usize] = q;
-    }
-
-    /// Enqueues a response with a pre-computed arrival stamp: the shard
-    /// egress merge replays `send_response(resp, emit_cycle)` calls after
-    /// the fact, in canonical order, with identical stamps.
-    pub(crate) fn push_stamped_response(&mut self, resp: L2Response, arrival: Cycle) {
-        self.resp_q[resp.dest.0 as usize].push_back((arrival, resp));
-        self.stats.responses += 1;
-    }
-
-    /// Folds the shard gate's injection outcome into the request stats
-    /// (`sent` accepted sends, `rejects` capacity rejections), matching
-    /// what per-cycle `try_send_request` calls would have counted.
-    pub(crate) fn add_request_stats(&mut self, sent: u64, rejects: u64) {
-        self.stats.requests += sent;
-        self.stats.rejects += rejects;
-    }
-
-    /// Oracle bookkeeping: requests a shard worker delivered into its
-    /// slice while owning the queue, so `assert_conserved` still balances
-    /// after reassembly.
-    #[cfg(feature = "check-invariants")]
-    pub(crate) fn note_shard_delivered_requests(&mut self, n: u64) {
-        self.delivered_requests += n;
     }
 }
 

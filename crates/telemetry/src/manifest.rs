@@ -83,29 +83,13 @@ fn capture_hostname() -> String {
         .unwrap_or_else(|| probe_cmd("uname", &["-n"]))
 }
 
-/// Serde default: manifests written before sharded execution ran
-/// everything single-threaded.
-fn default_sim_threads() -> u32 {
-    1
-}
-
 /// Per-cell execution provenance: what actually happened to one matrix
 /// cell, as opposed to what was requested for the run.
-///
-/// The global [`RunManifest::sim_threads`] records the *requested* shard
-/// count, but telemetry and fault-injection cells silently fall back to
-/// the single-threaded loop, so tools that compare wall-clock (like
-/// `ccx perf-diff`) must read the per-cell *effective* values recorded
-/// here instead.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellManifest {
     /// Cell identifier (`m<call>/<workload>/<scheme>` or
     /// `<workload>/<scheme>`).
     pub cell: String,
-    /// Threads the cell's cycle loop was *actually* sharded across —
-    /// 1 for telemetry/fault-injection cells regardless of the request.
-    #[serde(default = "default_sim_threads")]
-    pub sim_threads: u32,
     /// Result-cache disposition: `"hit"` (served from the
     /// content-addressed cache, no simulation), `"miss"` (simulated and
     /// inserted), or `"uncached"` (no cache in play).
@@ -129,13 +113,6 @@ pub struct RunManifest {
     pub seed: u64,
     /// Worker threads.
     pub threads: usize,
-    /// Threads each simulation's cycle loop was sharded across (1 = the
-    /// single-threaded loop). Stats are bit-identical at every setting,
-    /// but wall-clock is not comparable across different values, so
-    /// `ccx perf-diff` refuses mixed-`sim_threads` comparisons without
-    /// `--force`. Defaults to 1 for manifests from before sharding.
-    #[serde(default = "default_sim_threads")]
-    pub sim_threads: u32,
     /// Wall-clock duration of the run in seconds.
     pub wall_time_secs: f64,
     /// Completion time, milliseconds since the Unix epoch.
@@ -151,8 +128,7 @@ pub struct RunManifest {
     /// cells (with their panic messages), skipped artifacts, and similar.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub warnings: Vec<String>,
-    /// Per-cell execution provenance (effective `sim_threads`, cache
-    /// disposition, status). Empty in manifests from before it existed.
+    /// Per-cell execution provenance (cache disposition, status). Empty in manifests from before it existed.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub cells: Vec<CellManifest>,
     /// Build/host provenance; absent in manifests from before it existed.
@@ -170,7 +146,6 @@ impl RunManifest {
             size: String::new(),
             seed: 0,
             threads: 0,
-            sim_threads: 1,
             wall_time_secs: 0.0,
             completed_unix_ms: 0,
             summary: Vec::new(),
@@ -184,20 +159,6 @@ impl RunManifest {
     /// Records one cell's execution provenance.
     pub fn record_cell(&mut self, cell: CellManifest) {
         self.cells.push(cell);
-    }
-
-    /// The sorted, distinct *effective* per-cell `sim_threads` values of
-    /// the run. Falls back to the global (requested) value for manifests
-    /// without per-cell records, so old manifests keep their previous
-    /// comparison semantics.
-    pub fn effective_sim_threads(&self) -> Vec<u32> {
-        if self.cells.is_empty() {
-            return vec![self.sim_threads];
-        }
-        let mut v: Vec<u32> = self.cells.iter().map(|c| c.sim_threads).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     /// Adds a named metric to the summary.
@@ -285,38 +246,20 @@ mod tests {
     }
 
     #[test]
-    fn effective_sim_threads_reads_per_cell_truth() {
+    fn cell_records_round_trip() {
         let mut m = RunManifest::new("x");
-        m.sim_threads = 4; // requested
-                           // No per-cell records: fall back to the global value.
-        assert_eq!(m.effective_sim_threads(), vec![4]);
-        // Fault-injection cells fell back to single-threaded: the
-        // effective set reflects that, not the request.
-        m.record_cell(CellManifest {
-            cell: "m0/vecadd/cachecraft".to_string(),
-            sim_threads: 1,
-            cache: "uncached".to_string(),
-            status: "ok".to_string(),
-        });
-        m.record_cell(CellManifest {
-            cell: "m0/saxpy/cachecraft".to_string(),
-            sim_threads: 1,
-            cache: "uncached".to_string(),
-            status: "ok".to_string(),
-        });
-        assert_eq!(m.effective_sim_threads(), vec![1]);
-        // A genuinely sharded cell widens the set (sorted, distinct).
-        m.record_cell(CellManifest {
-            cell: "m1/vecadd/cachecraft".to_string(),
-            sim_threads: 4,
-            cache: "miss".to_string(),
-            status: "ok".to_string(),
-        });
-        assert_eq!(m.effective_sim_threads(), vec![1, 4]);
-        // And the records round-trip through JSON.
+        for (cell, cache) in [
+            ("m0/vecadd/cachecraft", "hit"),
+            ("m0/saxpy/cachecraft", "miss"),
+        ] {
+            m.record_cell(CellManifest {
+                cell: cell.to_string(),
+                cache: cache.to_string(),
+                status: "ok".to_string(),
+            });
+        }
         let back: RunManifest = serde_json::from_str(&m.to_json()).unwrap();
-        assert_eq!(back.cells.len(), 3);
-        assert_eq!(back.effective_sim_threads(), vec![1, 4]);
+        assert_eq!(back.cells, m.cells);
     }
 
     #[test]
@@ -332,7 +275,27 @@ mod tests {
         }"#;
         let m: RunManifest = serde_json::from_str(json).unwrap();
         assert!(m.provenance.is_empty());
-        // Pre-sharding manifests read back as single-threaded simulation.
-        assert_eq!(m.sim_threads, 1);
+        // Manifests from the channel-sharded engine carried a top-level
+        // and a per-cell `sim_threads`; readers ignore both.
+        let json = r#"{
+            "experiment": "old",
+            "command": ["exp-all", "--sim-threads", "4"],
+            "size": "tiny",
+            "seed": 1,
+            "threads": 2,
+            "sim_threads": 4,
+            "wall_time_secs": 0.5,
+            "completed_unix_ms": 123,
+            "cells": [
+                {"cell": "m0/vecadd/cachecraft", "sim_threads": 4,
+                 "cache": "miss", "status": "ok"}
+            ]
+        }"#;
+        let m: RunManifest = serde_json::from_str(json).unwrap();
+        assert_eq!(m.threads, 2);
+        assert_eq!(m.cells.len(), 1);
+        assert_eq!(m.cells[0].cache, "miss");
+        assert_eq!(m.cells[0].status, "ok");
+        assert!(!m.to_json().contains("sim_threads"));
     }
 }

@@ -171,20 +171,6 @@ impl ChannelLoad {
     }
 }
 
-/// Host-time split of one shard worker in a channel-sharded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct ShardLoad {
-    /// Shard (worker thread) index.
-    pub shard: u32,
-    /// Channel lanes this shard owned.
-    pub lanes: u32,
-    /// Host nanoseconds ticking lanes (epoch work).
-    pub busy_ns: u64,
-    /// Host nanoseconds waiting for the next epoch command (idle at
-    /// the barrier while other shards or the SM phase still ran).
-    pub wait_ns: u64,
-}
-
 /// A self-profile of one simulator run: where host wall-time went per
 /// component, how effective the idle/sleep memos were, and how evenly
 /// load spread across channels.
@@ -213,26 +199,8 @@ pub struct SimProfile {
     /// Window entries examined per performed first-ready scan, summed
     /// over channels.
     pub scan_depth: Histogram,
-    /// Per-channel load table (the shard-balance evidence for
-    /// ROADMAP item 1).
+    /// Per-channel load table.
     pub channels: Vec<ChannelLoad>,
-    /// Per-shard host-time split when the run used the channel-sharded
-    /// engine; empty for single-threaded runs (and absent from their
-    /// serialized profiles, keeping them byte-compatible).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub shards: Vec<ShardLoad>,
-    /// Epochs executed by the sharded prologue (0 when unsharded).
-    #[serde(default, skip_serializing_if = "shard_field_is_zero")]
-    pub shard_epochs: u64,
-    /// Host nanoseconds the main thread spent blocked at shard epoch
-    /// barriers waiting on the slowest lane.
-    #[serde(default, skip_serializing_if = "shard_field_is_zero")]
-    pub shard_sm_wait_ns: u64,
-}
-
-/// `skip_serializing_if` helper for the shard-only profile fields.
-fn shard_field_is_zero(v: &u64) -> bool {
-    *v == 0
 }
 
 impl SimProfile {
@@ -264,13 +232,6 @@ impl SimProfile {
     /// [`ChannelLoad::requests`].
     pub fn request_imbalance(&self) -> f64 {
         imbalance(self.channels.iter().map(ChannelLoad::requests))
-    }
-
-    /// Shard load imbalance: max/mean of per-shard busy time. 1.0 when
-    /// perfectly balanced (or when the run was not sharded); large
-    /// values mean the epoch barrier waits on one hot lane.
-    pub fn shard_imbalance(&self) -> f64 {
-        imbalance(self.shards.iter().map(|s| s.busy_ns))
     }
 }
 

@@ -15,9 +15,8 @@
 //!   naming the guard that makes them unreachable.
 //! * `atomic-discipline` (A2) — in `crates/sim`, every `Atomic*`
 //!   load/store/RMW must name an explicit `Ordering` literal,
-//!   `Relaxed` is legal only on the counters in [`RELAXED_COUNTERS`]
-//!   (the lane drain ring, whose visibility is sequenced by the
-//!   `progress` watermark), and publish/consume fields must form
+//!   `Relaxed` is legal only under a waiver naming what sequences the
+//!   field, and publish/consume fields must form
 //!   Acquire/Release pairs: a `Release` store with no `Acquire` load of
 //!   the same field (or vice versa) is a broken protocol, as is a
 //!   plain-ordering site on a field the other side accesses with
@@ -44,7 +43,12 @@ use std::ops::Range;
 
 /// Root functions of the cycle-loop call graph in `crates/sim`. Every
 /// function reachable from these by name is "hot" for `panic-freedom`.
-pub const PF_ROOTS: [&str; 4] = ["simulate_with_exec", "run_prologue", "tick", "next_event"];
+pub const PF_ROOTS: [&str; 4] = [
+    "simulate_with_exec",
+    "simulate_profiled",
+    "tick",
+    "next_event",
+];
 
 /// Identifier names treated as cycle/address arithmetic operands by the
 /// unchecked-subtraction/multiplication check of `panic-freedom`.
@@ -69,11 +73,6 @@ pub const PF_CYCLE_IDENTS: [&str; 19] = [
     "t",
     "wake",
 ];
-
-/// Atomic fields on which `Ordering::Relaxed` is sanctioned: per-cycle
-/// counters whose visibility is sequenced by an Acquire/Release
-/// watermark (`LaneShared::drains`, ordered by `progress`).
-pub const RELAXED_COUNTERS: [&str; 1] = ["drains"];
 
 /// Persistence modules whose `Result`s must never be discarded.
 pub const FALLIBLE_MODULES: [&str; 3] = ["store", "checkpoint", "cellcache"];
@@ -410,7 +409,7 @@ struct AtomicSite {
     idx: usize,
 }
 
-/// A2: explicit orderings, the Relaxed allowlist, and publish/consume
+/// A2: explicit orderings, no unwaived Relaxed, and publish/consume
 /// pairing.
 fn rule_atomic_discipline(rel: &str, lexed: &Lexed, map: &ScopeMap, out: &mut Vec<Violation>) {
     let t = &lexed.tokens;
@@ -472,8 +471,7 @@ fn rule_atomic_discipline(rel: &str, lexed: &Lexed, map: &ScopeMap, out: &mut Ve
     };
 
     // Per-site checks (one violation max per site: missing ordering
-    // dominates, then the Relaxed allowlist, then pairing).
-    let allow_relaxed = |f: &str| RELAXED_COUNTERS.contains(&f);
+    // dominates, then Relaxed, then pairing).
     let mut flagged: BTreeSet<usize> = BTreeSet::new();
     for s in &sites {
         if s.orderings.is_empty() {
@@ -487,28 +485,23 @@ fn rule_atomic_discipline(rel: &str, lexed: &Lexed, map: &ScopeMap, out: &mut Ve
                     s.method, s.field
                 ),
             );
-        } else if s.orderings.contains(&"Relaxed") && !allow_relaxed(&s.field) {
+        } else if s.orderings.contains(&"Relaxed") {
             flagged.insert(s.idx);
             push(
                 s.idx,
                 s.line,
                 format!(
-                    "`Ordering::Relaxed` on `{}` — Relaxed is sanctioned only for the \
-                     allowlisted counters ({}); publish/consume fields need \
-                     Release/Acquire",
-                    s.field,
-                    RELAXED_COUNTERS.join(", ")
+                    "`Ordering::Relaxed` on `{}` — publish/consume fields need \
+                     Release/Acquire; a counter sequenced by another field needs a \
+                     waiver naming it",
+                    s.field
                 ),
             );
         }
     }
 
-    // Pairing: group by receiver field, skipping allowlisted counters.
-    let mut fields: BTreeSet<&str> = sites
-        .iter()
-        .map(|s| s.field.as_str())
-        .filter(|f| !allow_relaxed(f))
-        .collect();
+    // Pairing: group by receiver field.
+    let mut fields: BTreeSet<&str> = sites.iter().map(|s| s.field.as_str()).collect();
     fields.remove("<receiver>");
     for field in fields {
         let of_field: Vec<&AtomicSite> = sites.iter().filter(|s| s.field == field).collect();

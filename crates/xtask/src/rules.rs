@@ -24,12 +24,11 @@
 //! * `shard-shared-state` (L5) — in `sim`, no `static` items and no
 //!   shared-mutability primitives (`lazy_static`, `thread_local`,
 //!   `OnceLock`/`OnceCell`/`LazyLock`, `Mutex`/`RwLock`, `RefCell`,
-//!   `Rc`/`Arc`). The channel-sharded engine replays bit-identically only
-//!   because every piece of mutable state has exactly one owner per
-//!   epoch; process-global or reference-counted state would leak across
-//!   shard boundaries invisibly. Scoped `Atomic*` values are exempt —
-//!   they are the blessed cross-lane signalling primitive, always owned
-//!   by one `run_prologue` call and dropped with it.
+//!   `Rc`/`Arc`). A simulation replays bit-identically only because
+//!   every piece of mutable state has exactly one owner inside the run;
+//!   process-global or reference-counted state would leak between runs
+//!   (and between cells running side by side) invisibly. Scoped
+//!   `Atomic*` values are exempt; `atomic-discipline` checks them.
 //!
 //! Violations can be waived with `// lint: allow(<rule>) reason=<text>` on
 //! or immediately above the offending line; every directive must justify
@@ -514,15 +513,14 @@ fn rule_wall_clock(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
 
 /// L5: `static` items and shared-mutability primitives in `sim`.
 ///
-/// The sharded engine's bit-identity proof rests on single ownership:
-/// every mutable object belongs to exactly one lane (or the driver)
-/// between barriers. A `static`, a `lazy_static!`/`thread_local!` cell,
-/// a `OnceLock`/`OnceCell`/`LazyLock`, a lock (`Mutex`/`RwLock`), interior
+/// The determinism contract rests on single ownership: every mutable
+/// object belongs to exactly one component of exactly one run. A
+/// `static`, a `lazy_static!`/`thread_local!` cell, a
+/// `OnceLock`/`OnceCell`/`LazyLock`, a lock (`Mutex`/`RwLock`), interior
 /// mutability (`RefCell`) or shared ownership (`Rc`/`Arc`) all create
 /// state whose visibility is scheduler-dependent, which this lint makes
 /// impossible to introduce silently. `Atomic*` is deliberately *not*
-/// flagged: scoped atomics owned by one `run_prologue` call are the
-/// sanctioned cross-lane signalling mechanism.
+/// flagged here: scoped atomics are checked by `atomic-discipline`.
 fn rule_shard_shared_state(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
     let t = &lexed.tokens;
     for i in 0..t.len() {
@@ -546,32 +544,30 @@ fn rule_shard_shared_state(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
                     continue;
                 }
                 "`static` item in simulator code — process-global state outlives the \
-                 simulation and is visible across shard lanes; thread it through the \
-                 owning component instead"
+                 simulation and is visible to every cell in the process; thread it \
+                 through the owning component instead"
                     .to_string()
             }
             "lazy_static" | "thread_local" => format!(
                 "`{name}!` in simulator code — lazily initialized global state breaks \
-                 the one-owner-per-epoch model the sharded engine's bit-identity \
-                 depends on"
+                 the one-owner-per-run model bit-identical replay depends on"
             ),
             "OnceLock" | "OnceCell" | "LazyLock" => format!(
                 "`{name}` in simulator code — write-once global cells still make \
-                 initialization order observable across shard lanes; pass the value \
+                 initialization order observable across cells; pass the value \
                  through the component that owns it"
             ),
             "Mutex" | "RwLock" => format!(
                 "`{name}` in simulator code — lock acquisition order is scheduler- \
                  dependent, so anything guarded by it cannot replay bit-identically; \
-                 partition the state per channel instead"
+                 give the state a single owner instead"
             ),
             "RefCell" => "`RefCell` in simulator code — interior mutability hides writes \
-                 from the ownership structure the shard partition is derived from"
+                 from the ownership structure the replay contract is derived from"
                 .to_string(),
             "Rc" | "Arc" => format!(
-                "`{name}` in simulator code — shared ownership lets two shard lanes \
-                 alias the same mutable object; give the state a single owner and \
-                 hand off through the epoch barrier"
+                "`{name}` in simulator code — shared ownership lets two components \
+                 alias the same mutable object; give the state a single owner"
             ),
             _ => continue,
         };

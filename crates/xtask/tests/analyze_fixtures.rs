@@ -88,7 +88,7 @@ fn atomic_discipline_fires() {
         "crates/sim/src/fixture.rs",
         include_str!("fixtures/atomic_fires.rs"),
     );
-    // 15: no Ordering named; 16: Relaxed off the allowlist; 17: publish
+    // 15: no Ordering named; 16: unwaived Relaxed; 17: publish
     // side of a consumed field without Release; 18: Release with no
     // consumer. The progress pair (14/22-23) and the #[cfg(test)] store
     // are clean.
@@ -109,7 +109,7 @@ fn atomic_discipline_allow_listed() {
 }
 
 #[test]
-fn atomic_discipline_clean_on_the_real_protocol_shape() {
+fn atomic_discipline_clean_on_a_paired_protocol() {
     let r = run(
         "crates/sim/src/fixture.rs",
         include_str!("fixtures/atomic_clean.rs"),
@@ -231,15 +231,13 @@ fn github_format_emits_error_annotations() {
     let mut report = LintReport::default();
     report.violations.push(xtask::rules::Violation {
         rule: "atomic-discipline",
-        file: "crates/sim/src/shard.rs".into(),
+        file: "crates/sim/src/gpu.rs".into(),
         line: 42,
         msg: "needs an\nexplicit Ordering".into(),
     });
     let out = xtask::render_github(&report);
     assert!(
-        out.contains(
-            "::error file=crates/sim/src/shard.rs,line=42,title=xtask atomic-discipline::"
-        ),
+        out.contains("::error file=crates/sim/src/gpu.rs,line=42,title=xtask atomic-discipline::"),
         "{out}"
     );
     // Newlines must be %0A-escaped or GitHub truncates the message.

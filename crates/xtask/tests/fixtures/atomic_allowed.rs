@@ -1,4 +1,4 @@
-// A Relaxed counter off the built-in allowlist, sanctioned by a waiver
+// A Relaxed counter sanctioned by a waiver
 // naming the fence that sequences it.
 use std::sync::atomic::{AtomicU64, Ordering};
 

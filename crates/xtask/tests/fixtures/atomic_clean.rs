@@ -1,18 +1,15 @@
-// The real cross-lane protocol shape: a Release/Acquire progress
-// watermark sequencing Relaxed stores into the allowlisted drain ring.
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+// A clean publish/consume protocol: a Release store of a progress
+// watermark paired with an Acquire load of the same field.
+use std::sync::atomic::{AtomicU64, Ordering};
 
-struct LaneShared {
-    progress: AtomicU64,
-    drains: Vec<AtomicU32>,
+struct Progress {
+    through: AtomicU64,
 }
 
-fn run_epoch(sh: &LaneShared, t: u64, slot: usize, drained: u32) {
-    sh.drains[slot].store(drained, Ordering::Relaxed);
-    sh.progress.store(t + 1, Ordering::Release);
+fn publish(p: &Progress, t: u64) {
+    p.through.store(t + 1, Ordering::Release);
 }
 
-fn fold(sh: &LaneShared, slot: usize) -> u64 {
-    let through = sh.progress.load(Ordering::Acquire);
-    through + u64::from(sh.drains[slot].load(Ordering::Relaxed))
+fn observe(p: &Progress) -> u64 {
+    p.through.load(Ordering::Acquire)
 }

@@ -1,5 +1,5 @@
-// Atomic-discipline violations: a missing ordering, Relaxed off the
-// allowlist, an Acquire-side publish, and a one-sided Release.
+// Atomic-discipline violations: a missing ordering, an unwaived Relaxed,
+// an Acquire-side publish, and a one-sided Release.
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct Sh {

@@ -5,31 +5,9 @@
 //! re-baseline *and* re-run the full evaluation (EXPERIMENTS.md) in the
 //! same change.
 
-use cachecraft::schemes::factory::{run_scheme, run_scheme_exec, SchemeKind};
+use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
-use cachecraft::sim::ExecConfig;
-use cachecraft::telemetry::TelemetryConfig;
 use cachecraft::workloads::{SizeClass, Workload};
-
-/// Runs `kind` over `trace` with the cycle loop sharded across
-/// `sim_threads` threads, telemetry off, no fault injection.
-fn run_sharded(
-    cfg: &GpuConfig,
-    kind: SchemeKind,
-    trace: &cachecraft::sim::trace::KernelTrace,
-    sim_threads: u32,
-) -> cachecraft::sim::SimStats {
-    run_scheme_exec(
-        cfg,
-        kind,
-        trace,
-        &TelemetryConfig::disabled(),
-        None,
-        false,
-        &ExecConfig { sim_threads },
-    )
-    .stats
-}
 
 #[test]
 fn pinned_stats_vecadd_tiny() {
@@ -47,55 +25,5 @@ fn pinned_stats_vecadd_tiny() {
         assert_eq!(s.cycles, cycles, "{name}: total cycles drifted");
         assert_eq!(s.exec_cycles, exec, "{name}: exec cycles drifted");
         assert_eq!(s.dram, dram, "{name}: DRAM traffic drifted");
-    }
-}
-
-/// Channel-sharded execution must reproduce the pinned golden statistics
-/// **bit-identically** at every shard count, not merely agree with the
-/// single-threaded run of the same build: the pins anchor both.
-#[test]
-fn pinned_stats_hold_at_every_sim_thread_count() {
-    let cfg = GpuConfig::tiny();
-    let trace = Workload::VecAdd.generate(SizeClass::Tiny, 1);
-    let expect: [(&str, u64, u64, [u64; 4]); 4] = [
-        ("no-protection", 32675, 32492, [16384, 8192, 0, 0]),
-        ("inline-naive", 66240, 65585, [16384, 8192, 24576, 8192]),
-        ("ecc-cache", 43125, 42425, [16384, 8192, 3072, 984]),
-        ("cachecraft", 38168, 37838, [16384, 8192, 2345, 1307]),
-    ];
-    for sim_threads in [1u32, 2, 8] {
-        for (kind, (name, cycles, exec, dram)) in SchemeKind::headline(&cfg).into_iter().zip(expect)
-        {
-            let s = run_sharded(&cfg, kind, &trace, sim_threads);
-            assert_eq!(s.cycles, cycles, "{name} @{sim_threads} threads: cycles");
-            assert_eq!(s.exec_cycles, exec, "{name} @{sim_threads} threads: exec");
-            assert_eq!(s.dram, dram, "{name} @{sim_threads} threads: dram");
-        }
-    }
-}
-
-/// The full-width matrix: every headline scheme over the whole golden
-/// corpus (all workloads) must produce `SimStats` equal to the
-/// single-threaded baseline at 2 and 8 shard threads. `SimStats` derives
-/// `PartialEq` over every counter, so this is bitwise equality of the
-/// entire statistics block, not just the headline numbers.
-#[test]
-fn golden_corpus_is_bit_identical_across_sim_threads() {
-    let cfg = GpuConfig::tiny();
-    for wl in Workload::ALL {
-        let trace = wl.generate(SizeClass::Tiny, 1);
-        for kind in SchemeKind::headline(&cfg) {
-            let baseline = run_scheme(&cfg, kind, &trace);
-            for sim_threads in [2u32, 8] {
-                let sharded = run_sharded(&cfg, kind, &trace, sim_threads);
-                assert_eq!(
-                    baseline,
-                    sharded,
-                    "{}/{} diverged at sim_threads={sim_threads}",
-                    wl.name(),
-                    kind.name()
-                );
-            }
-        }
     }
 }

@@ -65,45 +65,6 @@ fn oracle_passes_on_varied_workloads() {
     }
 }
 
-/// The oracle under **sharded** execution: the per-lane loops arm the
-/// same conservation and protocol checks (plus the shard-only gate-mirror
-/// cross-checks), tick through every cycle, and must still reproduce the
-/// pinned golden statistics bit-identically. This is the strongest
-/// evidence the epoch-barrier protocol is not quietly reordering work:
-/// every invariant is asserted on every cycle of every lane.
-#[test]
-fn oracle_reproduces_pinned_golden_stats_sharded() {
-    use cachecraft::schemes::factory::run_scheme_exec;
-    use cachecraft::telemetry::TelemetryConfig;
-
-    let cfg = GpuConfig::tiny();
-    let trace = Workload::VecAdd.generate(SizeClass::Tiny, 1);
-    let expect: [(&str, u64, u64, [u64; 4]); 4] = [
-        ("no-protection", 32675, 32492, [16384, 8192, 0, 0]),
-        ("inline-naive", 66240, 65585, [16384, 8192, 24576, 8192]),
-        ("ecc-cache", 43125, 42425, [16384, 8192, 3072, 984]),
-        ("cachecraft", 38168, 37838, [16384, 8192, 2345, 1307]),
-    ];
-    for sim_threads in [2u32, 8] {
-        for (kind, (name, cycles, exec, dram)) in SchemeKind::headline(&cfg).into_iter().zip(expect)
-        {
-            let s = run_scheme_exec(
-                &cfg,
-                kind,
-                &trace,
-                &TelemetryConfig::disabled(),
-                None,
-                false,
-                &cachecraft::sim::ExecConfig { sim_threads },
-            )
-            .stats;
-            assert_eq!(s.cycles, cycles, "{name} sharded@{sim_threads}: cycles");
-            assert_eq!(s.exec_cycles, exec, "{name} sharded@{sim_threads}: exec");
-            assert_eq!(s.dram, dram, "{name} sharded@{sim_threads}: dram");
-        }
-    }
-}
-
 /// A scheme that violates the `next_timed_event` contract: `demand_fill`
 /// buffers an ECC write due 500 cycles later, but `next_timed_event`
 /// claims the scheme has no timed behaviour. The idle fast-forward
