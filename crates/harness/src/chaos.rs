@@ -297,7 +297,8 @@ pub fn on_read(buf: &mut [u8]) -> Result<(), std::io::Error> {
 }
 
 /// Serializes tests that install a global chaos schedule (shared with
-/// store tests, which exercise the hooks).
+/// the store, cell-cache and matrix tests, which write through the
+/// hooks).
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());

@@ -35,13 +35,13 @@ pub const CELL_SECONDS_BUCKETS: [f64; 10] =
 pub struct MetricsRegistry {
     /// Matrix cells planned across all matrix calls so far.
     cells_planned: AtomicU64,
-    /// Cells finished (any status), including checkpoint-resumed ones.
+    /// Cells finished (any status), including cache hits.
     cells_completed: AtomicU64,
     /// Cells whose final status was failed or timed out.
     cells_failed: AtomicU64,
     /// Extra attempts consumed by retries (attempts beyond the first).
     cells_retried: AtomicU64,
-    /// Cells replayed from a resume checkpoint without executing.
+    /// Cells served from the run's cell cache without simulating.
     cells_resumed: AtomicU64,
     /// Cells quarantined after permanent failure (degraded completion).
     cells_quarantined: AtomicU64,
@@ -92,11 +92,10 @@ impl MetricsRegistry {
         self.cells_planned.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` cells replayed from a checkpoint (they also count as
-    /// completed, keeping ETA math consistent).
-    pub fn add_resumed(&self, n: u64) {
-        self.cells_resumed.fetch_add(n, Ordering::Relaxed);
-        self.cells_completed.fetch_add(n, Ordering::Relaxed);
+    /// Records one cell served from the run's cell cache (it is also
+    /// observed through [`MetricsRegistry::observe_cell`]).
+    pub fn cache_hit(&self) {
+        self.cells_resumed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one cell quarantined after exhausting its attempts.
@@ -240,7 +239,7 @@ impl MetricsRegistry {
         );
         counter(
             "ccraft_cells_resumed_total",
-            "Matrix cells replayed from a resume checkpoint.",
+            "Matrix cells served from the run's cell cache (finished cells of a --resume).",
             resumed,
         );
         counter(
@@ -270,7 +269,7 @@ impl MetricsRegistry {
 }
 
 // ---------------------------------------------------------------------
-// Process-global registry (same idiom as `crate::checkpoint`): installed
+// Process-global registry (same idiom as `crate::checkpoint`'s run): installed
 // by `run_experiment` when `--metrics-addr` is given, consulted by the
 // matrix engine, cleared at the end of the run.
 
@@ -413,26 +412,27 @@ mod tests {
         reg.worker_started();
         reg.observe_cell(0.2, true, 1, false);
         reg.observe_cell(2.0, false, 3, true);
+        reg.observe_cell(0.001, true, 1, false);
+        reg.cache_hit();
         reg.worker_finished();
-        reg.add_resumed(2);
         reg.store_retry();
         reg.store_retry();
         let text = reg.render();
         assert!(text.contains("ccraft_cells_planned 10"));
-        // 1 executed ok + 2 resumed; the quarantined cell is *not*
+        // 1 simulated + 1 cache hit; the quarantined cell is *not*
         // completed (it counts under quarantined instead).
-        assert!(text.contains("ccraft_cells_completed_total 3"));
+        assert!(text.contains("ccraft_cells_completed_total 2"));
         assert!(text.contains("ccraft_cells_failed_total 1"));
         assert!(text.contains("ccraft_cells_retried_total 2"));
-        assert!(text.contains("ccraft_cells_resumed_total 2"));
+        assert!(text.contains("ccraft_cells_resumed_total 1"));
         assert!(text.contains("ccraft_cells_quarantined_total 1"));
         assert!(text.contains("ccraft_store_retries_total 2"));
         assert!(text.contains("ccraft_workers 4"));
         assert!(text.contains("ccraft_workers_active 0"));
-        assert!(text.contains("ccraft_cell_seconds_count 2"));
-        // Cumulative buckets: the 0.25s bucket holds one sample, +Inf both.
-        assert!(text.contains("ccraft_cell_seconds_bucket{le=\"0.25\"} 1"));
-        assert!(text.contains("ccraft_cell_seconds_bucket{le=\"+Inf\"} 2"));
+        assert!(text.contains("ccraft_cell_seconds_count 3"));
+        // Cumulative buckets: the 0.25s bucket holds two samples, +Inf all.
+        assert!(text.contains("ccraft_cell_seconds_bucket{le=\"0.25\"} 2"));
+        assert!(text.contains("ccraft_cell_seconds_bucket{le=\"+Inf\"} 3"));
     }
 
     #[test]

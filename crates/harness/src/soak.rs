@@ -13,8 +13,8 @@
 //! CSV the reference run produced exists in the chaos run's directory
 //! **byte-identical** (checksum footer included), and each one carries a
 //! valid checksum. Any `*.corrupt-*` quarantine files the chaos run left
-//! behind are reported — they are evidence of detection working, not a
-//! failure.
+//! behind, in the results directory or its `cells/` cache, are reported —
+//! they are evidence of detection working, not a failure.
 //!
 //! Everything random is derived from the soak seed (kill delays via
 //! SplitMix64, per-attempt chaos seeds by mixing the attempt index), so a
@@ -95,8 +95,9 @@ pub struct SoakReport {
     pub kills_delivered: u32,
     /// CSV files compared byte-for-byte against the reference.
     pub csv_files: usize,
-    /// Quarantine files (`*.corrupt-*`) the chaos run left behind —
-    /// corruption that was detected and preserved, not silently read.
+    /// Quarantine files (`*.corrupt-*`) the chaos run left behind, cache
+    /// entries as `cells/<name>` — corruption that was detected and
+    /// preserved, not silently read.
     pub quarantined: Vec<String>,
     /// Whether the completing run exited degraded
     /// ([`crate::runner::EXIT_DEGRADED`]) rather than clean.
@@ -266,7 +267,7 @@ fn run_chaos(
 
         if kills_delivered < opts.kills && !chaos_free_final {
             // Seeded kill point: 30–530 ms into the run, long enough for
-            // some cells to land in the checkpoint on tiny sizes, short
+            // some cells to land in the cell cache on tiny sizes, short
             // enough to interrupt most runs.
             let h = chaos::splitmix64(opts.seed ^ chaos::splitmix64(u64::from(attempt) | 1 << 32));
             let delay = Duration::from_millis(30 + h % 500);
@@ -346,14 +347,17 @@ fn csv_names(dir: &Path) -> Result<Vec<String>, Error> {
     Ok(names)
 }
 
-/// Collects quarantine files (`*.corrupt-*`) directly inside `dir`.
+/// Collects quarantine files (`*.corrupt-*`) inside `dir` and its
+/// `cells/` cache, the latter as `cells/<name>`.
 fn quarantine_names(dir: &Path) -> Vec<String> {
     let mut names = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.contains(".corrupt-") {
-                names.push(name);
+    for (sub, prefix) in [(dir.to_path_buf(), ""), (dir.join("cells"), "cells/")] {
+        if let Ok(entries) = std::fs::read_dir(sub) {
+            for entry in entries.flatten() {
+                let name = entry.file_name().to_string_lossy().into_owned();
+                if name.contains(".corrupt-") {
+                    names.push(format!("{prefix}{name}"));
+                }
             }
         }
     }
@@ -489,9 +493,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ccraft-soak-q-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("checkpoint.json.corrupt-0"), b"junk").unwrap();
+        std::fs::create_dir_all(dir.join("cells")).unwrap();
+        std::fs::write(dir.join("f4.csv.corrupt-0"), b"junk").unwrap();
         std::fs::write(dir.join("main.csv"), b"fine").unwrap();
-        assert_eq!(quarantine_names(&dir), vec!["checkpoint.json.corrupt-0"]);
+        std::fs::write(dir.join("cells/ab.json.corrupt-1"), b"junk").unwrap();
+        std::fs::write(dir.join("cells/cd.json"), b"fine").unwrap();
+        assert_eq!(
+            quarantine_names(&dir),
+            vec!["cells/ab.json.corrupt-1", "f4.csv.corrupt-0"]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -519,7 +529,7 @@ mod tests {
             attempts: 5,
             kills_delivered: 3,
             csv_files: 2,
-            quarantined: vec!["checkpoint.json.corrupt-0".to_string()],
+            quarantined: vec!["cells/ab.json.corrupt-0".to_string()],
             degraded: true,
             chaos_disabled_final: false,
         };
@@ -527,7 +537,7 @@ mod tests {
         assert!(text.contains("2 CSV file(s)"), "{text}");
         assert!(text.contains("3 kill(s)"), "{text}");
         assert!(text.contains("degraded"), "{text}");
-        assert!(text.contains("checkpoint.json.corrupt-0"), "{text}");
+        assert!(text.contains("cells/ab.json.corrupt-0"), "{text}");
         let clean = SoakReport {
             quarantined: Vec::new(),
             degraded: false,

@@ -395,7 +395,7 @@ pub fn read_verified_string(path: &Path) -> Result<(String, bool), Error> {
 
 /// Moves `path` aside to the first free `<name>.corrupt-<n>` sibling and
 /// returns the quarantine path. Used by [`read_verified`] on checksum
-/// failure and by the checkpoint loader on schema mismatch, so corrupt
+/// failure and by the cell cache on unparseable entries, so corrupt
 /// artifacts are preserved for post-mortem instead of overwritten.
 ///
 /// # Errors

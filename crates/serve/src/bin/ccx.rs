@@ -66,7 +66,8 @@ CHAOS SOAK (ccx chaos-soak):
   exp-main) once fault-free as a golden reference, then again with I/O
   faults injected via CCRAFT_CHAOS (--chaos, e.g.
   \"seed=7,eio=0.05,torn=0.05,flip=0.02\"), SIGKILLed at seeded points
-  and resumed with --resume until it completes. Exits 0 only when every
+  and resumed with --resume (finished cells come back from the run's
+  results/cells/ cache) until it completes. Exits 0 only when every
   reference CSV comes back byte-identical and checksum-valid from the
   chaos run. --size smoke is an alias for tiny. A chaos spec of
   probabilities 0 (the default) degenerates to a pure kill/resume soak.

@@ -157,10 +157,9 @@ impl FaultConfig {
     /// Canonical `<pattern>:<rate>` spec, accepted back by
     /// [`FaultConfig::parse`].
     ///
-    /// Excludes the seed: per-cell seeds are derived from the run seed,
-    /// which checkpoint fingerprints already cover. Two configs with the
-    /// same canonical spec inject statistically identical faults, so
-    /// this string is what resume fingerprints fold in.
+    /// Excludes the seed: two configs with the same canonical spec inject
+    /// statistically identical faults. Cell-cache keys, which must pin the
+    /// exact fault stream, append the derived per-cell seed to it.
     pub fn canonical_spec(&self) -> String {
         let pattern = match self.pattern {
             ErrorPattern::RandomBits { count: 1 } => "bit1",

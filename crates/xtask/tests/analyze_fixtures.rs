@@ -153,6 +153,23 @@ fn fallible_result_fires_in_serve_too() {
 }
 
 #[test]
+fn fallible_modules_cover_the_ledger_and_cache_io() {
+    let mut fns = std::collections::BTreeSet::new();
+    for module in xtask::analyze::FALLIBLE_MODULES {
+        let path = format!("{}/../harness/src/{module}.rs", env!("CARGO_MANIFEST_DIR"));
+        let src = std::fs::read_to_string(&path).expect("persistence module exists");
+        let lexed = lex(&src);
+        let map = xtask::scopes::ScopeMap::scan(&lexed);
+        fns.extend(xtask::analyze::fallible_fn_names(&lexed, &map));
+    }
+    // The ledger write, the run cache's open, and the cache's insert:
+    // discarding any of their `Result`s must be flagged.
+    for name in ["write_ledger", "open", "insert", "write_durable"] {
+        assert!(fns.contains(name), "{name} not harvested: {fns:?}");
+    }
+}
+
+#[test]
 fn fallible_result_allow_listed() {
     let r = run_fallible(
         "crates/harness/src/fixture.rs",

@@ -9,11 +9,12 @@
 //!   SEC-DED baselines can only detect or miss;
 //! * a panicking matrix cell is reported as a failed cell while the rest
 //!   of the matrix completes;
-//! * a checkpoint written by an interrupted run resumes through
-//!   `results/checkpoint.json` with only unfinished cells executing.
+//! * an interrupted run resumes through its cell cache with only
+//!   unfinished cells executing.
 
-use cachecraft::harness::checkpoint::{self, Session};
-use cachecraft::harness::runner::{run_matrix, CellStatus, ExpOptions};
+use cachecraft::harness::cellcache::CellKey;
+use cachecraft::harness::checkpoint::{self, Run};
+use cachecraft::harness::runner::{run_matrix, CacheDisposition, ExpOptions};
 use cachecraft::schemes::cachecraft::CacheCraftConfig;
 use cachecraft::schemes::factory::{run_scheme, run_scheme_instrumented, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
@@ -77,8 +78,8 @@ fn cachecraft_corrects_symbol_faults_baselines_cannot() {
     );
 }
 
-/// Serializes tests that run matrices: the checkpoint session consulted
-/// by `run_matrix` is process-global.
+/// Serializes tests that run matrices: the run consulted by `run_matrix`
+/// is process-global.
 fn guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock()
@@ -123,9 +124,7 @@ fn matrix_results_come_back_in_deterministic_order() {
 fn checkpoint_round_trips_across_sessions() {
     let _guard = guard();
     let dir = std::env::temp_dir().join(format!("ccraft-facade-resume-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("checkpoint.json");
-    let _ = std::fs::remove_file(&path);
+    let cells = dir.join("cells");
     let cfg = GpuConfig::tiny();
     let opts = ExpOptions {
         size: SizeClass::Tiny,
@@ -138,41 +137,37 @@ fn checkpoint_round_trips_across_sessions() {
         SchemeKind::InlineNaive { coverage: 8 },
     ];
 
-    // Run 1 records both cells.
-    checkpoint::install(Session::start("facade/tiny/1", path.clone(), false));
-    let first = run_matrix(&cfg, &workloads, &schemes, &opts);
-    checkpoint::clear();
+    // Run 1 simulates and caches both cells.
+    let run = Run::open(&cells, false).unwrap();
+    let first = checkpoint::scoped(&run, || run_matrix(&cfg, &workloads, &schemes, &opts));
     assert_eq!(first.len(), 2);
+    assert_eq!(run.cache().expect("cache opens").len(), 2);
 
-    // Simulate an interruption: drop one cell from the file, as if the
-    // process died before completing it. The file carries a checksum
-    // footer, so read it back through the verified store.
-    let (text, verified) = cachecraft::harness::store::read_verified_string(&path).unwrap();
-    assert!(verified, "checkpoint must carry a valid checksum footer");
-    let mut cp: checkpoint::Checkpoint = serde_json::from_str(&text).unwrap();
-    assert_eq!(cp.cells.len(), 2);
-    // Rewrite it footer-less on purpose: a legacy (pre-checksum)
-    // checkpoint must still resume.
-    cp.cells.retain(|c| c.key.contains("no-protection"));
-    std::fs::write(&path, serde_json::to_string(&cp).unwrap()).unwrap();
+    // Simulate an interruption: drop the second cell's entry, as if the
+    // process died before completing it.
+    let dropped = CellKey::for_cell(&cfg, &opts, 1, workloads[0], schemes[1]);
+    std::fs::remove_file(cells.join(format!("{}.json", dropped.digest()))).unwrap();
 
-    // Run 2 resumes: the surviving cell replays, the dropped one re-runs,
+    // Run 2 resumes: the surviving cell hits, the dropped one re-runs,
     // and results are bit-identical to the uninterrupted run.
-    checkpoint::install(Session::start("facade/tiny/1", path.clone(), true));
-    let second = cachecraft::harness::run_matrix_cells(&cfg, &workloads, &schemes, &opts);
-    checkpoint::clear();
+    let resumed = Run::open(&cells, true).unwrap();
+    let second = checkpoint::scoped(&resumed, || {
+        cachecraft::harness::run_matrix_cells(&cfg, &workloads, &schemes, &opts)
+    });
     assert_eq!(second.len(), 2);
-    assert_eq!(second[0].status, CellStatus::Resumed);
-    assert_eq!(second[1].status, CellStatus::Ok);
+    assert_eq!(second[0].cache, CacheDisposition::Hit);
+    assert_eq!(second[1].cache, CacheDisposition::Miss);
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(Some(&a.stats), b.stats.as_ref(), "resume is bit-identical");
     }
-    // The repaired checkpoint again holds both cells (and is re-written
-    // with a footer by the session's durable save).
+    // The ledger is written once, with a checksum footer, and records
+    // both executed cells.
+    let path = dir.join("checkpoint.json");
+    resumed.write_ledger(&path, "facade").unwrap();
     let (text, verified) = cachecraft::harness::store::read_verified_string(&path).unwrap();
-    assert!(verified);
+    assert!(verified, "the ledger must carry a valid checksum footer");
     let cp: checkpoint::Checkpoint = serde_json::from_str(&text).unwrap();
     assert_eq!(cp.cells.len(), 2);
     assert!(cp.cells.iter().all(|c| c.is_ok()));
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
