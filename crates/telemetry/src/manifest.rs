@@ -87,8 +87,8 @@ fn capture_hostname() -> String {
 /// cell, as opposed to what was requested for the run.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CellManifest {
-    /// Cell identifier (`m<call>/<workload>/<scheme>` or
-    /// `<workload>/<scheme>`).
+    /// Cell identifier: `m<call>/<workload>/<scheme>` in experiment runs,
+    /// `<workload>/<scheme>` in the daemon's and `ccx`'s manifests.
     pub cell: String,
     /// Result-cache disposition: `"hit"` (served from the
     /// content-addressed cache, no simulation), `"miss"` (simulated and
