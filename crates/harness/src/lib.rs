@@ -1,11 +1,12 @@
 //! # ccraft-harness — experiment harness for the CacheCraft evaluation
 //!
-//! Shared machinery behind the `exp-*` binaries: a parallel
-//! workload×scheme run matrix, result aggregation (geometric means,
-//! normalization), and markdown/CSV/JSON emitters. Each binary in
-//! `src/bin/` regenerates one table or figure of the reconstructed
-//! evaluation; `exp-all` runs the full set (see DESIGN.md §6 and
-//! EXPERIMENTS.md).
+//! Shared machinery behind `ccx exp <id>`: a parallel workload×scheme
+//! run matrix, result aggregation (geometric means, normalization),
+//! markdown/CSV/JSON emitters, and the std-only HTTP layer ([`http`])
+//! under both the live metrics endpoint and the `ccraft-serve` daemon.
+//! Each entry of [`experiments::EXPERIMENTS`] regenerates one table or
+//! figure of the reconstructed evaluation; `ccx exp all` runs the full
+//! set (see DESIGN.md §6 and EXPERIMENTS.md).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
@@ -16,6 +17,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod error;
 pub mod experiments;
+pub mod http;
 pub mod metrics;
 pub mod perfdiff;
 pub mod report;

@@ -1,28 +1,24 @@
 //! Prometheus metrics endpoint for the experiment runner.
 //!
-//! When an experiment binary is started with `--metrics-addr HOST:PORT`,
-//! [`crate::runner::run_experiment`] binds a tiny std-only HTTP listener
-//! there and installs a process-global [`MetricsRegistry`] that the
-//! matrix engine updates as cells execute. `GET /metrics` answers in
-//! Prometheus text exposition format (`text/plain; version=0.0.4`) with
-//! cells completed / failed / retried, a per-cell wall-time histogram,
-//! worker occupancy, elapsed time and an ETA — the first
-//! externally-scrapable surface of the harness, and the skeleton a
-//! future `ccraft-serve` inherits.
+//! When an experiment is started with `--metrics-addr HOST:PORT` (e.g.
+//! `ccx exp main --metrics-addr 127.0.0.1:9184`),
+//! [`crate::runner::run_experiment`] serves [`handler`] there on the
+//! shared [`crate::http::Server`] and installs a process-global
+//! [`MetricsRegistry`] that the matrix engine updates as cells execute.
+//! `ccx serve` installs one for the daemon's jobs and answers its own
+//! `GET /metrics` from it. `GET /metrics` answers in Prometheus text
+//! exposition format ([`CONTENT_TYPE`]) with cells completed / failed /
+//! retried, a per-cell wall-time histogram, worker occupancy, elapsed
+//! time and an ETA.
 //!
-//! The listener is plain `std::net::TcpListener` + a reader thread: the
-//! vendored dependency set has no HTTP crates, and the endpoint needs
-//! only enough HTTP/1.1 to satisfy `curl` and a Prometheus scraper.
 //! Metrics never touch simulated state — this is host-side telemetry
 //! about the *runner*, not the simulator (the simulator's own
 //! observability is `ccraft-telemetry`).
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::http::{Handler, Request, Response};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Upper bounds (seconds) of the per-cell wall-time histogram buckets;
 /// an implicit `+Inf` bucket completes the series.
@@ -270,8 +266,9 @@ impl MetricsRegistry {
 
 // ---------------------------------------------------------------------
 // Process-global registry (same idiom as `crate::checkpoint`'s run): installed
-// by `run_experiment` when `--metrics-addr` is given, consulted by the
-// matrix engine, cleared at the end of the run.
+// by `run_experiment` when `--metrics-addr` is given (cleared at the end of
+// the run) and by `ccx serve` for the daemon's lifetime; consulted by the
+// matrix engine.
 
 static CURRENT: Mutex<Option<Arc<MetricsRegistry>>> = Mutex::new(None);
 
@@ -297,107 +294,26 @@ pub fn current() -> Option<Arc<MetricsRegistry>> {
 }
 
 // ---------------------------------------------------------------------
-// The HTTP listener.
+// The HTTP surface, served by `crate::http::Server`.
 
-/// A running metrics endpoint; dropping (or [`MetricsServer::shutdown`])
-/// stops the listener thread.
-#[derive(Debug)]
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// Content type of the Prometheus text exposition format.
+pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
+
+/// `registry`'s exposition as a `200 OK` response.
+pub fn exposition(registry: &MetricsRegistry) -> Response {
+    Response::new("200 OK", CONTENT_TYPE, registry.render())
 }
 
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9184`; port 0 picks a free port)
-    /// and serves `registry` until shutdown.
-    pub fn bind(addr: &str, registry: Arc<MetricsRegistry>) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("ccraft-metrics".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        serve_connection(stream, &registry);
-                    }
-                }
-            })?;
-        Ok(MetricsServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the listener thread and waits for it.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+/// The `--metrics-addr` endpoint: `GET /metrics` (or `/`) serves
+/// `registry`'s exposition; anything else gets 404.
+pub fn handler(registry: Arc<MetricsRegistry>) -> Arc<Handler> {
+    Arc::new(move |req: Request| {
+        if req.method == "GET" && (req.path == "/metrics" || req.path == "/") {
+            exposition(&registry)
+        } else {
+            Response::new("404 Not Found", CONTENT_TYPE, "not found\n")
         }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_inner();
-        }
-    }
-}
-
-/// Answers one HTTP/1.1 request: `GET /metrics` (or `/`) serves the
-/// exposition; anything else gets 404. Malformed input is dropped.
-fn serve_connection(mut stream: TcpStream, registry: &MetricsRegistry) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut buf = [0u8; 4096];
-    let mut used = 0usize;
-    // Read until the end of the request head (or the buffer fills —
-    // longer requests than 4 KiB are not worth supporting here).
-    loop {
-        match stream.read(&mut buf[used..]) {
-            Ok(0) => break,
-            Ok(n) => {
-                used += n;
-                if buf[..used].windows(4).any(|w| w == b"\r\n\r\n") || used == buf.len() {
-                    break;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf[..used]);
-    let mut parts = head.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, body) = if method == "GET" && (path == "/metrics" || path == "/") {
-        ("200 OK", registry.render())
-    } else {
-        ("404 Not Found", "not found\n".to_string())
-    };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    let _ = stream.write_all(response.as_bytes());
+    })
 }
 
 #[cfg(test)]

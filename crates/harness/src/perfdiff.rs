@@ -1,7 +1,7 @@
 //! Cross-run performance diffing: the engine behind `ccx perf-diff`.
 //!
 //! A *run directory* is any results directory with a `manifest.json`
-//! (every harness binary writes one); `profile.json` (from
+//! (every `ccx exp` and `ccx run` writes one); `profile.json` (from
 //! `ccx run --profile`) and a `BENCH_*.json` record (from
 //! `scripts/bench_smoke`) are joined when present. Two runs are
 //! *comparable* when experiment id, size, seed, and feature flags all

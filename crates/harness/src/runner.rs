@@ -26,9 +26,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Usage text for the options shared by every experiment binary.
+/// Usage text for the options shared by every experiment.
 pub const OPTIONS_USAGE: &str = "\
-common experiment options:
+experiment options (ccx exp; ccx run and submit take --size, --seed, --inject):
   --size tiny|small|full   workload size class (default: small)
   --seed N                 trace-generation seed (default: 1)
   --threads N              worker threads, 0 = number of CPUs (default: 0)
@@ -46,14 +46,8 @@ common experiment options:
                            cell and exit 2, instead of quarantining it and
                            completing degraded (exit 3)
 
-Unrecognized flags are passed through so each binary can define its own,
-but they are reported (stderr + manifest warnings) so a typo like
---thread is never silently ignored.";
-
-/// Flags parsed outside [`ExpOptions`] that are still legitimate on
-/// harness binaries: `--workload`, consumed by the `probe` diagnostic
-/// binary. They are excluded from the unrecognized-flag warning.
-pub const EXTRA_HARNESS_FLAGS: [&str; 1] = ["--workload"];
+Unrecognized flags never fail a run, but they are reported (stderr +
+manifest warnings) so a typo like --thread is never silently ignored.";
 
 /// Exit status of a fully successful run.
 pub const EXIT_OK: i32 = 0;
@@ -64,8 +58,7 @@ pub const EXIT_FAILED: i32 = 2;
 /// after exhausting their attempts, but the sweep itself completed.
 pub const EXIT_DEGRADED: i32 = 3;
 
-/// Options shared by every experiment binary, parsed from the command
-/// line.
+/// Options shared by every experiment, parsed from the command line.
 #[derive(Debug, Clone, Copy)]
 pub struct ExpOptions {
     /// Workload size class.
@@ -109,8 +102,8 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parses options from an argument list (without the binary name).
-    /// Unknown arguments are ignored so binaries can add their own; use
+    /// Parses options from an argument list. Positional arguments and
+    /// unknown flags are ignored so callers can add their own; use
     /// [`ExpOptions::parse_with_unknown`] to also learn which `--` flags
     /// went unrecognized.
     ///
@@ -123,8 +116,7 @@ impl ExpOptions {
     }
 
     /// [`ExpOptions::parse`], additionally returning every `--` flag the
-    /// parser did not recognize (excluding [`EXTRA_HARNESS_FLAGS`], which
-    /// other harness layers consume). Values of unknown flags are not
+    /// parser did not recognize. Values of unknown flags are not
     /// reported — only the flags themselves — so a typo like
     /// `--thread 4` surfaces as `--thread`.
     ///
@@ -201,11 +193,8 @@ impl ExpOptions {
                         ));
                     }
                 }
-                other => {
-                    if other.starts_with("--") && !EXTRA_HARNESS_FLAGS.contains(&other) {
-                        unknown.push(other.to_string());
-                    }
-                }
+                other if other.starts_with("--") => unknown.push(other.to_string()),
+                _ => {}
             }
             i += 1;
         }
@@ -799,23 +788,23 @@ fn metrics_addr_from_args() -> Option<String> {
 /// Binds the live metrics endpoint when `--metrics-addr` was given and
 /// installs its registry as the process-global sink the matrix engine
 /// reports into. A bind failure is a warning, never a run failure.
-fn start_metrics_server() -> Option<crate::metrics::MetricsServer> {
+fn start_metrics_server() -> Option<crate::http::Server> {
     let addr = metrics_addr_from_args()?;
     let registry = Arc::new(crate::metrics::MetricsRegistry::new());
-    match crate::metrics::MetricsServer::bind(&addr, Arc::clone(&registry)) {
+    match crate::http::Server::bind(&addr, crate::metrics::handler(Arc::clone(&registry))) {
         Ok(server) => {
             crate::metrics::install(registry);
             eprintln!("metrics: serving http://{}/metrics", server.addr());
             Some(server)
         }
         Err(e) => {
-            eprintln!("warning: --metrics-addr {addr}: bind failed ({e}); metrics disabled");
+            eprintln!("warning: --metrics-addr {addr}: {e}; metrics disabled");
             None
         }
     }
 }
 
-/// Standard entry point for an experiment binary: parses [`ExpOptions`]
+/// Standard entry point for an experiment (`ccx exp <id>`): parses [`ExpOptions`]
 /// from the command line, starts the live metrics endpoint when
 /// `--metrics-addr` was given, runs `body` with every matrix cell
 /// memoized through the run cache at `results/cells/` (kept under
@@ -970,7 +959,7 @@ pub fn find<'a>(
 
 /// [`find`], for cells a report cannot proceed without: a missing cell
 /// (its simulation failed or timed out) becomes [`Error::MissingCell`]
-/// instead of a panic, so `exp-all` reports the failed figure and moves
+/// instead of a panic, so `ccx exp all` reports the failed figure and moves
 /// on rather than aborting the whole evaluation.
 ///
 /// # Errors
@@ -1081,26 +1070,27 @@ mod tests {
     }
 
     #[test]
-    fn parse_with_unknown_reports_typos_but_not_harness_flags() {
+    fn parse_with_unknown_reports_typos_and_caller_flags() {
         // A typo like --thread must be surfaced, not swallowed.
         let (o, unknown) = ExpOptions::parse_with_unknown(&argv(&["--thread", "4", "--seed", "2"]))
             .expect("unknown flags never fail the parse");
         assert_eq!(o.seed, 2);
         assert_eq!(o.threads, 0, "the typo must not set threads");
         assert_eq!(unknown, vec!["--thread".to_string()]);
-        // Flags the harness itself consumes (or hands to specific
-        // binaries) are allowlisted, not reported.
+        // --metrics-addr is the harness's own flag and is not reported;
+        // a caller's flags are, and the caller filters out its own.
         let (_, unknown) = ExpOptions::parse_with_unknown(&argv(&[
             "--metrics-addr",
             "127.0.0.1:0",
             "--workload",
             "spmv",
         ]))
-        .expect("allowlisted flags parse");
-        assert!(unknown.is_empty(), "{unknown:?}");
-        // Bare positional values are not flags and are not reported.
-        let (_, unknown) =
-            ExpOptions::parse_with_unknown(&argv(&["spmv"])).expect("positional ignored");
+        .expect("harness and caller flags parse");
+        assert_eq!(unknown, vec!["--workload".to_string()]);
+        // Bare positional values (`ccx exp main`, a flag's value) are
+        // not flags and are not reported.
+        let (_, unknown) = ExpOptions::parse_with_unknown(&argv(&["exp", "main", "spmv"]))
+            .expect("positional ignored");
         assert!(unknown.is_empty(), "{unknown:?}");
     }
 

@@ -1,6 +1,8 @@
 //! `ccx chaos-soak` — an end-to-end recovery verifier.
 //!
-//! Runs a real experiment binary twice over the same seed and size:
+//! Runs a real experiment twice over the same seed and size, each run a
+//! child process: the running executable (`ccx`) re-invoked as
+//! `ccx exp <id>`.
 //!
 //! 1. **Reference run** — fault-free, in its own results directory. This
 //!    is the golden corpus the chaos run must reproduce.
@@ -33,7 +35,7 @@ const ACCEPTED_EXITS: [i32; 2] = [crate::runner::EXIT_OK, crate::runner::EXIT_DE
 /// Configuration for one soak (see [`run_soak`]).
 #[derive(Debug, Clone)]
 pub struct SoakOptions {
-    /// Experiment binary name, e.g. `exp-main`.
+    /// Experiment id as `ccx exp` takes it, e.g. `main`.
     pub experiment: String,
     /// Size class passed to the child (`tiny`/`small`/`full`).
     pub size: String,
@@ -54,9 +56,6 @@ pub struct SoakOptions {
     /// Per-child wall-clock budget; a child exceeding it is killed and
     /// the soak fails.
     pub attempt_timeout: Duration,
-    /// Explicit path to the experiment binary (tests); defaults to a
-    /// sibling of the running executable.
-    pub exe: Option<PathBuf>,
     /// Scratch root holding the `reference/` and `chaos/` results
     /// directories; defaults to a per-process directory under the
     /// system temp dir.
@@ -66,7 +65,7 @@ pub struct SoakOptions {
 impl Default for SoakOptions {
     fn default() -> Self {
         SoakOptions {
-            experiment: "exp-main".to_string(),
+            experiment: "main".to_string(),
             size: "tiny".to_string(),
             seed: 1,
             threads: 0,
@@ -74,7 +73,6 @@ impl Default for SoakOptions {
             kills: 3,
             max_attempts: 12,
             attempt_timeout: Duration::from_secs(300),
-            exe: None,
             root: None,
         }
     }
@@ -142,36 +140,6 @@ impl SoakReport {
     }
 }
 
-/// Locates the experiment binary: an explicit override, or a sibling of
-/// the currently running executable (experiment binaries and `ccx` are
-/// built into the same target directory).
-fn resolve_exe(opts: &SoakOptions) -> Result<PathBuf, Error> {
-    if let Some(exe) = &opts.exe {
-        return Ok(exe.clone());
-    }
-    let me = std::env::current_exe().map_err(|e| Error::io("resolving current executable", e))?;
-    let dir = me
-        .parent()
-        .ok_or_else(|| Error::config("current executable has no parent directory"))?;
-    let candidate = dir.join(&opts.experiment);
-    if candidate.is_file() {
-        return Ok(candidate);
-    }
-    // Under `cargo test` the harness lives one level down in deps/.
-    if let Some(parent) = dir.parent() {
-        let candidate = parent.join(&opts.experiment);
-        if candidate.is_file() {
-            return Ok(candidate);
-        }
-    }
-    Err(Error::config(format!(
-        "experiment binary `{}` not found next to {} — build it first \
-         (cargo build --release) or pass an explicit path",
-        opts.experiment,
-        dir.display()
-    )))
-}
-
 /// Builds the child command for one run.
 fn child_command(
     exe: &Path,
@@ -181,7 +149,9 @@ fn child_command(
     chaos_spec: Option<&str>,
 ) -> Command {
     let mut cmd = Command::new(exe);
-    cmd.arg("--size")
+    cmd.arg("exp")
+        .arg(&opts.experiment)
+        .arg("--size")
         .arg(&opts.size)
         .arg("--seed")
         .arg(opts.seed.to_string())
@@ -408,7 +378,8 @@ fn compare_outputs(reference: &Path, chaos_dir: &Path) -> Result<usize, Error> {
 }
 
 /// Runs the full soak: reference run, chaos run with kills and resumes,
-/// byte-exact comparison. See the module docs for the contract.
+/// byte-exact comparison. See the module docs for the contract. The
+/// children are the running executable, which must be `ccx`.
 ///
 /// # Errors
 ///
@@ -416,7 +387,7 @@ fn compare_outputs(reference: &Path, chaos_dir: &Path) -> Result<usize, Error> {
 /// (missing/differing/unverifiable outputs, or no attempt completed) and
 /// [`Error::Io`] on spawn/read failures.
 pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, Error> {
-    let exe = resolve_exe(opts)?;
+    let exe = std::env::current_exe().map_err(|e| Error::io("resolving current executable", e))?;
     let root = opts.root.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("ccraft-soak-{}", std::process::id()))
     });
@@ -429,7 +400,7 @@ pub fn run_soak(opts: &SoakOptions) -> Result<SoakReport, Error> {
     }
 
     eprintln!(
-        "chaos-soak: reference run ({} --size {} --seed {})",
+        "chaos-soak: reference run (ccx exp {} --size {} --seed {})",
         opts.experiment, opts.size, opts.seed
     );
     run_reference(&exe, opts, &reference_dir)?;
@@ -503,22 +474,6 @@ mod tests {
             vec!["cells/ab.json.corrupt-1", "f4.csv.corrupt-0"]
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_binary_is_a_config_error() {
-        let opts = SoakOptions {
-            experiment: "exp-does-not-exist".to_string(),
-            ..SoakOptions::default()
-        };
-        let err = resolve_exe(&opts).unwrap_err().to_string();
-        assert!(err.contains("exp-does-not-exist"), "{err}");
-        // An explicit override bypasses the search entirely.
-        let opts = SoakOptions {
-            exe: Some(PathBuf::from("/bin/true")),
-            ..SoakOptions::default()
-        };
-        assert_eq!(resolve_exe(&opts).unwrap(), PathBuf::from("/bin/true"));
     }
 
     #[test]

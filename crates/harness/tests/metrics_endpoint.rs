@@ -1,9 +1,10 @@
-//! Smoke test for the live metrics endpoint: binds a real socket, speaks
-//! HTTP over a raw `TcpStream`, and validates the response is a
-//! well-formed Prometheus text exposition (satellite 6 of the
-//! performance-observatory change).
+//! Smoke test for the live metrics endpoint: binds a real socket on the
+//! shared `ccraft_harness::http::Server` with the `--metrics-addr`
+//! handler, speaks HTTP over a raw `TcpStream`, and validates the
+//! response is a well-formed Prometheus text exposition.
 
-use ccraft_harness::metrics::{MetricsRegistry, MetricsServer};
+use ccraft_harness::http::Server;
+use ccraft_harness::metrics::{handler, MetricsRegistry};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -39,7 +40,7 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     registry.observe_cell(2.5, true, 2, false);
     registry.observe_cell(10.0, false, 1, false);
     let server =
-        MetricsServer::bind("127.0.0.1:0", Arc::clone(&registry)).expect("bind ephemeral port");
+        Server::bind("127.0.0.1:0", handler(Arc::clone(&registry))).expect("bind ephemeral port");
     let addr = server.addr();
 
     let (status, headers, body) = http_get(addr, "/metrics");
@@ -144,7 +145,7 @@ fn metrics_endpoint_serves_prometheus_exposition() {
 #[test]
 fn endpoint_survives_garbage_requests() {
     let registry = Arc::new(MetricsRegistry::new());
-    let server = MetricsServer::bind("127.0.0.1:0", registry).expect("bind ephemeral port");
+    let server = Server::bind("127.0.0.1:0", handler(registry)).expect("bind ephemeral port");
     let addr = server.addr();
 
     // A connection that sends nothing and hangs up.

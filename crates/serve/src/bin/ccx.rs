@@ -4,7 +4,8 @@
 //! without writing Rust:
 //!
 //! ```text
-//! ccx list                               # workloads, schemes, machines
+//! ccx list                               # workloads, schemes, experiments
+//! ccx exp main --size tiny               # one table/figure; `all` for every one
 //! ccx run --workload spmv --scheme cachecraft --size small
 //! ccx run --workload triad --scheme all --machine hbm2 --energy
 //! ccx reliability --codec rs36 --pattern symbol --trials 5000
@@ -12,19 +13,21 @@
 //! ccx submit --workload all --scheme all --size tiny
 //! ```
 
-use ccraft_core::cachecraft::CacheCraftConfig;
 use ccraft_core::factory::{run_scheme, run_scheme_profiled, SchemeKind};
 use ccraft_core::reliability::{Campaign, CodecKind};
 use ccraft_ecc::inject::ErrorPattern;
+use ccraft_harness::experiments;
 use ccraft_harness::perfdiff::{self, DiffOptions};
 use ccraft_harness::report::{results_dir, write_manifest};
+use ccraft_harness::{Error, ExpOptions, OPTIONS_USAGE};
+use ccraft_serve::{machine_by_name, scheme_by_name};
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::energy::EnergyModel;
 use ccraft_telemetry::chrome_trace::ChromeTrace;
 use ccraft_telemetry::manifest::RunManifest;
 use ccraft_telemetry::profiler::{CellProfile, ProfileReport};
 use ccraft_telemetry::TelemetryConfig;
-use ccraft_workloads::{SizeClass, Workload};
+use ccraft_workloads::Workload;
 use serde::{Serialize, Value};
 use std::process::ExitCode;
 
@@ -33,6 +36,7 @@ ccx — CacheCraft simulator driver
 
 USAGE:
   ccx list
+  ccx exp <id|all> [experiment options]
   ccx run --workload <name|all> [--scheme <name|all>] [--size tiny|small|full]
           [--machine gddr6|hbm2] [--seed N] [--energy]
           [--inject <pattern>:<rate>]
@@ -41,14 +45,20 @@ USAGE:
                   [--pattern <bit1|bit2|bit3|burst4|symbol|chiplane>] [--trials N] [--seed N]
   ccx perf-diff <run-dir-A> <run-dir-B> [--threshold-pct P] [--hit-threshold-pts P]
                 [--min-wall-delta SECS] [--bench-a FILE] [--bench-b FILE] [--force]
-  ccx chaos-soak <exp-name> [--size smoke|tiny|small|full] [--seed N] [--threads N]
-                 [--chaos <spec>] [--kills N] [--max-attempts N] [--exe PATH]
+  ccx chaos-soak <id> [--size tiny|small|full] [--seed N] [--threads N]
+                 [--chaos <spec>] [--kills N] [--max-attempts N]
   ccx serve [--addr HOST:PORT] [--cache-dir DIR]
   ccx submit [--addr HOST:PORT] [--workload <name,...|all>] [--scheme <name,...|all>]
              [--size tiny|small|full] [--machine gddr6|hbm2] [--seed N]
              [--inject <pattern>:<rate>]
              [--override-seed <workload>/<scheme>:<seed>]...
              [--csv-out FILE] [--manifest-out FILE]
+
+EXPERIMENTS (ccx exp):
+  Regenerates one table or figure of the evaluation (ids: `ccx list`;
+  `all` runs every one in report order) into results/ (or
+  $CCRAFT_RESULTS) with a manifest.json recording it as exp-<id>.
+  Exit codes: 0 ok, 2 failed or unknown id, 3 degraded.
 
 EXPERIMENT SERVICE (ccx serve / ccx submit):
   `ccx serve` starts a persistent daemon with a content-addressed result
@@ -59,18 +69,19 @@ EXPERIMENT SERVICE (ccx serve / ccx submit):
   simulation, so resubmitting an identical sweep re-simulates nothing and
   returns byte-identical data. --override-seed re-runs exactly one cell.
   submit prints a greppable summary line: cells=N hits=N misses=N
-  simulated=N.
+  simulated=N. GET /metrics on the daemon serves Prometheus counters for
+  its jobs' cells.
 
 CHAOS SOAK (ccx chaos-soak):
-  Verifies crash/fault recovery end to end: runs <exp-name> (e.g.
-  exp-main) once fault-free as a golden reference, then again with I/O
+  Verifies crash/fault recovery end to end: runs `ccx exp <id>` (e.g.
+  main) once fault-free as a golden reference, then again with I/O
   faults injected via CCRAFT_CHAOS (--chaos, e.g.
   \"seed=7,eio=0.05,torn=0.05,flip=0.02\"), SIGKILLed at seeded points
   and resumed with --resume (finished cells come back from the run's
   results/cells/ cache) until it completes. Exits 0 only when every
   reference CSV comes back byte-identical and checksum-valid from the
-  chaos run. --size smoke is an alias for tiny. A chaos spec of
-  probabilities 0 (the default) degenerates to a pure kill/resume soak.
+  chaos run. A chaos spec of probabilities 0 (the default) degenerates
+  to a pure kill/resume soak.
 
 PERF DIFF (ccx perf-diff):
   Joins each run directory's manifest.json, profile.json (from --profile)
@@ -103,7 +114,10 @@ TELEMETRY (ccx run):
   --hist/--timeline/--trace, because energy is computed post hoc from the
   same aggregate statistics that telemetry leaves untouched.
 
-Run `ccx list` to see every workload and scheme name.";
+Unrecognized flags on run, reliability, serve and submit are reported
+on stderr (and, for run, in the manifest) but do not fail the command.
+
+Run `ccx list` to see every workload, scheme and experiment name.";
 
 fn parse_flag(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -111,16 +125,34 @@ fn parse_flag(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn scheme_by_name(name: &str, cfg: &GpuConfig) -> Option<SchemeKind> {
-    match name {
-        "no-protection" | "off" => Some(SchemeKind::NoProtection),
-        "inline-naive" | "naive" => Some(SchemeKind::InlineNaive { coverage: 8 }),
-        "ecc-cache" => Some(SchemeKind::EccCache {
-            coverage: 8,
-            capacity_per_mc: 16 << 10,
-        }),
-        "cachecraft" => Some(SchemeKind::CacheCraft(CacheCraftConfig::for_machine(cfg))),
-        _ => None,
+/// Parses the shared experiment options (`--size`, `--seed`,
+/// `--inject`, ...) out of a subcommand's arguments and reports, on
+/// stderr, every `--` flag that neither [`ExpOptions`] nor the
+/// subcommand (`own`) knows. Returns the options and those flags.
+fn parse_options(args: &[String], own: &[&str]) -> Result<(ExpOptions, Vec<String>), Error> {
+    let (opts, mut unknown) = ExpOptions::parse_with_unknown(args)?;
+    unknown.retain(|f| !own.contains(&f.as_str()));
+    if !unknown.is_empty() {
+        eprintln!(
+            "warning: unrecognized flag(s): {} (see `ccx` usage)",
+            unknown.join(", ")
+        );
+    }
+    Ok((opts, unknown))
+}
+
+/// `ccx exp <id|all>`: runs one experiment (or all of them) through
+/// `run_experiment`, which reads the options from the process arguments.
+fn cmd_exp(args: &[String]) -> ExitCode {
+    let id = args.get(1).map_or("", String::as_str);
+    if experiments::run_by_id(id) {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "unknown experiment {id:?}; valid ids: {}",
+            experiments::id_list()
+        );
+        ExitCode::from(2)
     }
 }
 
@@ -129,11 +161,16 @@ fn cmd_list() -> ExitCode {
     for w in Workload::ALL {
         println!("  {w}");
     }
-    println!("schemes:\n  no-protection\n  inline-naive\n  ecc-cache\n  cachecraft");
+    println!("schemes:");
+    for kind in SchemeKind::headline(&GpuConfig::gddr6()) {
+        println!("  {}", kind.name());
+    }
+    println!("  (aliases: off = no-protection, naive = inline-naive)");
     println!("machines:\n  gddr6 (default)\n  hbm2");
     println!("sizes:\n  tiny\n  small (default)\n  full");
     println!("codecs:\n  secded  rs36  rs18  crc32  tagged4");
     println!("patterns:\n  bit1  bit2  bit3  burst4  symbol  chiplane");
+    println!("experiments (ccx exp):\n  {}", experiments::id_list());
     println!(
         "telemetry flags (ccx run):\n  --hist            latency percentiles\n  \
          --timeline FILE   epoch time-series JSON\n  --trace FILE      Chrome trace-event JSON"
@@ -142,41 +179,29 @@ fn cmd_list() -> ExitCode {
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
+    const OWN: [&str; 8] = [
+        "--workload",
+        "--scheme",
+        "--machine",
+        "--energy",
+        "--hist",
+        "--timeline",
+        "--trace",
+        "--profile",
+    ];
+    let (opts, unknown_flags) = match parse_options(args, &OWN) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let (size, seed) = (opts.size, opts.seed);
+    let fault_cfg = opts.inject.map(|fc| fc.with_seed(seed));
     let machine = parse_flag(args, "--machine").unwrap_or_else(|| "gddr6".into());
-    let cfg = match machine.as_str() {
-        "gddr6" => GpuConfig::gddr6(),
-        "hbm2" => GpuConfig::hbm2(),
-        other => {
-            eprintln!("unknown machine {other:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let size = match parse_flag(args, "--size").as_deref() {
-        None | Some("small") => SizeClass::Small,
-        Some("tiny") => SizeClass::Tiny,
-        Some("full") => SizeClass::Full,
-        Some(other) => {
-            eprintln!("unknown size {other:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let seed: u64 = match parse_flag(args, "--seed").map(|s| s.parse()) {
-        None => 1,
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            eprintln!("--seed expects an integer\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let fault_cfg = match parse_flag(args, "--inject") {
-        None => None,
-        Some(spec) => match ccraft_sim::faults::FaultConfig::parse(&spec) {
-            Ok(fc) => Some(fc.with_seed(seed)),
-            Err(e) => {
-                eprintln!("{e}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let Some(cfg) = machine_by_name(&machine) else {
+        eprintln!("unknown machine {machine:?}");
+        return ExitCode::FAILURE;
     };
     let show_energy = args.iter().any(|a| a == "--energy");
     let show_hist = args.iter().any(|a| a == "--hist");
@@ -319,6 +344,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     manifest.seed = seed;
     manifest.threads = 1;
     manifest.wall_time_secs = started.elapsed().as_secs_f64();
+    for flag in &unknown_flags {
+        manifest.warn(format!("unrecognized flag: {flag}"));
+    }
     for name in &cell_names {
         manifest.record_cell(ccraft_telemetry::manifest::CellManifest {
             cell: name.clone(),
@@ -521,7 +549,7 @@ impl Serialize for RawValue {
     }
 }
 
-/// `ccx chaos-soak <exp-name>`: crash/fault recovery verifier (see
+/// `ccx chaos-soak <id>`: crash/fault recovery verifier (see
 /// `ccraft_harness::soak`). Exit codes: 0 recovery contract held,
 /// 1 violated or soak setup failed, 2 bad arguments.
 fn cmd_chaos_soak(args: &[String]) -> ExitCode {
@@ -533,11 +561,9 @@ fn cmd_chaos_soak(args: &[String]) -> ExitCode {
             "--size" => {
                 i += 1;
                 opts.size = match args.get(i).map(String::as_str) {
-                    // "smoke" is the CI alias for the smallest class.
-                    Some("smoke") | Some("tiny") => "tiny".to_string(),
-                    Some(s @ ("small" | "full")) => s.to_string(),
+                    Some(s @ ("tiny" | "small" | "full")) => s.to_string(),
                     other => {
-                        eprintln!("--size expects smoke|tiny|small|full, got {other:?}\n\n{USAGE}");
+                        eprintln!("--size expects tiny|small|full, got {other:?}\n\n{USAGE}");
                         return ExitCode::from(2);
                     }
                 };
@@ -570,14 +596,6 @@ fn cmd_chaos_soak(args: &[String]) -> ExitCode {
                     }
                 };
             }
-            "--exe" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--exe expects a file path\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                opts.exe = Some(std::path::PathBuf::from(path));
-            }
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other:?}\n\n{USAGE}");
                 return ExitCode::from(2);
@@ -586,10 +604,14 @@ fn cmd_chaos_soak(args: &[String]) -> ExitCode {
         }
         i += 1;
     }
-    let Some(experiment) = experiment else {
-        eprintln!("chaos-soak expects an experiment name (e.g. exp-main)\n\n{USAGE}");
+    let experiment = experiment.unwrap_or_default();
+    if !experiments::is_known(&experiment) {
+        eprintln!(
+            "chaos-soak expects an experiment id, got {experiment:?}; valid ids: {}\n\n{USAGE}",
+            experiments::id_list()
+        );
         return ExitCode::from(2);
-    };
+    }
     opts.experiment = experiment;
     match ccraft_harness::soak::run_soak(&opts) {
         Ok(report) => {
@@ -604,6 +626,13 @@ fn cmd_chaos_soak(args: &[String]) -> ExitCode {
 }
 
 fn cmd_reliability(args: &[String]) -> ExitCode {
+    let seed = match parse_options(args, &["--codec", "--pattern", "--trials"]) {
+        Ok((opts, _)) => opts.seed,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let codec = match parse_flag(args, "--codec").as_deref() {
         None | Some("secded") => CodecKind::SecDed64,
         Some("rs36") => CodecKind::Rs36_32,
@@ -635,14 +664,6 @@ fn cmd_reliability(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let seed: u64 = match parse_flag(args, "--seed").map(|s| s.parse()) {
-        None => 1,
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            eprintln!("--seed expects an integer\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
     let r = Campaign {
         codec,
         pattern,
@@ -663,6 +684,10 @@ fn cmd_reliability(args: &[String]) -> ExitCode {
 
 /// `ccx serve`: runs the persistent experiment daemon until killed.
 fn cmd_serve(args: &[String]) -> ExitCode {
+    if let Err(e) = parse_options(args, &["--addr", "--cache-dir"]) {
+        eprintln!("error: {e}\n\n{USAGE}");
+        return ExitCode::FAILURE;
+    }
     let addr = parse_flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8077".into());
     let cache_dir = match parse_flag(args, "--cache-dir") {
         Some(dir) => std::path::PathBuf::from(dir),
@@ -682,6 +707,11 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         }
     };
     let entries = state.cache().len();
+    // The jobs' matrix engine reports into the process-global registry,
+    // which GET /metrics serves.
+    ccraft_harness::metrics::install(std::sync::Arc::new(
+        ccraft_harness::metrics::MetricsRegistry::new(),
+    ));
     let server = match ccraft_serve::Server::bind(&addr, state) {
         Ok(s) => s,
         Err(e) => {
@@ -703,6 +733,22 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 /// prints a greppable summary (`cells=N hits=N misses=N simulated=N`).
 /// Exit codes: 0 done, 1 job failed, 2 transport or argument errors.
 fn cmd_submit(args: &[String]) -> ExitCode {
+    const OWN: [&str; 7] = [
+        "--addr",
+        "--workload",
+        "--scheme",
+        "--machine",
+        "--override-seed",
+        "--csv-out",
+        "--manifest-out",
+    ];
+    let opts = match parse_options(args, &OWN) {
+        Ok((opts, _)) => opts,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     let addr = parse_flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8077".into());
     let split_list = |v: Option<String>| -> Vec<String> {
         v.unwrap_or_else(|| "all".into())
@@ -714,23 +760,15 @@ fn cmd_submit(args: &[String]) -> ExitCode {
     let mut spec = ccraft_serve::JobSpec {
         workloads: split_list(parse_flag(args, "--workload")),
         schemes: split_list(parse_flag(args, "--scheme")),
+        size: opts.size.to_string(),
+        seed: opts.seed,
+        // The daemon parses the spec itself; `opts` has validated it.
+        inject: parse_flag(args, "--inject"),
         ..ccraft_serve::JobSpec::default()
     };
     if let Some(machine) = parse_flag(args, "--machine") {
         spec.machine = machine;
     }
-    if let Some(size) = parse_flag(args, "--size") {
-        spec.size = size;
-    }
-    match parse_flag(args, "--seed").map(|s| s.parse()) {
-        None => {}
-        Some(Ok(v)) => spec.seed = v,
-        Some(Err(_)) => {
-            eprintln!("--seed expects an integer\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    }
-    spec.inject = parse_flag(args, "--inject");
     // --override-seed is repeatable: every occurrence adds one override.
     let mut i = 0;
     while i < args.len() {
@@ -822,6 +860,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
+        Some("exp") => cmd_exp(&args),
         Some("run") => cmd_run(&args),
         Some("reliability") => cmd_reliability(&args),
         Some("perf-diff") => cmd_perf_diff(&args),
@@ -829,7 +868,7 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args),
         Some("submit") => cmd_submit(&args),
         _ => {
-            eprintln!("{USAGE}");
+            eprintln!("{USAGE}\n\n{OPTIONS_USAGE}");
             ExitCode::FAILURE
         }
     }

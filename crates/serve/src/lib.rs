@@ -12,6 +12,7 @@
 //! | Method | Path                 | Meaning                                     |
 //! |--------|----------------------|---------------------------------------------|
 //! | GET    | `/healthz`           | liveness probe (`ok`)                       |
+//! | GET    | `/metrics`           | Prometheus exposition of the installed `ccraft_harness::metrics` registry (`ccx serve` installs one) |
 //! | GET    | `/cache`             | cache counters + entry count (JSON)         |
 //! | POST   | `/jobs`              | submit a [`JobSpec`] (JSON body) → job id   |
 //! | GET    | `/jobs/<id>`         | job status summary (JSON)                   |
@@ -19,12 +20,12 @@
 //! | GET    | `/jobs/<id>/manifest`| the job's `RunManifest` (JSON)              |
 //! | GET    | `/jobs/<id>/csv`     | results CSV in durable encoding (crc32 footer; verify with `ccraft_harness::store`) |
 //!
-//! The listener reuses the `ccraft_harness::metrics` idiom — plain
-//! `std::net::TcpListener`, one short-lived thread per connection, just
-//! enough HTTP/1.1 for `curl` — because the vendored dependency set has
-//! no HTTP crates. Each submitted job executes on its own thread through
-//! the harness matrix engine with a cache-aware cell body, so many
-//! clients can share one warm process.
+//! The listener is `ccraft_harness::http::Server`, the same std-only
+//! HTTP/1.1 layer that serves an experiment's `--metrics-addr` endpoint:
+//! one listener thread, one short-lived thread per connection, bounded
+//! request reads. [`Server`] adds only the routing above. Each submitted
+//! job executes on its own thread through the harness matrix engine with
+//! a cache-aware cell body, so many clients can share one warm process.
 //!
 //! ## Cache keys
 //!
@@ -38,9 +39,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use ccraft_core::cachecraft::CacheCraftConfig;
 use ccraft_core::factory::SchemeKind;
 use ccraft_harness::cellcache::{cached, CellKey, ResultCache};
+use ccraft_harness::http::{Request, Response};
 use ccraft_harness::report::Table;
 use ccraft_harness::runner::{run_cell, run_matrix_cells_with_body, CellBody, CellRun};
 use ccraft_harness::{CacheDisposition, CellOutcome, Error, ExpOptions};
@@ -50,12 +51,12 @@ use ccraft_telemetry::manifest::{CellManifest, RunManifest};
 use ccraft_workloads::{SizeClass, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
+
+pub use ccraft_harness::http::request as http_request;
 
 /// Overrides the sweep seed for one `workload/scheme` cell, so a client
 /// can re-run exactly one cell of an otherwise-cached sweep.
@@ -119,19 +120,18 @@ impl Default for JobSpec {
     }
 }
 
-/// Resolves a scheme short name against a machine config. Shared by the
+/// Resolves a headline scheme's short name (`SchemeKind::name`), or the
+/// alias `off` or `naive`, against a machine config. Shared by the
 /// daemon and the `ccx` front end so both accept the same vocabulary.
 pub fn scheme_by_name(name: &str, cfg: &GpuConfig) -> Option<SchemeKind> {
-    match name {
-        "no-protection" | "off" => Some(SchemeKind::NoProtection),
-        "inline-naive" | "naive" => Some(SchemeKind::InlineNaive { coverage: 8 }),
-        "ecc-cache" => Some(SchemeKind::EccCache {
-            coverage: 8,
-            capacity_per_mc: 16 << 10,
-        }),
-        "cachecraft" => Some(SchemeKind::CacheCraft(CacheCraftConfig::for_machine(cfg))),
-        _ => None,
-    }
+    let name = match name {
+        "off" => "no-protection",
+        "naive" => "inline-naive",
+        other => other,
+    };
+    SchemeKind::headline(cfg)
+        .into_iter()
+        .find(|k| k.name() == name)
 }
 
 /// Resolves a machine name to its config.
@@ -500,16 +500,14 @@ fn job_manifest_json(state: &ServeState, spec: &JobSpec, outcomes: &[CellOutcome
 }
 
 // ---------------------------------------------------------------------
-// The HTTP listener (same idiom as `ccraft_harness::metrics`).
+// The daemon's routes, served by `ccraft_harness::http::Server`.
 
 /// A running `ccraft-serve` daemon; dropping (or [`Server::shutdown`])
 /// stops the listener thread. Job executor threads run to completion
 /// independently.
 #[derive(Debug)]
 pub struct Server {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    http: ccraft_harness::http::Server,
     state: Arc<ServeState>,
 }
 
@@ -521,41 +519,15 @@ impl Server {
     ///
     /// Returns [`Error::Io`] when the listener cannot bind.
     pub fn bind(addr: &str, state: Arc<ServeState>) -> Result<Server, Error> {
-        let listener =
-            TcpListener::bind(addr).map_err(|e| Error::io(format!("binding {addr}"), e))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| Error::io("resolving bound address".to_string(), e))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let conn_state = Arc::clone(&state);
-        let handle = std::thread::Builder::new()
-            .name("ccraft-serve".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    if let Ok(stream) = conn {
-                        let state = Arc::clone(&conn_state);
-                        let _ = std::thread::Builder::new()
-                            .name("ccraft-serve-conn".to_string())
-                            .spawn(move || serve_connection(stream, &state));
-                    }
-                }
-            })
-            .map_err(|e| Error::io("spawning listener thread".to_string(), e))?;
-        Ok(Server {
-            addr: local,
-            stop,
-            handle: Some(handle),
-            state,
-        })
+        let routes = Arc::clone(&state);
+        let http =
+            ccraft_harness::http::Server::bind(addr, Arc::new(move |req| route(&routes, req)))?;
+        Ok(Server { http, state })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.http.addr()
     }
 
     /// The shared daemon state.
@@ -564,94 +536,25 @@ impl Server {
     }
 
     /// Stops the listener thread and waits for it.
-    pub fn shutdown(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        self.http.shutdown();
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        if self.handle.is_some() {
-            self.stop_inner();
-        }
-    }
+fn json_error(status: &'static str, message: &str) -> Response {
+    Response::json(status, format!("{{\"error\":\"{message}\"}}"))
 }
 
-/// Reads one HTTP/1.1 request head (+ `Content-Length` body) from
-/// `stream`. Returns `(method, path, body)`.
-fn read_request(stream: &mut TcpStream) -> Option<(String, String, Vec<u8>)> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        if buf.len() > 1 << 20 {
-            return None;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return None,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return None,
-        }
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
-    let mut lines = head.lines();
-    let mut request = lines.next()?.split_whitespace();
-    let method = request.next()?.to_string();
-    let path = request.next()?.to_string();
-    let content_length: usize = lines
-        .filter_map(|l| l.split_once(':'))
-        .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse().ok())
-        .unwrap_or(0);
-    if content_length > 1 << 24 {
-        return None;
-    }
-    let mut body = buf[header_end..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => return None,
-        }
-    }
-    body.truncate(content_length);
-    Some((method, path, body))
-}
-
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &[u8]) {
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body);
-}
-
-fn respond_json(stream: &mut TcpStream, status: &str, body: String) {
-    respond(stream, status, "application/json", body.as_bytes());
-}
-
-/// Routes one connection.
-fn serve_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
-    let Some((method, path, body)) = read_request(&mut stream) else {
-        return;
-    };
+/// Answers one request (see the API table in the crate docs).
+fn route(state: &Arc<ServeState>, req: Request) -> Response {
     // Strip a query string; only /events uses one.
-    let (route, query) = path.split_once('?').unwrap_or((path.as_str(), ""));
-    match (method.as_str(), route) {
-        ("GET", "/healthz") => respond(&mut stream, "200 OK", "text/plain", b"ok\n"),
+    let (path, query) = req.path.split_once('?').unwrap_or((req.path.as_str(), ""));
+    match (req.method.as_str(), path) {
+        ("GET", "/healthz") => Response::new("200 OK", "text/plain", "ok\n"),
+        ("GET", "/metrics") => match ccraft_harness::metrics::current() {
+            Some(registry) => ccraft_harness::metrics::exposition(&registry),
+            None => json_error("404 Not Found", "no metrics registry installed"),
+        },
         ("GET", "/cache") => {
             let c = state.cache().counters();
             let json = serde_json::to_string_pretty(&c).unwrap_or_default();
@@ -661,44 +564,29 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
                 &format!("{{\n  \"entries\": {},", state.cache().len()),
                 1,
             );
-            respond_json(&mut stream, "200 OK", json);
+            Response::json("200 OK", json)
         }
         ("POST", "/jobs") => {
-            let spec: JobSpec = match serde_json::from_str(&String::from_utf8_lossy(&body)) {
-                Ok(s) => s,
-                Err(e) => {
-                    return respond_json(
-                        &mut stream,
-                        "400 Bad Request",
-                        format!("{{\"error\":\"bad job spec: {e}\"}}"),
-                    )
-                }
-            };
-            match state.submit(spec) {
-                Ok(id) => respond_json(&mut stream, "200 OK", format!("{{\"job\":\"{id}\"}}")),
-                Err(e) => respond_json(
-                    &mut stream,
-                    "400 Bad Request",
-                    format!("{{\"error\":\"{e}\"}}"),
-                ),
+            match serde_json::from_str::<JobSpec>(&String::from_utf8_lossy(&req.body)) {
+                Err(e) => json_error("400 Bad Request", &format!("bad job spec: {e}")),
+                Ok(spec) => match state.submit(spec) {
+                    Ok(id) => Response::json("200 OK", format!("{{\"job\":\"{id}\"}}")),
+                    Err(e) => json_error("400 Bad Request", &e.to_string()),
+                },
             }
         }
-        ("GET", route) if route.starts_with("/jobs/") => {
-            let rest = &route["/jobs/".len()..];
+        ("GET", path) if path.starts_with("/jobs/") => {
+            let rest = &path["/jobs/".len()..];
             let (id, sub) = rest.split_once('/').unwrap_or((rest, ""));
             let Some(job) = state.job(id) else {
-                return respond_json(
-                    &mut stream,
-                    "404 Not Found",
-                    "{\"error\":\"no such job\"}".to_string(),
-                );
+                return json_error("404 Not Found", "no such job");
             };
             let j = lock_clean(&job);
             match sub {
-                "" => {
-                    let json = serde_json::to_string_pretty(&j.view).unwrap_or_default();
-                    respond_json(&mut stream, "200 OK", json);
-                }
+                "" => Response::json(
+                    "200 OK",
+                    serde_json::to_string_pretty(&j.view).unwrap_or_default(),
+                ),
                 "events" => {
                     let from: usize = query
                         .split('&')
@@ -707,88 +595,27 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
                         .and_then(|(_, v)| v.parse().ok())
                         .unwrap_or(0);
                     let slice: Vec<String> = j.events.iter().skip(from).cloned().collect();
-                    let json = serde_json::to_string_pretty(&slice).unwrap_or_default();
-                    respond_json(&mut stream, "200 OK", json);
+                    Response::json(
+                        "200 OK",
+                        serde_json::to_string_pretty(&slice).unwrap_or_default(),
+                    )
                 }
-                "manifest" => {
-                    if j.manifest_json.is_empty() {
-                        respond_json(
-                            &mut stream,
-                            "404 Not Found",
-                            "{\"error\":\"job not finished\"}".to_string(),
-                        );
-                    } else {
-                        respond_json(&mut stream, "200 OK", j.manifest_json.clone());
-                    }
+                "manifest" if j.manifest_json.is_empty() => {
+                    json_error("404 Not Found", "job not finished")
                 }
-                "csv" => {
-                    if j.csv.is_empty() {
-                        respond_json(
-                            &mut stream,
-                            "404 Not Found",
-                            "{\"error\":\"job not finished\"}".to_string(),
-                        );
-                    } else {
-                        respond(&mut stream, "200 OK", "text/csv", &j.csv);
-                    }
-                }
-                _ => respond_json(
-                    &mut stream,
-                    "404 Not Found",
-                    "{\"error\":\"not found\"}".to_string(),
-                ),
+                "manifest" => Response::json("200 OK", j.manifest_json.clone()),
+                "csv" if j.csv.is_empty() => json_error("404 Not Found", "job not finished"),
+                "csv" => Response::new("200 OK", "text/csv", j.csv.clone()),
+                _ => json_error("404 Not Found", "not found"),
             }
         }
-        _ => respond_json(
-            &mut stream,
-            "404 Not Found",
-            "{\"error\":\"not found\"}".to_string(),
-        ),
+        _ => json_error("404 Not Found", "not found"),
     }
 }
 
 // ---------------------------------------------------------------------
-// Client side (used by `ccx submit` and the e2e tests).
-
-/// Sends one HTTP request and returns `(status code, body bytes)`.
-///
-/// # Errors
-///
-/// Returns [`Error::Io`] on connection failures and [`Error::Config`]
-/// on malformed responses.
-pub fn http_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&[u8]>,
-) -> Result<(u16, Vec<u8>), Error> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| Error::io(format!("connecting to {addr}"), e))?;
-    let body = body.unwrap_or(&[]);
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .map_err(|e| Error::io(format!("sending {method} {path}"), e))?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| Error::io(format!("reading {method} {path} response"), e))?;
-    let header_end = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| Error::Config(format!("malformed response to {method} {path}")))?;
-    let head = String::from_utf8_lossy(&response[..header_end]).to_string();
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| Error::Config(format!("no status line in response to {method} {path}")))?;
-    Ok((status, response[header_end + 4..].to_vec()))
-}
+// Client side (used by `ccx submit` and the e2e tests); `http_request`
+// is `ccraft_harness::http::request`, re-exported above.
 
 /// Submits `spec` to a daemon at `addr` and returns the job id.
 ///
@@ -1109,6 +936,43 @@ mod tests {
         let id3 = submit_job(&addr, &clean).expect("submit 3");
         let v3 = wait_for_job(&addr, &id3, false).expect("wait 3");
         assert_eq!(v3.misses, 2, "inject spec reaches the cache key");
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    #[test]
+    fn headline_schemes_round_trip_by_name() {
+        for cfg in [GpuConfig::gddr6(), GpuConfig::hbm2()] {
+            for kind in SchemeKind::headline(&cfg) {
+                assert_eq!(scheme_by_name(kind.name(), &cfg), Some(kind));
+            }
+            let headline = SchemeKind::headline(&cfg);
+            assert_eq!(scheme_by_name("off", &cfg), Some(headline[0]));
+            assert_eq!(scheme_by_name("naive", &cfg), Some(headline[1]));
+            assert_eq!(scheme_by_name("compressed-inline", &cfg), None);
+        }
+    }
+
+    #[test]
+    fn metrics_count_the_cells_of_finished_jobs() {
+        use ccraft_harness::metrics::{self, MetricsRegistry};
+        let dir = temp_cache("metrics");
+        let state = ServeState::open(&dir).expect("open state");
+        let server = Server::bind("127.0.0.1:0", state).expect("bind");
+        let addr = server.addr().to_string();
+        // As `ccx serve` does; other tests' jobs may count here too.
+        metrics::install(Arc::new(MetricsRegistry::new()));
+        let id = submit_job(&addr, &tiny_spec()).expect("submit");
+        let view = wait_for_job(&addr, &id, false).expect("wait");
+        assert_eq!(view.status, "done", "{view:?}");
+        let (status, body) = http_request(&addr, "GET", "/metrics", None).expect("metrics");
+        assert_eq!(status, 200);
+        let text = String::from_utf8_lossy(&body);
+        let completed: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("ccraft_cells_completed_total "))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no completed counter in:\n{text}"));
+        assert!(completed >= view.cells, "{completed} < {}", view.cells);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,15 +1,22 @@
-//! Process-level crash-resilience: kill a running experiment binary and
-//! resume it through its cell cache, `results/cells/`.
+//! Process-level crash-resilience: kill a running experiment and resume
+//! it through its cell cache, `results/cells/`.
 //!
-//! Drives the actual `exp-faults` executable (not an in-process harness),
-//! so the whole chain is exercised: option parsing, the global run,
-//! atomic cache-entry writes surviving a SIGKILL, and `--resume` serving
-//! finished cells as cache hits.
+//! Drives the actual `ccx exp faults` process (not an in-process
+//! harness), so the whole chain is exercised: option parsing, the global
+//! run, atomic cache-entry writes surviving a SIGKILL, and `--resume`
+//! serving finished cells as cache hits.
 
 use ccraft_harness::checkpoint::Checkpoint;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+
+/// `ccx exp <id>` as a command, ready for further arguments.
+fn exp(id: &str) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ccx"));
+    cmd.args(["exp", id]);
+    cmd
+}
 
 /// Cells exp-faults runs: SWEEP_SUBSET (6 workloads) × 4 headline schemes.
 const TOTAL_CELLS: usize = 24;
@@ -68,14 +75,13 @@ fn killed_experiment_resumes_from_checkpoint() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let checkpoint_path = dir.join("checkpoint.json");
-    let exe = env!("CARGO_BIN_EXE_exp-faults");
     let base_args = ["--size", "tiny", "--threads", "1", "--seed", "3"];
 
     // First run: kill it as soon as some (but not all) cells are cached.
     // Single-threaded tiny cells take long enough that the poll wins the
     // race in practice; if the run still finishes first, the resume below
     // degenerates to "hit everything", which is also a valid round-trip.
-    let mut child = Command::new(exe)
+    let mut child = exp("faults")
         .args(base_args)
         .env("CCRAFT_RESULTS", &dir)
         .env("CCRAFT_PROGRESS", "0")
@@ -112,7 +118,7 @@ fn killed_experiment_resumes_from_checkpoint() {
 
     // Second run resumes: everything already cached must hit, and the
     // rest runs.
-    let out = Command::new(exe)
+    let out = exp("faults")
         .args(base_args)
         .arg("--resume")
         .env("CCRAFT_RESULTS", &dir)
@@ -152,14 +158,13 @@ fn kill_point_sweep_recovers_at_every_depth() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let checkpoint_path = dir.join("checkpoint.json");
-    let exe = env!("CARGO_BIN_EXE_exp-faults");
     let base_args = ["--size", "tiny", "--threads", "1", "--seed", "5"];
 
     // Kill once the cache first reaches each of these depths. A fast
     // machine may blow past a target (or finish); both degrade safely.
     let mut completed = false;
     for (round, target) in [1usize, 4, 9].into_iter().enumerate() {
-        let mut cmd = Command::new(exe);
+        let mut cmd = exp("faults");
         cmd.args(base_args);
         if round > 0 {
             cmd.arg("--resume");
@@ -200,7 +205,7 @@ fn kill_point_sweep_recovers_at_every_depth() {
     }
 
     // Final resume runs the remainder to completion.
-    let out = Command::new(exe)
+    let out = exp("faults")
         .args(base_args)
         .arg("--resume")
         .env("CCRAFT_RESULTS", &dir)
@@ -241,11 +246,10 @@ fn resume_of_a_complete_run_executes_nothing() {
     let dir = std::env::temp_dir().join(format!("ccraft-full-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let exe = env!("CARGO_BIN_EXE_exp-faults");
     let base_args = ["--size", "tiny", "--threads", "2", "--seed", "9"];
 
     let run = |resume: bool| {
-        let mut cmd = Command::new(exe);
+        let mut cmd = exp("faults");
         cmd.args(base_args);
         if resume {
             cmd.arg("--resume");
@@ -278,7 +282,7 @@ fn resumed_ablation_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let run = |resume: bool| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp-ablation"));
+        let mut cmd = exp("ablation");
         cmd.args(["--size", "tiny", "--threads", "2"]);
         if resume {
             cmd.arg("--resume");

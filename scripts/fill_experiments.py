@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
-"""Splices measured tables from a full `exp-all` run into EXPERIMENTS.md.
+"""Splices measured tables from a full `ccx exp all` run into EXPERIMENTS.md.
 
 Usage: python3 scripts/fill_experiments.py results/full_run.txt [more dumps...]
+
+where a dump is the stdout of e.g.
+`ccx exp all --size full --seed 1 > results/full_run.txt`.
 
 Each `PLACEHOLDER_<ID>` marker in EXPERIMENTS.md is replaced by the
 markdown table(s) of section `## <ID>:` from the results dump.
