@@ -457,11 +457,8 @@ impl ProtectionScheme for CacheCraft {
         self.channels.iter().all(|c| c.is_drained())
     }
 
-    fn next_timed_event(&self) -> Option<Cycle> {
-        self.channels
-            .iter()
-            .filter_map(|c| c.next_timed_event())
-            .min()
+    fn next_timed_event(&self, channel: u16) -> Option<Cycle> {
+        self.channels[channel as usize].next_timed_event()
     }
 
     fn l2_tax_bytes(&self) -> u64 {

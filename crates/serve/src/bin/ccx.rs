@@ -458,9 +458,10 @@ fn print_profile_summary(p: &ccraft_telemetry::profiler::SimProfile) {
         pct("flush") + pct("idle_probe") + pct("other"),
     );
     println!(
-        "           sleep memo {:.1}% hit, scan memo {:.1}% hit, \
+        "           sleep memo sm {:.1}% / slice {:.1}% hit, scan memo {:.1}% hit, \
          busy imbalance {:.2}x, idle: {} jumps skipping {} cycles",
         100.0 * p.sm_sleep.hit_rate(),
+        100.0 * p.slice_sleep.hit_rate(),
         100.0 * p.scan_memo.hit_rate(),
         p.busy_imbalance(),
         p.idle_jumps,

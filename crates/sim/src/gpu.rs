@@ -25,7 +25,7 @@ use crate::invariants::{progress_signature, Oracle};
 use crate::l1::L1Cache;
 use crate::l2::L2Slice;
 use crate::protection::ProtectionScheme;
-use crate::sm::SmCore;
+use crate::sm::{SmCore, StallReason};
 use crate::stats::SimStats;
 use crate::trace::{KernelTrace, WarpTrace};
 use crate::types::{Cycle, SmId, TrafficClass};
@@ -76,6 +76,8 @@ struct LoopProf {
     probe_ns: u64,
     /// Per-SM sleep memo effectiveness (hit = SM tick skipped).
     sm_sleep: MemoStats,
+    /// Per-slice sleep memo effectiveness (hit = slice tick skipped).
+    slice_sleep: MemoStats,
     /// Idle fast-forward span lengths, in cycles.
     idle_spans: Histogram,
     /// Idle fast-forward jumps taken.
@@ -149,10 +151,14 @@ const TIMELINE_SERIES: [&str; 10] = [
 /// when no component reports a future event (drained or deadlocked — the
 /// per-cycle loop handles both identically). Returns `Some(wake > now)`
 /// when every component is quiescent until `wake`: all cycles in
-/// `(now, wake)` are provably idle and can be jumped over.
+/// `(now, wake)` are provably idle and can be jumped over. A component
+/// asleep in its memo contributes the memo's wake instead of a fresh
+/// probe: the memo holds what `next_event` returned when it fell asleep,
+/// which the oracle build re-checks against the live probe every cycle.
 fn idle_wake(
     now: Cycle,
     sms: &[SmCore],
+    sm_wake: &[Cycle],
     xbar: &Crossbar,
     slices: &[L2Slice],
     scheme: &dyn ProtectionScheme,
@@ -168,21 +174,29 @@ fn idle_wake(
             None => true,
         }
     };
+    let memo = |wake: Cycle| (wake != Cycle::MAX).then_some(wake);
     for slice in slices {
-        if !merge(slice.next_event(now)) {
+        let ev = if slice.asleep(now) {
+            memo(slice.wake())
+        } else {
+            slice.next_event(now, scheme)
+        };
+        if !merge(ev) {
             return None;
         }
     }
     if !merge(xbar.next_event()) {
         return None;
     }
-    for sm in sms {
-        if !merge(sm.next_event(now)) {
+    for (sm, &sm_wake) in sms.iter().zip(sm_wake) {
+        let ev = if sm_wake > now {
+            memo(sm_wake)
+        } else {
+            sm.next_event(now)
+        };
+        if !merge(ev) {
             return None;
         }
-    }
-    if !merge(scheme.next_timed_event()) {
-        return None;
     }
     wake.filter(|&w| w > now)
 }
@@ -467,6 +481,7 @@ pub fn simulate_profiled(
             flush_ns: 0,
             probe_ns: 0,
             sm_sleep: MemoStats::default(),
+            slice_sleep: MemoStats::default(),
             idle_spans: Histogram::new(),
             idle_jumps: 0,
             idle_cycles: 0,
@@ -485,14 +500,16 @@ pub fn simulate_profiled(
     // Per-SM sleep memo. `sm_wake[i] > now` means SM `i` provably cannot
     // act before `sm_wake[i]` (`Cycle::MAX`: not until a response
     // arrives), so its tick is replaced by the stall accounting the tick
-    // would have done; a delivered response resets the memo. `sm_done[i]`
-    // caches doneness, which cannot flip while asleep: every trailing
-    // compute expiry is a wake event, and load completions arrive as
-    // responses. This skips the O(warps) scheduler scans for stalled SMs
-    // even when the memory system is busy (the common memory-bound case,
-    // where the whole-machine fast-forward below never fires).
+    // would have done; a delivered response resets the memo. `sm_stall[i]`
+    // caches that stall (or doneness), which cannot change while asleep:
+    // every compute expiry is a wake event, load completions arrive as
+    // responses, and an L1 blocked on MSHRs unblocks only on a response.
+    // This skips the O(warps) scheduler scans for stalled SMs even when
+    // the memory system is busy (the common memory-bound case, where the
+    // whole-machine fast-forward below rarely fires). L2 slices keep
+    // their own memo (`L2Slice::asleep`).
     let mut sm_wake: Vec<Cycle> = vec![0; sms.len()];
-    let mut sm_done: Vec<bool> = vec![false; sms.len()];
+    let mut sm_stall: Vec<StallReason> = vec![StallReason::AllDone; sms.len()];
 
     // Runtime invariant oracle (see the `invariants` module docs). In this
     // build the idle fast-forward below is replaced by ticking through the
@@ -506,9 +523,24 @@ pub fn simulate_profiled(
         if let Some(p) = &mut prof {
             p.t.reset();
         }
-        // 1. Memory side.
+        // 1. Memory side. A sleeping slice's tick is replaced by the
+        //    busy-cycle count it would have made; the oracle build runs
+        //    the tick anyway and checks that it did nothing more.
         for (ch, slice) in slices.iter_mut().enumerate() {
-            slice.tick(scheme, now);
+            if slice.asleep(now) {
+                #[cfg(feature = "check-invariants")]
+                slice.tick_asleep_checked(scheme, now);
+                #[cfg(not(feature = "check-invariants"))]
+                slice.account_asleep_span(1);
+                if let Some(p) = &mut prof {
+                    p.slice_sleep.hit();
+                }
+            } else {
+                slice.tick(scheme, now);
+                if let Some(p) = &mut prof {
+                    p.slice_sleep.miss();
+                }
+            }
             if let Some(p) = &mut prof {
                 p.slice_ns[ch] = p.slice_ns[ch].saturating_add(p.t.lap());
             }
@@ -550,8 +582,8 @@ pub fn simulate_profiled(
         for (i, sm) in sms.iter_mut().enumerate() {
             if sm_wake[i] > now {
                 // Oracle: the sleep memo claims this SM cannot act before
-                // `sm_wake[i]` and that its doneness is frozen; re-derive
-                // both from live state.
+                // `sm_wake[i]` and that its stall (or doneness) is frozen;
+                // re-derive both from live state.
                 #[cfg(feature = "check-invariants")]
                 {
                     if let Some(c) = sm.next_event(now) {
@@ -563,17 +595,16 @@ pub fn simulate_profiled(
                         );
                     }
                     assert_eq!(
-                        sm.all_warps_done(now),
-                        sm_done[i],
-                        "invariant violated: SM {i} doneness flipped while \
-                         asleep (cycle {now})"
+                        sm.stall_reason(now),
+                        sm_stall[i],
+                        "invariant violated: SM {i} stall reason changed \
+                         while asleep (cycle {now})"
                     );
                 }
                 // Asleep: the tick would only have counted one stalled
-                // cycle (or nothing, if done).
-                if !sm_done[i] {
-                    sm.account_stalled_span(1);
-                }
+                // cycle (or nothing, if done), plus an L1 stall while its
+                // head read waits for an MSHR.
+                sm.account_stalled_span(1, sm_stall[i]);
                 if let Some(p) = &mut prof {
                     p.sm_sleep.hit();
                 }
@@ -581,20 +612,18 @@ pub fn simulate_profiled(
             }
             let xbar_ref = &mut xbar;
             let scheme_map = &*scheme;
-            let stalled = sm.tick(now, &mut |atom| scheme_map.map(atom), &mut |req| {
+            let stall = sm.tick(now, &mut |atom| scheme_map.map(atom), &mut |req| {
                 xbar_ref.try_send_request(req, now)
             });
-            // Probe for sleep only when the tick found no ready warp: a
-            // busy SM pays nothing for the memo beyond this branch.
-            if stalled {
+            // Probe for sleep only when the tick issued nothing: an
+            // issuing SM pays nothing for the memo beyond this branch.
+            if let Some(stall) = stall {
                 sm_wake[i] = match sm.next_event(now) {
                     Some(c) if c <= now => 0,
                     Some(c) => c,
                     None => Cycle::MAX,
                 };
-                if sm_wake[i] > now {
-                    sm_done[i] = sm.all_warps_done(now);
-                }
+                sm_stall[i] = stall;
             } else {
                 sm_wake[i] = 0;
             }
@@ -661,7 +690,7 @@ pub fn simulate_profiled(
         // first unfinished one.
         let warps_done = sms.iter().enumerate().all(|(i, s)| {
             if sm_wake[i] > now {
-                sm_done[i]
+                sm_stall[i] == StallReason::AllDone
             } else {
                 s.all_warps_done(now)
             }
@@ -710,7 +739,7 @@ pub fn simulate_profiled(
         if let Some(p) = &mut prof {
             p.t.reset();
         }
-        let wake_at = idle_wake(now, &sms, &xbar, &slices, &*scheme);
+        let wake_at = idle_wake(now, &sms, &sm_wake, &xbar, &slices, &*scheme);
         if let Some(p) = &mut prof {
             p.probe_ns = p.probe_ns.saturating_add(p.t.lap());
         }
@@ -730,6 +759,9 @@ pub fn simulate_profiled(
                     }
                     for sm in &mut sms {
                         sm.account_idle_span(now, span);
+                    }
+                    for slice in &mut slices {
+                        slice.account_asleep_span(span);
                     }
                     now = wake;
                     if now >= cfg.max_cycles {
@@ -858,6 +890,7 @@ pub fn simulate_profiled(
             idle_cycles_skipped: p.idle_cycles,
             idle_spans: p.idle_spans,
             sm_sleep: p.sm_sleep,
+            slice_sleep: p.slice_sleep,
             ..SimProfile::default()
         };
         let mut slice_total = 0u64;

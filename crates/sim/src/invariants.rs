@@ -2,7 +2,7 @@
 //!
 //! The simulator's performance model leans on *memoized idleness*: the
 //! cycle loop jumps over spans that [`crate::gpu`]'s `idle_wake` proves
-//! idle, sleeping SMs skip their scheduler scans, and the memory
+//! idle, sleeping SMs and L2 slices skip their ticks, and the memory
 //! controller skips FR-FCFS scans while `scan_asleep_until` holds. Each
 //! memo is an unchecked claim in the default build. Under the
 //! `check-invariants` feature this module (plus `#[cfg]`-gated hooks in
@@ -14,7 +14,10 @@
 //!   machine's progress signature (every counter that moves only when
 //!   real work happens) stays frozen until the predicted wake cycle. A
 //!   component that acts earlier than its `next_event` /
-//!   `next_timed_event` promised is caught on the very next cycle.
+//!   `next_timed_event` promised is caught on the very next cycle. A
+//!   sleeping SM's wake and stall reason are re-derived from live state
+//!   every cycle, and a sleeping L2 slice is ticked anyway and must change
+//!   nothing but the busy cycle its skip would have counted.
 //! * **Mirror exactness** — `DramChannel::issue_blocked_until` must agree
 //!   with `DramChannel::try_issue_at` in both directions on every issue
 //!   attempt, and a sleeping controller scan must find nothing issuable.
@@ -28,10 +31,10 @@
 //! Ticking through idle spans is stats-neutral for completed runs (the
 //! design invariant the oracle exists to check), so `SimStats` from an
 //! instrumented run are bit-identical to the default build's — the
-//! golden-regression values must reproduce under the feature. One
-//! documented exception: a run that *times out* mid-span may count
-//! refresh operations the jumping build never reached; no pinned test
-//! exercises that corner.
+//! golden-regression values must reproduce under the feature. That
+//! includes runs that time out mid-span: every refresh is a controller
+//! event, so the jumping build stops on each one the ticking build
+//! performs.
 
 use crate::l2::L2Slice;
 use crate::sm::SmCore;

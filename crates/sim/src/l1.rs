@@ -60,6 +60,11 @@ pub struct L1Cache {
     /// Completed load notifications for the SM: one entry per finished
     /// access, identifying the warp.
     completions: Vec<WarpIdx>,
+    /// The last tick stalled its head read for lack of a free MSHR. Until
+    /// a response frees one, the head can only stall again, so the
+    /// pipeline has no event of its own (see
+    /// [`next_event`](Self::next_event)).
+    mshr_blocked: bool,
     stats: L1Stats,
     /// Oracle counter: MSHRs allocated (request conservation).
     #[cfg(feature = "check-invariants")]
@@ -83,6 +88,7 @@ impl L1Cache {
             mshr_index: FxHashMap::default(),
             free_mshrs: (0..cfg.mshrs).rev().collect(),
             completions: Vec::new(),
+            mshr_blocked: false,
             stats: L1Stats::default(),
             #[cfg(feature = "check-invariants")]
             mshr_allocs: 0,
@@ -118,6 +124,7 @@ impl L1Cache {
         let m = self.mshrs[idx].take().expect("response for empty L1 MSHR");
         self.mshr_index.remove(&m.atom);
         self.free_mshrs.push(idx);
+        self.mshr_blocked = false;
         #[cfg(feature = "check-invariants")]
         {
             self.fills_accepted += 1;
@@ -149,6 +156,13 @@ impl L1Cache {
             }
         }
         // Process the input queue (one access per cycle — the LSU rate).
+        // A head read still blocked on MSHRs (no response has freed one
+        // since it stalled) stalls again without the lookup, which would
+        // only re-touch its own line (see `next_event`).
+        if self.mshr_blocked {
+            self.stats.stalls += 1;
+            return;
+        }
         if let Some(&access) = self.in_q.front() {
             match access.kind {
                 AccessKind::Read => match self.cache.lookup_read(access.atom.0) {
@@ -193,6 +207,7 @@ impl L1Cache {
                             }
                         } else {
                             self.stats.stalls += 1;
+                            self.mshr_blocked = true;
                         }
                     }
                 },
@@ -238,12 +253,28 @@ impl L1Cache {
     /// fast-forwarding. `Some(c <= now)` means busy this cycle; a future
     /// cycle is the next matured hit. Outstanding MSHRs carry no event of
     /// their own — their wakeup is the L2/crossbar response that feeds
-    /// [`accept_response`](Self::accept_response).
+    /// [`accept_response`](Self::accept_response). Neither does an input
+    /// queue whose head read last stalled for lack of an MSHR: only a
+    /// response frees one. Until then each tick counts one `stalls`
+    /// ([`account_stalled_span`](Self::account_stalled_span) counts them
+    /// in bulk) and skips the lookup. The lookup would re-touch only the
+    /// head's own line — no other line of this L1 is touched before the
+    /// response, so the LRU order is the same either way — and move the
+    /// cache's own miss counter, which the L1 never reports.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.in_q.is_empty() || !self.completions.is_empty() {
+        if (!self.in_q.is_empty() && !self.mshr_blocked) || !self.completions.is_empty() {
             return Some(now);
         }
         self.hit_q.front().map(|&(ready, _)| ready)
+    }
+
+    /// Accounts for `span` skipped ticks of an L1 that has no event in
+    /// the span, exactly as the ticks would have: one MSHR stall each
+    /// while the head read is blocked, nothing otherwise.
+    pub fn account_stalled_span(&mut self, span: u64) {
+        if self.mshr_blocked {
+            self.stats.stalls += span;
+        }
     }
 
     /// `true` when no work remains in the L1.

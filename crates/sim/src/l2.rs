@@ -77,6 +77,11 @@ pub struct L2Slice {
     stats: L2SliceStats,
     /// Reused scratch for DRAM completions (hot-path allocation avoidance).
     comp_buf: Vec<Completion>,
+    /// Sleep memo: ticks before this cycle are provably no-ops apart from
+    /// the controller's busy-cycle count (see [`asleep`](Self::asleep)).
+    /// Set after each tick that leaves the input queue and the write-back
+    /// queue empty; `push` and `flush_dirty` clear it.
+    wake: Cycle,
     /// Oracle counter: MSHRs allocated (fill conservation).
     #[cfg(feature = "check-invariants")]
     mshr_allocs: u64,
@@ -113,6 +118,7 @@ impl L2Slice {
             mc: MemCtrl::new(&cfg.mem, order),
             stats: L2SliceStats::default(),
             comp_buf: Vec::new(),
+            wake: 0,
             #[cfg(feature = "check-invariants")]
             mshr_allocs: 0,
         }
@@ -141,6 +147,7 @@ impl L2Slice {
             "request routed to wrong slice"
         );
         self.in_q.push_back(req);
+        self.wake = 0;
     }
 
     /// Residency probe used by protection schemes (valid data atoms only).
@@ -392,7 +399,8 @@ impl L2Slice {
         true
     }
 
-    /// Advances the slice and its controller one cycle.
+    /// Advances the slice and its controller one cycle, then refreshes the
+    /// sleep memo.
     pub fn tick(&mut self, scheme: &mut dyn ProtectionScheme, now: Cycle) {
         let mut mc_t = ccraft_telemetry::profiler::PhaseTimer::start(self.mc.profile_enabled());
         self.mc.tick(now);
@@ -448,6 +456,80 @@ impl L2Slice {
                 break;
             }
         }
+        // 5. Sleep memo: a slice with nothing queued of its own sleeps
+        //    until its next event. A stalled head request keeps it awake,
+        //    because every retry re-runs the lookup (a miss counted, LRU
+        //    touched). `next_event` reports `now` for the same reason.
+        self.wake = match self.next_event(now, scheme) {
+            Some(c) => c,
+            None => Cycle::MAX,
+        };
+    }
+
+    /// `true` when the tick at `now` is provably a no-op apart from the
+    /// controller's busy-cycle count, so the cycle loop may replace it by
+    /// [`account_asleep_span`](Self::account_asleep_span).
+    ///
+    /// Exact because, after the last tick set the memo, nothing the tick
+    /// does can change before the wake: no request is queued in the slice
+    /// (a `push` would have cleared the memo), the controller neither
+    /// scans (its `scan_asleep_until` is a wake) nor completes a read (the
+    /// earliest completion is a wake) nor refreshes (the next refresh is a
+    /// wake), and the scheme's drain yields nothing. That drain gets
+    /// `write_free - 1` slots, which only a controller issue can change;
+    /// a drain that filled its budget left at most one slot (budget 0),
+    /// and one that did not has nothing left until the channel's
+    /// `next_timed_event`, also a wake.
+    pub fn asleep(&self, now: Cycle) -> bool {
+        now < self.wake
+    }
+
+    /// Accounts for `span` ticks skipped while [`asleep`](Self::asleep),
+    /// exactly as they would have counted.
+    pub fn account_asleep_span(&mut self, span: u64) {
+        self.mc.account_idle_span(span);
+    }
+
+    /// Oracle build: runs a tick the sleep memo would skip and asserts
+    /// that it changed nothing but what
+    /// [`account_asleep_span`](Self::account_asleep_span) counts, and that
+    /// the live [`next_event`](Self::next_event) never precedes the memo.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the memo's wake is later than the slice's real one.
+    #[cfg(feature = "check-invariants")]
+    pub fn tick_asleep_checked(&mut self, scheme: &mut dyn ProtectionScheme, now: Cycle) {
+        let wake = self.wake;
+        if let Some(c) = self.next_event(now, scheme) {
+            assert!(
+                c >= wake,
+                "invariant violated: L2 slice {} asleep until {wake} but \
+                 next_event says {c} (cycle {now})",
+                self.channel
+            );
+        }
+        let snapshot = |s: &Self| {
+            (
+                s.stats(),
+                s.mc.stats(),
+                s.mc.outstanding(),
+                s.resp_q.len(),
+                s.pending_wb.len(),
+                s.mshr_index.len(),
+            )
+        };
+        let mut expect = snapshot(self);
+        if self.mc.read_q_len() + self.mc.write_q_len() > 0 {
+            expect.1.busy_cycles += 1;
+        }
+        self.tick(scheme, now);
+        assert!(
+            snapshot(self) == expect,
+            "invariant violated: L2 slice {} made progress during its \
+             predicted-idle sleep (cycle {now}, asleep until {wake})",
+            self.channel
+        );
     }
 
     /// Pops responses that are ready at `now`.
@@ -474,6 +556,7 @@ impl L2Slice {
     /// Queues write-backs for every dirty atom still resident (end-of-kernel
     /// flush), leaving the cache clean.
     pub fn flush_dirty(&mut self, scheme: &mut dyn ProtectionScheme, now: Cycle) {
+        self.wake = 0;
         let dirty: Vec<u64> = self
             .cache
             .iter_valid()
@@ -487,20 +570,30 @@ impl L2Slice {
     }
 
     /// Earliest cycle at which this slice has (or may have) work, for
-    /// idle fast-forwarding. `Some(c <= now)` means busy this cycle;
-    /// `Some(c > now)` is the earliest pending response or DRAM
-    /// completion; `None` means nothing queued or in flight. An MSHR is
-    /// never outstanding without a matching controller event, so the two
-    /// checks below cover the whole slice.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+    /// idle fast-forwarding and the slice's own sleep memo.
+    /// `Some(c <= now)` means busy this cycle; `Some(c > now)` is the
+    /// earliest of the next pending response, the controller's event
+    /// ([`MemCtrl::next_event`]) and the scheme's timed drain deadline for
+    /// this channel; `None` means nothing queued, in flight or timed. An
+    /// MSHR is never outstanding without a matching controller event, so
+    /// these checks cover the whole slice.
+    pub fn next_event(&self, now: Cycle, scheme: &dyn ProtectionScheme) -> Option<Cycle> {
         if !self.in_q.is_empty() || !self.pending_wb.is_empty() {
             return Some(now);
         }
-        let resp = self.resp_q.front().map(|&(ready, _)| ready);
-        match (resp, self.mc.next_event(now)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        let mut wake = self.mc.next_event(now).unwrap_or(Cycle::MAX);
+        if let Some(&(ready, _)) = self.resp_q.front() {
+            wake = wake.min(ready);
         }
+        if let Some(due) = scheme.next_timed_event(self.channel) {
+            wake = wake.min(due);
+        }
+        (wake != Cycle::MAX).then_some(wake)
+    }
+
+    /// The sleep memo's wake cycle: the tick at this cycle runs.
+    pub fn wake(&self) -> Cycle {
+        self.wake
     }
 
     /// `true` when no work remains anywhere in the slice.
@@ -788,6 +881,175 @@ mod tests {
             src: SmId(0),
             l1_mshr: 0,
         });
+    }
+
+    /// A scheme with time-triggered drains: every write-back buffers an
+    /// ECC write that becomes drainable `AGE` cycles later, announced
+    /// through `next_timed_event`, and every demand fill fetches ECC.
+    #[derive(Debug)]
+    struct TimedScheme {
+        inner: NoProtection,
+        /// Buffered ECC writes `(atom, due)`, dues non-decreasing.
+        pending: VecDeque<(u64, Cycle)>,
+    }
+
+    impl TimedScheme {
+        const AGE: Cycle = 90;
+    }
+
+    impl ProtectionScheme for TimedScheme {
+        fn name(&self) -> &str {
+            "timed"
+        }
+        fn map(&self, logical: crate::types::LogicalAtom) -> PhysLoc {
+            self.inner.map(logical)
+        }
+        fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> crate::protection::FillPlan {
+            crate::protection::FillPlan {
+                ecc_fetches: vec![(1 << 20) + loc.atom / 8],
+            }
+        }
+        fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
+        fn writeback(
+            &mut self,
+            loc: PhysLoc,
+            now: Cycle,
+            _resident: &mut dyn FnMut(u64) -> bool,
+        ) -> crate::protection::WritebackPlan {
+            self.pending
+                .push_back(((1 << 20) + loc.atom / 8, now + Self::AGE));
+            crate::protection::WritebackPlan::none()
+        }
+        fn drain_ecc_writes(&mut self, _channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
+            let mut out = Vec::new();
+            while out.len() < budget && self.pending.front().is_some_and(|&(_, due)| due <= now) {
+                out.extend(self.pending.pop_front().map(|(atom, _)| atom));
+            }
+            out
+        }
+        fn flush(&mut self) {
+            for entry in &mut self.pending {
+                entry.1 = 0;
+            }
+        }
+        fn is_drained(&self) -> bool {
+            self.pending.is_empty()
+        }
+        fn next_timed_event(&self, _channel: u16) -> Option<Cycle> {
+            self.pending.front().map(|&(_, due)| due)
+        }
+        fn stats(&self) -> crate::protection::ProtectionStats {
+            crate::protection::ProtectionStats::default()
+        }
+    }
+
+    /// Bursts of reads and writes (some partial) over a footprint four
+    /// times the slice, with idle gaps longer than the refresh interval:
+    /// `(cycle, request)` in cycle order.
+    fn bursty_script() -> Vec<(Cycle, L2Request)> {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut script = Vec::new();
+        let mut at = 0;
+        for burst in 0..12u64 {
+            for _ in 0..40 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let atom = x % 2048;
+                let req = match x % 5 {
+                    0 => write_req(atom, true),
+                    1 => write_req(atom, false),
+                    _ => read_req(atom),
+                };
+                script.push((at, req));
+                at += x % 3;
+            }
+            at += 300 + 200 * (burst % 4);
+        }
+        script
+    }
+
+    /// Drives a slice through `bursty_script` with refresh on, flushing
+    /// once the script is done and then idling to a fixed end cycle (so
+    /// the run ends inside a sleep, across several refreshes). With
+    /// `skip`, the slice ticks only at its wake cycle (or when a request
+    /// arrives), and skipped ticks are accounted in bulk. Returns the
+    /// final stats, every response with the cycle it was popped, whether
+    /// the slice drained, and the number of skipped ticks.
+    fn drive_bursty(skip: bool) -> (L2SliceStats, McStats, Vec<(Cycle, L2Response)>, bool, u64) {
+        const END: Cycle = 12_000;
+        let mut cfg = GpuConfig::tiny();
+        cfg.mem.timing.t_refi = 400;
+        cfg.mem.timing.t_rfc = 30;
+        let mut slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
+        let mut scheme = TimedScheme {
+            inner: NoProtection::new(ChannelInterleave::new(1, 8)),
+            pending: VecDeque::new(),
+        };
+        let script = bursty_script();
+        let mut next = 0;
+        let mut responses = Vec::new();
+        let mut skipped = 0u64;
+        let mut skipped_total = 0u64;
+        let mut flushed = false;
+        let mut now: Cycle = 0;
+        while now < END {
+            while next < script.len() && script[next].0 <= now && slice.can_accept() {
+                slice.push(script[next].1);
+                next += 1;
+            }
+            let flush_due = next == script.len() && slice.is_idle() && scheme.is_drained();
+            if flush_due && !flushed {
+                scheme.flush();
+                slice.flush_dirty(&mut scheme, now);
+                flushed = true;
+            }
+            if skip && slice.asleep(now) {
+                skipped += 1;
+            } else {
+                slice.account_asleep_span(skipped);
+                skipped_total += skipped;
+                skipped = 0;
+                slice.tick(&mut scheme, now);
+            }
+            for r in slice.pop_responses(now) {
+                responses.push((now, r));
+            }
+            now += 1;
+            let flush_due =
+                !flushed && next == script.len() && slice.is_idle() && scheme.is_drained();
+            if skip && slice.asleep(now) && !flush_due {
+                // Jump to the wake, stopping early for the next arrival.
+                let arrival = script.get(next).map_or(Cycle::MAX, |&(at, _)| at.max(now));
+                let to = slice.wake().min(arrival).min(END);
+                skipped += to - now;
+                now = to;
+            }
+        }
+        slice.account_asleep_span(skipped);
+        skipped_total += skipped;
+        let drained = flushed && slice.is_idle() && scheme.is_drained();
+        (
+            slice.stats(),
+            slice.mc_stats(),
+            responses,
+            drained,
+            skipped_total,
+        )
+    }
+
+    #[test]
+    fn sleeping_slice_matches_ticked_slice() {
+        let (stats_a, mc_a, resp_a, drained, _) = drive_bursty(false);
+        let (stats_b, mc_b, resp_b, _, skipped) = drive_bursty(true);
+        assert!(drained, "the script must finish before the end cycle");
+        assert!(skipped > 6_000, "slept only {skipped} ticks");
+        assert!(mc_a.refreshes > 25, "refresh must occur: {mc_a:?}");
+        assert!(mc_a.class_count(TrafficClass::EccWrite) > 0, "{mc_a:?}");
+        assert!(stats_a.writebacks > 0, "{stats_a:?}");
+        assert_eq!(stats_a, stats_b);
+        assert_eq!(mc_a, mc_b);
+        assert_eq!(resp_a, resp_b);
     }
 
     #[test]

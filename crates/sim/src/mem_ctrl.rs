@@ -507,7 +507,7 @@ impl MemCtrl {
         self.chan.tick_refresh(now);
         #[cfg(feature = "check-invariants")]
         self.assert_conserved();
-        if !self.read_q.is_empty() || !self.write_q.is_empty() {
+        if self.has_queued() {
             self.stats.busy_cycles += 1;
         }
         // Write-drain hysteresis.
@@ -679,17 +679,41 @@ impl MemCtrl {
     }
 
     /// Earliest cycle at which this controller has (or may have) work, for
-    /// idle fast-forwarding. `Some(c)` with `c <= now` means the
-    /// controller is busy right now (a queue is non-empty); `Some(c)` with
-    /// `c > now` is the earliest in-flight read completion; `None` means
-    /// fully idle with nothing in flight. Refresh needs no event: the
-    /// channel catches up lazily and lands in the same state as long as no
-    /// request issues in between, which queue-emptiness guarantees.
-    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.read_q.is_empty() || !self.write_q.is_empty() {
-            return Some(now);
+    /// idle fast-forwarding and the L2 slice's sleep memo. `Some(c)` with
+    /// `c <= now` means the controller is busy right now; `Some(c)` with
+    /// `c > now` is the earliest of: the scan memo's `scan_asleep_until`
+    /// (only while a queue is non-empty — until then every tick is a
+    /// skipped scan), the earliest in-flight read completion, and the
+    /// next refresh; `None` means fully idle with nothing in flight and
+    /// refresh off. Ticks before that cycle only count `busy_cycles`
+    /// (see [`account_idle_span`](Self::account_idle_span)).
+    ///
+    /// The refresh is an event even though the channel catches up on it
+    /// lazily, landing in the same state as long as no request issues in
+    /// between: the catch-up runs only when a tick follows, and a slice
+    /// asleep at the end of the run would never tick again, leaving its
+    /// `refreshes` short.
+    pub fn next_event(&self, _now: Cycle) -> Option<Cycle> {
+        let mut wake = self.earliest_done.min(self.chan.next_refresh_at());
+        if self.has_queued() {
+            wake = wake.min(self.scan_asleep_until);
         }
-        (self.earliest_done != Cycle::MAX).then_some(self.earliest_done)
+        (wake != Cycle::MAX).then_some(wake)
+    }
+
+    /// `true` while a read or write waits in a queue (the condition that
+    /// counts a tick as busy).
+    fn has_queued(&self) -> bool {
+        !self.read_q.is_empty() || !self.write_q.is_empty()
+    }
+
+    /// Accounts for `span` skipped ticks with no event in them (see
+    /// [`next_event`](Self::next_event)), exactly as the ticks would have:
+    /// one busy cycle each while a request is queued.
+    pub fn account_idle_span(&mut self, span: u64) {
+        if self.has_queued() {
+            self.stats.busy_cycles += span;
+        }
     }
 
     /// Controller statistics (row counters folded in from the channel).

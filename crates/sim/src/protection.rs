@@ -220,15 +220,24 @@ pub trait ProtectionScheme: fmt::Debug + Send {
     fn is_drained(&self) -> bool;
 
     /// Earliest cycle at which [`drain_ecc_writes`](Self::drain_ecc_writes)
-    /// may newly produce atoms *without any other simulator activity* —
-    /// used by the cycle loop's idle fast-forward. `None` (the default)
-    /// declares the scheme's drain behaviour time-independent: if a call
-    /// this cycle yields nothing, a call any later cycle yields nothing
-    /// too, so buffered state never blocks a skip on its own. Schemes with
-    /// age-triggered buffers (CacheCraft's coalesce timeout) override this
-    /// with the earliest pending deadline; `Some(c <= now)` marks the
-    /// scheme busy right now.
-    fn next_timed_event(&self) -> Option<Cycle> {
+    /// for `channel` may newly produce atoms *without any other simulator
+    /// activity* — part of that channel's L2 slice event, which drives
+    /// the slice's sleep memo and the cycle loop's idle fast-forward.
+    /// `None` (the default) declares the channel's drain behaviour
+    /// time-independent: if a call this cycle yields fewer atoms than its
+    /// budget, a call any later cycle yields nothing, so buffered state
+    /// never blocks a skip on its own. Schemes with age-triggered buffers
+    /// (CacheCraft's coalesce timeout) override this with the channel's
+    /// earliest pending deadline; `Some(c <= now)` marks the channel busy
+    /// right now.
+    ///
+    /// A channel's drain may depend only on calls made for that channel
+    /// (and on [`flush`](Self::flush), after which the simulator wakes
+    /// every slice), because a sleeping slice does not see other
+    /// channels' activity; and [`demand_fill`](Self::demand_fill), which
+    /// the slice calls after its drain, must not give the drain new
+    /// atoms.
+    fn next_timed_event(&self, _channel: u16) -> Option<Cycle> {
         None
     }
 

@@ -26,9 +26,31 @@ struct WarpState {
     outstanding: u32,
     /// Accesses of the current memory op not yet handed to the L1.
     issuing_from: usize,
+    /// The op at `pc` is a load or store. Cached because the issue stage
+    /// and `next_event` ask it of the picked warp every cycle, and the
+    /// trace itself is cold in the host cache.
+    at_memory_op: bool,
 }
 
 impl WarpState {
+    fn new(trace: WarpTrace) -> Self {
+        let at_memory_op = trace.ops().first().is_some_and(WarpOp::is_memory);
+        WarpState {
+            trace,
+            pc: 0,
+            ready_at: 0,
+            outstanding: 0,
+            issuing_from: 0,
+            at_memory_op,
+        }
+    }
+
+    /// Moves past the op at `pc`.
+    fn advance(&mut self) {
+        self.pc += 1;
+        self.at_memory_op = self.trace.ops().get(self.pc).is_some_and(WarpOp::is_memory);
+    }
+
     /// Fully retired: all ops issued, trailing compute latency elapsed,
     /// and no loads outstanding.
     fn done(&self, now: Cycle) -> bool {
@@ -58,6 +80,20 @@ pub struct SmStats {
     pub stall_lsu_busy: u64,
 }
 
+/// Why a tick's issue stage issued nothing, which fixes what the tick
+/// counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StallReason {
+    /// No warp is ready: all are blocked on memory or compute latency.
+    /// Counts an active, an idle and a `stall_no_ready_warp` cycle.
+    NoReadyWarp,
+    /// The picked warp's memory op waits for the busy LSU. Counts an
+    /// active, an idle and a `stall_lsu_busy` cycle.
+    LsuBusy,
+    /// Every warp has retired: the SM counts nothing.
+    AllDone,
+}
+
 /// One SM: warps plus its private L1.
 #[derive(Debug)]
 pub struct SmCore {
@@ -81,16 +117,7 @@ impl SmCore {
             traces.len() <= cfg.warps_per_sm as usize,
             "more traces than warp slots"
         );
-        let warps = traces
-            .into_iter()
-            .map(|trace| WarpState {
-                trace,
-                pc: 0,
-                ready_at: 0,
-                outstanding: 0,
-                issuing_from: 0,
-            })
-            .collect();
+        let warps = traces.into_iter().map(WarpState::new).collect();
         SmCore {
             id,
             warps,
@@ -126,6 +153,11 @@ impl SmCore {
     /// Streams accesses of the LSU-resident memory op into the L1.
     fn pump_lsu(&mut self) {
         let Some(widx) = self.lsu_warp else { return };
+        // A full L1 queue stalls the LSU before the (host-cache-cold)
+        // trace is touched.
+        if !self.l1.can_accept() {
+            return;
+        }
         let w = &mut self.warps[widx];
         let op = &w.trace.ops()[w.pc];
         let (atoms, kind): (&[crate::types::LogicalAtom], AccessKind) = match op {
@@ -134,7 +166,7 @@ impl SmCore {
             WarpOp::Compute { .. } => unreachable!("compute op in LSU"),
         };
         // One access per cycle through the LSU.
-        if w.issuing_from <= atoms.len() && self.l1.can_accept() {
+        if w.issuing_from <= atoms.len() {
             let i = w.issuing_from - 1;
             let atom = atoms[i];
             self.l1.push(L1Access {
@@ -148,7 +180,7 @@ impl SmCore {
             w.issuing_from += 1;
             if w.issuing_from > atoms.len() {
                 // All accesses dispatched: retire the op from the front end.
-                w.pc += 1;
+                w.advance();
                 w.issuing_from = 0;
                 self.lsu_warp = None;
             }
@@ -177,16 +209,20 @@ impl SmCore {
     /// Advances the SM one cycle. `map` and `send` are forwarded to the L1
     /// (protection address translation and crossbar injection).
     ///
-    /// Returns `true` when the issue stage found no ready warp — the only
-    /// state from which the SM may be quiescent, so the cycle loop probes
-    /// [`next_event`](Self::next_event) for its sleep memo only then
-    /// instead of paying the scan on every busy tick.
+    /// Returns why the issue stage issued nothing, or `None` when it
+    /// issued. Only a tick that issued nothing can leave the SM
+    /// quiescent, so the cycle loop probes [`next_event`](Self::next_event)
+    /// for its sleep memo only then instead of paying the scan on every
+    /// issuing tick. While the SM then has no event, every later tick
+    /// issues nothing for the same reason: the issue stage changed no
+    /// state, and the scheduler's pick changes only when a warp becomes
+    /// ready, which is an event.
     pub fn tick(
         &mut self,
         now: Cycle,
         map: &mut dyn FnMut(crate::types::LogicalAtom) -> crate::types::PhysLoc,
         send: &mut dyn FnMut(crate::msg::L2Request) -> bool,
-    ) -> bool {
+    ) -> Option<StallReason> {
         self.l1.tick(now, map, send);
         self.apply_completions();
         if !self.all_warps_done(now) {
@@ -196,35 +232,35 @@ impl SmCore {
         self.pump_lsu();
         // Issue stage.
         let Some(widx) = self.pick_warp(now) else {
-            if !self.all_warps_done(now) {
-                self.stats.idle_cycles += 1;
-                self.stats.stall_no_ready_warp += 1;
+            if self.all_warps_done(now) {
+                return Some(StallReason::AllDone);
             }
-            return true;
+            self.stats.idle_cycles += 1;
+            self.stats.stall_no_ready_warp += 1;
+            return Some(StallReason::NoReadyWarp);
         };
         let w = &mut self.warps[widx];
-        match &w.trace.ops()[w.pc] {
-            WarpOp::Compute { cycles } => {
-                w.ready_at = now + *cycles as Cycle;
-                w.pc += 1;
-                self.stats.issued_ops += 1;
-                self.cursor = widx;
+        if w.at_memory_op {
+            if self.lsu_warp.is_some() {
+                // LSU busy: structural hazard, no issue this cycle.
+                self.stats.idle_cycles += 1;
+                self.stats.stall_lsu_busy += 1;
+                return Some(StallReason::LsuBusy);
             }
-            WarpOp::Load { .. } | WarpOp::Store { .. } => {
-                if self.lsu_warp.is_none() {
-                    w.issuing_from = 1;
-                    self.lsu_warp = Some(widx);
-                    self.stats.issued_ops += 1;
-                    self.cursor = widx;
-                    self.pump_lsu();
-                } else {
-                    // LSU busy: structural hazard, no issue this cycle.
-                    self.stats.idle_cycles += 1;
-                    self.stats.stall_lsu_busy += 1;
-                }
+            w.issuing_from = 1;
+            self.lsu_warp = Some(widx);
+            self.stats.issued_ops += 1;
+            self.cursor = widx;
+            self.pump_lsu();
+        } else {
+            if let WarpOp::Compute { cycles } = w.trace.ops()[w.pc] {
+                w.ready_at = now + cycles as Cycle;
             }
+            w.advance();
+            self.stats.issued_ops += 1;
+            self.cursor = widx;
         }
-        false
+        None
     }
 
     /// Statistics snapshot.
@@ -244,52 +280,85 @@ impl SmCore {
     /// `None` means nothing will ever happen without an external response
     /// (or the SM is fully done). Warps blocked on outstanding loads carry
     /// no event of their own — their wakeup is the response chain through
-    /// the crossbar/L2/DRAM, which reports its own events.
+    /// the crossbar/L2/DRAM, which reports its own events. Neither does
+    /// an LSU stuck behind a full L1 input queue whose head is blocked on
+    /// MSHRs (see [`L1Cache::next_event`]), nor a scheduler that picks a
+    /// warp whose memory op waits for that LSU: both move only once a
+    /// response arrives, and the pick changes only when a warp becomes
+    /// ready.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.lsu_warp.is_some() {
+        if self.lsu_warp.is_some() && self.l1.can_accept() {
             return Some(now);
         }
         let mut wake = self.l1.next_event(now);
         if matches!(wake, Some(c) if c <= now) {
             return wake;
         }
+        // From here on, a busy LSU is stuck until a response arrives.
+        let lsu_stuck = self.lsu_warp.is_some();
         for w in &self.warps {
             if w.outstanding > 0 {
                 continue;
             }
             if w.ready_at > now {
                 wake = Some(wake.map_or(w.ready_at, |c| c.min(w.ready_at)));
-            } else if w.pc < w.trace.len() {
+            } else if w.pc < w.trace.len() && !lsu_stuck {
                 // Ready to issue this very cycle.
                 return Some(now);
             }
         }
+        // A stuck LSU holds back memory ops only: the SM still issues if
+        // the scheduler picks a warp at a compute op.
+        if lsu_stuck
+            && self
+                .pick_warp(now)
+                .is_some_and(|i| !self.warps[i].at_memory_op)
+        {
+            return Some(now);
+        }
         wake
+    }
+
+    /// The stall a tick at `now` would count. Exact only when the SM
+    /// cannot act at `now` (`next_event(now)` is later): then a picked
+    /// warp can only be a memory op waiting for a stuck LSU.
+    pub fn stall_reason(&self, now: Cycle) -> StallReason {
+        if self.all_warps_done(now) {
+            StallReason::AllDone
+        } else if self.pick_warp(now).is_some() {
+            StallReason::LsuBusy
+        } else {
+            StallReason::NoReadyWarp
+        }
     }
 
     /// Accounts for `span` skipped idle cycles starting at `now`, exactly
     /// as `span` individual [`tick`](Self::tick)s would have: the caller
-    /// (the idle fast-forward in the cycle loop) guarantees that during
-    /// the span no warp becomes ready, the LSU is free, and the L1 has
-    /// nothing to do — so each skipped cycle would have counted one
-    /// active cycle, one idle cycle, and one no-ready-warp stall, and
-    /// nothing else.
+    /// (the idle fast-forward in the cycle loop) guarantees that the SM
+    /// has no event before `now + span`, so every skipped tick counts the
+    /// same [`stall_reason`](Self::stall_reason) and L1 stall.
     pub fn account_idle_span(&mut self, now: Cycle, span: u64) {
-        if span == 0 || self.all_warps_done(now) {
-            return;
+        if span > 0 {
+            let reason = self.stall_reason(now);
+            self.account_stalled_span(span, reason);
         }
-        self.account_stalled_span(span);
     }
 
-    /// [`account_idle_span`](Self::account_idle_span) without the doneness
-    /// check: the caller has already established (and may have cached)
-    /// that the SM has unfinished warps throughout the span. Used by the
-    /// per-SM sleep memo in the cycle loop, where re-scanning all warps
-    /// every skipped cycle would defeat the optimization.
-    pub fn account_stalled_span(&mut self, span: u64) {
+    /// [`account_idle_span`](Self::account_idle_span) with the stall
+    /// reason supplied: the per-SM sleep memo in the cycle loop caches the
+    /// reason [`tick`](Self::tick) returned when the SM fell asleep,
+    /// because re-scanning all warps every skipped cycle would defeat the
+    /// optimization.
+    pub fn account_stalled_span(&mut self, span: u64, reason: StallReason) {
+        self.l1.account_stalled_span(span);
+        let counter = match reason {
+            StallReason::NoReadyWarp => &mut self.stats.stall_no_ready_warp,
+            StallReason::LsuBusy => &mut self.stats.stall_lsu_busy,
+            StallReason::AllDone => return,
+        };
+        *counter += span;
         self.stats.active_cycles += span;
         self.stats.idle_cycles += span;
-        self.stats.stall_no_ready_warp += span;
     }
 }
 
@@ -341,6 +410,164 @@ mod tests {
             }
         }
         panic!("SM did not finish within {limit} cycles");
+    }
+
+    /// [`run_with_memory`] with the cycle loop's sleep memo: after a tick
+    /// that issues nothing, the SM skips ticks until its `next_event` or
+    /// a response, and accounts the skipped ticks in bulk. Returns the
+    /// finishing cycle, the ticks skipped per stall reason
+    /// (`[no ready warp, LSU busy]`), and how many sleeps had no event of
+    /// their own (they last until a response).
+    fn run_sleeping(sm: &mut SmCore, limit: Cycle, mem_latency: Cycle) -> (Cycle, [u64; 2], u64) {
+        let mut pending: Vec<(Cycle, L2Request)> = Vec::new();
+        let mut wake: Cycle = 0;
+        let mut stall = StallReason::AllDone;
+        let mut skipped = 0;
+        let mut skipped_by = [0; 2];
+        let mut response_sleeps = 0;
+        let mut settle = |sm: &mut SmCore, skipped: &mut u64, stall: StallReason| {
+            sm.account_stalled_span(*skipped, stall);
+            match stall {
+                StallReason::NoReadyWarp => skipped_by[0] += *skipped,
+                StallReason::LsuBusy => skipped_by[1] += *skipped,
+                StallReason::AllDone => {}
+            }
+            *skipped = 0;
+        };
+        for now in 0..limit {
+            if now < wake && pending.iter().all(|&(at, _)| at > now) {
+                skipped += 1;
+            } else {
+                // Settle the sleep before a response unblocks the L1.
+                settle(sm, &mut skipped, stall);
+                pending.retain(|&(at, req)| {
+                    if at <= now {
+                        sm.l1.accept_response(crate::msg::L2Response {
+                            loc: req.loc,
+                            dest: req.src,
+                            l1_mshr: req.l1_mshr,
+                        });
+                    }
+                    at > now
+                });
+                let mut newly = Vec::new();
+                let tick = sm.tick(now, &mut identity, &mut |req| {
+                    if !req.kind.is_write() {
+                        newly.push((now + mem_latency, req));
+                    }
+                    true
+                });
+                pending.extend(newly);
+                wake = 0;
+                if let Some(reason) = tick {
+                    stall = reason;
+                    wake = sm.next_event(now).unwrap_or_else(|| {
+                        response_sleeps += 1;
+                        Cycle::MAX
+                    });
+                }
+            }
+            if sm.all_warps_done(now) && pending.is_empty() {
+                settle(sm, &mut skipped, stall);
+                return (now, skipped_by, response_sleeps);
+            }
+        }
+        panic!("SM did not finish within {limit} cycles");
+    }
+
+    /// Warps that exhaust the L1's MSHRs: warp 0 streams 24 misses (the
+    /// tiny L1 has 8 MSHRs and an 8-entry queue, so its LSU gets stuck),
+    /// warp 1 waits behind the LSU with its own loads, and the others
+    /// add compute gaps and posted stores.
+    fn mshr_exhausting_warps() -> Vec<WarpTrace> {
+        let load = |base: u64, n: u64| WarpOp::Load {
+            atoms: (0..n).map(|i| LogicalAtom(base + i * 100)).collect(),
+        };
+        vec![
+            WarpTrace::new(vec![load(0, 24), WarpOp::Compute { cycles: 2 }]),
+            WarpTrace::new(vec![
+                load(10_000, 4),
+                WarpOp::Compute { cycles: 3 },
+                load(20_000, 4),
+            ]),
+            WarpTrace::new(vec![WarpOp::Compute { cycles: 20 }, load(30_000, 8)]),
+            WarpTrace::new(vec![
+                WarpOp::Store {
+                    atoms: (0..4).map(|i| LogicalAtom(40_000 + i)).collect(),
+                    full: true,
+                },
+                load(50_000, 2),
+            ]),
+        ]
+    }
+
+    #[test]
+    fn mshr_blocked_sm_sleeps_until_a_response() {
+        let mut ticked = mk_sm(mshr_exhausting_warps());
+        let end_ticked = run_with_memory(&mut ticked, 10_000, 60);
+        let mut slept = mk_sm(mshr_exhausting_warps());
+        let (end_slept, skipped_by, response_sleeps) = run_sleeping(&mut slept, 10_000, 60);
+        assert_eq!(end_slept, end_ticked);
+        assert_eq!(slept.stats(), ticked.stats());
+        assert_eq!(slept.l1.stats(), ticked.l1.stats());
+        // Both stall kinds were slept through, some sleeps lasted until a
+        // response, and the L1 stalled on MSHRs throughout them.
+        assert!(skipped_by.iter().all(|&n| n > 0), "{skipped_by:?}");
+        assert!(response_sleeps > 0);
+        let s = ticked.stats();
+        assert!(s.stall_lsu_busy > 0 && s.stall_no_ready_warp > 0, "{s:?}");
+        assert!(ticked.l1.stats().stalls > 0);
+    }
+
+    /// The probe's promise, cycle by cycle: whenever `next_event` says
+    /// the SM cannot act now, the tick issues nothing. Warp 1 keeps
+    /// issuing compute ops past the stuck LSU, which the probe must see
+    /// even though memory ops are waiting too.
+    #[test]
+    fn quiet_probe_means_the_tick_issues_nothing() {
+        let mut warps = mshr_exhausting_warps();
+        warps[1] = WarpTrace::new(vec![WarpOp::Compute { cycles: 3 }; 60]);
+        let mut sm = mk_sm(warps);
+        let mut pending: Vec<(Cycle, L2Request)> = Vec::new();
+        let mut quiet_ticks = 0;
+        for now in 0..10_000 {
+            pending.retain(|&(at, req)| {
+                if at <= now {
+                    sm.l1.accept_response(crate::msg::L2Response {
+                        loc: req.loc,
+                        dest: req.src,
+                        l1_mshr: req.l1_mshr,
+                    });
+                }
+                at > now
+            });
+            let quiet = sm.next_event(now).is_none_or(|c| c > now);
+            let before = (sm.stats().issued_ops, sm.l1.stats());
+            let mut newly = Vec::new();
+            let tick = sm.tick(now, &mut identity, &mut |req| {
+                if !req.kind.is_write() {
+                    newly.push((now + 60, req));
+                }
+                true
+            });
+            if quiet {
+                quiet_ticks += 1;
+                assert!(tick.is_some(), "quiet SM issued at {now}");
+                assert!(newly.is_empty(), "quiet SM sent a request at {now}");
+                assert_eq!(sm.stats().issued_ops, before.0);
+                let l1 = sm.l1.stats();
+                assert_eq!(
+                    (l1.read_hits, l1.read_misses),
+                    (before.1.read_hits, before.1.read_misses)
+                );
+            }
+            pending.extend(newly);
+            if sm.all_warps_done(now) && pending.is_empty() {
+                assert!(quiet_ticks > 100, "only {quiet_ticks} quiet ticks");
+                return;
+            }
+        }
+        panic!("SM did not finish");
     }
 
     #[test]

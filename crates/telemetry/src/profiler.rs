@@ -193,8 +193,14 @@ pub struct SimProfile {
     pub idle_spans: Histogram,
     /// Per-SM sleep memo effectiveness (hit = SM tick skipped).
     pub sm_sleep: MemoStats,
+    /// Per-L2-slice sleep memo effectiveness (hit = slice tick skipped),
+    /// summed over slices. Defaults to empty so profiles written before
+    /// the memo existed still load.
+    #[serde(default)]
+    pub slice_sleep: MemoStats,
     /// FR-FCFS scan-sleep memo effectiveness (hit = queue scan skipped),
-    /// summed over channels.
+    /// summed over channels. Counts only controller ticks that ran, not
+    /// those skipped with a sleeping slice.
     pub scan_memo: MemoStats,
     /// Window entries examined per performed first-ready scan, summed
     /// over channels.
@@ -419,6 +425,7 @@ mod tests {
         profile.idle_spans.record(233);
         profile.sm_sleep.hit();
         profile.sm_sleep.miss();
+        profile.slice_sleep.hit();
         profile.scan_memo.hit();
         profile.scan_depth.record(4);
         profile.channels.push(ChannelLoad {
@@ -441,5 +448,19 @@ mod tests {
         assert_eq!(back.schema, PROFILE_SCHEMA);
         assert!(back.mean_sm_sleep_hit_rate() > 0.0);
         assert_eq!(back.total_host_ns(), 99_000);
+    }
+
+    #[test]
+    fn profile_without_slice_sleep_still_loads() {
+        let profile = SimProfile {
+            cycles: 10,
+            ..Default::default()
+        };
+        let json = serde_json::to_string(&profile).unwrap();
+        let key = "\"slice_sleep\":{\"hits\":0,\"misses\":0},";
+        assert!(json.contains(key), "{json}");
+        let old = json.replace(key, "");
+        let back: SimProfile = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, profile);
     }
 }

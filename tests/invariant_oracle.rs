@@ -1,6 +1,6 @@
 //! Runtime invariant oracle, end to end (`--features check-invariants`).
 //!
-//! Two claims, one test each:
+//! Two claims:
 //!
 //! 1. **The oracle is transparent.** Re-running the golden corpus with
 //!    every conservation / protocol / fast-forward-memo check armed
@@ -45,6 +45,72 @@ fn oracle_reproduces_pinned_golden_stats() {
         assert_eq!(s.cycles, cycles, "{name}: oracle build drifted (cycles)");
         assert_eq!(s.exec_cycles, exec, "{name}: oracle build drifted (exec)");
         assert_eq!(s.dram, dram, "{name}: oracle build drifted (dram)");
+    }
+}
+
+/// One scheme's pinned `(name, cycles, exec_cycles, dram, [row_hits,
+/// row_empties, row_conflicts], refreshes)`.
+type Pinned = (&'static str, u64, u64, [u64; 4], [u64; 3], u64);
+
+/// The refresh-enabled golden under the oracle: `spmv` on `gddr6()`,
+/// where MSHR-blocked SMs and sleeping L2 slices both occur and every
+/// slice's wake is capped at its next refresh. The values are those
+/// pinned by `tests/golden_regression.rs`.
+#[test]
+fn oracle_reproduces_refresh_golden() {
+    let cfg = GpuConfig::gddr6();
+    let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
+    let expect: [Pinned; 4] = [
+        (
+            "no-protection",
+            63418,
+            63295,
+            [9216, 512, 0, 0],
+            [9318, 398, 12],
+            128,
+        ),
+        (
+            "inline-naive",
+            67586,
+            67015,
+            [9216, 512, 9728, 512],
+            [19050, 711, 207],
+            136,
+        ),
+        (
+            "ecc-cache",
+            65286,
+            65004,
+            [9216, 512, 1217, 0],
+            [10112, 672, 161],
+            128,
+        ),
+        (
+            "cachecraft",
+            64118,
+            63836,
+            [9216, 512, 1154, 63],
+            [10398, 524, 23],
+            128,
+        ),
+    ];
+    for (kind, (name, cycles, exec, dram, rows, refreshes)) in
+        SchemeKind::headline(&cfg).into_iter().zip(expect)
+    {
+        let s = run_scheme(&cfg, kind, &trace);
+        assert_eq!(kind.name(), name);
+        assert_eq!(s.cycles, cycles, "{name}: oracle build drifted (cycles)");
+        assert_eq!(s.exec_cycles, exec, "{name}: oracle build drifted (exec)");
+        assert_eq!(s.dram, dram, "{name}: oracle build drifted (dram)");
+        assert_eq!(
+            [s.row_hits, s.row_empties, s.row_conflicts],
+            rows,
+            "{name}: oracle build drifted (row outcomes)"
+        );
+        assert_eq!(
+            s.refreshes, refreshes,
+            "{name}: oracle build drifted (refreshes)"
+        );
     }
 }
 
