@@ -8,6 +8,9 @@
 //! at `results/cells/` (see [`crate::checkpoint`]), so a killed run
 //! restarted with `--resume` serves the cells that already finished as
 //! cache hits.
+//!
+//! Cells of one `(workload, size, seed)` share one generated trace: see
+//! [`run_cell`] and DESIGN.md §5.2 ("trace lifetime").
 
 use crate::cellcache::{cached, CellKey};
 use crate::checkpoint;
@@ -16,6 +19,7 @@ use ccraft_core::factory::{run_scheme_instrumented, SchemeKind};
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::faults::FaultConfig;
 use ccraft_sim::stats::SimStats;
+use ccraft_sim::trace::KernelTrace;
 use ccraft_telemetry::manifest::RunManifest;
 use ccraft_telemetry::TelemetryConfig;
 use ccraft_workloads::{SizeClass, Workload};
@@ -23,7 +27,7 @@ use std::io::IsTerminal as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 /// Usage text for the options shared by every experiment.
@@ -567,6 +571,16 @@ fn run_matrix_engine(
         m.add_planned(total as u64);
         m.set_workers(workers as u64);
     }
+    // Each workload's trace slot stays pinned until the workload's last
+    // cell finishes, so its cells share one trace even when they run one
+    // after another; the slot stays empty unless a cell fills it.
+    let pins: Vec<(AtomicUsize, Mutex<Option<TraceSlot>>)> = workloads
+        .iter()
+        .map(|&w| {
+            let slot = trace_slot(w, opts.size, opts.seed);
+            (AtomicUsize::new(schemes.len()), Mutex::new(Some(slot)))
+        })
+        .collect();
     let started = Instant::now();
     let completed = AtomicUsize::new(0);
     let show_progress = progress_enabled();
@@ -588,6 +602,10 @@ fn run_matrix_engine(
                 }
                 let cell_started = Instant::now();
                 let outcome = run_one_cell(&body, idx, workload, scheme, opts);
+                let (left, pin) = &pins[idx / schemes.len()];
+                if left.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    lock_clean(pin).take();
+                }
                 // Degraded mode: a permanently failing cell is
                 // quarantined (failure recorded in the ledger, manifest
                 // and metrics) and the sweep continues; it no longer
@@ -670,8 +688,41 @@ pub fn cell_faults(opts: &ExpOptions, idx: usize) -> Option<FaultConfig> {
     })
 }
 
-/// Runs one standard simulation cell: generate the workload trace, run
-/// the scheme, with per-cell-seeded fault injection when configured.
+/// What a generated trace is a function of.
+type TraceKey = (Workload, SizeClass, u64);
+
+/// A shared trace: empty until the first cell that needs it generates it.
+type TraceSlot = Arc<OnceLock<KernelTrace>>;
+
+/// Every trace slot some cell or matrix still holds, by key. The table
+/// holds only weak references, so a trace is freed as soon as its last
+/// holder lets go; dead entries are pruned on every lookup.
+static TRACES: Mutex<Vec<(TraceKey, Weak<OnceLock<KernelTrace>>)>> = Mutex::new(Vec::new());
+
+/// The live slot for `(workload, size, seed)`, or a new empty one.
+fn trace_slot(workload: Workload, size: SizeClass, seed: u64) -> TraceSlot {
+    let key = (workload, size, seed);
+    let mut table = lock_clean(&TRACES);
+    table.retain(|(_, slot)| slot.strong_count() > 0);
+    if let Some(slot) = table
+        .iter()
+        .find(|(k, _)| *k == key)
+        .and_then(|(_, slot)| slot.upgrade())
+    {
+        return slot;
+    }
+    let slot = TraceSlot::default();
+    table.push((key, Arc::downgrade(&slot)));
+    slot
+}
+
+/// Runs one standard simulation cell: take the workload trace, run the
+/// scheme, with per-cell-seeded fault injection when configured.
+///
+/// The trace is shared: every cell that runs while another holds the same
+/// `(workload, size, seed)` trace replays that one, and concurrent cells
+/// generate it once. Within a matrix the engine keeps each workload's
+/// trace alive until its last cell finishes.
 pub fn run_cell(
     cfg: &GpuConfig,
     opts: &ExpOptions,
@@ -679,11 +730,12 @@ pub fn run_cell(
     workload: Workload,
     scheme: SchemeKind,
 ) -> CellRun {
-    let trace = workload.generate(opts.size, opts.seed);
+    let slot = trace_slot(workload, opts.size, opts.seed);
+    let trace = slot.get_or_init(|| workload.generate(opts.size, opts.seed));
     let stats = run_scheme_instrumented(
         cfg,
         scheme,
-        &trace,
+        trace,
         &TelemetryConfig::disabled(),
         cell_faults(opts, idx).as_ref(),
     )
@@ -1775,5 +1827,137 @@ mod tests {
         let o = ExpOptions::parse(&argv(&["--metrics-addr", "127.0.0.1:0", "--seed", "2"]))
             .expect("an address parses");
         assert_eq!(o.seed, 2);
+    }
+
+    /// Whether the trace table holds a live slot for `key`.
+    fn table_holds(key: TraceKey) -> bool {
+        lock_clean(&TRACES)
+            .iter()
+            .any(|(k, slot)| *k == key && slot.strong_count() > 0)
+    }
+
+    // The sharing tests use seeds no other test uses, so tests running
+    // side by side never hold their slots.
+
+    #[test]
+    fn concurrent_cells_share_one_generated_trace() {
+        let seed = 0x5EED_0001;
+        let barrier = std::sync::Barrier::new(2);
+        let generated = AtomicUsize::new(0);
+        let slots: Vec<TraceSlot> = std::thread::scope(|scope| {
+            let take = || {
+                barrier.wait();
+                let slot = trace_slot(Workload::Spmv, SizeClass::Tiny, seed);
+                slot.get_or_init(|| {
+                    generated.fetch_add(1, Ordering::SeqCst);
+                    Workload::Spmv.generate(SizeClass::Tiny, seed)
+                });
+                // Neither thread lets go before both hold the slot.
+                barrier.wait();
+                slot
+            };
+            let handles = [scope.spawn(take), scope.spawn(take)];
+            handles.map(|h| h.join().expect("no panic")).into()
+        });
+        assert!(Arc::ptr_eq(&slots[0], &slots[1]));
+        assert_eq!(generated.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            slots[0].get(),
+            Some(&Workload::Spmv.generate(SizeClass::Tiny, seed))
+        );
+    }
+
+    #[test]
+    fn different_sizes_and_seeds_never_alias() {
+        let seed = 0x5EED_0002;
+        let keys = [
+            (Workload::VecAdd, SizeClass::Tiny, seed),
+            (Workload::VecAdd, SizeClass::Small, seed),
+            (Workload::VecAdd, SizeClass::Tiny, seed + 1),
+            (Workload::Saxpy, SizeClass::Tiny, seed),
+        ];
+        let slots: Vec<TraceSlot> = keys.iter().map(|&(w, z, s)| trace_slot(w, z, s)).collect();
+        for (i, a) in slots.iter().enumerate() {
+            for b in &slots[i + 1..] {
+                assert!(!Arc::ptr_eq(a, b));
+            }
+        }
+        for (&(w, z, s), slot) in keys.iter().zip(&slots) {
+            assert!(Arc::ptr_eq(slot, &trace_slot(w, z, s)));
+            if z == SizeClass::Tiny {
+                assert_eq!(slot.get_or_init(|| w.generate(z, s)), &w.generate(z, s));
+            }
+        }
+    }
+
+    #[test]
+    fn released_traces_are_freed() {
+        let _guard = crate::checkpoint::test_guard();
+        let seed = 0x5EED_0003;
+        let key = (Workload::Triad, SizeClass::Tiny, seed);
+        let slot = trace_slot(key.0, key.1, key.2);
+        slot.get_or_init(|| key.0.generate(key.1, key.2));
+        let weak = Arc::downgrade(&slot);
+        assert!(table_holds(key));
+        drop(slot);
+        assert_eq!(weak.strong_count(), 0);
+        assert!(!table_holds(key));
+        // A matrix releases its pins and its cells' holds when it returns.
+        let opts = ExpOptions {
+            seed,
+            ..tiny_opts(2)
+        };
+        let schemes = [
+            SchemeKind::NoProtection,
+            SchemeKind::InlineNaive { coverage: 8 },
+        ];
+        let outcomes =
+            run_matrix_cells(&GpuConfig::tiny(), &[key.0, Workload::Bfs], &schemes, &opts);
+        assert!(outcomes.iter().all(|o| o.status.is_ok()));
+        assert!(!table_holds(key));
+        assert!(!table_holds((Workload::Bfs, SizeClass::Tiny, seed)));
+    }
+
+    #[test]
+    fn single_worker_matrix_replays_one_trace_per_workload() {
+        let _guard = crate::checkpoint::test_guard();
+        let cfg = GpuConfig::tiny();
+        let opts = ExpOptions {
+            seed: 0x5EED_0004,
+            ..tiny_opts(1)
+        };
+        // Weak references keep each slot's allocation, so a freed slot's
+        // address is never reused by a later one.
+        type Seen = Vec<(Workload, Weak<OnceLock<KernelTrace>>)>;
+        let seen: Arc<Mutex<Seen>> = Arc::default();
+        let sink = Arc::clone(&seen);
+        let body: Arc<CellBody> = Arc::new(move |idx, workload, scheme| {
+            let slot = trace_slot(workload, opts.size, opts.seed);
+            lock_clean(&sink).push((workload, Arc::downgrade(&slot)));
+            run_cell(&cfg, &opts, idx, workload, scheme)
+        });
+        let workloads = [Workload::VecAdd, Workload::Histogram];
+        let schemes = [
+            SchemeKind::NoProtection,
+            SchemeKind::InlineNaive { coverage: 8 },
+            SchemeKind::InlineNaive { coverage: 4 },
+        ];
+        let outcomes = run_matrix_cells_with_body(&workloads, &schemes, &opts, body);
+        assert!(outcomes.iter().all(|o| o.status.is_ok()));
+        let seen = lock_clean(&seen);
+        assert_eq!(seen.len(), 6);
+        let firsts: Vec<&Weak<OnceLock<KernelTrace>>> = workloads
+            .iter()
+            .map(|&w| {
+                let mut slots = seen.iter().filter(|(x, _)| *x == w).map(|(_, s)| s);
+                let first = slots.next().expect("the workload ran");
+                assert!(
+                    slots.all(|s| s.ptr_eq(first)),
+                    "{w}: one slot across its cells"
+                );
+                first
+            })
+            .collect();
+        assert!(!firsts[0].ptr_eq(firsts[1]), "workloads never share a slot");
     }
 }

@@ -27,7 +27,7 @@ use crate::l2::L2Slice;
 use crate::protection::ProtectionScheme;
 use crate::sm::{SmCore, StallReason};
 use crate::stats::SimStats;
-use crate::trace::{KernelTrace, WarpTrace};
+use crate::trace::KernelTrace;
 use crate::types::{Cycle, SmId, TrafficClass};
 use crate::xbar::Crossbar;
 use ccraft_telemetry::chrome_trace::{ChromeTrace, TraceEvent};
@@ -396,17 +396,13 @@ pub fn simulate_profiled(
         trace.warps().len()
     );
 
-    // Distribute warps round-robin across SMs.
-    let mut per_sm: Vec<Vec<WarpTrace>> = vec![Vec::new(); sms_n];
-    for (i, w) in trace.warps().iter().enumerate() {
-        per_sm[i % sms_n].push(w.clone());
-    }
-    let mut sms: Vec<SmCore> = per_sm
-        .into_iter()
-        .enumerate()
-        .map(|(i, traces)| {
+    // Distribute warps round-robin across SMs; each SM borrows its warps'
+    // ops from `trace` rather than copying them.
+    let mut sms: Vec<SmCore> = (0..sms_n)
+        .map(|i| {
             let id = SmId(i as u16);
-            SmCore::new(id, &cfg.core, L1Cache::new(id, &cfg.l1), traces)
+            let warps = trace.warps().iter().skip(i).step_by(sms_n);
+            SmCore::new(id, &cfg.core, L1Cache::new(id, &cfg.l1), warps)
         })
         .collect();
 
@@ -993,7 +989,7 @@ pub fn simulate_with_exec(
 mod tests {
     use super::*;
     use crate::protection::{ChannelInterleave, NoProtection};
-    use crate::trace::WarpOp;
+    use crate::trace::{WarpOp, WarpTrace};
     use crate::types::{LogicalAtom, TrafficClass};
 
     fn tiny_scheme(cfg: &GpuConfig) -> NoProtection {

@@ -203,8 +203,7 @@ impl L2Slice {
         let evicted = self.cache.fill(m.atom, m.dirty_after_fill);
         self.stats.fills += 1;
         if let Some(ev) = evicted {
-            let dirty = ev.dirty_atoms.clone();
-            self.queue_writebacks(&dirty, &dirty, scheme, now);
+            self.queue_writebacks(&ev.dirty_atoms, &ev.dirty_atoms, scheme, now);
         }
         for (sm, l1_mshr) in m.waiters {
             self.resp_q.push_back((
@@ -347,8 +346,12 @@ impl L2Slice {
                         } else {
                             let evicted = self.cache.fill(atom, true);
                             if let Some(ev) = evicted {
-                                let dirty = ev.dirty_atoms.clone();
-                                self.queue_writebacks(&dirty, &dirty, scheme, now);
+                                self.queue_writebacks(
+                                    &ev.dirty_atoms,
+                                    &ev.dirty_atoms,
+                                    scheme,
+                                    now,
+                                );
                             }
                         }
                     }

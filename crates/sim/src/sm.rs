@@ -1,6 +1,7 @@
 //! Streaming-multiprocessor core model: warp scheduling and trace replay.
 //!
-//! Each SM hosts a set of resident warps replaying [`WarpTrace`]s. Per
+//! Each SM hosts a set of resident warps replaying [`WarpTrace`]s, which
+//! it borrows from the caller's kernel trace for the length of the run. Per
 //! cycle the SM can issue one instruction: compute ops retire by simply
 //! making the warp busy for their latency; memory ops are streamed through
 //! the load/store unit into the L1 at one coalesced access per cycle.
@@ -16,8 +17,10 @@ use crate::trace::{WarpOp, WarpTrace};
 use crate::types::{AccessKind, Cycle, SmId, WarpIdx};
 
 #[derive(Debug)]
-struct WarpState {
-    trace: WarpTrace,
+struct WarpState<'t> {
+    /// The warp's ops, borrowed from the kernel trace. The slice carries
+    /// its length, so `ready`/`done` read no further than this struct.
+    ops: &'t [WarpOp],
     /// Next op index.
     pc: usize,
     /// Warp unavailable until this cycle (compute latency).
@@ -32,11 +35,11 @@ struct WarpState {
     at_memory_op: bool,
 }
 
-impl WarpState {
-    fn new(trace: WarpTrace) -> Self {
-        let at_memory_op = trace.ops().first().is_some_and(WarpOp::is_memory);
+impl<'t> WarpState<'t> {
+    fn new(ops: &'t [WarpOp]) -> Self {
+        let at_memory_op = ops.first().is_some_and(WarpOp::is_memory);
         WarpState {
-            trace,
+            ops,
             pc: 0,
             ready_at: 0,
             outstanding: 0,
@@ -48,18 +51,18 @@ impl WarpState {
     /// Moves past the op at `pc`.
     fn advance(&mut self) {
         self.pc += 1;
-        self.at_memory_op = self.trace.ops().get(self.pc).is_some_and(WarpOp::is_memory);
+        self.at_memory_op = self.ops.get(self.pc).is_some_and(WarpOp::is_memory);
     }
 
     /// Fully retired: all ops issued, trailing compute latency elapsed,
     /// and no loads outstanding.
     fn done(&self, now: Cycle) -> bool {
-        self.pc >= self.trace.len() && self.outstanding == 0 && self.ready_at <= now
+        self.pc >= self.ops.len() && self.outstanding == 0 && self.ready_at <= now
     }
 
     /// Ready to be picked by the scheduler this cycle.
     fn ready(&self, now: Cycle) -> bool {
-        self.pc < self.trace.len() && self.ready_at <= now && self.outstanding == 0
+        self.pc < self.ops.len() && self.ready_at <= now && self.outstanding == 0
     }
 }
 
@@ -94,11 +97,12 @@ pub enum StallReason {
     AllDone,
 }
 
-/// One SM: warps plus its private L1.
+/// One SM: warps plus its private L1. `'t` is the lifetime of the kernel
+/// trace the warps replay.
 #[derive(Debug)]
-pub struct SmCore {
+pub struct SmCore<'t> {
     id: SmId,
-    warps: Vec<WarpState>,
+    warps: Vec<WarpState<'t>>,
     policy: SchedulerPolicy,
     /// GTO current warp / RR rotation pointer.
     cursor: usize,
@@ -109,15 +113,23 @@ pub struct SmCore {
     stats: SmStats,
 }
 
-impl SmCore {
-    /// Builds an SM with the given resident warp traces (one entry per
-    /// hardware warp slot; pad with empty traces for idle slots).
-    pub fn new(id: SmId, cfg: &CoreConfig, l1: L1Cache, traces: Vec<WarpTrace>) -> Self {
+impl<'t> SmCore<'t> {
+    /// Builds an SM with the given resident warp traces (at most one per
+    /// hardware warp slot), borrowed for the SM's lifetime.
+    pub fn new(
+        id: SmId,
+        cfg: &CoreConfig,
+        l1: L1Cache,
+        traces: impl IntoIterator<Item = &'t WarpTrace>,
+    ) -> Self {
+        let warps: Vec<WarpState<'t>> = traces
+            .into_iter()
+            .map(|t| WarpState::new(t.ops()))
+            .collect();
         assert!(
-            traces.len() <= cfg.warps_per_sm as usize,
+            warps.len() <= cfg.warps_per_sm as usize,
             "more traces than warp slots"
         );
-        let warps = traces.into_iter().map(WarpState::new).collect();
         SmCore {
             id,
             warps,
@@ -159,7 +171,7 @@ impl SmCore {
             return;
         }
         let w = &mut self.warps[widx];
-        let op = &w.trace.ops()[w.pc];
+        let op = &w.ops[w.pc];
         let (atoms, kind): (&[crate::types::LogicalAtom], AccessKind) = match op {
             WarpOp::Load { atoms } => (atoms, AccessKind::Read),
             WarpOp::Store { atoms, full } => (atoms, AccessKind::Write { full: *full }),
@@ -253,7 +265,7 @@ impl SmCore {
             self.cursor = widx;
             self.pump_lsu();
         } else {
-            if let WarpOp::Compute { cycles } = w.trace.ops()[w.pc] {
+            if let WarpOp::Compute { cycles } = w.ops[w.pc] {
                 w.ready_at = now + cycles as Cycle;
             }
             w.advance();
@@ -270,7 +282,7 @@ impl SmCore {
 
     /// Total ops across all resident warp traces (for progress accounting).
     pub fn total_trace_ops(&self) -> u64 {
-        self.warps.iter().map(|w| w.trace.len() as u64).sum()
+        self.warps.iter().map(|w| w.ops.len() as u64).sum()
     }
 
     /// Earliest cycle at which this SM can make progress, for idle
@@ -302,7 +314,7 @@ impl SmCore {
             }
             if w.ready_at > now {
                 wake = Some(wake.map_or(w.ready_at, |c| c.min(w.ready_at)));
-            } else if w.pc < w.trace.len() && !lsu_stuck {
+            } else if w.pc < w.ops.len() && !lsu_stuck {
                 // Ready to issue this very cycle.
                 return Some(now);
             }
@@ -369,7 +381,7 @@ mod tests {
     use crate::msg::L2Request;
     use crate::types::{LogicalAtom, PhysLoc};
 
-    fn mk_sm(traces: Vec<WarpTrace>) -> SmCore {
+    fn mk_sm(traces: &[WarpTrace]) -> SmCore<'_> {
         let cfg = GpuConfig::tiny();
         let l1 = L1Cache::new(SmId(0), &cfg.l1);
         SmCore::new(SmId(0), &cfg.core, l1, traces)
@@ -380,7 +392,7 @@ mod tests {
     }
 
     /// Runs the SM, answering every L2 read after `mem_latency` cycles.
-    fn run_with_memory(sm: &mut SmCore, limit: Cycle, mem_latency: Cycle) -> Cycle {
+    fn run_with_memory(sm: &mut SmCore<'_>, limit: Cycle, mem_latency: Cycle) -> Cycle {
         let mut pending: Vec<(Cycle, L2Request)> = Vec::new();
         for now in 0..limit {
             // Deliver matured responses.
@@ -418,14 +430,18 @@ mod tests {
     /// finishing cycle, the ticks skipped per stall reason
     /// (`[no ready warp, LSU busy]`), and how many sleeps had no event of
     /// their own (they last until a response).
-    fn run_sleeping(sm: &mut SmCore, limit: Cycle, mem_latency: Cycle) -> (Cycle, [u64; 2], u64) {
+    fn run_sleeping(
+        sm: &mut SmCore<'_>,
+        limit: Cycle,
+        mem_latency: Cycle,
+    ) -> (Cycle, [u64; 2], u64) {
         let mut pending: Vec<(Cycle, L2Request)> = Vec::new();
         let mut wake: Cycle = 0;
         let mut stall = StallReason::AllDone;
         let mut skipped = 0;
         let mut skipped_by = [0; 2];
         let mut response_sleeps = 0;
-        let mut settle = |sm: &mut SmCore, skipped: &mut u64, stall: StallReason| {
+        let mut settle = |sm: &mut SmCore<'_>, skipped: &mut u64, stall: StallReason| {
             sm.account_stalled_span(*skipped, stall);
             match stall {
                 StallReason::NoReadyWarp => skipped_by[0] += *skipped,
@@ -503,9 +519,10 @@ mod tests {
 
     #[test]
     fn mshr_blocked_sm_sleeps_until_a_response() {
-        let mut ticked = mk_sm(mshr_exhausting_warps());
+        let warps = mshr_exhausting_warps();
+        let mut ticked = mk_sm(&warps);
         let end_ticked = run_with_memory(&mut ticked, 10_000, 60);
-        let mut slept = mk_sm(mshr_exhausting_warps());
+        let mut slept = mk_sm(&warps);
         let (end_slept, skipped_by, response_sleeps) = run_sleeping(&mut slept, 10_000, 60);
         assert_eq!(end_slept, end_ticked);
         assert_eq!(slept.stats(), ticked.stats());
@@ -527,7 +544,7 @@ mod tests {
     fn quiet_probe_means_the_tick_issues_nothing() {
         let mut warps = mshr_exhausting_warps();
         warps[1] = WarpTrace::new(vec![WarpOp::Compute { cycles: 3 }; 60]);
-        let mut sm = mk_sm(warps);
+        let mut sm = mk_sm(&warps);
         let mut pending: Vec<(Cycle, L2Request)> = Vec::new();
         let mut quiet_ticks = 0;
         for now in 0..10_000 {
@@ -576,7 +593,7 @@ mod tests {
             WarpOp::Compute { cycles: 10 },
             WarpOp::Compute { cycles: 5 },
         ]);
-        let mut sm = mk_sm(vec![trace]);
+        let mut sm = mk_sm(std::slice::from_ref(&trace));
         let end = run_with_memory(&mut sm, 1000, 1);
         // Issue at 0, ready at 10, issue at 10, ready at 15.
         assert!((14..=16).contains(&end), "end={end}");
@@ -591,7 +608,7 @@ mod tests {
             },
             WarpOp::Compute { cycles: 1 },
         ]);
-        let mut sm = mk_sm(vec![trace]);
+        let mut sm = mk_sm(std::slice::from_ref(&trace));
         let end = run_with_memory(&mut sm, 1000, 50);
         assert!(end >= 50, "load latency not respected: end={end}");
     }
@@ -605,7 +622,7 @@ mod tests {
             },
             WarpOp::Compute { cycles: 1 },
         ]);
-        let mut sm = mk_sm(vec![trace]);
+        let mut sm = mk_sm(std::slice::from_ref(&trace));
         // Even with huge memory latency the warp never waits on the store.
         let end = run_with_memory(&mut sm, 100, 10_000);
         assert!(end < 20, "store must not block: end={end}");
@@ -620,7 +637,8 @@ mod tests {
                 atoms: vec![LogicalAtom(i * 1000)],
             }])
         };
-        let mut sm = mk_sm((0..4).map(mk).collect());
+        let traces: Vec<WarpTrace> = (0..4).map(mk).collect();
+        let mut sm = mk_sm(&traces);
         let end = run_with_memory(&mut sm, 10_000, 100);
         assert!(end < 200, "latency not overlapped: end={end}");
     }
@@ -634,7 +652,8 @@ mod tests {
             WarpOp::Compute { cycles: 0 },
         ]);
         let t1 = WarpTrace::new(vec![WarpOp::Compute { cycles: 0 }]);
-        let mut sm = mk_sm(vec![t0, t1]);
+        let traces = [t0, t1];
+        let mut sm = mk_sm(&traces);
         sm.tick(0, &mut identity, &mut |_| true);
         sm.tick(1, &mut identity, &mut |_| true);
         // After two cycles warp 0 (cursor) should have issued both its ops.
@@ -654,7 +673,8 @@ mod tests {
         let mut core_cfg = cfg.core;
         core_cfg.scheduler = SchedulerPolicy::RoundRobin;
         let l1 = L1Cache::new(SmId(0), &cfg.l1);
-        let mut sm = SmCore::new(SmId(0), &core_cfg, l1, vec![mk(), mk()]);
+        let traces = [mk(), mk()];
+        let mut sm = SmCore::new(SmId(0), &core_cfg, l1, &traces);
         sm.tick(0, &mut identity, &mut |_| true);
         sm.tick(1, &mut identity, &mut |_| true);
         assert_eq!(sm.warps[0].pc, 1);
@@ -670,7 +690,8 @@ mod tests {
                 atoms: (0..4).map(|i| LogicalAtom(base + i * 1000)).collect(),
             }])
         };
-        let mut sm = mk_sm(vec![mk(0), mk(100_000)]);
+        let traces = [mk(0), mk(100_000)];
+        let mut sm = mk_sm(&traces);
         let mut sent_at: Vec<Cycle> = Vec::new();
         for now in 0..20 {
             sm.tick(now, &mut identity, &mut |req| {
@@ -699,7 +720,8 @@ mod tests {
         let t1 = WarpTrace::new(vec![WarpOp::Load {
             atoms: (0..4).map(|i| LogicalAtom(100_000 + i * 1000)).collect(),
         }]);
-        let mut sm = mk_sm(vec![t0, t1]);
+        let traces = [t0, t1];
+        let mut sm = mk_sm(&traces);
         let _ = run_with_memory(&mut sm, 10_000, 100);
         let s = sm.stats();
         assert!(s.stall_no_ready_warp > 0, "{s:?}");
@@ -713,7 +735,7 @@ mod tests {
 
     #[test]
     fn empty_sm_is_done_immediately() {
-        let sm = mk_sm(vec![]);
+        let sm = mk_sm(&[]);
         assert!(sm.all_warps_done(0));
         assert_eq!(sm.total_trace_ops(), 0);
     }
@@ -722,10 +744,10 @@ mod tests {
     #[should_panic(expected = "more traces than warp slots")]
     fn rejects_too_many_traces() {
         let cfg = GpuConfig::tiny();
-        let traces = (0..cfg.core.warps_per_sm + 1)
+        let traces: Vec<WarpTrace> = (0..cfg.core.warps_per_sm + 1)
             .map(|_| WarpTrace::new(vec![WarpOp::Compute { cycles: 1 }]))
             .collect();
         let l1 = L1Cache::new(SmId(0), &cfg.l1);
-        let _ = SmCore::new(SmId(0), &cfg.core, l1, traces);
+        let _ = SmCore::new(SmId(0), &cfg.core, l1, &traces);
     }
 }

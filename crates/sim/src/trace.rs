@@ -28,7 +28,6 @@
 
 use crate::types::LogicalAtom;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// One operation in a warp's instruction stream.
@@ -79,12 +78,14 @@ pub struct WarpTrace {
 }
 
 impl WarpTrace {
-    /// Wraps an op list.
+    /// Wraps an op list, dropping its spare capacity: the simulator
+    /// replays the trace in place, so it stays allocated for whole runs.
     ///
     /// # Panics
     ///
     /// Panics if any memory op has an empty atom list (a malformed trace).
-    pub fn new(ops: Vec<WarpOp>) -> Self {
+    pub fn new(mut ops: Vec<WarpOp>) -> Self {
+        ops.shrink_to_fit();
         for (i, op) in ops.iter().enumerate() {
             if op.is_memory() {
                 assert!(
@@ -161,18 +162,20 @@ impl KernelTrace {
 
     /// Number of *distinct* atoms touched (the memory footprint).
     pub fn footprint_atoms(&self) -> u64 {
-        let mut seen = BTreeSet::new();
+        let mut atoms: Vec<LogicalAtom> = Vec::with_capacity(self.total_accesses() as usize);
         for w in &self.warps {
             for op in w.ops() {
                 match op {
-                    WarpOp::Load { atoms } | WarpOp::Store { atoms, .. } => {
-                        seen.extend(atoms.iter().copied());
+                    WarpOp::Load { atoms: a } | WarpOp::Store { atoms: a, .. } => {
+                        atoms.extend_from_slice(a);
                     }
                     WarpOp::Compute { .. } => {}
                 }
             }
         }
-        seen.len() as u64
+        atoms.sort_unstable();
+        atoms.dedup();
+        atoms.len() as u64
     }
 
     /// Largest atom index referenced, or `None` for a compute-only trace.

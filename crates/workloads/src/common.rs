@@ -118,16 +118,19 @@ pub fn store_from_addrs(addrs: &[u64], elem_bytes: u32) -> Vec<WarpOp> {
         return Vec::new();
     }
     let covered = coalesce_writes(addrs, elem_bytes);
-    let full: Vec<_> = covered
+    let mut full: Vec<_> = covered
         .iter()
         .filter(|&&(_, f)| f)
         .map(|&(a, _)| a)
         .collect();
-    let partial: Vec<_> = covered
+    let mut partial: Vec<_> = covered
         .iter()
         .filter(|&&(_, f)| !f)
         .map(|&(a, _)| a)
         .collect();
+    // The trace keeps these lists for the whole run.
+    full.shrink_to_fit();
+    partial.shrink_to_fit();
     let mut ops = Vec::new();
     if !full.is_empty() {
         ops.push(WarpOp::Store {

@@ -1,4 +1,5 @@
-//! Golden regression: pinned end-to-end statistics for two configurations.
+//! Golden regression: pinned end-to-end statistics for two configurations,
+//! and a pinned digest of every generated workload trace.
 //!
 //! `GpuConfig::tiny()` runs with DRAM refresh off; the `gddr6()` golden
 //! runs with refresh on, so refresh timing and the `refreshes` count are
@@ -9,6 +10,7 @@
 
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
+use cachecraft::sim::trace::{KernelTrace, WarpOp};
 use cachecraft::workloads::{SizeClass, Workload};
 
 #[test]
@@ -87,5 +89,76 @@ fn pinned_stats_spmv_tiny_gddr6() {
             "{name}: row-buffer outcomes drifted"
         );
         assert_eq!(s.refreshes, refreshes, "{name}: refresh count drifted");
+    }
+}
+
+/// 64-bit FNV-1a over a trace's content: per warp its op count, then per
+/// op its kind, its compute cycles or its atoms in order, and a store's
+/// `full` flag.
+fn trace_digest(trace: &KernelTrace) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for warp in trace.warps() {
+        feed(warp.len() as u64);
+        for op in warp.ops() {
+            match op {
+                WarpOp::Compute { cycles } => {
+                    feed(0);
+                    feed(u64::from(*cycles));
+                }
+                WarpOp::Load { atoms } => {
+                    feed(1);
+                    feed(atoms.len() as u64);
+                    atoms.iter().for_each(|a| feed(a.0));
+                }
+                WarpOp::Store { atoms, full } => {
+                    feed(2);
+                    feed(atoms.len() as u64);
+                    atoms.iter().for_each(|a| feed(a.0));
+                    feed(u64::from(*full));
+                }
+            }
+        }
+    }
+    h
+}
+
+/// `(tiny, small)` trace digests at seed 1, in `Workload::ALL` order. A
+/// failing run prints the digests it computed in this layout.
+const TRACE_DIGESTS: [(&str, u64, u64); 13] = [
+    ("vecadd", 0xbf1774bfb7384f25, 0x363bd691a8e4a925),
+    ("triad", 0x2c3af4dcb4fb8425, 0x43a8259fca5e1125),
+    ("saxpy", 0x91717296a0fae025, 0xa3d0ef78d015c925),
+    ("reduction", 0xd7bfc2367080fdbc, 0x3c2762222ca8216c),
+    ("gemm", 0xcba17eb8c26e00a5, 0xbf284b5bddb94625),
+    ("stencil2d", 0xeb46f852cf7c84c5, 0x4afb6a01151fc505),
+    ("conv2d", 0x5454381408ae6505, 0x85d08b4572ed5125),
+    ("transpose", 0x5df851f21344d525, 0xdbb93e08a4b83725),
+    ("kmeans", 0x05e1c4d3271db013, 0x0c37c5f305ae0f83),
+    ("spmv", 0x23bb80b22ced2f5f, 0xc2ee48d3209bb0f5),
+    ("bfs", 0x6cbbe36369d06319, 0x0e8919b4e5b41f66),
+    ("histogram", 0xcb38c781cd127817, 0x357d496b1bf50f89),
+    ("montecarlo", 0xe1f6d71332326f69, 0x4d36af3915a945c2),
+];
+
+#[test]
+fn pinned_trace_digests_every_workload() {
+    let got: Vec<(&str, u64, u64)> = Workload::ALL
+        .into_iter()
+        .map(|w| {
+            let digest = |size| trace_digest(&w.generate(size, 1));
+            (w.name(), digest(SizeClass::Tiny), digest(SizeClass::Small))
+        })
+        .collect();
+    for (name, tiny, small) in &got {
+        println!("    (\"{name}\", {tiny:#018x}, {small:#018x}),");
+    }
+    for (got, expect) in got.into_iter().zip(TRACE_DIGESTS) {
+        assert_eq!(got, expect, "{}: generated trace drifted", expect.0);
     }
 }
