@@ -1,5 +1,5 @@
-//! Scheme selection and one-call simulation entry points used by the
-//! experiment harness, benches and examples.
+//! Scheme selection and [`run_scheme`], the one-call simulation wrapper
+//! used by the experiment harness, tests and examples.
 
 use crate::cachecraft::{CacheCraft, CacheCraftConfig};
 use crate::ecc_cache::EccCache;
@@ -9,6 +9,7 @@ use ccraft_sim::dram::MapOrder;
 use ccraft_sim::protection::{ChannelInterleave, NoProtection, ProtectionScheme};
 use ccraft_sim::stats::SimStats;
 use ccraft_sim::trace::KernelTrace;
+use ccraft_sim::{simulate, Observe};
 use std::fmt;
 
 /// The protection schemes of the evaluation.
@@ -101,45 +102,20 @@ impl fmt::Display for SchemeKind {
 /// mapping, returning the run's statistics.
 pub fn run_scheme(cfg: &GpuConfig, kind: SchemeKind, trace: &KernelTrace) -> SimStats {
     let mut scheme = kind.build(cfg);
-    ccraft_sim::gpu::simulate(cfg, MapOrder::RoBaCo, trace, scheme.as_mut())
+    simulate(
+        cfg,
+        MapOrder::RoBaCo,
+        trace,
+        scheme.as_mut(),
+        &Observe::default(),
+    )
+    .stats
 }
 
-/// Like [`run_scheme`], but with telemetry collection configured by
-/// `tel`: the returned [`ccraft_sim::SimOutput`] carries the latency
-/// histogram and epoch timeline inside its stats (when enabled) and the
-/// Chrome trace (when `tel.trace_events` is set). With
-/// `TelemetryConfig::disabled()` the stats are bit-identical to
-/// [`run_scheme`].
-pub fn run_scheme_with_telemetry(
-    cfg: &GpuConfig,
-    kind: SchemeKind,
-    trace: &KernelTrace,
-    tel: &ccraft_telemetry::TelemetryConfig,
-) -> ccraft_sim::SimOutput {
-    run_scheme_instrumented(cfg, kind, trace, tel, None)
-}
-
-/// Like [`run_scheme_with_telemetry`], plus optional in-situ fault
-/// injection: when `faults` is given, DRAM reads are exposed to the
-/// configured error pattern, decode trials run through the scheme's
-/// storage codec, and benign/corrected/DUE/SDC counters land in
-/// [`SimStats::faults`](ccraft_sim::SimStats).
-pub fn run_scheme_instrumented(
-    cfg: &GpuConfig,
-    kind: SchemeKind,
-    trace: &KernelTrace,
-    tel: &ccraft_telemetry::TelemetryConfig,
-    faults: Option<&ccraft_sim::faults::FaultConfig>,
-) -> ccraft_sim::SimOutput {
-    run_scheme_profiled(cfg, kind, trace, tel, faults, false)
-}
-
-/// Like [`run_scheme_instrumented`], plus optional self-profiling: when
-/// `profile` is true the returned output carries a
-/// [`SimProfile`](ccraft_telemetry::profiler::SimProfile) with host
-/// wall-time attribution per component, memo hit rates, idle-span and
-/// scan-depth histograms, and the per-channel load table. Profiling is
-/// observation only — stats stay bit-identical either way.
+/// [`run_scheme`] with the observers as positional arguments. Kept only
+/// for the benchmark crate (`ccbench/`); ROADMAP item 7 deletes it.
+/// Callers that observe build the scheme with [`SchemeKind::build`] and
+/// call [`ccraft_sim::simulate`] with an [`Observe`].
 pub fn run_scheme_profiled(
     cfg: &GpuConfig,
     kind: SchemeKind,
@@ -148,16 +124,12 @@ pub fn run_scheme_profiled(
     faults: Option<&ccraft_sim::faults::FaultConfig>,
     profile: bool,
 ) -> ccraft_sim::SimOutput {
-    let mut scheme = kind.build(cfg);
-    ccraft_sim::gpu::simulate_profiled(
-        cfg,
-        MapOrder::RoBaCo,
-        trace,
-        scheme.as_mut(),
-        tel,
-        faults,
+    let obs = Observe {
+        telemetry: tel.clone(),
+        faults: faults.copied(),
         profile,
-    )
+    };
+    simulate(cfg, MapOrder::RoBaCo, trace, kind.build(cfg).as_mut(), &obs)
 }
 
 #[cfg(test)]
@@ -179,6 +151,15 @@ mod tests {
             })
             .collect();
         KernelTrace::new("stream", warps)
+    }
+
+    fn observe(
+        cfg: &GpuConfig,
+        kind: SchemeKind,
+        trace: &KernelTrace,
+        obs: &Observe,
+    ) -> ccraft_sim::SimOutput {
+        simulate(cfg, MapOrder::RoBaCo, trace, kind.build(cfg).as_mut(), obs)
     }
 
     #[test]
@@ -231,28 +212,22 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_entry_point_matches_plain_run() {
+    fn telemetry_observer_matches_plain_run() {
         let cfg = GpuConfig::tiny();
         let trace = small_stream();
         let kind = SchemeKind::CacheCraft(CacheCraftConfig::for_machine(&cfg));
         let plain = run_scheme(&cfg, kind, &trace);
         // Disabled telemetry: bit-identical stats, no trace.
-        let off = run_scheme_with_telemetry(
-            &cfg,
-            kind,
-            &trace,
-            &ccraft_telemetry::TelemetryConfig::disabled(),
-        );
+        let off = observe(&cfg, kind, &trace, &Observe::default());
         assert_eq!(off.stats, plain);
         assert!(off.trace.is_none());
         // Enabled telemetry: histogram and timeline attached, aggregates
         // unchanged.
-        let on = run_scheme_with_telemetry(
-            &cfg,
-            kind,
-            &trace,
-            &ccraft_telemetry::TelemetryConfig::enabled(),
-        );
+        let obs = Observe {
+            telemetry: ccraft_telemetry::TelemetryConfig::enabled(),
+            ..Observe::default()
+        };
+        let on = observe(&cfg, kind, &trace, &obs);
         assert_eq!(on.stats.exec_cycles, plain.exec_cycles);
         let hist = on.stats.latency_hist.as_ref().expect("histogram attached");
         assert!(hist.p99() >= hist.p50());
@@ -271,9 +246,12 @@ mod tests {
             rate: FaultRate::PerAccess { p: 1.0 },
             seed: 42,
         };
-        let tel = ccraft_telemetry::TelemetryConfig::disabled();
+        let obs = Observe {
+            faults: Some(fc),
+            ..Observe::default()
+        };
         let run = |kind| {
-            run_scheme_instrumented(&cfg, kind, &trace, &tel, Some(&fc))
+            observe(&cfg, kind, &trace, &obs)
                 .stats
                 .faults
                 .expect("fault stats")

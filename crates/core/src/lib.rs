@@ -51,8 +51,6 @@ pub mod storage;
 
 pub use cachecraft::{CacheCraft, CacheCraftConfig};
 pub use ecc_cache::EccCache;
-pub use factory::{
-    run_scheme, run_scheme_instrumented, run_scheme_profiled, run_scheme_with_telemetry, SchemeKind,
-};
+pub use factory::{run_scheme, run_scheme_profiled, SchemeKind};
 pub use frugal::CompressedInline;
 pub use naive::InlineNaive;

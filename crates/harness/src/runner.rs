@@ -15,13 +15,14 @@
 use crate::cellcache::{cached, CellKey};
 use crate::checkpoint;
 use crate::error::Error;
-use ccraft_core::factory::{run_scheme_instrumented, SchemeKind};
+use ccraft_core::factory::SchemeKind;
 use ccraft_sim::config::GpuConfig;
+use ccraft_sim::dram::MapOrder;
 use ccraft_sim::faults::FaultConfig;
 use ccraft_sim::stats::SimStats;
 use ccraft_sim::trace::KernelTrace;
+use ccraft_sim::{simulate, Observe};
 use ccraft_telemetry::manifest::RunManifest;
-use ccraft_telemetry::TelemetryConfig;
 use ccraft_workloads::{SizeClass, Workload};
 use std::io::IsTerminal as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -732,14 +733,12 @@ pub fn run_cell(
 ) -> CellRun {
     let slot = trace_slot(workload, opts.size, opts.seed);
     let trace = slot.get_or_init(|| workload.generate(opts.size, opts.seed));
-    let stats = run_scheme_instrumented(
-        cfg,
-        scheme,
-        trace,
-        &TelemetryConfig::disabled(),
-        cell_faults(opts, idx).as_ref(),
-    )
-    .stats;
+    let obs = Observe {
+        faults: cell_faults(opts, idx),
+        ..Observe::default()
+    };
+    let mut built = scheme.build(cfg);
+    let stats = simulate(cfg, MapOrder::RoBaCo, trace, built.as_mut(), &obs).stats;
     CellRun::plain(stats)
 }
 

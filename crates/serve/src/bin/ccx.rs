@@ -13,7 +13,7 @@
 //! ccx submit --workload all --scheme all --size tiny
 //! ```
 
-use ccraft_core::factory::{run_scheme, run_scheme_profiled, SchemeKind};
+use ccraft_core::factory::SchemeKind;
 use ccraft_core::reliability::{Campaign, CodecKind};
 use ccraft_ecc::inject::ErrorPattern;
 use ccraft_harness::experiments;
@@ -22,7 +22,9 @@ use ccraft_harness::report::{results_dir, write_manifest};
 use ccraft_harness::{Error, ExpOptions, OPTIONS_USAGE};
 use ccraft_serve::{machine_by_name, scheme_by_name};
 use ccraft_sim::config::GpuConfig;
+use ccraft_sim::dram::MapOrder;
 use ccraft_sim::energy::EnergyModel;
+use ccraft_sim::{simulate, Observe};
 use ccraft_telemetry::chrome_trace::ChromeTrace;
 use ccraft_telemetry::manifest::RunManifest;
 use ccraft_telemetry::profiler::{CellProfile, ProfileReport};
@@ -214,14 +216,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let tel = if trace_path.is_some() {
+    let telemetry = if trace_path.is_some() {
         TelemetryConfig::full()
     } else if show_hist || timeline_path.is_some() {
         TelemetryConfig::enabled()
     } else {
         TelemetryConfig::disabled()
     };
-    let telemetry_on = tel.enabled || tel.trace_events;
+    let obs = Observe {
+        telemetry,
+        faults: fault_cfg,
+        profile,
+    };
     let Some(workload_arg) = parse_flag(args, "--workload") else {
         eprintln!("--workload is required\n\n{USAGE}");
         return ExitCode::FAILURE;
@@ -263,31 +269,27 @@ fn cmd_run(args: &[String]) -> ExitCode {
         let trace = w.generate(size, seed);
         println!("\n{trace}");
         for &kind in &schemes {
-            let s = if profile || telemetry_on || fault_cfg.is_some() {
-                let out =
-                    run_scheme_profiled(&cfg, kind, &trace, &tel, fault_cfg.as_ref(), profile);
-                if let Some(chrome) = out.trace {
-                    last_trace = Some((format!("{}/{}", w.name(), kind.name()), chrome));
-                }
-                if let Some(tl) = &out.stats.timeline {
-                    timeline_cells.push(Value::Object(vec![
-                        ("workload".to_string(), Value::String(w.name().to_string())),
-                        ("scheme".to_string(), Value::String(kind.name().to_string())),
-                        ("timeline".to_string(), tl.to_value()),
-                    ]));
-                }
-                if let Some(p) = out.profile {
-                    print_profile_summary(&p);
-                    profile_report.cells.push(CellProfile {
-                        workload: w.name().to_string(),
-                        scheme: kind.name().to_string(),
-                        profile: p,
-                    });
-                }
-                out.stats
-            } else {
-                run_scheme(&cfg, kind, &trace)
-            };
+            let mut scheme = kind.build(&cfg);
+            let out = simulate(&cfg, MapOrder::RoBaCo, &trace, scheme.as_mut(), &obs);
+            if let Some(chrome) = out.trace {
+                last_trace = Some((format!("{}/{}", w.name(), kind.name()), chrome));
+            }
+            if let Some(tl) = &out.stats.timeline {
+                timeline_cells.push(Value::Object(vec![
+                    ("workload".to_string(), Value::String(w.name().to_string())),
+                    ("scheme".to_string(), Value::String(kind.name().to_string())),
+                    ("timeline".to_string(), tl.to_value()),
+                ]));
+            }
+            if let Some(p) = out.profile {
+                print_profile_summary(&p);
+                profile_report.cells.push(CellProfile {
+                    workload: w.name().to_string(),
+                    scheme: kind.name().to_string(),
+                    profile: p,
+                });
+            }
+            let s = out.stats;
             cells += 1;
             cell_names.push(format!("{}/{}", w.name(), kind.name()));
             println!("{s}");

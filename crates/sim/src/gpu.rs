@@ -34,13 +34,14 @@ use ccraft_telemetry::chrome_trace::{ChromeTrace, TraceEvent};
 use ccraft_telemetry::profiler::{ChannelLoad, HostStamp, MemoStats, PhaseTimer, SimProfile};
 use ccraft_telemetry::{Histogram, Sampler, TelemetryConfig};
 
-/// Result of an instrumented run: the stats (with optional histogram and
-/// timeline attached) plus the Chrome trace when event tracing was on and
-/// the self-profile when profiling was on.
+/// Result of a [`simulate`] run: the stats (with the histogram, timeline
+/// and fault counters attached when those observers were on) plus the
+/// Chrome trace when event tracing was on and the self-profile when
+/// profiling was on.
 #[derive(Debug)]
 pub struct SimOutput {
     /// Aggregate statistics; `latency_hist` / `timeline` are populated
-    /// when telemetry was enabled.
+    /// when telemetry was enabled, `faults` when injection was on.
     pub stats: SimStats,
     /// Collected trace events, when `trace_events` was enabled.
     pub trace: Option<ChromeTrace>,
@@ -49,9 +50,9 @@ pub struct SimOutput {
     pub profile: Option<SimProfile>,
 }
 
-/// Live profiling state threaded through the cycle loop by
-/// [`simulate_profiled`]. All host-time reads go through the lap timer
-/// `t`; laps are attributed to the phase that just ran.
+/// Live profiling state threaded through the cycle loop by [`simulate`]
+/// when [`Observe::profile`] is on. All host-time reads go through the
+/// lap timer `t`; laps are attributed to the phase that just ran.
 #[derive(Debug)]
 struct LoopProf {
     /// Stamp taken before the first cycle (whole-run wall time).
@@ -289,15 +290,44 @@ fn emit_epoch_events(
     }
 }
 
-/// Runs `trace` on the machine described by `cfg` under `scheme`.
+/// What a run observes besides its aggregate stats. Every observer is
+/// off by default, so `Observe::default()` is the zero-overhead run.
+///
+/// Observers never schedule: with any combination on, the simulated
+/// machine behaves identically and [`SimStats`] stay bit-identical to an
+/// unobserved run, apart from the fields the observers fill in
+/// (`latency_hist`, `timeline`, `faults`).
+#[derive(Debug, Clone, Default)]
+pub struct Observe {
+    /// Telemetry. `enabled` records a DRAM read-latency histogram and an
+    /// epoch time-series into the stats; `trace_events` additionally
+    /// collects Chrome trace events (per-transaction DRAM slices plus
+    /// per-epoch activity slices per SM and channel lane) into
+    /// [`SimOutput::trace`].
+    pub telemetry: TelemetryConfig,
+    /// In-situ fault injection. Every DRAM read transaction is exposed to
+    /// the configured error pattern at the configured rate, decode trials
+    /// run through the scheme's
+    /// [`fault_codec`](ProtectionScheme::fault_codec), and the
+    /// benign/corrected/DUE/SDC counters land in [`SimStats::faults`].
+    pub faults: Option<FaultConfig>,
+    /// Self-profiling. Records where host wall-time goes per component
+    /// (SM / L1 / xbar / L2 / MC / DRAM scheduling / flush / idle probe),
+    /// the sleep- and scan-memo hit rates, idle fast-forward span
+    /// lengths, FR-FCFS scan depths, and a per-channel load table, all
+    /// returned in [`SimOutput::profile`]. Under the `check-invariants`
+    /// feature the idle fast-forward ticks through spans instead of
+    /// jumping, so `idle_jumps` / `idle_spans` stay empty there.
+    pub profile: bool,
+}
+
+/// Runs `trace` on the machine described by `cfg` under `scheme`, with
+/// the observers `obs` turns on.
 ///
 /// Warps are assigned to SMs round-robin. The trace must fit within the
-/// machine's resident-warp capacity (`sms * warps_per_sm`).
-///
-/// Telemetry is off: this is the zero-overhead path, and the returned
-/// [`SimStats`] are bit-identical to an instrumented run's (minus the
-/// optional telemetry fields). Use [`simulate_with_telemetry`] to collect
-/// histograms, time-series or trace events.
+/// machine's resident-warp capacity (`sms * warps_per_sm`). With
+/// `Observe::default()` every probe site in the loop costs one
+/// predictable branch.
 ///
 /// # Panics
 ///
@@ -308,81 +338,11 @@ pub fn simulate(
     order: MapOrder,
     trace: &KernelTrace,
     scheme: &mut dyn ProtectionScheme,
-) -> SimStats {
-    simulate_with_telemetry(cfg, order, trace, scheme, &TelemetryConfig::disabled()).stats
-}
-
-/// [`simulate`], with observability: when `tel.enabled`, the run records a
-/// DRAM read-latency histogram and an epoch time-series into the returned
-/// stats; when `tel.trace_events`, it additionally collects Chrome trace
-/// events (per-transaction DRAM slices plus per-epoch activity slices per
-/// SM and channel lane).
-///
-/// The simulated machine behaves identically either way — probes observe,
-/// they never schedule.
-///
-/// # Panics
-///
-/// Panics as [`simulate`] does.
-pub fn simulate_with_telemetry(
-    cfg: &GpuConfig,
-    order: MapOrder,
-    trace: &KernelTrace,
-    scheme: &mut dyn ProtectionScheme,
-    tel: &TelemetryConfig,
+    obs: &Observe,
 ) -> SimOutput {
-    simulate_instrumented(cfg, order, trace, scheme, tel, None)
-}
-
-/// [`simulate_with_telemetry`], plus optional in-situ fault injection.
-///
-/// When `faults` is given, every DRAM read transaction is exposed to the
-/// configured error pattern at the configured rate, decode trials run
-/// through the scheme's [`fault_codec`](ProtectionScheme::fault_codec),
-/// and the resulting benign/corrected/DUE/SDC counters land in
-/// [`SimStats::faults`]. Injection is observational: timing, traffic and
-/// every other stats field are bit-identical to an uninjected run.
-///
-/// # Panics
-///
-/// Panics as [`simulate`] does.
-pub fn simulate_instrumented(
-    cfg: &GpuConfig,
-    order: MapOrder,
-    trace: &KernelTrace,
-    scheme: &mut dyn ProtectionScheme,
-    tel: &TelemetryConfig,
-    faults: Option<&FaultConfig>,
-) -> SimOutput {
-    simulate_profiled(cfg, order, trace, scheme, tel, faults, false)
-}
-
-/// [`simulate_instrumented`], plus optional self-profiling.
-///
-/// When `profile` is true the run additionally records where host
-/// wall-time goes per component (SM / L1 / xbar / L2 / MC / DRAM
-/// scheduling / flush / idle probe), the sleep- and scan-memo hit rates,
-/// idle fast-forward span lengths, FR-FCFS scan depths, and a
-/// per-channel load table, all returned in [`SimOutput::profile`].
-///
-/// Profiling is observation only: the simulated machine behaves
-/// identically, `SimStats` stay bit-identical, and with `profile` false
-/// every probe site costs one predictable branch. Under the
-/// `check-invariants` feature the idle fast-forward ticks through spans
-/// instead of jumping, so `idle_jumps` / `idle_spans` stay empty there.
-///
-/// # Panics
-///
-/// Panics as [`simulate`] does.
-pub fn simulate_profiled(
-    cfg: &GpuConfig,
-    order: MapOrder,
-    trace: &KernelTrace,
-    scheme: &mut dyn ProtectionScheme,
-    tel: &TelemetryConfig,
-    faults: Option<&FaultConfig>,
-    profile: bool,
-) -> SimOutput {
+    let tel = &obs.telemetry;
+    let faults = obs.faults.as_ref();
+    let profile = obs.profile;
     // The config is validated up front; running with a broken machine
     // description is a programming error, not a recoverable condition.
     #[allow(clippy::expect_used)]
@@ -950,8 +910,9 @@ pub fn simulate_profiled(
 }
 
 /// Execution-engine knobs. The cycle loop is single-threaded, so the
-/// only value is the default, `sim_threads: 1`; the type remains so that
-/// existing callers of [`simulate_with_exec`] keep compiling.
+/// only value is the default, `sim_threads: 1`. Kept only for the
+/// benchmark crate's calls to [`simulate_with_exec`]; ROADMAP item 7
+/// deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Always `1`: the simulator runs one cycle loop per cell, and
@@ -965,8 +926,9 @@ impl Default for ExecConfig {
     }
 }
 
-/// [`simulate_profiled`] under an [`ExecConfig`]. Forwards unchanged:
-/// `ExecConfig` has a single value.
+/// [`simulate`] with its observers as positional arguments, under an
+/// [`ExecConfig`], which has a single value. Kept only for the benchmark
+/// crate (`ccbench/`); ROADMAP item 7 deletes it.
 ///
 /// # Panics
 ///
@@ -982,7 +944,12 @@ pub fn simulate_with_exec(
     profile: bool,
     _exec: &ExecConfig,
 ) -> SimOutput {
-    simulate_profiled(cfg, order, trace, scheme, tel, faults, profile)
+    let obs = Observe {
+        telemetry: tel.clone(),
+        faults: faults.copied(),
+        profile,
+    };
+    simulate(cfg, order, trace, scheme, &obs)
 }
 
 #[cfg(test)]
@@ -1021,7 +988,14 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let trace = streaming(4, 64);
         let mut scheme = tiny_scheme(&cfg);
-        let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+        let stats = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            &mut scheme,
+            &Observe::default(),
+        )
+        .stats;
         assert!(!stats.timed_out);
         assert_eq!(stats.ops, trace.total_ops());
         // Every distinct atom read exactly once from DRAM (no reuse).
@@ -1039,8 +1013,8 @@ mod tests {
         let trace = streaming(8, 128);
         let mut s1 = tiny_scheme(&cfg);
         let mut s2 = tiny_scheme(&cfg);
-        let a = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
-        let b = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s2);
+        let a = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1, &Observe::default()).stats;
+        let b = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s2, &Observe::default()).stats;
         assert_eq!(a, b);
     }
 
@@ -1057,7 +1031,14 @@ mod tests {
         let trace = KernelTrace::new("reuse", vec![WarpTrace::new(ops)]);
         let cfg = GpuConfig::tiny();
         let mut scheme = tiny_scheme(&cfg);
-        let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+        let stats = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            &mut scheme,
+            &Observe::default(),
+        )
+        .stats;
         assert!(!stats.timed_out);
         // 16 distinct atoms; second pass must not refetch.
         assert_eq!(stats.dram_count(TrafficClass::DataRead), 16);
@@ -1075,7 +1056,14 @@ mod tests {
         let trace = KernelTrace::new("store", vec![WarpTrace::new(ops)]);
         let cfg = GpuConfig::tiny();
         let mut scheme = tiny_scheme(&cfg);
-        let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+        let stats = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            &mut scheme,
+            &Observe::default(),
+        )
+        .stats;
         assert!(!stats.timed_out);
         assert_eq!(stats.dram_count(TrafficClass::DataWrite), 8);
         assert_eq!(
@@ -1097,7 +1085,14 @@ mod tests {
         );
         let cfg = GpuConfig::tiny();
         let mut scheme = tiny_scheme(&cfg);
-        let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+        let stats = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            &mut scheme,
+            &Observe::default(),
+        )
+        .stats;
         assert_eq!(stats.dram_bytes(), 0);
         assert!(stats.cycles >= 100);
     }
@@ -1107,7 +1102,14 @@ mod tests {
         let cfg = GpuConfig::tiny(); // 2 SMs
         let trace = streaming(8, 64); // warps spread over both SMs
         let mut scheme = tiny_scheme(&cfg);
-        let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+        let stats = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            &mut scheme,
+            &Observe::default(),
+        )
+        .stats;
         assert!(!stats.timed_out);
         assert_eq!(
             stats.dram_count(TrafficClass::DataRead),
@@ -1121,7 +1123,14 @@ mod tests {
         let cfg = GpuConfig::tiny(); // 2 SMs x 4 warps = 8 slots
         let trace = streaming(9, 4);
         let mut scheme = tiny_scheme(&cfg);
-        let _ = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+        let _ = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            &mut scheme,
+            &Observe::default(),
+        )
+        .stats;
     }
 
     #[test]
@@ -1130,15 +1139,12 @@ mod tests {
         let trace = streaming(8, 128);
         let mut s1 = tiny_scheme(&cfg);
         let mut s2 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
-        let mut probed = simulate_with_telemetry(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut s2,
-            &ccraft_telemetry::TelemetryConfig::full(),
-        )
-        .stats;
+        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1, &Observe::default()).stats;
+        let obs = Observe {
+            telemetry: TelemetryConfig::full(),
+            ..Observe::default()
+        };
+        let mut probed = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s2, &obs).stats;
         // Strip the telemetry-only fields: everything else must be
         // bit-identical.
         probed.latency_hist = None;
@@ -1152,16 +1158,12 @@ mod tests {
         let trace = streaming(8, 128);
         let mut s1 = tiny_scheme(&cfg);
         let mut s2 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
-        let out = simulate_profiled(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut s2,
-            &TelemetryConfig::disabled(),
-            None,
-            true,
-        );
+        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1, &Observe::default()).stats;
+        let obs = Observe {
+            profile: true,
+            ..Observe::default()
+        };
+        let out = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s2, &obs);
         // Stats stay bit-identical: profiling observes, never schedules.
         assert_eq!(plain, out.stats);
         let p = out.profile.expect("profile attached");
@@ -1204,15 +1206,7 @@ mod tests {
 
         // With profiling off, nothing is attached.
         let mut s3 = tiny_scheme(&cfg);
-        let off = simulate_profiled(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut s3,
-            &TelemetryConfig::disabled(),
-            None,
-            false,
-        );
+        let off = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s3, &Observe::default());
         assert!(off.profile.is_none());
         assert_eq!(off.stats, plain);
     }
@@ -1228,15 +1222,11 @@ mod tests {
         );
         let cfg = GpuConfig::tiny();
         let mut scheme = tiny_scheme(&cfg);
-        let out = simulate_profiled(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut scheme,
-            &TelemetryConfig::disabled(),
-            None,
-            true,
-        );
+        let obs = Observe {
+            profile: true,
+            ..Observe::default()
+        };
+        let out = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme, &obs);
         let p = out.profile.expect("profile attached");
         assert!(p.idle_jumps > 0, "compute gap produced no idle jumps");
         assert!(p.idle_cycles_skipped > 0);
@@ -1258,14 +1248,16 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let mut s1 = tiny_scheme(&cfg);
         let mut s2 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
+        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1, &Observe::default()).stats;
         assert!(plain.cycles >= 1000);
-        let tel = ccraft_telemetry::TelemetryConfig {
-            epoch_cycles: 64,
-            ..ccraft_telemetry::TelemetryConfig::enabled()
+        let obs = Observe {
+            telemetry: TelemetryConfig {
+                epoch_cycles: 64,
+                ..TelemetryConfig::enabled()
+            },
+            ..Observe::default()
         };
-        let mut probed =
-            simulate_with_telemetry(&cfg, MapOrder::RoBaCo, &trace, &mut s2, &tel).stats;
+        let mut probed = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s2, &obs).stats;
         let t = probed.timeline.take().expect("timeline");
         assert!(
             t.epochs() as u64 >= plain.cycles / 64,
@@ -1282,11 +1274,14 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let trace = streaming(8, 128);
         let mut scheme = tiny_scheme(&cfg);
-        let tel = ccraft_telemetry::TelemetryConfig {
-            epoch_cycles: 64,
-            ..ccraft_telemetry::TelemetryConfig::enabled()
+        let obs = Observe {
+            telemetry: TelemetryConfig {
+                epoch_cycles: 64,
+                ..TelemetryConfig::enabled()
+            },
+            ..Observe::default()
         };
-        let out = simulate_with_telemetry(&cfg, MapOrder::RoBaCo, &trace, &mut scheme, &tel);
+        let out = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme, &obs);
         assert!(out.trace.is_none(), "trace events were not requested");
         let h = out.stats.latency_hist.as_ref().expect("histogram");
         assert_eq!(h.count, out.stats.dram[0] + out.stats.dram[2]);
@@ -1306,13 +1301,11 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let trace = streaming(8, 128);
         let mut scheme = tiny_scheme(&cfg);
-        let out = simulate_with_telemetry(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut scheme,
-            &ccraft_telemetry::TelemetryConfig::full(),
-        );
+        let obs = Observe {
+            telemetry: TelemetryConfig::full(),
+            ..Observe::default()
+        };
+        let out = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme, &obs);
         let tr = out.trace.expect("trace events");
         assert!(!tr.is_empty());
         // Every SM lane and every channel lane has at least one complete
@@ -1340,27 +1333,23 @@ mod tests {
 
     #[test]
     fn fault_injection_is_observational() {
-        use crate::faults::{FaultConfig, FaultRate};
+        use crate::faults::FaultRate;
         use ccraft_ecc::inject::ErrorPattern;
         let cfg = GpuConfig::tiny();
         let trace = streaming(8, 128);
         let mut s1 = tiny_scheme(&cfg);
         let mut s2 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
+        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1, &Observe::default()).stats;
         let fc = FaultConfig {
             pattern: ErrorPattern::SymbolError,
             rate: FaultRate::PerAccess { p: 1.0 },
             seed: 11,
         };
-        let mut injected = simulate_instrumented(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut s2,
-            &TelemetryConfig::disabled(),
-            Some(&fc),
-        )
-        .stats;
+        let obs = Observe {
+            faults: Some(fc),
+            ..Observe::default()
+        };
+        let mut injected = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s2, &obs).stats;
         let fs = injected.faults.take().expect("fault stats attached");
         // Every DRAM data read was exposed and (at p=1) faulted; under
         // NoProtection each is an SDC.
@@ -1374,27 +1363,23 @@ mod tests {
 
     #[test]
     fn rate_zero_injects_nothing_and_perturbs_nothing() {
-        use crate::faults::{FaultConfig, FaultRate};
+        use crate::faults::FaultRate;
         use ccraft_ecc::inject::ErrorPattern;
         let cfg = GpuConfig::tiny();
         let trace = streaming(8, 128);
         let mut s1 = tiny_scheme(&cfg);
         let mut s2 = tiny_scheme(&cfg);
-        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1);
+        let plain = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s1, &Observe::default()).stats;
         let fc = FaultConfig {
             pattern: ErrorPattern::RandomBits { count: 1 },
             rate: FaultRate::PerAccess { p: 0.0 },
             seed: 7,
         };
-        let mut out = simulate_instrumented(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut s2,
-            &TelemetryConfig::disabled(),
-            Some(&fc),
-        )
-        .stats;
+        let obs = Observe {
+            faults: Some(fc),
+            ..Observe::default()
+        };
+        let mut out = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut s2, &obs).stats;
         let fs = out.faults.take().expect("fault stats attached");
         assert_eq!(fs.injected, 0);
         assert_eq!(fs.benign + fs.corrected + fs.due + fs.sdc, 0);
@@ -1404,7 +1389,7 @@ mod tests {
 
     #[test]
     fn fault_events_reach_the_chrome_trace() {
-        use crate::faults::{FaultConfig, FaultRate};
+        use crate::faults::FaultRate;
         use ccraft_ecc::inject::ErrorPattern;
         let cfg = GpuConfig::tiny();
         let trace = streaming(4, 64);
@@ -1414,14 +1399,12 @@ mod tests {
             rate: FaultRate::PerAccess { p: 1.0 },
             seed: 3,
         };
-        let out = simulate_instrumented(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            &mut scheme,
-            &ccraft_telemetry::TelemetryConfig::full(),
-            Some(&fc),
-        );
+        let obs = Observe {
+            telemetry: TelemetryConfig::full(),
+            faults: Some(fc),
+            ..Observe::default()
+        };
+        let out = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme, &obs);
         let tr = out.trace.expect("trace events");
         assert!(
             tr.events().iter().any(|e| e.cat == "fault"),
@@ -1434,7 +1417,14 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let trace = KernelTrace::new("empty", vec![]);
         let mut scheme = tiny_scheme(&cfg);
-        let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+        let stats = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            &mut scheme,
+            &Observe::default(),
+        )
+        .stats;
         assert!(!stats.timed_out);
         assert_eq!(stats.dram_bytes(), 0);
     }

@@ -19,7 +19,7 @@
 //! ```
 //! use ccraft_sim::config::GpuConfig;
 //! use ccraft_sim::dram::MapOrder;
-//! use ccraft_sim::gpu::simulate;
+//! use ccraft_sim::gpu::{simulate, Observe};
 //! use ccraft_sim::protection::{ChannelInterleave, NoProtection};
 //! use ccraft_sim::trace::{KernelTrace, WarpOp, WarpTrace};
 //! use ccraft_sim::types::LogicalAtom;
@@ -35,10 +35,14 @@
 //!     cfg.mem.channels,
 //!     cfg.mem.interleave_atoms,
 //! ));
-//! let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+//! let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme, &Observe::default()).stats;
 //! assert!(!stats.timed_out);
 //! assert_eq!(stats.dram[0], 4); // four data-read atoms
 //! ```
+//!
+//! Observers (telemetry, in-situ fault injection, self-profiling) are
+//! switched on through the [`Observe`] value; none of them changes the
+//! simulated machine's behaviour.
 //!
 //! ## Fidelity
 //!
@@ -77,9 +81,6 @@ pub mod xbar;
 
 pub use config::GpuConfig;
 pub use faults::{FaultConfig, FaultInjector, FaultRate, FaultStats, ProtectionCodec};
-pub use gpu::{
-    simulate, simulate_instrumented, simulate_profiled, simulate_with_exec,
-    simulate_with_telemetry, ExecConfig, SimOutput,
-};
+pub use gpu::{simulate, simulate_with_exec, ExecConfig, Observe, SimOutput};
 pub use stats::SimStats;
 pub use types::{Cycle, LogicalAtom, PhysLoc, TrafficClass};

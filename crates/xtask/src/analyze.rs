@@ -1,6 +1,6 @@
 //! The function-scoped analysis rules (`cargo xtask analyze`).
 //!
-//! Three rule families ride on the [`crate::scopes`] layer, extending
+//! Two rule families ride on the [`crate::scopes`] layer, extending
 //! the flat token rules of [`crate::rules`]:
 //!
 //! * `panic-freedom` (A1) — inside the cycle-loop call graph of
@@ -12,15 +12,9 @@
 //!   cycle/address-named values (underflow panics in debug builds — the
 //!   builds the golden corpus and CI run — and silently wraps in
 //!   release). Intentional invariant panics stay, waived with a reason
-//!   naming the guard that makes them unreachable.
-//! * `atomic-discipline` (A2) — in `crates/sim`, every `Atomic*`
-//!   load/store/RMW must name an explicit `Ordering` literal,
-//!   `Relaxed` is legal only under a waiver naming what sequences the
-//!   field, and publish/consume fields must form
-//!   Acquire/Release pairs: a `Release` store with no `Acquire` load of
-//!   the same field (or vice versa) is a broken protocol, as is a
-//!   plain-ordering site on a field the other side accesses with
-//!   acquire/release semantics.
+//!   naming the guard that makes them unreachable. Every root must be
+//!   defined: a renamed loop would otherwise drop out of the rule
+//!   silently, so the workspace scan fails on a stale root.
 //! * `fallible-result` (A3) — in `crates/harness` and `crates/serve`,
 //!   discarding the `Result` of a call into the durable-persistence
 //!   layer (`store::`, `checkpoint::`, `cellcache::`, or any function
@@ -28,7 +22,7 @@
 //!   a bare statement is an error: a swallowed store failure silently
 //!   un-does the crash-resilience contract of DESIGN.md §14.
 //!
-//! The fourth family, stale-waiver detection, lives in the directive
+//! The third family, stale-waiver detection, lives in the directive
 //! resolver ([`crate::rules`]): every `lint: allow` that no longer
 //! suppresses a violation is a [`DirectiveKind::Stale`] hard error with
 //! its own exit code, so waivers cannot rot.
@@ -43,12 +37,8 @@ use std::ops::Range;
 
 /// Root functions of the cycle-loop call graph in `crates/sim`. Every
 /// function reachable from these by name is "hot" for `panic-freedom`.
-pub const PF_ROOTS: [&str; 4] = [
-    "simulate_with_exec",
-    "simulate_profiled",
-    "tick",
-    "next_event",
-];
+/// `analyze_workspace` fails when one of them has no non-test definition.
+pub const PF_ROOTS: [&str; 3] = ["simulate", "tick", "next_event"];
 
 /// Identifier names treated as cycle/address arithmetic operands by the
 /// unchecked-subtraction/multiplication check of `panic-freedom`.
@@ -77,25 +67,6 @@ pub const PF_CYCLE_IDENTS: [&str; 19] = [
 /// Persistence modules whose `Result`s must never be discarded.
 pub const FALLIBLE_MODULES: [&str; 3] = ["store", "checkpoint", "cellcache"];
 
-/// Atomic method names checked by `atomic-discipline`.
-const ATOMIC_METHODS: [&str; 13] = [
-    "load",
-    "store",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-];
-
-const ORDERING_NAMES: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
 /// Cross-file context for the analysis rules, built once per workspace
 /// scan (see `analyze_workspace`).
 #[derive(Debug, Clone, Default)]
@@ -118,7 +89,7 @@ impl AnalyzeContext {
         AnalyzeContext {
             lint,
             fallible_fns: BTreeSet::new(),
-            hot: hot_spans(&[(rel, lexed)]),
+            hot: hot_spans(&[(rel, lexed)]).0,
         }
     }
 }
@@ -129,7 +100,11 @@ impl AnalyzeContext {
 /// `x.tick()` marks every `fn tick` in the crate hot — which is the safe
 /// direction: a hot function can never silently fall out of scope.
 /// `#[cfg(test)]` functions are never hot.
-pub fn hot_spans(files: &[(&str, &Lexed)]) -> BTreeMap<String, Vec<Range<usize>>> {
+///
+/// Also returns the roots that have no non-test definition in `files`.
+pub fn hot_spans(
+    files: &[(&str, &Lexed)],
+) -> (BTreeMap<String, Vec<Range<usize>>>, Vec<&'static str>) {
     let maps: Vec<ScopeMap> = files.iter().map(|(_, l)| ScopeMap::scan(l)).collect();
     let mut by_name: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
     for (fi, m) in maps.iter().enumerate() {
@@ -141,6 +116,10 @@ pub fn hot_spans(files: &[(&str, &Lexed)]) -> BTreeMap<String, Vec<Range<usize>>
     }
     let mut visited: BTreeSet<(usize, usize)> = BTreeSet::new();
     let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
+    let missing: Vec<&'static str> = PF_ROOTS
+        .into_iter()
+        .filter(|root| !by_name.contains_key(root))
+        .collect();
     for root in PF_ROOTS {
         for &node in by_name.get(root).into_iter().flatten() {
             if visited.insert(node) {
@@ -167,7 +146,7 @@ pub fn hot_spans(files: &[(&str, &Lexed)]) -> BTreeMap<String, Vec<Range<usize>>
     for spans in out.values_mut() {
         spans.sort_by_key(|r| r.start);
     }
-    out
+    (out, missing)
 }
 
 /// Harvests the names of non-test `Result`-returning functions from a
@@ -219,9 +198,6 @@ pub fn analyze_file(rel: &str, lexed: &Lexed, scope: Scope, ctx: &AnalyzeContext
     let map = ScopeMap::scan(lexed);
     if scope.panic_freedom {
         rule_panic_freedom(rel, lexed, ctx, &mut raw);
-    }
-    if scope.atomic_discipline {
-        rule_atomic_discipline(rel, lexed, &map, &mut raw);
     }
     if scope.fallible_result {
         rule_fallible_result(rel, lexed, &map, ctx, &mut raw);
@@ -397,199 +373,6 @@ fn cycle_arith_operands(t: &[Token], i: usize) -> Option<(String, String)> {
         Some((left.clone(), right.to_string()))
     } else {
         None
-    }
-}
-
-/// One atomic operation site found in a file.
-struct AtomicSite {
-    field: String,
-    method: &'static str,
-    orderings: Vec<&'static str>,
-    line: usize,
-    idx: usize,
-}
-
-/// A2: explicit orderings, no unwaived Relaxed, and publish/consume
-/// pairing.
-fn rule_atomic_discipline(rel: &str, lexed: &Lexed, map: &ScopeMap, out: &mut Vec<Violation>) {
-    let t = &lexed.tokens;
-    let mut sites: Vec<AtomicSite> = Vec::new();
-    for i in 0..t.len() {
-        let TokKind::Ident(name) = &t[i].kind else {
-            continue;
-        };
-        let Some(&method) = ATOMIC_METHODS.iter().find(|m| *m == name) else {
-            continue;
-        };
-        if i == 0
-            || t[i - 1].kind != TokKind::Punct('.')
-            || !matches!(t.get(i + 1).map(|x| &x.kind), Some(TokKind::Open('(')))
-        {
-            continue;
-        }
-        if map.enclosing(i).is_some_and(|f| f.cfg_test) {
-            continue;
-        }
-        let field = receiver_field(t, i - 1).unwrap_or_else(|| "<receiver>".to_string());
-        let mut orderings: Vec<&'static str> = Vec::new();
-        let mut depth = 1i32;
-        let mut j = i + 2;
-        while j < t.len() && depth > 0 {
-            match &t[j].kind {
-                TokKind::Open(_) => depth += 1,
-                TokKind::Close(_) => depth -= 1,
-                TokKind::Ident(s) => {
-                    if let Some(&o) = ORDERING_NAMES.iter().find(|o| *o == s) {
-                        orderings.push(o);
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        sites.push(AtomicSite {
-            field,
-            method,
-            orderings,
-            line: t[i].line,
-            idx: i,
-        });
-    }
-
-    let in_fn = |map: &ScopeMap, idx: usize| -> String {
-        map.enclosing(idx)
-            .map(|f| format!(" (in `{}`)", f.qualified()))
-            .unwrap_or_default()
-    };
-    let mut push = |idx: usize, line: usize, msg: String| {
-        out.push(Violation {
-            rule: "atomic-discipline",
-            file: rel.to_string(),
-            line,
-            msg: format!("{msg}{}", in_fn(map, idx)),
-        });
-    };
-
-    // Per-site checks (one violation max per site: missing ordering
-    // dominates, then Relaxed, then pairing).
-    let mut flagged: BTreeSet<usize> = BTreeSet::new();
-    for s in &sites {
-        if s.orderings.is_empty() {
-            flagged.insert(s.idx);
-            push(
-                s.idx,
-                s.line,
-                format!(
-                    "atomic `{}` on `{}` without an explicit `Ordering` literal — the \
-                     ordering must be visible at the call site, not computed",
-                    s.method, s.field
-                ),
-            );
-        } else if s.orderings.contains(&"Relaxed") {
-            flagged.insert(s.idx);
-            push(
-                s.idx,
-                s.line,
-                format!(
-                    "`Ordering::Relaxed` on `{}` — publish/consume fields need \
-                     Release/Acquire; a counter sequenced by another field needs a \
-                     waiver naming it",
-                    s.field
-                ),
-            );
-        }
-    }
-
-    // Pairing: group by receiver field.
-    let mut fields: BTreeSet<&str> = sites.iter().map(|s| s.field.as_str()).collect();
-    fields.remove("<receiver>");
-    for field in fields {
-        let of_field: Vec<&AtomicSite> = sites.iter().filter(|s| s.field == field).collect();
-        let loads: Vec<&&AtomicSite> = of_field.iter().filter(|s| s.method == "load").collect();
-        let stores: Vec<&&AtomicSite> = of_field.iter().filter(|s| s.method != "load").collect();
-        let releasing = |s: &AtomicSite| {
-            s.orderings
-                .iter()
-                .any(|o| matches!(*o, "Release" | "AcqRel" | "SeqCst"))
-        };
-        let acquiring = |s: &AtomicSite| {
-            s.orderings
-                .iter()
-                .any(|o| matches!(*o, "Acquire" | "AcqRel" | "SeqCst"))
-        };
-        if !loads.is_empty() && !stores.is_empty() {
-            for s in &stores {
-                if !releasing(s) && !flagged.contains(&s.idx) {
-                    push(
-                        s.idx,
-                        s.line,
-                        format!(
-                            "`{}` on `{field}` must publish with `Release` (or stronger) — \
-                             the field is consumed by `load`s elsewhere in this file",
-                            s.method
-                        ),
-                    );
-                }
-            }
-            for s in &loads {
-                if !acquiring(s) && !flagged.contains(&s.idx) {
-                    push(
-                        s.idx,
-                        s.line,
-                        format!(
-                            "`load` on `{field}` must consume with `Acquire` (or stronger) — \
-                             the field is published by `store`s elsewhere in this file"
-                        ),
-                    );
-                }
-            }
-        } else if loads.is_empty() {
-            if let Some(s) = stores.iter().find(|s| releasing(s)) {
-                push(
-                    s.idx,
-                    s.line,
-                    format!(
-                        "`Release` publish on `{field}` with no `Acquire` consumer in this \
-                         file — a one-sided protocol synchronizes nothing"
-                    ),
-                );
-            }
-        } else if let Some(s) = loads.iter().find(|s| acquiring(s)) {
-            push(
-                s.idx,
-                s.line,
-                format!(
-                    "`Acquire` consume on `{field}` with no publisher in this file — a \
-                     one-sided protocol synchronizes nothing"
-                ),
-            );
-        }
-    }
-}
-
-/// The field name an atomic method is invoked on: the identifier (or
-/// `ident[...]` base) immediately before the method's `.` at `dot`.
-fn receiver_field(t: &[Token], dot: usize) -> Option<String> {
-    let before = dot.checked_sub(1)?;
-    match &t[before].kind {
-        TokKind::Ident(name) => Some(name.clone()),
-        TokKind::Close(']') => {
-            let mut depth = 1i32;
-            let mut j = before;
-            while j > 0 && depth > 0 {
-                j -= 1;
-                match &t[j].kind {
-                    TokKind::Close(_) => depth += 1,
-                    TokKind::Open(_) => depth -= 1,
-                    _ => {}
-                }
-            }
-            match (j > 0).then(|| &t[j - 1].kind) {
-                Some(TokKind::Ident(name)) => Some(name.clone()),
-                _ => None,
-            }
-        }
-        _ => None,
     }
 }
 

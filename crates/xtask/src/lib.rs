@@ -5,8 +5,8 @@
 //! golden-regression corpus and the threads-1-vs-8 determinism test), so
 //! the simulator crates must not depend on randomized hash iteration
 //! order, wall-clock time, ambient randomness, or float accumulation —
-//! and the crash-resilience story rests on panic-free cycle loops,
-//! disciplined atomics, and never-discarded persistence `Result`s.
+//! and the crash-resilience story rests on panic-free cycle loops and
+//! never-discarded persistence `Result`s.
 //! Clippy cannot express those rules; this tool lexes the workspace with
 //! a small hand-rolled lexer (the build is offline, so `syn` is not
 //! available — see `vendor/README.md`), layers a brace-aware scope map
@@ -125,8 +125,11 @@ fn load_workspace(root: &Path) -> Result<WorkspaceFiles, String> {
 }
 
 /// Runs the full analysis suite — the flat token rules plus the
-/// function-scoped families (panic-freedom, atomic-discipline,
-/// fallible-result) — on the workspace rooted at `root`.
+/// function-scoped families (panic-freedom, fallible-result) — on the
+/// workspace rooted at `root`.
+///
+/// Fails when a [`analyze::PF_ROOTS`] entry has no non-test definition in
+/// `crates/sim/src`.
 pub fn analyze_workspace(root: &Path) -> Result<LintReport, String> {
     let ws = load_workspace(root)?;
 
@@ -138,10 +141,17 @@ pub fn analyze_workspace(root: &Path) -> Result<LintReport, String> {
         .filter(|(rel, _, _)| rel.starts_with("crates/sim/src/"))
         .map(|(rel, _, lexed)| (rel.as_str(), lexed))
         .collect();
+    let (hot, missing) = analyze::hot_spans(&sim_files);
+    if !missing.is_empty() {
+        return Err(format!(
+            "stale panic-freedom root(s) {missing:?}: no non-test `fn` of that name in \
+             crates/sim/src, so the cycle loop would drop out of the rule; update PF_ROOTS"
+        ));
+    }
     let mut actx = AnalyzeContext {
         lint: ws.ctx.clone(),
         fallible_fns: Default::default(),
-        hot: analyze::hot_spans(&sim_files),
+        hot,
     };
     for (rel, _, lexed) in &ws.files {
         let module = rel

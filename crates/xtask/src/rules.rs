@@ -9,7 +9,7 @@
 //!   `SimStats` replay contract. Use `fxmap::FxHashMap`/`FxHashSet` or
 //!   `BTreeMap`/`BTreeSet`.
 //! * `wall-clock` (L2) — no `Instant`/`SystemTime` and no ambient
-//!   randomness (`thread_rng`, `rand::random`) outside `harness`/`bench`/
+//!   randomness (`thread_rng`, `rand::random`) outside `harness`/
 //!   `telemetry::manifest`. Simulated time and seeded RNGs only.
 //! * `float-stats` (L3) — no `f32`/`f64` accumulation into `SimStats`
 //!   fields: float addition is non-associative, so parallel or reordered
@@ -21,14 +21,14 @@
 //!   `tick`, and vice versa, so new components cannot silently opt out of
 //!   (or lie to) the fast-forward machinery. `next_event` must be a
 //!   side-effect-free `&self` probe returning `Option<Cycle>`.
-//! * `shard-shared-state` (L5) — in `sim`, no `static` items and no
+//! * `sim-owned-state` (L5) — in `sim`, no `static` items and no
 //!   shared-mutability primitives (`lazy_static`, `thread_local`,
 //!   `OnceLock`/`OnceCell`/`LazyLock`, `Mutex`/`RwLock`, `RefCell`,
-//!   `Rc`/`Arc`). A simulation replays bit-identically only because
-//!   every piece of mutable state has exactly one owner inside the run;
-//!   process-global or reference-counted state would leak between runs
-//!   (and between cells running side by side) invisibly. Scoped
-//!   `Atomic*` values are exempt; `atomic-discipline` checks them.
+//!   `Rc`/`Arc`, `Atomic*`). A simulation replays bit-identically only
+//!   because every piece of mutable state has exactly one owner inside
+//!   the run; process-global, reference-counted or atomically shared
+//!   state would leak between runs (and between cells running side by
+//!   side) invisibly.
 //!
 //! Violations can be waived with `// lint: allow(<rule>) reason=<text>` on
 //! or immediately above the offending line; every directive must justify
@@ -38,16 +38,15 @@
 use crate::lexer::{Directive, Lexed, TokKind, Token};
 
 /// Canonical rule names, as used in `allow(...)` directives. The first
-/// five are the flat token rules of this module; the last three are the
+/// five are the flat token rules of this module; the last two are the
 /// function-scoped analysis rules of [`crate::analyze`].
-pub const RULE_NAMES: [&str; 8] = [
+pub const RULE_NAMES: [&str; 7] = [
     "default-hash-state",
     "wall-clock",
     "float-stats",
     "next-event-pairing",
-    "shard-shared-state",
+    "sim-owned-state",
     "panic-freedom",
-    "atomic-discipline",
     "fallible-result",
 ];
 
@@ -65,12 +64,10 @@ pub struct Scope {
     /// L4: next_event/tick pairing (sim only).
     pub pairing: bool,
     /// L5: static items / shared-mutability primitives ban (sim only).
-    pub shard_state: bool,
+    pub owned_state: bool,
     /// A1: panic vectors in the cycle-loop call graph (sim, minus the
     /// invariants module whose whole purpose is to panic).
     pub panic_freedom: bool,
-    /// A2: explicit/paired atomic orderings (sim only).
-    pub atomic_discipline: bool,
     /// A3: no discarded persistence `Result`s (harness + serve).
     pub fallible_result: bool,
 }
@@ -100,11 +97,10 @@ pub fn scope_for(rel: &str) -> Scope {
         float_fields: rel == SIMSTATS_PATH,
         float_accum: in_any(&["crates/sim/src/", "crates/core/src/"]),
         pairing: in_sim,
-        shard_state: in_sim,
+        owned_state: in_sim,
         // invariants.rs exists to panic on contract breaches; exempting
         // it keeps the rule about *accidental* panic vectors.
         panic_freedom: in_sim && rel != "crates/sim/src/invariants.rs",
-        atomic_discipline: in_sim,
         fallible_result: host_side,
     }
 }
@@ -306,8 +302,8 @@ pub(crate) fn collect_raw(
     if scope.pairing {
         rule_next_event_pairing(rel, lexed, &mut raw);
     }
-    if scope.shard_state {
-        rule_shard_shared_state(rel, lexed, &mut raw);
+    if scope.owned_state {
+        rule_sim_owned_state(rel, lexed, &mut raw);
     }
     raw
 }
@@ -517,11 +513,10 @@ fn rule_wall_clock(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
 /// object belongs to exactly one component of exactly one run. A
 /// `static`, a `lazy_static!`/`thread_local!` cell, a
 /// `OnceLock`/`OnceCell`/`LazyLock`, a lock (`Mutex`/`RwLock`), interior
-/// mutability (`RefCell`) or shared ownership (`Rc`/`Arc`) all create
-/// state whose visibility is scheduler-dependent, which this lint makes
-/// impossible to introduce silently. `Atomic*` is deliberately *not*
-/// flagged here: scoped atomics are checked by `atomic-discipline`.
-fn rule_shard_shared_state(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
+/// mutability (`RefCell`), shared ownership (`Rc`/`Arc`) or an atomic
+/// (`Atomic*`) all create state whose visibility is scheduler-dependent,
+/// which this lint makes impossible to introduce silently.
+fn rule_sim_owned_state(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
     let t = &lexed.tokens;
     for i in 0..t.len() {
         let TokKind::Ident(name) = &t[i].kind else {
@@ -569,10 +564,15 @@ fn rule_shard_shared_state(rel: &str, lexed: &Lexed, out: &mut Vec<Violation>) {
                 "`{name}` in simulator code — shared ownership lets two components \
                  alias the same mutable object; give the state a single owner"
             ),
+            n if n.starts_with("Atomic") => format!(
+                "`{name}` in simulator code — an atomic exists to be shared across \
+                 threads, and the cycle loop is single-threaded; give the value a \
+                 single owner"
+            ),
             _ => continue,
         };
         out.push(Violation {
-            rule: "shard-shared-state",
+            rule: "sim-owned-state",
             file: rel.to_string(),
             line: t[i].line,
             msg,

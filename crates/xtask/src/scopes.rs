@@ -3,9 +3,8 @@
 //! The token-level rules in [`crate::rules`] treat a file as one flat
 //! stream, which is enough for "this identifier is banned here" checks
 //! but not for rules that must reason about *which function* code lives
-//! in: panic-freedom applies only to the cycle-loop call graph,
-//! atomic-discipline reports the function a mis-ordered load sits in,
-//! and fallible-result discipline must ignore `#[cfg(test)]` modules.
+//! in: panic-freedom applies only to the cycle-loop call graph, and
+//! fallible-result discipline must ignore `#[cfg(test)]` modules.
 //!
 //! This module derives that structure with a single pass over the token
 //! stream: a stack of brace frames classified as `mod`, `impl`/`trait`,

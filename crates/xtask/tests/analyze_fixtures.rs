@@ -1,6 +1,6 @@
 //! Fixture tests for the function-scoped analysis families
-//! (panic-freedom, atomic-discipline, fallible-result) and the
-//! stale-waiver / exit-code contracts.
+//! (panic-freedom, fallible-result), the stale-waiver / exit-code
+//! contracts, and the workspace scan's stale-root check.
 
 use xtask::analyze::{analyze_file, AnalyzeContext};
 use xtask::lexer::lex;
@@ -80,51 +80,6 @@ fn panic_freedom_out_of_scope_in_invariants_and_core() {
         let r = run(rel, include_str!("fixtures/panic_fires.rs"));
         assert!(lines_of(&r, "panic-freedom").is_empty(), "{rel}");
     }
-}
-
-#[test]
-fn atomic_discipline_fires() {
-    let r = run(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/atomic_fires.rs"),
-    );
-    // 15: no Ordering named; 16: unwaived Relaxed; 17: publish
-    // side of a consumed field without Release; 18: Release with no
-    // consumer. The progress pair (14/22-23) and the #[cfg(test)] store
-    // are clean.
-    assert_eq!(lines_of(&r, "atomic-discipline"), vec![15, 16, 17, 18]);
-    assert!(r.directive_errors.is_empty(), "{:?}", r.directive_errors);
-}
-
-#[test]
-fn atomic_discipline_allow_listed() {
-    let r = run(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/atomic_allowed.rs"),
-    );
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert_eq!(r.waived.len(), 1);
-    assert_eq!(r.waived[0].rule, "atomic-discipline");
-    assert!(r.directive_errors.is_empty(), "{:?}", r.directive_errors);
-}
-
-#[test]
-fn atomic_discipline_clean_on_a_paired_protocol() {
-    let r = run(
-        "crates/sim/src/fixture.rs",
-        include_str!("fixtures/atomic_clean.rs"),
-    );
-    assert!(r.violations.is_empty(), "{:?}", r.violations);
-    assert!(r.waived.is_empty());
-}
-
-#[test]
-fn atomic_discipline_out_of_scope_outside_sim() {
-    let r = run(
-        "crates/harness/src/fixture.rs",
-        include_str!("fixtures/atomic_fires.rs"),
-    );
-    assert!(lines_of(&r, "atomic-discipline").is_empty());
 }
 
 #[test]
@@ -247,18 +202,18 @@ fn exit_codes_follow_the_contract() {
 fn github_format_emits_error_annotations() {
     let mut report = LintReport::default();
     report.violations.push(xtask::rules::Violation {
-        rule: "atomic-discipline",
+        rule: "panic-freedom",
         file: "crates/sim/src/gpu.rs".into(),
         line: 42,
-        msg: "needs an\nexplicit Ordering".into(),
+        msg: "needs a\nchecked subtraction".into(),
     });
     let out = xtask::render_github(&report);
     assert!(
-        out.contains("::error file=crates/sim/src/gpu.rs,line=42,title=xtask atomic-discipline::"),
+        out.contains("::error file=crates/sim/src/gpu.rs,line=42,title=xtask panic-freedom::"),
         "{out}"
     );
     // Newlines must be %0A-escaped or GitHub truncates the message.
-    assert!(out.contains("needs an%0Aexplicit Ordering"), "{out}");
+    assert!(out.contains("needs a%0Achecked subtraction"), "{out}");
 }
 
 #[test]
@@ -289,4 +244,37 @@ fn waiver_listing_is_sorted_file_then_line() {
             .count(),
         3
     );
+}
+
+#[test]
+fn stale_panic_freedom_root_fails_the_workspace_scan() {
+    // A minimal workspace whose cycle loop is defined only under
+    // `#[cfg(test)]`: the root counts as missing, so the scan fails
+    // instead of silently dropping the loop out of panic-freedom.
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("stale-root-ws");
+    let _ = std::fs::remove_dir_all(&root);
+    for sub in xtask::SCANNED_ROOTS {
+        std::fs::create_dir_all(root.join(sub)).expect("mkdir");
+    }
+    let write = |rel: &str, src: &str| std::fs::write(root.join(rel), src).expect("write");
+    write(
+        xtask::rules::SIMSTATS_PATH,
+        "pub struct SimStats { pub cycles: u64 }\n",
+    );
+    write(
+        "crates/sim/src/gpu.rs",
+        "fn tick() {}\nfn next_event() {}\n#[cfg(test)]\nfn simulate() {}\n",
+    );
+    let err = xtask::analyze_workspace(&root).expect_err("stale root must fail the scan");
+    assert!(err.contains("\"simulate\""), "{err}");
+    assert!(!err.contains("\"tick\""), "{err}");
+
+    // Defining the root makes the same workspace clean.
+    write(
+        "crates/sim/src/gpu.rs",
+        "fn tick() {}\nfn next_event() {}\npub fn simulate() { tick(); }\n",
+    );
+    let report = xtask::analyze_workspace(&root).expect("all roots defined");
+    assert!(report.is_clean(), "{}", xtask::render(&report));
+    std::fs::remove_dir_all(&root).expect("cleanup");
 }

@@ -16,11 +16,22 @@ use cachecraft::harness::cellcache::CellKey;
 use cachecraft::harness::checkpoint::{self, Run};
 use cachecraft::harness::runner::{run_matrix, CacheDisposition, ExpOptions};
 use cachecraft::schemes::cachecraft::CacheCraftConfig;
-use cachecraft::schemes::factory::{run_scheme, run_scheme_instrumented, SchemeKind};
+use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
+use cachecraft::sim::dram::MapOrder;
 use cachecraft::sim::faults::FaultConfig;
-use cachecraft::telemetry::TelemetryConfig;
+use cachecraft::sim::trace::KernelTrace;
+use cachecraft::sim::{simulate, Observe, SimOutput};
 use cachecraft::workloads::{SizeClass, Workload};
+
+/// Runs `kind` on `trace` with in-situ injection under `fc`.
+fn injected(cfg: &GpuConfig, kind: SchemeKind, trace: &KernelTrace, fc: FaultConfig) -> SimOutput {
+    let obs = Observe {
+        faults: Some(fc),
+        ..Observe::default()
+    };
+    simulate(cfg, MapOrder::RoBaCo, trace, kind.build(cfg).as_mut(), &obs)
+}
 
 #[test]
 fn rate_zero_injection_is_bit_identical() {
@@ -29,7 +40,7 @@ fn rate_zero_injection_is_bit_identical() {
     let kind = SchemeKind::CacheCraft(CacheCraftConfig::for_machine(&cfg));
     let plain = run_scheme(&cfg, kind, &trace);
     let fc = FaultConfig::parse("symbol:0").expect("valid spec");
-    let zero = run_scheme_instrumented(&cfg, kind, &trace, &TelemetryConfig::disabled(), Some(&fc));
+    let zero = injected(&cfg, kind, &trace, fc);
     let mut stats = zero.stats.clone();
     let faults = stats.faults.take().expect("fault stats attached");
     assert_eq!(faults.injected, 0, "rate 0 must inject nothing");
@@ -43,7 +54,7 @@ fn injection_never_perturbs_timing() {
     let kind = SchemeKind::InlineNaive { coverage: 8 };
     let plain = run_scheme(&cfg, kind, &trace);
     let fc = FaultConfig::parse("bit2:1.0").expect("valid spec");
-    let hot = run_scheme_instrumented(&cfg, kind, &trace, &TelemetryConfig::disabled(), Some(&fc));
+    let hot = injected(&cfg, kind, &trace, fc);
     let mut stats = hot.stats.clone();
     let faults = stats.faults.take().expect("fault stats attached");
     assert!(faults.injected > 0, "p=1.0 must inject");
@@ -60,9 +71,8 @@ fn cachecraft_corrects_symbol_faults_baselines_cannot() {
     let fc = FaultConfig::parse("symbol:1.0")
         .expect("valid spec")
         .with_seed(7);
-    let tel = TelemetryConfig::disabled();
     let run = |kind| {
-        run_scheme_instrumented(&cfg, kind, &trace, &tel, Some(&fc))
+        injected(&cfg, kind, &trace, fc)
             .stats
             .faults
             .expect("fault stats attached")

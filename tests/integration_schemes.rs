@@ -7,6 +7,7 @@ use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
 use cachecraft::sim::dram::MapOrder;
 use cachecraft::sim::types::TrafficClass;
+use cachecraft::sim::{simulate, Observe};
 use cachecraft::workloads::{SizeClass, Workload};
 
 fn tiny_schemes() -> [SchemeKind; 4] {
@@ -139,7 +140,8 @@ fn hbm_preset_and_fine_interleave_work_end_to_end() {
     let trace = Workload::Stencil2D.generate(SizeClass::Tiny, 4);
     for kind in SchemeKind::headline(&cfg) {
         let mut scheme = kind.build(&cfg);
-        let s = cachecraft::sim::gpu::simulate(&cfg, MapOrder::RoCoBa, &trace, scheme.as_mut());
+        let obs = Observe::default();
+        let s = simulate(&cfg, MapOrder::RoCoBa, &trace, scheme.as_mut(), &obs).stats;
         assert!(!s.timed_out, "{kind} timed out on hbm2/RoCoBa");
     }
 }

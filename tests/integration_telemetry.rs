@@ -7,16 +7,36 @@
 //! * an enabled run attaches a non-empty epoch time-series and a latency
 //!   histogram with sane percentiles (`p99 >= p50 >= 1` cycle);
 //! * a full-telemetry run produces a Chrome-trace JSON with at least one
-//!   complete event per simulated component lane.
+//!   complete event per simulated component lane;
+//! * every observer at once (telemetry, fault injection, profiling)
+//!   leaves every other `SimStats` field bit-identical on each headline
+//!   scheme.
 
 use cachecraft::schemes::cachecraft::CacheCraftConfig;
-use cachecraft::schemes::factory::{run_scheme, run_scheme_with_telemetry, SchemeKind};
+use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
+use cachecraft::sim::dram::MapOrder;
+use cachecraft::sim::faults::FaultConfig;
+use cachecraft::sim::trace::KernelTrace;
+use cachecraft::sim::{simulate, Observe, SimOutput};
 use cachecraft::telemetry::TelemetryConfig;
 use cachecraft::workloads::{SizeClass, Workload};
 
 fn cachecraft_kind(cfg: &GpuConfig) -> SchemeKind {
     SchemeKind::CacheCraft(CacheCraftConfig::for_machine(cfg))
+}
+
+/// Runs `kind` on `trace` with the observers `obs` turns on.
+fn observed(cfg: &GpuConfig, kind: SchemeKind, trace: &KernelTrace, obs: &Observe) -> SimOutput {
+    simulate(cfg, MapOrder::RoBaCo, trace, kind.build(cfg).as_mut(), obs)
+}
+
+/// Telemetry configured by `telemetry`, every other observer off.
+fn telemetry(telemetry: TelemetryConfig) -> Observe {
+    Observe {
+        telemetry,
+        ..Observe::default()
+    }
 }
 
 #[test]
@@ -25,7 +45,7 @@ fn disabled_telemetry_is_invisible() {
     let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
     let kind = cachecraft_kind(&cfg);
     let plain = run_scheme(&cfg, kind, &trace);
-    let off = run_scheme_with_telemetry(&cfg, kind, &trace, &TelemetryConfig::disabled());
+    let off = observed(&cfg, kind, &trace, &telemetry(TelemetryConfig::disabled()));
     assert_eq!(
         off.stats, plain,
         "disabled telemetry must not perturb stats"
@@ -42,11 +62,11 @@ fn disabled_telemetry_is_invisible() {
 fn enabled_run_reports_timeline_and_percentiles() {
     let cfg = GpuConfig::tiny();
     let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
-    let out = run_scheme_with_telemetry(
+    let out = observed(
         &cfg,
         cachecraft_kind(&cfg),
         &trace,
-        &TelemetryConfig::enabled(),
+        &telemetry(TelemetryConfig::enabled()),
     );
     // Aggregates are unchanged relative to a plain run.
     let plain = run_scheme(&cfg, cachecraft_kind(&cfg), &trace);
@@ -79,11 +99,11 @@ fn enabled_run_reports_timeline_and_percentiles() {
 fn chrome_trace_covers_every_component() {
     let cfg = GpuConfig::tiny();
     let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
-    let out = run_scheme_with_telemetry(
+    let out = observed(
         &cfg,
         cachecraft_kind(&cfg),
         &trace,
-        &TelemetryConfig::full(),
+        &telemetry(TelemetryConfig::full()),
     );
     let chrome = out.trace.expect("trace collected");
     assert!(!chrome.is_empty());
@@ -115,15 +135,50 @@ fn chrome_trace_covers_every_component() {
 fn telemetry_round_trips_through_json() {
     let cfg = GpuConfig::tiny();
     let trace = Workload::Histogram.generate(SizeClass::Tiny, 3);
-    let out = run_scheme_with_telemetry(
+    let out = observed(
         &cfg,
         cachecraft_kind(&cfg),
         &trace,
-        &TelemetryConfig::enabled(),
+        &telemetry(TelemetryConfig::enabled()),
     );
     let json = serde_json::to_string_pretty(&out.stats).unwrap();
     let back: cachecraft::sim::SimStats = serde_json::from_str(&json).unwrap();
     assert_eq!(back, out.stats);
     let h = back.latency_hist.expect("histogram survives round trip");
     assert_eq!(h.p99(), out.stats.latency_hist.as_ref().unwrap().p99());
+}
+
+#[test]
+fn all_observers_compose_without_perturbing() {
+    let cfg = GpuConfig::tiny();
+    let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
+    let all = Observe {
+        telemetry: TelemetryConfig::full(),
+        faults: Some(
+            FaultConfig::parse("symbol:1.0")
+                .expect("valid spec")
+                .with_seed(7),
+        ),
+        profile: true,
+    };
+    for kind in SchemeKind::headline(&cfg) {
+        let plain = observed(&cfg, kind, &trace, &Observe::default());
+        assert!(plain.trace.is_none() && plain.profile.is_none());
+        let out = observed(&cfg, kind, &trace, &all);
+        assert!(out.trace.is_some(), "{kind}: trace not attached");
+        let profile = out.profile.expect("profile attached");
+        assert_eq!(profile.cycles, plain.stats.cycles, "{kind}");
+        let mut stats = out.stats;
+        assert!(stats.latency_hist.take().is_some(), "{kind}: no histogram");
+        assert!(stats.timeline.take().is_some(), "{kind}: no timeline");
+        let faults = stats.faults.take().expect("fault stats attached");
+        assert!(faults.injected > 0, "{kind}: p=1 injected nothing");
+        // Minus the observers' own fields, the run is bit-identical.
+        assert_eq!(stats, plain.stats, "{kind}: observers perturbed the run");
+        assert_eq!(
+            serde_json::to_string(&stats).unwrap(),
+            serde_json::to_string(&plain.stats).unwrap(),
+            "{kind}"
+        );
+    }
 }

@@ -18,7 +18,7 @@
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
 use cachecraft::sim::dram::MapOrder;
-use cachecraft::sim::gpu::simulate;
+use cachecraft::sim::gpu::{simulate, Observe};
 use cachecraft::sim::protection::{
     ChannelInterleave, FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan,
 };
@@ -230,5 +230,11 @@ fn lying_scheme_is_caught_mid_span() {
             WarpOp::Compute { cycles: 4000 },
         ])],
     );
-    let _ = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme);
+    let _ = simulate(
+        &cfg,
+        MapOrder::RoBaCo,
+        &trace,
+        &mut scheme,
+        &Observe::default(),
+    );
 }
