@@ -21,21 +21,19 @@
 
 use crate::cellcache::ResultCache;
 use crate::error::Error;
-use crate::runner::{CellOutcome, CellStatus};
+use crate::runner::CellOutcome;
 use ccraft_sim::stats::SimStats;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Format version of the `checkpoint.json` ledger.
-pub const CHECKPOINT_SCHEMA: u32 = 2;
+pub const CHECKPOINT_SCHEMA: u32 = 3;
 
 /// Cell completed successfully.
 pub const STATUS_OK: &str = "ok";
 /// Cell panicked (message recorded).
 pub const STATUS_FAILED: &str = "failed";
-/// Cell exceeded its watchdog timeout.
-pub const STATUS_TIMEOUT: &str = "timeout";
 
 /// Outcome of one executed matrix cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,19 +41,12 @@ pub struct CellRecord {
     /// `m<call>/<workload>/<scheme name>` identifier, `<call>` counting
     /// the run's matrix calls from 0.
     pub key: String,
-    /// One of [`STATUS_OK`] / [`STATUS_FAILED`] / [`STATUS_TIMEOUT`].
+    /// [`STATUS_OK`] or [`STATUS_FAILED`].
     pub status: String,
-    /// Panic or timeout message, for failed cells. It names the scheme's
-    /// full config, which the key's scheme name does not.
+    /// Panic message, for failed cells. It names the scheme's full
+    /// config, which the key's scheme name does not.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub message: Option<String>,
-    /// Execution attempts consumed (≥ 1).
-    pub attempts: u32,
-    /// Per-attempt outcome log (`"attempt 1: failed: <msg>"`, ...),
-    /// recorded so a post-mortem can see *how* a cell reached its final
-    /// status.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub history: Vec<String>,
     /// The cell's results, for successful cells.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub stats: Option<SimStats>,
@@ -69,15 +60,13 @@ impl CellRecord {
     pub(crate) fn from_outcome(outcome: &CellOutcome, call: usize) -> CellRecord {
         CellRecord {
             key: format!("m{call}/{}", outcome.cell_name()),
-            status: match &outcome.status {
-                CellStatus::TimedOut { .. } => STATUS_TIMEOUT,
-                s if s.is_ok() => STATUS_OK,
-                _ => STATUS_FAILED,
+            status: if outcome.status.is_ok() {
+                STATUS_OK
+            } else {
+                STATUS_FAILED
             }
             .to_string(),
             message: outcome.as_error().map(|e| e.to_string()),
-            attempts: outcome.attempts,
-            history: outcome.history.clone(),
             stats: outcome.stats.clone(),
             cache: outcome.cache.as_str().to_string(),
         }
@@ -150,17 +139,10 @@ impl Run {
             .as_ref()
     }
 
-    /// Appends the executed cells of the next matrix call to the ledger.
-    /// Cells a `--fail-fast` abort skipped never ran and are not
-    /// recorded.
+    /// Appends the cells of the next matrix call to the ledger.
     pub(crate) fn record(&self, outcomes: &[CellOutcome]) {
         let (calls, cells) = &mut *lock_clean(&self.ledger);
-        cells.extend(
-            outcomes
-                .iter()
-                .filter(|o| o.status != CellStatus::Skipped)
-                .map(|o| CellRecord::from_outcome(o, *calls)),
-        );
+        cells.extend(outcomes.iter().map(|o| CellRecord::from_outcome(o, *calls)));
         *calls += 1;
     }
 
@@ -228,7 +210,7 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::CacheDisposition;
+    use crate::runner::{CacheDisposition, CellStatus};
     use ccraft_core::factory::SchemeKind;
     use ccraft_workloads::Workload;
 
@@ -255,8 +237,6 @@ mod tests {
             scheme: SchemeKind::NoProtection,
             status,
             stats: ok.then(sample_stats),
-            attempts: 1,
-            history: vec!["attempt 1".to_string()],
             cache: if ok {
                 CacheDisposition::Hit
             } else {
@@ -278,9 +258,8 @@ mod tests {
                     message: "boom".into(),
                 },
             ),
-            outcome(Workload::Spmv, CellStatus::Skipped),
         ]);
-        run.record(&[outcome(Workload::VecAdd, CellStatus::TimedOut { secs: 3 })]);
+        run.record(&[outcome(Workload::VecAdd, CellStatus::Ok)]);
         let path = dir.join("checkpoint.json");
         run.write_ledger(&path, "exp-x").unwrap();
         let (text, verified) = crate::store::read_verified_string(&path).unwrap();
@@ -292,13 +271,13 @@ mod tests {
             .iter()
             .map(|c| (c.key.as_str(), c.status.as_str(), c.cache.as_str()))
             .collect();
-        // Repeated cells get one record each; skipped cells none.
+        // Repeated cells get one record each.
         assert_eq!(
             summary,
             [
                 ("m0/vecadd/no-protection", STATUS_OK, "hit"),
                 ("m0/saxpy/no-protection", STATUS_FAILED, "uncached"),
-                ("m1/vecadd/no-protection", STATUS_TIMEOUT, "uncached"),
+                ("m1/vecadd/no-protection", STATUS_OK, "hit"),
             ]
         );
         assert!(ledger.cells[0].is_ok());

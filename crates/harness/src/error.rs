@@ -3,10 +3,10 @@
 //! The harness distinguishes several failure classes: bad user input
 //! ([`Error::Config`]), filesystem trouble ([`Error::Io`]), a persisted
 //! artifact whose checksum no longer matches ([`Error::Corrupt`]), a
-//! simulation cell that panicked ([`Error::WorkerPanic`]), and a cell
-//! that exceeded its watchdog ([`Error::Timeout`]). Binaries convert
-//! these to exit status + stderr; the runner converts the worker-side
-//! pair into per-cell outcomes instead of aborting the whole matrix.
+//! simulation cell that panicked ([`Error::WorkerPanic`]), and a report
+//! missing a cell ([`Error::MissingCell`]). Binaries convert these to
+//! exit status + stderr; the runner turns a panicking cell into its
+//! per-cell outcome instead of aborting the whole matrix.
 //!
 //! I/O errors additionally classify as *transient* (worth a bounded,
 //! deterministic retry — see [`crate::store`]) or *permanent* (retrying
@@ -49,16 +49,8 @@ pub enum Error {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A simulation cell exceeded its per-cell watchdog.
-    Timeout {
-        /// `workload/scheme` identifier of the cell.
-        cell: String,
-        /// The configured timeout.
-        secs: u64,
-    },
     /// An experiment's report needed a matrix cell that is absent from
-    /// the results (its simulation failed, timed out, or was never
-    /// scheduled).
+    /// the results (its simulation failed, or was never scheduled).
     MissingCell {
         /// `workload/scheme` identifier of the missing cell.
         cell: String,
@@ -117,9 +109,6 @@ impl fmt::Display for Error {
             Error::WorkerPanic { cell, message } => {
                 write!(f, "cell {cell} panicked: {message}")
             }
-            Error::Timeout { cell, secs } => {
-                write!(f, "cell {cell} timed out after {secs}s")
-            }
             Error::MissingCell { cell } => {
                 write!(f, "cell {cell} missing from matrix results")
             }
@@ -159,11 +148,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("spmv/cachecraft") && s.contains("index out of bounds"));
-        let e = Error::Timeout {
-            cell: "spmv/cachecraft".into(),
-            secs: 30,
-        };
-        assert!(e.to_string().contains("30s"));
     }
 
     #[test]

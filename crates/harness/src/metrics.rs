@@ -8,7 +8,7 @@
 //! `ccx serve` installs one for the daemon's jobs and answers its own
 //! `GET /metrics` from it. `GET /metrics` answers in Prometheus text
 //! exposition format ([`CONTENT_TYPE`]) with cells completed / failed /
-//! retried, a per-cell wall-time histogram, worker occupancy, elapsed
+//! quarantined, a per-cell wall-time histogram, worker occupancy, elapsed
 //! time and an ETA.
 //!
 //! Metrics never touch simulated state — this is host-side telemetry
@@ -33,10 +33,8 @@ pub struct MetricsRegistry {
     cells_planned: AtomicU64,
     /// Cells finished (any status), including cache hits.
     cells_completed: AtomicU64,
-    /// Cells whose final status was failed or timed out.
+    /// Cells that panicked.
     cells_failed: AtomicU64,
-    /// Extra attempts consumed by retries (attempts beyond the first).
-    cells_retried: AtomicU64,
     /// Cells served from the run's cell cache without simulating.
     cells_resumed: AtomicU64,
     /// Cells quarantined after permanent failure (degraded completion).
@@ -70,7 +68,6 @@ impl MetricsRegistry {
             cells_planned: AtomicU64::new(0),
             cells_completed: AtomicU64::new(0),
             cells_failed: AtomicU64::new(0),
-            cells_retried: AtomicU64::new(0),
             cells_resumed: AtomicU64::new(0),
             cells_quarantined: AtomicU64::new(0),
             store_retries: AtomicU64::new(0),
@@ -92,11 +89,6 @@ impl MetricsRegistry {
     /// observed through [`MetricsRegistry::observe_cell`]).
     pub fn cache_hit(&self) {
         self.cells_resumed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one cell quarantined after exhausting its attempts.
-    pub fn cell_quarantined(&self) {
-        self.cells_quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one transient-I/O retry inside the durable store.
@@ -122,11 +114,11 @@ impl MetricsRegistry {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
     }
 
-    /// Records one executed cell: wall time, final status, attempts, and
-    /// whether the cell was quarantined (permanently failed on a
-    /// degraded run). Quarantined cells count as failed + quarantined —
-    /// not completed — so the ETA can reach zero on degraded runs.
-    pub fn observe_cell(&self, wall_secs: f64, ok: bool, attempts: u32, quarantined: bool) {
+    /// Records one executed cell: wall time, final status, and whether
+    /// the cell was quarantined (failed on a degraded run). Quarantined
+    /// cells count as failed + quarantined — not completed — so the ETA
+    /// can reach zero on degraded runs.
+    pub fn observe_cell(&self, wall_secs: f64, ok: bool, quarantined: bool) {
         if quarantined {
             self.cells_quarantined.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -135,8 +127,6 @@ impl MetricsRegistry {
         if !ok {
             self.cells_failed.fetch_add(1, Ordering::Relaxed);
         }
-        self.cells_retried
-            .fetch_add(u64::from(attempts.saturating_sub(1)), Ordering::Relaxed);
         let us = (wall_secs.max(0.0) * 1e6).round() as u64;
         self.cell_us_sum.fetch_add(us, Ordering::Relaxed);
         self.cell_count.fetch_add(1, Ordering::Relaxed);
@@ -155,7 +145,6 @@ impl MetricsRegistry {
         let planned = self.cells_planned.load(Ordering::Relaxed);
         let completed = self.cells_completed.load(Ordering::Relaxed);
         let failed = self.cells_failed.load(Ordering::Relaxed);
-        let retried = self.cells_retried.load(Ordering::Relaxed);
         let resumed = self.cells_resumed.load(Ordering::Relaxed);
         let quarantined = self.cells_quarantined.load(Ordering::Relaxed);
         let store_retries = self.store_retries.load(Ordering::Relaxed);
@@ -225,13 +214,8 @@ impl MetricsRegistry {
         );
         counter(
             "ccraft_cells_failed_total",
-            "Matrix cells whose final status was failed or timeout.",
+            "Matrix cells that panicked.",
             failed,
-        );
-        counter(
-            "ccraft_cells_retried_total",
-            "Extra execution attempts consumed by retries.",
-            retried,
         );
         counter(
             "ccraft_cells_resumed_total",
@@ -326,9 +310,9 @@ mod tests {
         reg.add_planned(10);
         reg.set_workers(4);
         reg.worker_started();
-        reg.observe_cell(0.2, true, 1, false);
-        reg.observe_cell(2.0, false, 3, true);
-        reg.observe_cell(0.001, true, 1, false);
+        reg.observe_cell(0.2, true, false);
+        reg.observe_cell(2.0, false, true);
+        reg.observe_cell(0.001, true, false);
         reg.cache_hit();
         reg.worker_finished();
         reg.store_retry();
@@ -339,7 +323,6 @@ mod tests {
         // completed (it counts under quarantined instead).
         assert!(text.contains("ccraft_cells_completed_total 2"));
         assert!(text.contains("ccraft_cells_failed_total 1"));
-        assert!(text.contains("ccraft_cells_retried_total 2"));
         assert!(text.contains("ccraft_cells_resumed_total 1"));
         assert!(text.contains("ccraft_cells_quarantined_total 1"));
         assert!(text.contains("ccraft_store_retries_total 2"));
@@ -358,8 +341,8 @@ mod tests {
         // must read 0 — not extrapolate forever from the dead cell.
         let reg = MetricsRegistry::new();
         reg.add_planned(2);
-        reg.observe_cell(0.5, true, 1, false);
-        reg.observe_cell(0.5, false, 3, true);
+        reg.observe_cell(0.5, true, false);
+        reg.observe_cell(0.5, false, true);
         let text = reg.render();
         assert!(text.contains("ccraft_cells_completed_total 1"));
         assert!(text.contains("ccraft_cells_quarantined_total 1"));
@@ -380,7 +363,7 @@ mod tests {
     fn bucket_counts_are_monotone() {
         let reg = MetricsRegistry::new();
         for secs in [0.001, 0.1, 0.3, 2.0, 30.0, 5000.0] {
-            reg.observe_cell(secs, true, 1, false);
+            reg.observe_cell(secs, true, false);
         }
         let mut prev = 0u64;
         for b in &reg.cell_buckets {

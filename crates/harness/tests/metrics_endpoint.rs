@@ -36,9 +36,9 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     let registry = Arc::new(MetricsRegistry::new());
     registry.add_planned(8);
     registry.set_workers(4);
-    registry.observe_cell(0.02, true, 1, false);
-    registry.observe_cell(2.5, true, 2, false);
-    registry.observe_cell(10.0, false, 1, false);
+    registry.observe_cell(0.02, true, false);
+    registry.observe_cell(2.5, true, false);
+    registry.observe_cell(10.0, false, false);
     let server =
         Server::bind("127.0.0.1:0", handler(Arc::clone(&registry))).expect("bind ephemeral port");
     let addr = server.addr();
@@ -97,7 +97,6 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         "ccraft_cells_planned",
         "ccraft_cells_completed_total",
         "ccraft_cells_failed_total",
-        "ccraft_cells_retried_total",
         "ccraft_workers",
         "ccraft_workers_active",
         "ccraft_run_eta_seconds",
@@ -131,7 +130,6 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     assert!(body.contains("ccraft_cell_seconds_count 3"));
     assert!(body.contains("ccraft_cells_completed_total 3"));
     assert!(body.contains("ccraft_cells_failed_total 1"));
-    assert!(body.contains("ccraft_cells_retried_total 1"));
 
     // The bare root also answers (for curl convenience); anything else 404s.
     let (status, _, _) = http_get(addr, "/");

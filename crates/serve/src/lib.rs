@@ -366,10 +366,10 @@ impl ServeState {
                 CacheDisposition::Uncached => {}
             }
         }
-        // Misses simulated successfully + failures that consumed attempts.
+        // Every cell the cache did not serve ran its simulation.
         j.view.simulated = outcomes
             .iter()
-            .filter(|o| o.cache != CacheDisposition::Hit && o.attempts > 0)
+            .filter(|o| o.cache != CacheDisposition::Hit)
             .count() as u64;
         let failed: Vec<&CellOutcome> = outcomes.iter().filter(|o| !o.status.is_ok()).collect();
         j.csv = ccraft_harness::store::encode(job_csv(&outcomes).as_bytes());
@@ -483,15 +483,11 @@ fn job_manifest_json(state: &ServeState, spec: &JobSpec, outcomes: &[CellOutcome
     manifest.seed = spec.seed;
     manifest.threads = 1;
     for o in outcomes {
-        let status = match &o.status {
-            s if s.is_ok() => "ok".to_string(),
-            ccraft_harness::CellStatus::TimedOut { .. } => "timeout".to_string(),
-            _ => "failed".to_string(),
-        };
+        let status = if o.status.is_ok() { "ok" } else { "failed" };
         manifest.record_cell(CellManifest {
             cell: o.cell_name(),
             cache: o.cache.as_str().to_string(),
-            status,
+            status: status.to_string(),
         });
     }
     manifest.note("cache_entries", state.cache.len() as f64);

@@ -40,9 +40,10 @@ pub struct FnScope {
     pub cfg_test: bool,
 }
 
+#[cfg(test)]
 impl FnScope {
-    /// `"Type::name"` or bare `"name"`, for diagnostics.
-    pub fn qualified(&self) -> String {
+    /// `"Type::name"` or bare `"name"`, for test assertions.
+    fn qualified(&self) -> String {
         match &self.self_type {
             Some(ty) => format!("{ty}::{}", self.name),
             None => self.name.clone(),
