@@ -13,9 +13,8 @@
 //! extend to the cache: a corrupted entry is quarantined to
 //! `<digest>.json.corrupt-<n>` on read and reported as a miss — the cell
 //! is recomputed, never served from damaged bytes. In front of the disk
-//! sit an in-memory index of known digests and a bloom-style negative
-//! filter, so the common cold-miss path costs two hash probes, not a
-//! filesystem round trip.
+//! sits an in-memory index of known digests, so a cold miss costs one
+//! set probe, not a filesystem round trip.
 //!
 //! [`CellKey::for_cell`] and [`cached`] are the one memoization path:
 //! experiment runs go through a run-local cache at `<results>/cells/`
@@ -43,13 +42,6 @@ const FNV_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_BASIS_B: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Bloom filter size in 64-bit words (2^13 words = 512 Kibit). At the
-/// few-thousand-entry scale of a sweep cache the false-positive rate is
-/// negligible, and a false positive only costs one disk probe.
-const BLOOM_WORDS: usize = 1 << 13;
-/// Probes per digest (Kirsch–Mitzenmacher double hashing).
-const BLOOM_PROBES: u64 = 4;
 
 /// FNV-1a over `bytes` from an explicit basis. Pure arithmetic — no
 /// `DefaultHasher`, whose output is allowed to vary across processes and
@@ -165,9 +157,9 @@ pub struct CacheEntry {
 pub struct CacheCounters {
     /// Lookups served from a durable entry.
     pub hits: u64,
-    /// Lookups that found no entry (including bloom negatives).
+    /// Lookups that found no entry (including index negatives).
     pub misses: u64,
-    /// Misses answered by the bloom filter without touching disk.
+    /// Misses answered by the in-memory index without touching disk.
     pub negative_hits: u64,
     /// Entries written.
     pub inserts: u64,
@@ -176,16 +168,13 @@ pub struct CacheCounters {
 }
 
 /// A directory of content-addressed cell results with an in-memory
-/// digest index and a bloom-style negative filter. All methods take
-/// `&self`; the cache is shared across executor threads via `Arc`.
+/// digest index. All methods take `&self`; the cache is shared across
+/// executor threads via `Arc`.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
     /// Digests known to exist on disk.
     index: Mutex<BTreeSet<String>>,
-    /// Negative filter: a digest whose probes are not all set is
-    /// definitely absent.
-    bloom: Box<[AtomicU64]>,
     hits: AtomicU64,
     misses: AtomicU64,
     negative_hits: AtomicU64,
@@ -208,7 +197,6 @@ impl ResultCache {
         let cache = ResultCache {
             dir: dir.to_path_buf(),
             index: Mutex::new(BTreeSet::new()),
-            bloom: (0..BLOOM_WORDS).map(|_| AtomicU64::new(0)).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             negative_hits: AtomicU64::new(0),
@@ -259,22 +247,9 @@ impl ResultCache {
         self.dir.join(format!("{digest}.json"))
     }
 
-    /// Marks `digest` present in the index and bloom filter.
+    /// Marks `digest` present in the index.
     fn remember(&self, digest: &str) {
         lock_clean(&self.index).insert(digest.to_string());
-        for bit in bloom_bits(digest) {
-            self.bloom[(bit / 64) as usize % BLOOM_WORDS]
-                .fetch_or(1 << (bit % 64), Ordering::Relaxed);
-        }
-    }
-
-    /// True when the bloom filter cannot rule the digest out.
-    fn bloom_maybe(&self, digest: &str) -> bool {
-        bloom_bits(digest).into_iter().all(|bit| {
-            self.bloom[(bit / 64) as usize % BLOOM_WORDS].load(Ordering::Relaxed)
-                & (1 << (bit % 64))
-                != 0
-        })
     }
 
     /// Looks `key` up. Returns the verified entry on a hit; `None` on a
@@ -284,7 +259,7 @@ impl ResultCache {
     /// recomputes instead of consuming corruption).
     pub fn lookup(&self, key: &CellKey) -> Option<CacheEntry> {
         let digest = key.digest();
-        if !self.bloom_maybe(&digest) {
+        if !lock_clean(&self.index).contains(&digest) {
             self.negative_hits.fetch_add(1, Ordering::Relaxed);
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -300,7 +275,7 @@ impl ResultCache {
                 return None;
             }
             Err(_) => {
-                // Not on disk (bloom false positive or a racing delete).
+                // Indexed but gone from disk (a racing delete).
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
@@ -355,8 +330,7 @@ impl ResultCache {
         Ok(())
     }
 
-    /// Drops `digest` from the in-memory index (bloom bits stay set —
-    /// the filter is one-sided, so a stale positive only costs a probe).
+    /// Drops `digest` from the in-memory index.
     fn forget(&self, digest: &str) {
         lock_clean(&self.index).remove(digest);
     }
@@ -408,29 +382,6 @@ fn code_version() -> &'static str {
         let prov = provenance();
         format!("{} @ {}", prov.rustc, prov.git_commit)
     })
-}
-
-/// The `BLOOM_PROBES` bit positions for a digest, derived from its two
-/// 64-bit hex halves via double hashing. Falls back to re-hashing the
-/// digest text if it is not 32 hex chars (never the case for
-/// [`CellKey::digest`] output, but `open` indexes foreign files too).
-fn bloom_bits(digest: &str) -> [u64; BLOOM_PROBES as usize] {
-    let (h1, h2) = match (
-        u64::from_str_radix(digest.get(..16).unwrap_or(""), 16),
-        u64::from_str_radix(digest.get(16..32).unwrap_or(""), 16),
-    ) {
-        (Ok(a), Ok(b)) => (a, b),
-        _ => (
-            fnv1a64(digest.as_bytes(), FNV_BASIS_A),
-            fnv1a64(digest.as_bytes(), FNV_BASIS_B),
-        ),
-    };
-    let mut bits = [0u64; BLOOM_PROBES as usize];
-    for (i, bit) in bits.iter_mut().enumerate() {
-        // Ensure the stride is odd so probes never collapse onto one bit.
-        *bit = h1.wrapping_add((i as u64).wrapping_mul(h2 | 1)) % (BLOOM_WORDS as u64 * 64);
-    }
-    bits
 }
 
 fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -567,9 +518,9 @@ mod tests {
         assert_eq!(c.hits, 1);
         assert_eq!(c.inserts, 1);
         assert!(c.misses >= 2);
-        assert!(
-            c.negative_hits >= 1,
-            "the unknown-seed miss must be answered by the bloom filter: {c:?}"
+        assert_eq!(
+            c.negative_hits, 2,
+            "the cold miss and the unknown-seed miss must be answered by the index: {c:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -630,6 +581,10 @@ mod tests {
             .any(|e| e.file_name().to_string_lossy().contains(".corrupt-"));
         assert!(quarantined, "quarantine sibling must exist");
         assert_eq!(cache.counters().corrupt, 1);
+        // The quarantined digest left the index: the next lookup misses
+        // without touching disk.
+        assert!(cache.lookup(&key).is_none());
+        assert_eq!(cache.counters().negative_hits, 1);
 
         // Recompute-and-reinsert heals the cache.
         cache.insert(&key, &stats, 1).expect("reinsert");

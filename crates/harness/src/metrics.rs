@@ -7,9 +7,9 @@
 //! [`MetricsRegistry`] that the matrix engine updates as cells execute.
 //! `ccx serve` installs one for the daemon's jobs and answers its own
 //! `GET /metrics` from it. `GET /metrics` answers in Prometheus text
-//! exposition format ([`CONTENT_TYPE`]) with cells completed / failed /
-//! quarantined, a per-cell wall-time histogram, worker occupancy, elapsed
-//! time and an ETA.
+//! exposition format ([`CONTENT_TYPE`]) with cells completed / failed,
+//! a per-cell wall-time histogram, worker occupancy, elapsed time and an
+//! ETA.
 //!
 //! Metrics never touch simulated state — this is host-side telemetry
 //! about the *runner*, not the simulator (the simulator's own
@@ -31,14 +31,12 @@ pub const CELL_SECONDS_BUCKETS: [f64; 10] =
 pub struct MetricsRegistry {
     /// Matrix cells planned across all matrix calls so far.
     cells_planned: AtomicU64,
-    /// Cells finished (any status), including cache hits.
+    /// Cells finished ok, including cache hits.
     cells_completed: AtomicU64,
-    /// Cells that panicked.
+    /// Cells that panicked (quarantined on a degraded run).
     cells_failed: AtomicU64,
     /// Cells served from the run's cell cache without simulating.
     cells_resumed: AtomicU64,
-    /// Cells quarantined after permanent failure (degraded completion).
-    cells_quarantined: AtomicU64,
     /// Transient-I/O retries performed by the durable store.
     store_retries: AtomicU64,
     /// Configured worker thread count for the current matrix call.
@@ -69,7 +67,6 @@ impl MetricsRegistry {
             cells_completed: AtomicU64::new(0),
             cells_failed: AtomicU64::new(0),
             cells_resumed: AtomicU64::new(0),
-            cells_quarantined: AtomicU64::new(0),
             store_retries: AtomicU64::new(0),
             workers: AtomicU64::new(0),
             workers_active: AtomicU64::new(0),
@@ -114,17 +111,13 @@ impl MetricsRegistry {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
     }
 
-    /// Records one executed cell: wall time, final status, and whether
-    /// the cell was quarantined (failed on a degraded run). Quarantined
-    /// cells count as failed + quarantined — not completed — so the ETA
-    /// can reach zero on degraded runs.
-    pub fn observe_cell(&self, wall_secs: f64, ok: bool, quarantined: bool) {
-        if quarantined {
-            self.cells_quarantined.fetch_add(1, Ordering::Relaxed);
-        } else {
+    /// Records one executed cell: wall time and final status. A failed
+    /// cell counts as failed, not completed, so the ETA can reach zero on
+    /// degraded runs.
+    pub fn observe_cell(&self, wall_secs: f64, ok: bool) {
+        if ok {
             self.cells_completed.fetch_add(1, Ordering::Relaxed);
-        }
-        if !ok {
+        } else {
             self.cells_failed.fetch_add(1, Ordering::Relaxed);
         }
         let us = (wall_secs.max(0.0) * 1e6).round() as u64;
@@ -146,7 +139,6 @@ impl MetricsRegistry {
         let completed = self.cells_completed.load(Ordering::Relaxed);
         let failed = self.cells_failed.load(Ordering::Relaxed);
         let resumed = self.cells_resumed.load(Ordering::Relaxed);
-        let quarantined = self.cells_quarantined.load(Ordering::Relaxed);
         let store_retries = self.store_retries.load(Ordering::Relaxed);
         let workers = self.workers.load(Ordering::Relaxed);
         let active = self.workers_active.load(Ordering::Relaxed);
@@ -159,12 +151,10 @@ impl MetricsRegistry {
             .and_then(|s| *s)
             .map_or(0.0, |t| t.elapsed().as_secs_f64());
         // ETA from mean throughput so far; 0 when unknown or done.
-        // Quarantined cells will never complete, so they are excluded
-        // from `remaining` — otherwise a degraded run's ETA stays
-        // nonzero forever.
-        let remaining = planned
-            .saturating_sub(completed)
-            .saturating_sub(quarantined);
+        // Failed cells will never complete, so they are excluded from
+        // `remaining` — otherwise a degraded run's ETA stays nonzero
+        // forever.
+        let remaining = planned.saturating_sub(completed).saturating_sub(failed);
         let eta = if completed > 0 && remaining > 0 && elapsed > 0.0 {
             elapsed / completed as f64 * remaining as f64
         } else {
@@ -209,23 +199,18 @@ impl MetricsRegistry {
         };
         counter(
             "ccraft_cells_completed_total",
-            "Matrix cells finished (any status).",
+            "Matrix cells finished ok, including cache hits.",
             completed,
         );
         counter(
             "ccraft_cells_failed_total",
-            "Matrix cells that panicked.",
+            "Matrix cells that panicked (quarantined on a degraded run).",
             failed,
         );
         counter(
             "ccraft_cells_resumed_total",
             "Matrix cells served from the run's cell cache (finished cells of a --resume).",
             resumed,
-        );
-        counter(
-            "ccraft_cells_quarantined_total",
-            "Matrix cells quarantined after permanent failure (degraded run).",
-            quarantined,
         );
         counter(
             "ccraft_store_retries_total",
@@ -310,21 +295,19 @@ mod tests {
         reg.add_planned(10);
         reg.set_workers(4);
         reg.worker_started();
-        reg.observe_cell(0.2, true, false);
-        reg.observe_cell(2.0, false, true);
-        reg.observe_cell(0.001, true, false);
+        reg.observe_cell(0.2, true);
+        reg.observe_cell(2.0, false);
+        reg.observe_cell(0.001, true);
         reg.cache_hit();
         reg.worker_finished();
         reg.store_retry();
         reg.store_retry();
         let text = reg.render();
         assert!(text.contains("ccraft_cells_planned 10"));
-        // 1 simulated + 1 cache hit; the quarantined cell is *not*
-        // completed (it counts under quarantined instead).
+        // 1 simulated + 1 cache hit; the failed cell is *not* completed.
         assert!(text.contains("ccraft_cells_completed_total 2"));
         assert!(text.contains("ccraft_cells_failed_total 1"));
         assert!(text.contains("ccraft_cells_resumed_total 1"));
-        assert!(text.contains("ccraft_cells_quarantined_total 1"));
         assert!(text.contains("ccraft_store_retries_total 2"));
         assert!(text.contains("ccraft_workers 4"));
         assert!(text.contains("ccraft_workers_active 0"));
@@ -335,17 +318,17 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_cells_do_not_pin_eta_above_zero() {
-        // A degraded run: 2 planned, 1 ok, 1 quarantined. The quarantined
-        // cell will never complete, so remaining must be 0 and the ETA
-        // must read 0 — not extrapolate forever from the dead cell.
+    fn failed_cells_do_not_pin_eta_above_zero() {
+        // A degraded run: 2 planned, 1 ok, 1 failed. The failed cell will
+        // never complete, so remaining must be 0 and the ETA must read 0
+        // — not extrapolate forever from the dead cell.
         let reg = MetricsRegistry::new();
         reg.add_planned(2);
-        reg.observe_cell(0.5, true, false);
-        reg.observe_cell(0.5, false, true);
+        reg.observe_cell(0.5, true);
+        reg.observe_cell(0.5, false);
         let text = reg.render();
         assert!(text.contains("ccraft_cells_completed_total 1"));
-        assert!(text.contains("ccraft_cells_quarantined_total 1"));
+        assert!(text.contains("ccraft_cells_failed_total 1"));
         assert!(
             text.contains("ccraft_run_eta_seconds 0"),
             "degraded run must report ETA 0, got:\n{text}"
@@ -363,7 +346,7 @@ mod tests {
     fn bucket_counts_are_monotone() {
         let reg = MetricsRegistry::new();
         for secs in [0.001, 0.1, 0.3, 2.0, 30.0, 5000.0] {
-            reg.observe_cell(secs, true, false);
+            reg.observe_cell(secs, true);
         }
         let mut prev = 0u64;
         for b in &reg.cell_buckets {

@@ -1,9 +1,9 @@
 //! Cross-run performance diffing: the engine behind `ccx perf-diff`.
 //!
 //! A *run directory* is any results directory with a `manifest.json`
-//! (every `ccx exp` and `ccx run` writes one); `profile.json` (from
-//! `ccx run --profile`) and a `BENCH_*.json` record (from
-//! `scripts/bench_smoke`) are joined when present. Two runs are
+//! (every `ccx exp` and `ccx run` writes one; `scripts/bench_smoke`
+//! keeps its sweep's as the bench record). `profile.json` (from
+//! `ccx run --profile`) is joined when present. Two runs are
 //! *comparable* when experiment id, size, seed, and feature flags all
 //! match — differing toolchains or hosts are reported but allowed, since
 //! comparing across machines is often the point. `--force` overrides
@@ -22,7 +22,6 @@
 use crate::error::Error;
 use ccraft_telemetry::manifest::RunManifest;
 use ccraft_telemetry::profiler::ProfileReport;
-use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
 /// Default relative threshold (percent) for wall-clock metrics.
@@ -44,11 +43,6 @@ pub struct DiffOptions {
     pub min_wall_delta_secs: f64,
     /// Compare even when the runs are incomparable.
     pub force: bool,
-    /// Explicit bench record for run A (default: newest `BENCH_*.json`
-    /// in the run directory, if any).
-    pub bench_a: Option<PathBuf>,
-    /// Explicit bench record for run B.
-    pub bench_b: Option<PathBuf>,
 }
 
 impl Default for DiffOptions {
@@ -58,44 +52,8 @@ impl Default for DiffOptions {
             hit_threshold_pts: DEFAULT_HIT_THRESHOLD_PTS,
             min_wall_delta_secs: DEFAULT_MIN_WALL_DELTA_SECS,
             force: false,
-            bench_a: None,
-            bench_b: None,
         }
     }
-}
-
-/// One `BENCH_*.json` record as written by `scripts/bench_smoke`.
-/// Schema documented in DESIGN.md ("Performance observatory").
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct BenchRecord {
-    /// Format version: 3 since the record dropped schema 2's
-    /// thread-count sweep (whose extra fields are ignored on read).
-    #[serde(default)]
-    pub schema: u64,
-    /// UTC timestamp of the bench run (RFC 3339).
-    #[serde(default)]
-    pub date_utc: String,
-    /// Host the bench ran on.
-    #[serde(default)]
-    pub host: String,
-    /// `rustc -V` of the toolchain.
-    #[serde(default)]
-    pub rustc: String,
-    /// Size class of the sweep (`tiny` / `small` / `full`).
-    #[serde(default)]
-    pub size: String,
-    /// RNG seed of the sweep.
-    #[serde(default)]
-    pub seed: u64,
-    /// Wall time of the sweep, seconds.
-    #[serde(default)]
-    pub wall_time_secs: f64,
-    /// Matrix cells executed.
-    #[serde(default)]
-    pub cells: u64,
-    /// Throughput, cells per second.
-    #[serde(default)]
-    pub cells_per_sec: f64,
 }
 
 /// Everything loadable from one run directory.
@@ -107,15 +65,12 @@ pub struct RunSnapshot {
     pub manifest: RunManifest,
     /// Parsed `profile.json`, when present.
     pub profile: Option<ProfileReport>,
-    /// Parsed bench record, when present.
-    pub bench: Option<BenchRecord>,
 }
 
 impl RunSnapshot {
-    /// Loads a run directory. `manifest.json` is required; profile and
-    /// bench records are joined when found (`bench_override` wins over
-    /// directory discovery).
-    pub fn load(dir: &Path, bench_override: Option<&Path>) -> Result<RunSnapshot, Error> {
+    /// Loads a run directory. `manifest.json` is required; the profile
+    /// is joined when found.
+    pub fn load(dir: &Path) -> Result<RunSnapshot, Error> {
         // Store-written artifacts carry a checksum footer; a corrupt
         // manifest or profile is a hard error (quarantined by the read),
         // never a silently-wrong comparison.
@@ -133,25 +88,10 @@ impl RunSnapshot {
             } else {
                 None
             };
-        let bench_path = match bench_override {
-            Some(p) => Some(p.to_path_buf()),
-            None => newest_bench_file(dir),
-        };
-        let bench = match bench_path {
-            Some(p) => {
-                let (text, _) = crate::store::read_verified_string(&p)?;
-                Some(
-                    serde_json::from_str::<BenchRecord>(&text)
-                        .map_err(|e| Error::config(format!("parse {}: {e}", p.display())))?,
-                )
-            }
-            None => None,
-        };
         Ok(RunSnapshot {
             dir: dir.to_path_buf(),
             manifest,
             profile,
-            bench,
         })
     }
 
@@ -175,23 +115,6 @@ impl RunSnapshot {
             None
         }
     }
-}
-
-/// Newest `BENCH_*.json` in `dir` (lexicographic order — the filenames
-/// embed a sortable UTC timestamp).
-fn newest_bench_file(dir: &Path) -> Option<PathBuf> {
-    let mut candidates: Vec<PathBuf> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    candidates.sort();
-    candidates.pop()
 }
 
 /// Checks that two runs can be meaningfully compared: same experiment,
@@ -387,43 +310,14 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport 
             .push("profile present in only one run; profile metrics skipped".to_string()),
     }
 
-    // Bench records, when both runs have one.
-    match (&a.bench, &b.bench) {
-        (Some(ba), Some(bb)) => {
-            let drifted = (bb.wall_time_secs - ba.wall_time_secs).abs() >= opts.min_wall_delta_secs;
-            report.rows.push(DiffRow {
-                metric: "bench_wall_time_secs".to_string(),
-                a: ba.wall_time_secs,
-                b: bb.wall_time_secs,
-                delta: pct_delta(ba.wall_time_secs, bb.wall_time_secs),
-                delta_unit: "%",
-                regressed: drifted
-                    && ba.wall_time_secs > 0.0
-                    && pct_delta(ba.wall_time_secs, bb.wall_time_secs) > opts.wall_threshold_pct,
-            });
-            report.rows.push(DiffRow {
-                metric: "bench_cells_per_sec".to_string(),
-                a: ba.cells_per_sec,
-                b: bb.cells_per_sec,
-                delta: pct_delta(ba.cells_per_sec, bb.cells_per_sec),
-                delta_unit: "%",
-                regressed: drifted
-                    && pct_delta(ba.cells_per_sec, bb.cells_per_sec) < -opts.wall_threshold_pct,
-            });
-        }
-        (None, None) => {}
-        _ => report
-            .notes
-            .push("bench record present in only one run; bench metrics skipped".to_string()),
-    }
     report
 }
 
 /// Loads and diffs two run directories. Errors (unreadable inputs,
 /// incomparable runs without `--force`) map to exit 2 in `ccx`.
 pub fn perf_diff(dir_a: &Path, dir_b: &Path, opts: &DiffOptions) -> Result<DiffReport, Error> {
-    let a = RunSnapshot::load(dir_a, opts.bench_a.as_deref())?;
-    let b = RunSnapshot::load(dir_b, opts.bench_b.as_deref())?;
+    let a = RunSnapshot::load(dir_a)?;
+    let b = RunSnapshot::load(dir_b)?;
     let reasons = comparability(&a, &b);
     if !reasons.is_empty() && !opts.force {
         return Err(Error::config(format!(
@@ -479,7 +373,6 @@ mod tests {
             dir: PathBuf::from("fixture"),
             manifest,
             profile: Some(report),
-            bench: None,
         }
     }
 
@@ -561,35 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_records_join_the_diff() {
-        let mut a = snapshot(10.0, 90, 10, [500, 500]);
-        let mut b = snapshot(10.0, 90, 10, [500, 500]);
-        a.bench = Some(BenchRecord {
-            schema: 1,
-            wall_time_secs: 20.0,
-            cells: 22,
-            cells_per_sec: 1.1,
-            ..BenchRecord::default()
-        });
-        b.bench = Some(BenchRecord {
-            schema: 1,
-            wall_time_secs: 30.0,
-            cells: 22,
-            cells_per_sec: 0.73,
-            ..BenchRecord::default()
-        });
-        let report = diff(&a, &b, &DiffOptions::default());
-        assert!(report
-            .rows
-            .iter()
-            .any(|r| r.metric == "bench_wall_time_secs" && r.regressed));
-        assert!(report
-            .rows
-            .iter()
-            .any(|r| r.metric == "bench_cells_per_sec" && r.regressed));
-    }
-
-    #[test]
     fn end_to_end_perf_diff_on_written_directories() {
         let base = std::env::temp_dir().join(format!("ccraft-perfdiff-{}", std::process::id()));
         let dir_a = base.join("a");
@@ -613,25 +477,16 @@ mod tests {
         let report = perf_diff(&dir_a, &dir_b, &DiffOptions::default()).unwrap();
         assert!(report.regressions() >= 1);
 
-        // Schema-2 bench records carried a `sim_threads` and a `sweep`
-        // array; both are ignored, and records that differ only there
-        // now compare.
-        for (dir, threads, wall) in [(&dir_a, 1, 20.0), (&dir_b, 4, 20.5)] {
-            let record = format!(
-                r#"{{"schema": 2, "size": "tiny", "seed": 1, "wall_time_secs": {wall},
-                    "cells": 22, "cells_per_sec": 1.1, "sim_threads": {threads},
-                    "sweep": [{{"sim_threads": 1, "wall_time_secs": 20.0,
-                               "cells_per_sec": 1.1, "speedup": 1.0}}]}}"#
-            );
-            std::fs::write(dir.join("BENCH_20260101T000000Z.json"), record).unwrap();
-        }
+        // A stray bench record from the old bench script is ignored, so
+        // old run directories still diff.
+        std::fs::write(
+            dir_a.join("BENCH_20260101T000000Z.json"),
+            r#"{"schema": 3, "wall_time_secs": 20.0, "cells_per_sec": 1.1}"#,
+        )
+        .unwrap();
         let report = perf_diff(&dir_a, &dir_b, &DiffOptions::default()).unwrap();
-        let wall = report
-            .rows
-            .iter()
-            .find(|r| r.metric == "bench_wall_time_secs")
-            .expect("bench rows joined");
-        assert_eq!((wall.a, wall.b), (20.0, 20.5));
+        assert!(report.rows.iter().any(|r| r.metric == "wall_time_secs"));
+        assert!(!report.rows.iter().any(|r| r.metric.starts_with("bench_")));
 
         // Incomparable without --force; diffable with it.
         b.manifest.seed = 99;

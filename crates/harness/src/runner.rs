@@ -585,7 +585,7 @@ pub fn run_matrix_cells_with_body(
                 // so the endpoint's ETA can reach zero on degraded runs.
                 let ok = outcome.status.is_ok();
                 if let Some(m) = &metrics {
-                    m.observe_cell(cell_started.elapsed().as_secs_f64(), ok, !ok);
+                    m.observe_cell(cell_started.elapsed().as_secs_f64(), ok);
                     if outcome.cache == CacheDisposition::Hit {
                         m.cache_hit();
                     }
@@ -1163,9 +1163,7 @@ mod tests {
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].status.is_ok() && outcomes[1].status.is_ok());
         assert!(matches!(outcomes[2].status, CellStatus::Failed { .. }));
-        assert!(registry
-            .render()
-            .contains("ccraft_cells_quarantined_total 1"));
+        assert!(registry.render().contains("ccraft_cells_failed_total 1"));
     }
 
     #[test]
@@ -1269,9 +1267,8 @@ mod tests {
         assert_eq!(outcomes.len(), 2);
         let text = registry.render();
         assert!(text.contains("ccraft_cells_planned 2"), "{text}");
-        // The panicking saxpy cell is quarantined, not completed.
+        // The panicking saxpy cell is failed (quarantined), not completed.
         assert!(text.contains("ccraft_cells_completed_total 1"), "{text}");
-        assert!(text.contains("ccraft_cells_quarantined_total 1"), "{text}");
         assert!(text.contains("ccraft_cells_failed_total 1"), "{text}");
         assert!(text.contains("ccraft_workers 2"), "{text}");
         // All workers idle again after the scope joins.

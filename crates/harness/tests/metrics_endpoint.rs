@@ -36,9 +36,9 @@ fn metrics_endpoint_serves_prometheus_exposition() {
     let registry = Arc::new(MetricsRegistry::new());
     registry.add_planned(8);
     registry.set_workers(4);
-    registry.observe_cell(0.02, true, false);
-    registry.observe_cell(2.5, true, false);
-    registry.observe_cell(10.0, false, false);
+    registry.observe_cell(0.02, true);
+    registry.observe_cell(2.5, true);
+    registry.observe_cell(10.0, false);
     let server =
         Server::bind("127.0.0.1:0", handler(Arc::clone(&registry))).expect("bind ephemeral port");
     let addr = server.addr();
@@ -128,7 +128,7 @@ fn metrics_endpoint_serves_prometheus_exposition() {
         .expect("+Inf bucket present");
     assert_eq!(inf_line.rsplit_once(' ').unwrap().1, "3");
     assert!(body.contains("ccraft_cell_seconds_count 3"));
-    assert!(body.contains("ccraft_cells_completed_total 3"));
+    assert!(body.contains("ccraft_cells_completed_total 2"));
     assert!(body.contains("ccraft_cells_failed_total 1"));
 
     // The bare root also answers (for curl convenience); anything else 404s.

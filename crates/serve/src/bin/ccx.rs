@@ -46,7 +46,7 @@ USAGE:
   ccx reliability [--codec <secded|rs36|rs18|crc32|tagged4>]
                   [--pattern <bit1|bit2|bit3|burst4|symbol|chiplane>] [--trials N] [--seed N]
   ccx perf-diff <run-dir-A> <run-dir-B> [--threshold-pct P] [--hit-threshold-pts P]
-                [--min-wall-delta SECS] [--bench-a FILE] [--bench-b FILE] [--force]
+                [--min-wall-delta SECS] [--force]
   ccx chaos-soak <id> [--size tiny|small|full] [--seed N] [--threads N]
                  [--chaos <spec>] [--kills N] [--max-attempts N]
   ccx serve [--addr HOST:PORT] [--cache-dir DIR]
@@ -86,11 +86,11 @@ CHAOS SOAK (ccx chaos-soak):
   to a pure kill/resume soak.
 
 PERF DIFF (ccx perf-diff):
-  Joins each run directory's manifest.json, profile.json (from --profile)
-  and newest BENCH_*.json (from scripts/bench_smoke), prints a regression
-  table, and exits 1 when run B regressed past the thresholds (0 clean,
-  2 unusable or incomparable inputs). Runs must match on experiment,
-  size, seed and feature flags unless --force is given.
+  Joins each run directory's manifest.json and profile.json (from
+  --profile; scripts/bench_smoke keeps its sweeps under bench-results/),
+  prints a regression table, and exits 1 when run B regressed past the
+  thresholds (0 clean, 2 unusable or incomparable inputs). Runs must match
+  on experiment, size, seed and feature flags unless --force is given.
 
 FAULT INJECTION (ccx run):
   --inject <pattern>:<rate>  expose DRAM reads to in-situ faults while the
@@ -336,12 +336,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut manifest = RunManifest::new("ccx-run");
     // Behavior-altering feature flags go into provenance so perf-diff can
     // refuse to compare e.g. an oracle build against a stock one.
-    if cfg!(feature = "check-invariants") {
-        manifest
-            .provenance
-            .features
-            .push("check-invariants".to_string());
-    }
+    manifest.provenance.features = ccraft_harness::cellcache::features();
     manifest.size = size.to_string();
     manifest.seed = seed;
     manifest.threads = 1;
@@ -491,20 +486,6 @@ fn cmd_perf_diff(args: &[String]) -> ExitCode {
                     "--threshold-pct" => opts.wall_threshold_pct = v,
                     "--hit-threshold-pts" => opts.hit_threshold_pts = v,
                     _ => opts.min_wall_delta_secs = v,
-                }
-            }
-            "--bench-a" | "--bench-b" => {
-                let flag = args[i].clone();
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("{flag} expects a file path\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                let path = std::path::PathBuf::from(path);
-                if flag == "--bench-a" {
-                    opts.bench_a = Some(path);
-                } else {
-                    opts.bench_b = Some(path);
                 }
             }
             other if other.starts_with("--") => {

@@ -93,5 +93,11 @@ fn misspelled_run_flags_are_reported_not_ignored() {
     assert!(out.status.success(), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--codex"), "{stderr}");
+    // perf-diff rejects unknown flags outright, including the bench
+    // record flags it once took.
+    let out = ccx(&["perf-diff", "a", "b", "--bench-a", "x"], &dir);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -24,11 +24,6 @@ use std::ops::Range;
 pub struct FnScope {
     /// The function's name.
     pub name: String,
-    /// Self type of the enclosing inherent or trait impl (or the trait
-    /// name for default bodies), when there is one.
-    pub self_type: Option<String>,
-    /// Enclosing module names, outermost first (`[]` at file top level).
-    pub mod_path: Vec<String>,
     /// 1-based line of the `fn` keyword.
     pub line: usize,
     /// Token range of the signature: `[fn keyword, body `{`)`.
@@ -38,17 +33,6 @@ pub struct FnScope {
     /// Inside a `#[cfg(test)]` item (directly or inherited from an
     /// enclosing module): exempt from the analysis rules.
     pub cfg_test: bool,
-}
-
-#[cfg(test)]
-impl FnScope {
-    /// `"Type::name"` or bare `"name"`, for test assertions.
-    fn qualified(&self) -> String {
-        match &self.self_type {
-            Some(ty) => format!("{ty}::{}", self.name),
-            None => self.name.clone(),
-        }
-    }
 }
 
 /// All functions of one file, in source order.
@@ -77,8 +61,8 @@ impl ScopeMap {
 /// What a `{` opened.
 #[derive(Debug)]
 enum FrameKind {
-    Mod(String),
-    Impl(String),
+    Mod,
+    Impl,
     Fn(usize),
     Block,
 }
@@ -107,23 +91,6 @@ struct Scanner {
 impl Scanner {
     fn inherited_cfg_test(&self) -> bool {
         self.frames.last().is_some_and(|f| f.cfg_test)
-    }
-
-    fn innermost_impl(&self) -> Option<String> {
-        self.frames.iter().rev().find_map(|f| match &f.kind {
-            FrameKind::Impl(ty) => Some(ty.clone()),
-            _ => None,
-        })
-    }
-
-    fn mod_path(&self) -> Vec<String> {
-        self.frames
-            .iter()
-            .filter_map(|f| match &f.kind {
-                FrameKind::Mod(name) => Some(name.clone()),
-                _ => None,
-            })
-            .collect()
     }
 
     fn run(mut self, t: &[Token]) -> ScopeMap {
@@ -158,19 +125,17 @@ impl Scanner {
                     }
                 }
                 TokKind::Ident(kw) if kw == "mod" => {
-                    if let Some(TokKind::Ident(name)) = t.get(i + 1).map(|x| &x.kind) {
-                        // `mod name ;` declares an external file — no frame.
-                        if matches!(t.get(i + 2).map(|x| &x.kind), Some(TokKind::Open('{'))) {
-                            let test = self.pending_cfg_test || self.inherited_cfg_test();
-                            self.pending_open = Some((FrameKind::Mod(name.clone()), test));
-                        }
+                    // `mod name ;` declares an external file — no frame.
+                    if matches!(t.get(i + 1).map(|x| &x.kind), Some(TokKind::Ident(_)))
+                        && matches!(t.get(i + 2).map(|x| &x.kind), Some(TokKind::Open('{')))
+                    {
+                        let test = self.pending_cfg_test || self.inherited_cfg_test();
+                        self.pending_open = Some((FrameKind::Mod, test));
                     }
                     self.pending_cfg_test = false;
                 }
                 TokKind::Ident(kw) if kw == "impl" || kw == "trait" => {
-                    if self.impl_header(t, i, kw == "trait") {
-                        // pending_open set; cfg(test) inheritance only.
-                    }
+                    self.impl_header(t, i);
                     self.pending_cfg_test = false;
                 }
                 TokKind::Ident(kw) if kw == "fn" => {
@@ -179,8 +144,6 @@ impl Scanner {
                         let test = self.pending_cfg_test || self.inherited_cfg_test();
                         self.fns.push(FnScope {
                             name: name.clone(),
-                            self_type: self.innermost_impl(),
-                            mod_path: self.mod_path(),
                             line: t[i].line,
                             sig: i..i, // end patched at body open
                             body: 0..0,
@@ -240,57 +203,30 @@ impl Scanner {
     }
 
     /// Classifies an `impl`/`trait` header starting at token `i`,
-    /// setting `pending_open` for its body brace. Returns false for
-    /// type-position `impl Trait`, which opens no scope.
-    fn impl_header(&mut self, t: &[Token], i: usize, is_trait: bool) -> bool {
+    /// setting `pending_open` for its body brace. Type-position
+    /// `impl Trait` opens no scope.
+    fn impl_header(&mut self, t: &[Token], i: usize) {
         if i > 0 {
             match &t[i - 1].kind {
                 // `fn f(x: impl Fn())`, `-> impl Iterator`, `&impl T`, ...
                 TokKind::Punct(':' | ',' | '<' | '>' | '=' | '&' | '+') | TokKind::Open('(') => {
-                    return false;
+                    return;
                 }
-                TokKind::Ident(s) if s == "dyn" => return false,
+                TokKind::Ident(s) if s == "dyn" => return,
                 _ => {}
             }
         }
-        let mut j = i + 1;
-        let mut angle = 0i32;
-        let mut first_ty: Option<String> = None;
-        let mut for_ty: Option<String> = None;
-        let mut after_for = false;
-        while j < t.len() {
-            match &t[j].kind {
-                TokKind::Punct('-')
-                    if matches!(t.get(j + 1).map(|x| &x.kind), Some(TokKind::Punct('>'))) =>
-                {
-                    j += 1;
-                }
-                TokKind::Punct('<') => angle += 1,
-                TokKind::Punct('>') => angle -= 1,
-                TokKind::Ident(s) if s == "for" && angle == 0 => after_for = true,
-                TokKind::Ident(s) if s == "where" && angle == 0 => {}
-                TokKind::Ident(s) if angle == 0 && s != "unsafe" && s != "pub" => {
-                    if after_for {
-                        for_ty.get_or_insert_with(|| s.clone());
-                    } else {
-                        first_ty.get_or_insert_with(|| s.clone());
-                    }
-                }
+        for tok in &t[i + 1..] {
+            match tok.kind {
                 TokKind::Open('{') => {
-                    let ty = for_ty
-                        .or(first_ty)
-                        .unwrap_or_else(|| "<unknown>".to_string());
                     let test = self.pending_cfg_test || self.inherited_cfg_test();
-                    let _ = is_trait;
-                    self.pending_open = Some((FrameKind::Impl(ty), test));
-                    return true;
+                    self.pending_open = Some((FrameKind::Impl, test));
+                    return;
                 }
-                TokKind::Punct(';') => return false,
+                TokKind::Punct(';') => return,
                 _ => {}
             }
-            j += 1;
         }
-        false
     }
 }
 
@@ -339,8 +275,8 @@ mod tests {
              impl S { fn method(&self) -> u32 { 1 } }\n\
              impl Clone for S { fn clone(&self) -> S { S } }\n",
         );
-        let names: Vec<String> = m.fns.iter().map(|f| f.qualified()).collect();
-        assert_eq!(names, ["free", "S::method", "S::clone"]);
+        let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["free", "method", "clone"]);
         assert_eq!(m.fns[0].line, 1);
     }
 
@@ -361,9 +297,7 @@ mod tests {
         );
         let by_name = |n: &str| m.fns.iter().find(|f| f.name == n).expect("fn");
         assert!(!by_name("a").cfg_test);
-        assert_eq!(by_name("a").mod_path, ["outer"]);
         assert!(by_name("b").cfg_test);
-        assert_eq!(by_name("b").mod_path, ["outer", "tests"]);
         assert!(by_name("c").cfg_test, "impl inside test mod inherits");
         assert!(by_name("d").cfg_test);
         assert!(!by_name("e").cfg_test, "cfg(test) does not leak forward");
@@ -378,12 +312,6 @@ mod tests {
         assert_eq!(m.fns.len(), 2);
         assert!(!m.fns[0].body.is_empty(), "split must have a body");
         assert!(m.fns[1].body.is_empty(), "sig_only is signature-only");
-    }
-
-    #[test]
-    fn trait_impl_self_type_is_the_for_type() {
-        let m = scan("impl<T: Clone> Scheme for Memory<T> { fn tick(&mut self) {} }");
-        assert_eq!(m.fns[0].qualified(), "Memory::tick");
     }
 
     #[test]
@@ -418,8 +346,8 @@ mod tests {
     #[test]
     fn trait_method_declaration_without_body() {
         let m = scan("trait T { fn decl(&self); fn with_default(&self) { x() } }");
-        let names: Vec<String> = m.fns.iter().map(|f| f.qualified()).collect();
-        assert_eq!(names, ["T::decl", "T::with_default"]);
+        let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["decl", "with_default"]);
         assert!(m.fns[0].body.is_empty());
         assert!(!m.fns[1].body.is_empty());
     }
