@@ -19,12 +19,13 @@
 //! uncorrectable) and **SDC** (silent data corruption: the decoder
 //! believed an outcome whose data is wrong).
 
-use ccraft_ecc::code::{Codec, DecodeOutcome};
+use ccraft_ecc::code::Codec;
 use ccraft_ecc::crc::Crc;
 use ccraft_ecc::inject::{ErrorPattern, Injector};
 use ccraft_ecc::rs::ReedSolomon;
 use ccraft_ecc::secded::SecDed64;
 use ccraft_ecc::tagged::TaggedSecDed;
+use ccraft_sim::faults::{classify, FaultOutcome};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -71,20 +72,6 @@ impl fmt::Display for CodecKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Outcome classification of one trial, against ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TrialOutcome {
-    /// Decoder reported clean and the data is intact (error hit only
-    /// redundancy it tolerates silently, or didn't land).
-    Benign,
-    /// Decoder corrected; data matches ground truth.
-    Corrected,
-    /// Detected uncorrectable error — data quarantined.
-    Due,
-    /// Silent data corruption: decoder said usable but data is wrong.
-    Sdc,
 }
 
 /// Aggregate results of a campaign.
@@ -163,36 +150,16 @@ impl Campaign {
                 }
             };
             match outcome {
-                TrialOutcome::Benign => result.benign += 1,
-                TrialOutcome::Corrected => result.corrected += 1,
-                TrialOutcome::Due => result.due += 1,
-                TrialOutcome::Sdc => result.sdc += 1,
+                FaultOutcome::Benign => result.benign += 1,
+                FaultOutcome::Corrected => result.corrected += 1,
+                FaultOutcome::Due => result.due += 1,
+                FaultOutcome::Sdc => result.sdc += 1,
             }
         }
         result
     }
 
-    fn classify(outcome: DecodeOutcome, data_ok: bool) -> TrialOutcome {
-        match outcome {
-            DecodeOutcome::Clean => {
-                if data_ok {
-                    TrialOutcome::Benign
-                } else {
-                    TrialOutcome::Sdc
-                }
-            }
-            DecodeOutcome::Corrected { .. } => {
-                if data_ok {
-                    TrialOutcome::Corrected
-                } else {
-                    TrialOutcome::Sdc
-                }
-            }
-            DecodeOutcome::DetectedUncorrectable | DecodeOutcome::TagMismatch => TrialOutcome::Due,
-        }
-    }
-
-    fn codec_trial<R: Rng>(codec: &dyn Codec, injector: &Injector, rng: &mut R) -> TrialOutcome {
+    fn codec_trial<R: Rng>(codec: &dyn Codec, injector: &Injector, rng: &mut R) -> FaultOutcome {
         let k = codec.data_len();
         let original: Vec<u8> = (0..k).map(|_| rng.gen()).collect();
         let check = codec.encode(&original);
@@ -203,12 +170,12 @@ impl Campaign {
         let (data_part, check_part) = buf.split_at_mut(k);
         let mut data: Vec<u8> = data_part.to_vec();
         let outcome = codec.decode(&mut data, check_part);
-        Self::classify(outcome, data == original)
+        classify(outcome, data == original)
     }
 
     // 4-bit tags are a compile-time constant within TaggedSecDed's range.
     #[allow(clippy::expect_used)]
-    fn tagged_trial<R: Rng>(injector: &Injector, rng: &mut R) -> TrialOutcome {
+    fn tagged_trial<R: Rng>(injector: &Injector, rng: &mut R) -> FaultOutcome {
         let codec = TaggedSecDed::new(4).expect("4-bit tags fit");
         let tag: u8 = rng.gen_range(0..16);
         let original: [u8; 8] = rng.gen();
@@ -219,7 +186,7 @@ impl Campaign {
         let (data_part, check_part) = buf.split_at_mut(8);
         let mut data = data_part.to_vec();
         let outcome = codec.decode(&mut data, check_part, tag);
-        Self::classify(outcome, data == original)
+        classify(outcome, data == original)
     }
 }
 

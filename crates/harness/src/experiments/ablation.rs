@@ -1,7 +1,7 @@
 //! F7 — ablation of the CacheCraft mechanisms over the memory-intensive
 //! subset: each component alone, pairwise with C1, and the full design.
 
-use super::SWEEP_SUBSET;
+use super::{subset_norms, SWEEP_SUBSET};
 use crate::geomean;
 use crate::report::{banner, emit_csv, f3, Table};
 use crate::runner::{run_matrix, ExpOptions};
@@ -66,21 +66,10 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
     header.extend(SWEEP_SUBSET.iter().map(|w| w.name().to_string()));
     header.push("geomean".to_string());
     let mut t = Table::new(header);
-    // Baselines per workload = the ecc-off row.
-    let baselines: Vec<u64> = SWEEP_SUBSET
-        .iter()
-        .enumerate()
-        .map(|(wi, _)| results[wi * kinds.len()].stats.exec_cycles)
-        .collect();
-    for (vi, (label, _)) in variants.iter().enumerate() {
+    for (label, kind) in &variants {
+        let norms = subset_norms(&results, &SchemeKind::NoProtection, kind)?;
         let mut row = vec![label.to_string()];
-        let mut norms = Vec::new();
-        for (wi, _) in SWEEP_SUBSET.iter().enumerate() {
-            let cell = &results[wi * kinds.len() + vi];
-            let norm = baselines[wi] as f64 / cell.stats.exec_cycles as f64;
-            norms.push(norm);
-            row.push(f3(norm));
-        }
+        row.extend(norms.iter().map(|&n| f3(n)));
         row.push(f3(geomean(&norms)));
         t.row(row);
     }

@@ -65,9 +65,9 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
         "ECC fetches: 16K ded / 64K frag",
     ]);
     for w in Workload::ALL {
-        let d16 = &require(&results16, w, "ecc-cache")?.stats;
-        let d64 = &require(&results64, w, "ecc-cache")?.stats;
-        let fr = &require(&resultsfr, w, "cachecraft")?.stats;
+        let d16 = &require(&results16, w, &dedicated16)?.stats;
+        let d64 = &require(&results64, w, &dedicated64)?.stats;
+        let fr = &require(&resultsfr, w, &fragments)?.stats;
         t.row(vec![
             w.name().to_string(),
             pct(hit_rate(&d16.protection)),

@@ -33,7 +33,6 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
     let model = EnergyModel::gddr6();
     let schemes = SchemeKind::headline(&cfg);
     let results = run_matrix(&cfg, &Workload::ALL, &schemes, opts);
-    let names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
 
     let mut t = Table::new(vec![
         "workload",
@@ -44,17 +43,17 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
     ]);
     let mut norms = vec![Vec::new(); 3];
     for w in Workload::ALL {
-        let base = require(&results, w, "no-protection")?;
+        let base = require(&results, w, &SchemeKind::NoProtection)?;
         let base_e = model.evaluate(&base.stats, cfg.mem.channels).total_nj();
         let mut row = vec![w.name().to_string()];
         let mut craft_share = 0.0;
-        for (i, name) in names.iter().enumerate().skip(1) {
-            let r = require(&results, w, name)?;
+        for (i, scheme) in schemes.iter().enumerate().skip(1) {
+            let r = require(&results, w, scheme)?;
             let e = model.evaluate(&r.stats, cfg.mem.channels);
             let norm = e.total_nj() / base_e;
             norms[i - 1].push(norm);
             row.push(format!("{:.3}x", norm));
-            if *name == "cachecraft" {
+            if scheme.name() == "cachecraft" {
                 craft_share = e.protection_fraction();
             }
         }

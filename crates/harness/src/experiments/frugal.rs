@@ -7,7 +7,7 @@
 //! needs no assumption about data values. The crossover compressibility
 //! is the figure's takeaway.
 
-use super::SWEEP_SUBSET;
+use super::{subset_norms, SWEEP_SUBSET};
 use crate::geomean;
 use crate::report::{banner, emit_csv, f3, Table};
 use crate::runner::{run_matrix, ExpOptions};
@@ -32,33 +32,24 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
     );
     let cfg = GpuConfig::gddr6();
     let mut t = Table::new(vec!["scheme", "normalized perf"]);
-    // Baseline + cachecraft once.
-    let fixed = [
-        SchemeKind::NoProtection,
-        SchemeKind::CacheCraft(CacheCraftConfig::full()),
-    ];
-    let results = run_matrix(&cfg, &SWEEP_SUBSET, &fixed, opts);
-    let mut base = Vec::new();
-    let mut craft = Vec::new();
-    for (wi, _) in SWEEP_SUBSET.iter().enumerate() {
-        base.push(results[wi * 2].stats.exec_cycles as f64);
-        craft.push(base[wi] / results[wi * 2 + 1].stats.exec_cycles as f64);
-    }
-    t.row(vec!["cachecraft".to_string(), f3(geomean(&craft))]);
+    // Baseline + cachecraft once; each compressed variant's matrix joins
+    // them, so its cells are read against the same baseline cells.
+    let base = SchemeKind::NoProtection;
+    let craft = SchemeKind::CacheCraft(CacheCraftConfig::full());
+    let mut results = run_matrix(&cfg, &SWEEP_SUBSET, &[base, craft], opts);
+    t.row(vec![
+        "cachecraft".to_string(),
+        f3(geomean(&subset_norms(&results, &base, &craft)?)),
+    ]);
     for pct in [0u8, 50, 75, 90, 100] {
-        let schemes = [SchemeKind::CompressedInline {
+        let compressed = SchemeKind::CompressedInline {
             coverage: 8,
             compress_pct: pct,
-        }];
-        let results = run_matrix(&cfg, &SWEEP_SUBSET, &schemes, opts);
-        let norms: Vec<f64> = results
-            .iter()
-            .enumerate()
-            .map(|(wi, r)| base[wi] / r.stats.exec_cycles as f64)
-            .collect();
+        };
+        results.extend(run_matrix(&cfg, &SWEEP_SUBSET, &[compressed], opts));
         t.row(vec![
             format!("compressed-inline ({pct}% compressible)"),
-            f3(geomean(&norms)),
+            f3(geomean(&subset_norms(&results, &base, &compressed)?)),
         ]);
     }
     println!("{}", t.to_markdown());

@@ -7,10 +7,8 @@
 //! many-channel, short-row memory — i.e., whether a vendor could use
 //! inline ECC + CacheCraft instead of paying for side-band storage.
 
-use super::SWEEP_SUBSET;
-use crate::geomean;
-use crate::report::{banner, emit_csv, f3, Table};
-use crate::runner::{run_matrix, ExpOptions};
+use super::sweep;
+use crate::runner::ExpOptions;
 use crate::Error;
 use ccraft_core::factory::SchemeKind;
 use ccraft_sim::config::GpuConfig;
@@ -22,42 +20,29 @@ use ccraft_sim::config::GpuConfig;
 /// Returns an error when a required matrix cell is missing or a
 /// report artifact cannot be written.
 pub fn run(opts: &ExpOptions) -> Result<(), Error> {
-    banner(
-        "F13",
-        &format!(
-            "Generality: normalized perf on GDDR6-class vs HBM2-class machines ({} size)",
-            opts.size
-        ),
-    );
-    let mut t = Table::new(vec![
-        "machine",
-        "channels x row",
-        "naive",
-        "ecc-cache",
-        "cachecraft",
-    ]);
-    for (label, cfg) in [
+    let rows = [
         ("GDDR6-class", GpuConfig::gddr6()),
         ("HBM2-class", GpuConfig::hbm2()),
-    ] {
-        let schemes = SchemeKind::headline(&cfg);
-        let results = run_matrix(&cfg, &SWEEP_SUBSET, &schemes, opts);
-        let mut norms = vec![Vec::new(); 3];
-        for (wi, _) in SWEEP_SUBSET.iter().enumerate() {
-            let base = results[wi * 4].stats.exec_cycles as f64;
-            for v in 0..3 {
-                norms[v].push(base / results[wi * 4 + 1 + v].stats.exec_cycles as f64);
-            }
-        }
-        t.row(vec![
+    ]
+    .map(|(label, cfg)| {
+        let labels = vec![
             label.to_string(),
             format!("{} x {} KiB", cfg.mem.channels, cfg.mem.row_bytes >> 10),
-            f3(geomean(&norms[0])),
-            f3(geomean(&norms[1])),
-            f3(geomean(&norms[2])),
-        ]);
-    }
-    println!("{}", t.to_markdown());
-    emit_csv("f13_hbm", &t)?;
-    Ok(())
+        ];
+        (labels, cfg, SchemeKind::headline(&cfg).to_vec())
+    });
+    sweep(
+        opts,
+        "F13",
+        "Generality: normalized perf on GDDR6-class vs HBM2-class machines",
+        "f13_hbm",
+        vec![
+            "machine",
+            "channels x row",
+            "naive",
+            "ecc-cache",
+            "cachecraft",
+        ],
+        rows,
+    )
 }

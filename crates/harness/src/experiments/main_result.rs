@@ -25,17 +25,15 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
         "F4",
         &format!("Normalized performance vs ECC-off ({} size)", opts.size),
     );
-    let scheme_names: Vec<&str> = schemes.iter().map(|s| s.name()).collect();
     let mut header = vec!["workload".to_string()];
-    header.extend(scheme_names.iter().map(|s| s.to_string()));
+    header.extend(schemes.iter().map(|s| s.name().to_string()));
     let mut perf = Table::new(header);
     let mut per_scheme_norm: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
     for w in Workload::ALL {
-        let base = require(&results, w, "no-protection")?.stats.clone();
+        let base = &require(&results, w, &SchemeKind::NoProtection)?.stats;
         let mut row = vec![w.name().to_string()];
-        for (i, name) in scheme_names.iter().enumerate() {
-            let r = require(&results, w, name)?;
-            let norm = r.normalized_perf(&base);
+        for (i, scheme) in schemes.iter().enumerate() {
+            let norm = require(&results, w, scheme)?.normalized_perf(base);
             per_scheme_norm[i].push(norm);
             row.push(f3(norm));
         }
@@ -60,12 +58,11 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
         "ecc-share",
     ]);
     for w in Workload::ALL {
-        for name in &scheme_names {
-            let r = require(&results, w, name)?;
-            let s = &r.stats;
+        for scheme in &schemes {
+            let s = &require(&results, w, scheme)?.stats;
             traffic.row(vec![
                 w.name().to_string(),
-                name.to_string(),
+                scheme.name().to_string(),
                 s.dram_count(TrafficClass::DataRead).to_string(),
                 s.dram_count(TrafficClass::DataWrite).to_string(),
                 s.dram_count(TrafficClass::EccRead).to_string(),

@@ -17,11 +17,11 @@ use ccraft_workloads::Workload;
 /// report artifact cannot be written.
 pub fn run(opts: &ExpOptions) -> Result<(), Error> {
     let cfg = GpuConfig::gddr6();
-    let schemes = [
+    let (off, naive) = (
         SchemeKind::NoProtection,
         SchemeKind::InlineNaive { coverage: 8 },
-    ];
-    let results = run_matrix(&cfg, &Workload::ALL, &schemes, opts);
+    );
+    let results = run_matrix(&cfg, &Workload::ALL, &[off, naive], opts);
 
     banner(
         "F1",
@@ -33,9 +33,8 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
     let mut f1 = Table::new(vec!["workload", "normalized perf", "slowdown"]);
     let mut norms = Vec::new();
     for w in Workload::ALL {
-        let base = &require(&results, w, "no-protection")?.stats;
-        let naive = require(&results, w, "inline-naive")?;
-        let norm = naive.normalized_perf(base);
+        let base = &require(&results, w, &off)?.stats;
+        let norm = require(&results, w, &naive)?.normalized_perf(base);
         norms.push(norm);
         f1.row(vec![w.name().to_string(), f3(norm), pct(1.0 - norm)]);
     }
@@ -61,8 +60,8 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
         "traffic amplification",
     ]);
     for w in Workload::ALL {
-        let base = &require(&results, w, "no-protection")?.stats;
-        let s = &require(&results, w, "inline-naive")?.stats;
+        let base = &require(&results, w, &off)?.stats;
+        let s = &require(&results, w, &naive)?.stats;
         let amp = s.dram_bytes() as f64 / base.dram_bytes().max(1) as f64;
         f2.row(vec![
             w.name().to_string(),

@@ -27,7 +27,7 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
         ),
     );
     let cfg = GpuConfig::gddr6();
-    let schemes = [
+    let schemes @ [off, reserved_ecc, colocated_ecc] = [
         SchemeKind::NoProtection,
         SchemeKind::InlineNaive { coverage: 8 }, // reserved-region placement
         SchemeKind::CacheCraft(CacheCraftConfig::colocate_only()), // C1 only
@@ -44,9 +44,9 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
     let mut reserved_norm = Vec::new();
     let mut coloc_norm = Vec::new();
     for w in Workload::ALL {
-        let base = &require(&results, w, "no-protection")?.stats;
-        let reserved = &require(&results, w, "inline-naive")?.stats;
-        let coloc = &require(&results, w, "cachecraft")?.stats;
+        let base = &require(&results, w, &off)?.stats;
+        let reserved = &require(&results, w, &reserved_ecc)?.stats;
+        let coloc = &require(&results, w, &colocated_ecc)?.stats;
         let rn = base.exec_cycles as f64 / reserved.exec_cycles as f64;
         let cn = base.exec_cycles as f64 / coloc.exec_cycles as f64;
         reserved_norm.push(rn);

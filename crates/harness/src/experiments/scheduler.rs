@@ -3,10 +3,8 @@
 //! A sanity check that the headline conclusion does not hinge on the
 //! scheduling policy the cores happen to use.
 
-use super::SWEEP_SUBSET;
-use crate::geomean;
-use crate::report::{banner, emit_csv, f3, Table};
-use crate::runner::{run_matrix, ExpOptions};
+use super::sweep;
+use crate::runner::ExpOptions;
 use crate::Error;
 use ccraft_core::factory::SchemeKind;
 use ccraft_sim::config::{GpuConfig, SchedulerPolicy};
@@ -18,37 +16,25 @@ use ccraft_sim::config::{GpuConfig, SchedulerPolicy};
 /// Returns an error when a required matrix cell is missing or a
 /// report artifact cannot be written.
 pub fn run(opts: &ExpOptions) -> Result<(), Error> {
-    banner(
-        "F16",
-        &format!(
-            "Warp-scheduler sensitivity, geomean over the sweep subset ({} size)",
-            opts.size
-        ),
-    );
-    let mut t = Table::new(vec!["scheduler", "naive", "ecc-cache", "cachecraft"]);
-    for (label, policy) in [
+    let rows = [
         ("greedy-then-oldest", SchedulerPolicy::GreedyThenOldest),
         ("round-robin", SchedulerPolicy::RoundRobin),
-    ] {
+    ]
+    .map(|(label, policy)| {
         let mut cfg = GpuConfig::gddr6();
         cfg.core.scheduler = policy;
-        let schemes = SchemeKind::headline(&cfg);
-        let results = run_matrix(&cfg, &SWEEP_SUBSET, &schemes, opts);
-        let mut norms = vec![Vec::new(); 3];
-        for (wi, _) in SWEEP_SUBSET.iter().enumerate() {
-            let base = results[wi * 4].stats.exec_cycles as f64;
-            for v in 0..3 {
-                norms[v].push(base / results[wi * 4 + 1 + v].stats.exec_cycles as f64);
-            }
-        }
-        t.row(vec![
-            label.to_string(),
-            f3(geomean(&norms[0])),
-            f3(geomean(&norms[1])),
-            f3(geomean(&norms[2])),
-        ]);
-    }
-    println!("{}", t.to_markdown());
-    emit_csv("f16_scheduler", &t)?;
-    Ok(())
+        (
+            vec![label.to_string()],
+            cfg,
+            SchemeKind::headline(&cfg).to_vec(),
+        )
+    });
+    sweep(
+        opts,
+        "F16",
+        "Warp-scheduler sensitivity, geomean over the sweep subset",
+        "f16_scheduler",
+        vec!["scheduler", "naive", "ecc-cache", "cachecraft"],
+        rows,
+    )
 }

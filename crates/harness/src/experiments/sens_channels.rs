@@ -1,10 +1,8 @@
 //! F11 — scaling with memory channels (4 → 16): does CacheCraft's
 //! advantage persist as raw bandwidth grows?
 
-use super::SWEEP_SUBSET;
-use crate::geomean;
-use crate::report::{banner, emit_csv, f3, Table};
-use crate::runner::{run_matrix, ExpOptions};
+use super::sweep;
+use crate::runner::ExpOptions;
 use crate::Error;
 use ccraft_core::factory::SchemeKind;
 use ccraft_sim::config::GpuConfig;
@@ -16,42 +14,27 @@ use ccraft_sim::config::GpuConfig;
 /// Returns an error when a required matrix cell is missing or a
 /// report artifact cannot be written.
 pub fn run(opts: &ExpOptions) -> Result<(), Error> {
-    banner(
-        "F11",
-        &format!(
-            "Scaling with channel count, geomean normalized perf ({} size)",
-            opts.size
-        ),
-    );
-    let mut t = Table::new(vec![
-        "channels",
-        "peak BW (B/cyc)",
-        "naive",
-        "ecc-cache",
-        "cachecraft",
-    ]);
-    for channels in [4u16, 8, 16] {
+    let rows = [4u16, 8, 16].map(|channels| {
         let mut cfg = GpuConfig::gddr6();
         cfg.mem.channels = channels;
-        cfg.validate().map_err(|e| Error::config(e.to_string()))?;
-        let schemes = SchemeKind::headline(&cfg);
-        let results = run_matrix(&cfg, &SWEEP_SUBSET, &schemes, opts);
-        let mut norms = vec![Vec::new(); 3];
-        for (wi, _) in SWEEP_SUBSET.iter().enumerate() {
-            let base = results[wi * 4].stats.exec_cycles as f64;
-            for v in 0..3 {
-                norms[v].push(base / results[wi * 4 + 1 + v].stats.exec_cycles as f64);
-            }
-        }
-        t.row(vec![
+        let labels = vec![
             channels.to_string(),
             format!("{:.0}", cfg.peak_bw_bytes_per_cycle()),
-            f3(geomean(&norms[0])),
-            f3(geomean(&norms[1])),
-            f3(geomean(&norms[2])),
-        ]);
-    }
-    println!("{}", t.to_markdown());
-    emit_csv("f11_channels", &t)?;
-    Ok(())
+        ];
+        (labels, cfg, SchemeKind::headline(&cfg).to_vec())
+    });
+    sweep(
+        opts,
+        "F11",
+        "Scaling with channel count, geomean normalized perf",
+        "f11_channels",
+        vec![
+            "channels",
+            "peak BW (B/cyc)",
+            "naive",
+            "ecc-cache",
+            "cachecraft",
+        ],
+        rows,
+    )
 }

@@ -6,10 +6,8 @@
 //! before it matches CacheCraft, and does CacheCraft keep its edge when
 //! its own budget (taxed from L2) shrinks?
 
-use super::SWEEP_SUBSET;
-use crate::geomean;
-use crate::report::{banner, emit_csv, f3, Table};
-use crate::runner::{run_matrix, ExpOptions};
+use super::sweep;
+use crate::runner::ExpOptions;
 use crate::Error;
 use ccraft_core::cachecraft::CacheCraftConfig;
 use ccraft_core::factory::SchemeKind;
@@ -22,21 +20,8 @@ use ccraft_sim::config::GpuConfig;
 /// Returns an error when a required matrix cell is missing or a
 /// report artifact cannot be written.
 pub fn run(opts: &ExpOptions) -> Result<(), Error> {
-    banner(
-        "F10",
-        &format!(
-            "ECC-structure capacity sweep, geomean normalized perf ({} size)",
-            opts.size
-        ),
-    );
-    let cfg = GpuConfig::gddr6();
-    let mut t = Table::new(vec![
-        "capacity/channel",
-        "ecc-cache (dedicated)",
-        "cachecraft (L2 tax)",
-    ]);
-    for kib in [4u64, 16, 64, 128] {
-        let schemes = [
+    let rows = [4u64, 16, 64, 128].map(|kib| {
+        let schemes = vec![
             SchemeKind::NoProtection,
             SchemeKind::EccCache {
                 coverage: 8,
@@ -47,21 +32,18 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
                 ..CacheCraftConfig::full()
             }),
         ];
-        let results = run_matrix(&cfg, &SWEEP_SUBSET, &schemes, opts);
-        let mut norms = vec![Vec::new(); 2];
-        for (wi, _) in SWEEP_SUBSET.iter().enumerate() {
-            let base = results[wi * 3].stats.exec_cycles as f64;
-            for v in 0..2 {
-                norms[v].push(base / results[wi * 3 + 1 + v].stats.exec_cycles as f64);
-            }
-        }
-        t.row(vec![
-            format!("{kib} KiB"),
-            f3(geomean(&norms[0])),
-            f3(geomean(&norms[1])),
-        ]);
-    }
-    println!("{}", t.to_markdown());
-    emit_csv("f10_ecc_capacity", &t)?;
-    Ok(())
+        (vec![format!("{kib} KiB")], GpuConfig::gddr6(), schemes)
+    });
+    sweep(
+        opts,
+        "F10",
+        "ECC-structure capacity sweep, geomean normalized perf",
+        "f10_ecc_capacity",
+        vec![
+            "capacity/channel",
+            "ecc-cache (dedicated)",
+            "cachecraft (L2 tax)",
+        ],
+        rows,
+    )
 }

@@ -3,10 +3,8 @@
 //! Larger L2s filter more ECC-triggering misses and give the fragment
 //! store more victims to cover; smaller L2s stress the protection path.
 
-use super::SWEEP_SUBSET;
-use crate::geomean;
-use crate::report::{banner, emit_csv, f3, Table};
-use crate::runner::{run_matrix, ExpOptions};
+use super::sweep;
+use crate::runner::ExpOptions;
 use crate::Error;
 use ccraft_core::factory::SchemeKind;
 use ccraft_sim::config::GpuConfig;
@@ -18,42 +16,21 @@ use ccraft_sim::config::GpuConfig;
 /// Returns an error when a required matrix cell is missing or a
 /// report artifact cannot be written.
 pub fn run(opts: &ExpOptions) -> Result<(), Error> {
-    banner(
-        "F9",
-        &format!(
-            "Sensitivity to L2 capacity, geomean over the sweep subset ({} size)",
-            opts.size
-        ),
-    );
-    let mut t = Table::new(vec![
-        "L2/slice",
-        "L2 total",
-        "naive",
-        "ecc-cache",
-        "cachecraft",
-    ]);
-    for slice_kib in [128u64, 256, 512, 1024] {
+    let rows = [128u64, 256, 512, 1024].map(|slice_kib| {
         let mut cfg = GpuConfig::gddr6();
         cfg.l2.capacity_bytes = slice_kib << 10;
-        cfg.validate().map_err(|e| Error::config(e.to_string()))?;
-        let schemes = SchemeKind::headline(&cfg);
-        let results = run_matrix(&cfg, &SWEEP_SUBSET, &schemes, opts);
-        let mut norms = vec![Vec::new(); 3];
-        for (wi, _) in SWEEP_SUBSET.iter().enumerate() {
-            let base = results[wi * 4].stats.exec_cycles as f64;
-            for v in 0..3 {
-                norms[v].push(base / results[wi * 4 + 1 + v].stats.exec_cycles as f64);
-            }
-        }
-        t.row(vec![
+        let labels = vec![
             format!("{slice_kib} KiB"),
             format!("{} MiB", (slice_kib * 8) >> 10),
-            f3(geomean(&norms[0])),
-            f3(geomean(&norms[1])),
-            f3(geomean(&norms[2])),
-        ]);
-    }
-    println!("{}", t.to_markdown());
-    emit_csv("f9_l2_capacity", &t)?;
-    Ok(())
+        ];
+        (labels, cfg, SchemeKind::headline(&cfg).to_vec())
+    });
+    sweep(
+        opts,
+        "F9",
+        "Sensitivity to L2 capacity, geomean over the sweep subset",
+        "f9_l2_capacity",
+        vec!["L2/slice", "L2 total", "naive", "ecc-cache", "cachecraft"],
+        rows,
+    )
 }

@@ -6,10 +6,8 @@
 //! which helps reach-based mechanisms (ECC cache, fragments) and hurts
 //! nothing else.
 
-use super::SWEEP_SUBSET;
-use crate::geomean;
-use crate::report::{banner, emit_csv, f3, Table};
-use crate::runner::{run_matrix, ExpOptions};
+use super::sweep;
+use crate::runner::ExpOptions;
 use crate::Error;
 use ccraft_core::cachecraft::CacheCraftConfig;
 use ccraft_core::factory::SchemeKind;
@@ -22,23 +20,12 @@ use ccraft_sim::config::GpuConfig;
 /// Returns an error when a required matrix cell is missing or a
 /// report artifact cannot be written.
 pub fn run(opts: &ExpOptions) -> Result<(), Error> {
-    banner(
-        "F8",
-        &format!(
-            "Sensitivity to ECC coverage ratio, geomean over the sweep subset ({} size)",
-            opts.size
-        ),
-    );
-    let cfg = GpuConfig::gddr6();
-    let mut t = Table::new(vec![
-        "coverage",
-        "redundancy",
-        "naive",
-        "ecc-cache",
-        "cachecraft",
-    ]);
-    for coverage in [8u32, 16, 32] {
-        let schemes = [
+    let rows = [8u32, 16, 32].map(|coverage| {
+        let labels = vec![
+            format!("1:{coverage}"),
+            format!("{:.2}%", 100.0 / coverage as f64),
+        ];
+        let schemes = vec![
             SchemeKind::NoProtection,
             SchemeKind::InlineNaive { coverage },
             SchemeKind::EccCache {
@@ -50,23 +37,14 @@ pub fn run(opts: &ExpOptions) -> Result<(), Error> {
                 ..CacheCraftConfig::full()
             }),
         ];
-        let results = run_matrix(&cfg, &SWEEP_SUBSET, &schemes, opts);
-        let mut norms = vec![Vec::new(); 3];
-        for (wi, _) in SWEEP_SUBSET.iter().enumerate() {
-            let base = results[wi * 4].stats.exec_cycles as f64;
-            for v in 0..3 {
-                norms[v].push(base / results[wi * 4 + 1 + v].stats.exec_cycles as f64);
-            }
-        }
-        t.row(vec![
-            format!("1:{coverage}"),
-            format!("{:.2}%", 100.0 / coverage as f64),
-            f3(geomean(&norms[0])),
-            f3(geomean(&norms[1])),
-            f3(geomean(&norms[2])),
-        ]);
-    }
-    println!("{}", t.to_markdown());
-    emit_csv("f8_coverage_ratio", &t)?;
-    Ok(())
+        (labels, GpuConfig::gddr6(), schemes)
+    });
+    sweep(
+        opts,
+        "F8",
+        "Sensitivity to ECC coverage ratio, geomean over the sweep subset",
+        "f8_coverage_ratio",
+        vec!["coverage", "redundancy", "naive", "ecc-cache", "cachecraft"],
+        rows,
+    )
 }

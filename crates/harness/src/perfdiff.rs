@@ -4,17 +4,17 @@
 //! (every `ccx exp` and `ccx run` writes one; `scripts/bench_smoke`
 //! keeps its sweep's as the bench record). `profile.json` (from
 //! `ccx run --profile`) is joined when present. Two runs are
-//! *comparable* when experiment id, size, seed, and feature flags all
-//! match — differing toolchains or hosts are reported but allowed, since
-//! comparing across machines is often the point. `--force` overrides
-//! the comparability check.
+//! *comparable* when experiment id, size, seed, worker count and feature
+//! flags all match — differing toolchains or hosts are reported but
+//! allowed, since comparing across machines is often the point. `--force`
+//! overrides the comparability check.
 //!
 //! The diff emits one row per metric with run-A / run-B values and the
 //! relative delta, and flags a **regression** when run B is worse than
-//! run A beyond the configured threshold. Wall-clock metrics are noisy
-//! on tiny runs, so they additionally require an absolute wall-time
-//! drift of at least [`DiffOptions::min_wall_delta_secs`] before they
-//! can regress; simulator-derived metrics (memo hit rates, channel
+//! run A beyond a fixed threshold ([`DEFAULT_WALL_THRESHOLD_PCT`],
+//! [`DEFAULT_HIT_THRESHOLD_PTS`]). Wall-clock metrics are noisy on tiny
+//! runs, so they additionally require an absolute wall-time drift of at
+//! least [`DEFAULT_MIN_WALL_DELTA_SECS`] before they can regress; simulator-derived metrics (memo hit rates, channel
 //! imbalance) are deterministic for identical configurations and use no
 //! floor. Exit-code mapping lives in `ccx`: 0 clean, 1 regression,
 //! 2 incomparable / unusable input.
@@ -32,28 +32,11 @@ pub const DEFAULT_HIT_THRESHOLD_PTS: f64 = 5.0;
 /// wall-clock metrics never count as regressions.
 pub const DEFAULT_MIN_WALL_DELTA_SECS: f64 = 0.1;
 
-/// Thresholds and switches for one diff.
-#[derive(Debug, Clone)]
+/// Switches for one diff.
+#[derive(Debug, Clone, Default)]
 pub struct DiffOptions {
-    /// Relative regression threshold for wall-clock metrics, percent.
-    pub wall_threshold_pct: f64,
-    /// Absolute regression threshold for hit rates, percentage points.
-    pub hit_threshold_pts: f64,
-    /// Wall-time drift floor, seconds (noise guard for tiny runs).
-    pub min_wall_delta_secs: f64,
     /// Compare even when the runs are incomparable.
     pub force: bool,
-}
-
-impl Default for DiffOptions {
-    fn default() -> Self {
-        DiffOptions {
-            wall_threshold_pct: DEFAULT_WALL_THRESHOLD_PCT,
-            hit_threshold_pts: DEFAULT_HIT_THRESHOLD_PTS,
-            min_wall_delta_secs: DEFAULT_MIN_WALL_DELTA_SECS,
-            force: false,
-        }
-    }
 }
 
 /// Everything loadable from one run directory.
@@ -118,7 +101,7 @@ impl RunSnapshot {
 }
 
 /// Checks that two runs can be meaningfully compared: same experiment,
-/// size, seed and feature flags. Returns the reasons they cannot.
+/// size, seed, worker count and feature flags. Returns the reasons they cannot.
 pub fn comparability(a: &RunSnapshot, b: &RunSnapshot) -> Vec<String> {
     let mut reasons = Vec::new();
     let ma = &a.manifest;
@@ -134,6 +117,9 @@ pub fn comparability(a: &RunSnapshot, b: &RunSnapshot) -> Vec<String> {
     }
     if ma.seed != mb.seed {
         reasons.push(format!("seed differs: {} vs {}", ma.seed, mb.seed));
+    }
+    if ma.threads != mb.threads {
+        reasons.push(format!("threads differ: {} vs {}", ma.threads, mb.threads));
     }
     if ma.provenance.features != mb.provenance.features {
         reasons.push(format!(
@@ -223,7 +209,7 @@ fn pct_delta(a: f64, b: f64) -> f64 {
 
 /// Diffs two loaded runs. Pure: no I/O, fully deterministic, so the
 /// regression logic is unit-testable with fixture snapshots.
-pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport {
+pub fn diff(a: &RunSnapshot, b: &RunSnapshot) -> DiffReport {
     let mut report = DiffReport::default();
     let pa = &a.manifest.provenance;
     let pb = &b.manifest.provenance;
@@ -248,7 +234,7 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport 
     // threshold and the absolute drift floor.
     let wall_a = a.manifest.wall_time_secs;
     let wall_b = b.manifest.wall_time_secs;
-    let wall_drifted = (wall_b - wall_a).abs() >= opts.min_wall_delta_secs;
+    let wall_drifted = (wall_b - wall_a).abs() >= DEFAULT_MIN_WALL_DELTA_SECS;
     report.rows.push(DiffRow {
         metric: "wall_time_secs".to_string(),
         a: wall_a,
@@ -257,7 +243,7 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport 
         delta_unit: "%",
         regressed: wall_drifted
             && wall_a > 0.0
-            && pct_delta(wall_a, wall_b) > opts.wall_threshold_pct,
+            && pct_delta(wall_a, wall_b) > DEFAULT_WALL_THRESHOLD_PCT,
     });
     if let (Some(ca), Some(cb)) = (a.cells_per_sec(), b.cells_per_sec()) {
         report.rows.push(DiffRow {
@@ -266,7 +252,7 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport 
             b: cb,
             delta: pct_delta(ca, cb),
             delta_unit: "%",
-            regressed: wall_drifted && pct_delta(ca, cb) < -opts.wall_threshold_pct,
+            regressed: wall_drifted && pct_delta(ca, cb) < -DEFAULT_WALL_THRESHOLD_PCT,
         });
     }
 
@@ -280,7 +266,7 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport 
                 delta: (rb - ra) * 100.0,
                 delta_unit: "pts",
                 // Lower hit rate = more work per cycle = regression.
-                regressed: (ra - rb) * 100.0 > opts.hit_threshold_pts,
+                regressed: (ra - rb) * 100.0 > DEFAULT_HIT_THRESHOLD_PTS,
             };
             report.rows.push(rate_row(
                 "sm_sleep_hit_rate",
@@ -301,7 +287,7 @@ pub fn diff(a: &RunSnapshot, b: &RunSnapshot, opts: &DiffOptions) -> DiffReport 
                 delta: pct_delta(ia, ib),
                 delta_unit: "%",
                 // A more skewed channel distribution is a regression.
-                regressed: pct_delta(ia, ib) > opts.wall_threshold_pct,
+                regressed: pct_delta(ia, ib) > DEFAULT_WALL_THRESHOLD_PCT,
             });
         }
         (None, None) => report.notes.push("no profiles to compare".to_string()),
@@ -325,7 +311,7 @@ pub fn perf_diff(dir_a: &Path, dir_b: &Path, opts: &DiffOptions) -> Result<DiffR
             reasons.join("; ")
         )));
     }
-    let mut report = diff(&a, &b, opts);
+    let mut report = diff(&a, &b);
     if !reasons.is_empty() {
         report
             .notes
@@ -380,7 +366,7 @@ mod tests {
     fn identical_runs_have_no_regressions() {
         let a = snapshot(10.0, 90, 10, [500, 500]);
         let b = snapshot(10.0, 90, 10, [500, 500]);
-        let report = diff(&a, &b, &DiffOptions::default());
+        let report = diff(&a, &b);
         assert_eq!(report.regressions(), 0, "{}", report.render());
         assert!(report.render().contains("no regressions"));
     }
@@ -389,14 +375,14 @@ mod tests {
     fn wall_time_regression_is_flagged_and_improvement_is_not() {
         let a = snapshot(10.0, 90, 10, [500, 500]);
         let slower = snapshot(15.0, 90, 10, [500, 500]);
-        let report = diff(&a, &slower, &DiffOptions::default());
+        let report = diff(&a, &slower);
         assert!(report.regressions() >= 1, "{}", report.render());
         assert!(report
             .rows
             .iter()
             .any(|r| r.metric == "wall_time_secs" && r.regressed));
         // The reverse direction is an improvement, not a regression.
-        let report = diff(&slower, &a, &DiffOptions::default());
+        let report = diff(&slower, &a);
         assert!(!report
             .rows
             .iter()
@@ -408,7 +394,7 @@ mod tests {
         // 3ms -> 9ms is +200% but far below the 0.1s floor.
         let a = snapshot(0.003, 90, 10, [500, 500]);
         let b = snapshot(0.009, 90, 10, [500, 500]);
-        let report = diff(&a, &b, &DiffOptions::default());
+        let report = diff(&a, &b);
         assert_eq!(report.regressions(), 0, "{}", report.render());
     }
 
@@ -416,13 +402,13 @@ mod tests {
     fn memo_hit_rate_drop_is_flagged() {
         let a = snapshot(10.0, 90, 10, [500, 500]); // 90% sleep hit rate
         let b = snapshot(10.0, 50, 50, [500, 500]); // 50%
-        let report = diff(&a, &b, &DiffOptions::default());
+        let report = diff(&a, &b);
         assert!(report
             .rows
             .iter()
             .any(|r| r.metric == "sm_sleep_hit_rate" && r.regressed));
         // Rising hit rate is fine.
-        let report = diff(&b, &a, &DiffOptions::default());
+        let report = diff(&b, &a);
         assert!(!report
             .rows
             .iter()
@@ -433,7 +419,7 @@ mod tests {
     fn imbalance_drift_is_flagged() {
         let a = snapshot(10.0, 90, 10, [500, 500]); // imbalance 1.0
         let b = snapshot(10.0, 90, 10, [900, 100]); // imbalance 1.8
-        let report = diff(&a, &b, &DiffOptions::default());
+        let report = diff(&a, &b);
         assert!(report
             .rows
             .iter()
@@ -445,10 +431,12 @@ mod tests {
         let a = snapshot(10.0, 90, 10, [500, 500]);
         let mut b = snapshot(10.0, 90, 10, [500, 500]);
         b.manifest.seed = 2;
+        b.manifest.threads = 2;
         b.manifest.provenance.features = vec!["check-invariants".to_string()];
         let reasons = comparability(&a, &b);
-        assert_eq!(reasons.len(), 2, "{reasons:?}");
+        assert_eq!(reasons.len(), 3, "{reasons:?}");
         assert!(reasons.iter().any(|r| r.contains("seed")));
+        assert!(reasons.iter().any(|r| r == "threads differ: 0 vs 2"));
         assert!(reasons.iter().any(|r| r.contains("feature")));
         assert!(comparability(&a, &a).is_empty());
     }
@@ -492,15 +480,7 @@ mod tests {
         b.manifest.seed = 99;
         std::fs::write(dir_b.join("manifest.json"), b.manifest.to_json()).unwrap();
         assert!(perf_diff(&dir_a, &dir_b, &DiffOptions::default()).is_err());
-        let forced = perf_diff(
-            &dir_a,
-            &dir_b,
-            &DiffOptions {
-                force: true,
-                ..DiffOptions::default()
-            },
-        )
-        .unwrap();
+        let forced = perf_diff(&dir_a, &dir_b, &DiffOptions { force: true }).unwrap();
         assert!(forced.notes.iter().any(|n| n.contains("forced diff")));
         std::fs::remove_dir_all(&base).ok();
     }

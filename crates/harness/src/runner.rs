@@ -814,38 +814,35 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
     }
 }
 
-/// Finds the result of `(workload, scheme)` in a matrix.
-pub fn find<'a>(
-    results: &'a [MatrixResult],
-    workload: Workload,
-    scheme_name: &str,
-) -> Option<&'a MatrixResult> {
-    results
-        .iter()
-        .find(|r| r.workload == workload && r.scheme.name() == scheme_name)
-}
-
-/// [`find`], for cells a report cannot proceed without: a missing cell
-/// (its simulation failed) becomes [`Error::MissingCell`] instead of a
-/// panic, so `ccx exp all` reports the failed figure and moves on rather
-/// than aborting the whole evaluation.
+/// The cell of `(workload, scheme)` in a matrix, matched on the full
+/// [`SchemeKind`] (configuration included), so two configurations of one
+/// scheme, such as the CacheCraft ablation variants, are different cells.
+///
+/// A cell that is absent (its simulation failed) becomes
+/// [`Error::MissingCell`] instead of a panic or a wrong neighbour: the
+/// figure fails, and `ccx exp all` still runs every other figure.
 ///
 /// # Errors
 ///
-/// Returns [`Error::MissingCell`] when the cell is absent.
+/// Returns [`Error::MissingCell`] naming `workload/scheme` when the cell
+/// is absent.
 pub fn require<'a>(
     results: &'a [MatrixResult],
     workload: Workload,
-    scheme_name: &str,
+    scheme: &SchemeKind,
 ) -> Result<&'a MatrixResult, Error> {
-    find(results, workload, scheme_name).ok_or_else(|| Error::MissingCell {
-        cell: format!("{}/{scheme_name}", workload.name()),
-    })
+    results
+        .iter()
+        .find(|r| r.workload == workload && r.scheme == *scheme)
+        .ok_or_else(|| Error::MissingCell {
+            cell: format!("{}/{}", workload.name(), scheme.name()),
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccraft_core::cachecraft::CacheCraftConfig;
     use ccraft_core::factory::run_scheme;
 
     fn argv(args: &[&str]) -> Vec<String> {
@@ -1074,18 +1071,27 @@ mod tests {
     }
 
     #[test]
-    fn find_locates_cells() {
-        let _guard = crate::checkpoint::test_guard();
-        let cfg = GpuConfig::tiny();
-        let opts = tiny_opts(1);
-        let results = run_matrix(
-            &cfg,
-            &[Workload::VecAdd],
-            &[SchemeKind::NoProtection],
-            &opts,
-        );
-        assert!(find(&results, Workload::VecAdd, "no-protection").is_some());
-        assert!(find(&results, Workload::VecAdd, "cachecraft").is_none());
+    fn require_tells_scheme_configs_apart() {
+        let cell = |scheme, exec_cycles| MatrixResult {
+            workload: Workload::VecAdd,
+            scheme,
+            stats: SimStats {
+                exec_cycles,
+                ..SimStats::default()
+            },
+        };
+        let c1 = SchemeKind::CacheCraft(CacheCraftConfig::colocate_only());
+        let c2 = SchemeKind::CacheCraft(CacheCraftConfig::fragments_only());
+        let results = [cell(c1, 100), cell(c2, 200)];
+        let got =
+            |scheme| require(&results, Workload::VecAdd, &scheme).map(|r| r.stats.exec_cycles);
+        assert_eq!(got(c1).ok(), Some(100));
+        assert_eq!(got(c2).ok(), Some(200));
+        let full = SchemeKind::CacheCraft(CacheCraftConfig::full());
+        assert!(matches!(
+            got(full),
+            Err(Error::MissingCell { cell }) if cell == "vecadd/cachecraft"
+        ));
     }
 
     #[test]

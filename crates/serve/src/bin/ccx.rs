@@ -45,8 +45,7 @@ USAGE:
           [--hist] [--timeline <file>] [--trace <file>] [--profile]
   ccx reliability [--codec <secded|rs36|rs18|crc32|tagged4>]
                   [--pattern <bit1|bit2|bit3|burst4|symbol|chiplane>] [--trials N] [--seed N]
-  ccx perf-diff <run-dir-A> <run-dir-B> [--threshold-pct P] [--hit-threshold-pts P]
-                [--min-wall-delta SECS] [--force]
+  ccx perf-diff <run-dir-A> <run-dir-B> [--force]
   ccx chaos-soak <id> [--size tiny|small|full] [--seed N] [--threads N]
                  [--chaos <spec>] [--kills N] [--max-attempts N]
   ccx serve [--addr HOST:PORT] [--cache-dir DIR]
@@ -89,8 +88,9 @@ PERF DIFF (ccx perf-diff):
   Joins each run directory's manifest.json and profile.json (from
   --profile; scripts/bench_smoke keeps its sweeps under bench-results/),
   prints a regression table, and exits 1 when run B regressed past the
-  thresholds (0 clean, 2 unusable or incomparable inputs). Runs must match
-  on experiment, size, seed and feature flags unless --force is given.
+  fixed thresholds (0 clean, 2 unusable or incomparable inputs). Runs must
+  match on experiment, size, seed, worker count and feature flags unless
+  --force is given.
 
 FAULT INJECTION (ccx run):
   --inject <pattern>:<rate>  expose DRAM reads to in-situ faults while the
@@ -471,30 +471,16 @@ fn print_profile_summary(p: &ccraft_telemetry::profiler::SimProfile) {
 fn cmd_perf_diff(args: &[String]) -> ExitCode {
     let mut opts = DiffOptions::default();
     let mut dirs: Vec<String> = Vec::new();
-    let mut i = 1; // args[0] is "perf-diff"
-    while i < args.len() {
-        match args[i].as_str() {
+    // args[0] is "perf-diff".
+    for arg in &args[1..] {
+        match arg.as_str() {
             "--force" => opts.force = true,
-            "--threshold-pct" | "--hit-threshold-pts" | "--min-wall-delta" => {
-                let flag = args[i].clone();
-                i += 1;
-                let Some(Ok(v)) = args.get(i).map(|s| s.parse::<f64>()) else {
-                    eprintln!("{flag} expects a number\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                match flag.as_str() {
-                    "--threshold-pct" => opts.wall_threshold_pct = v,
-                    "--hit-threshold-pts" => opts.hit_threshold_pts = v,
-                    _ => opts.min_wall_delta_secs = v,
-                }
-            }
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other:?}\n\n{USAGE}");
                 return ExitCode::from(2);
             }
             dir => dirs.push(dir.to_string()),
         }
-        i += 1;
     }
     if dirs.len() != 2 {
         eprintln!(

@@ -94,10 +94,44 @@ fn misspelled_run_flags_are_reported_not_ignored() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--codex"), "{stderr}");
     // perf-diff rejects unknown flags outright, including the bench
-    // record flags it once took.
-    let out = ccx(&["perf-diff", "a", "b", "--bench-a", "x"], &dir);
+    // record and threshold flags it once took.
+    for flag in [
+        "--bench-a",
+        "--threshold-pct",
+        "--hit-threshold-pts",
+        "--min-wall-delta",
+    ] {
+        let out = ccx(&["perf-diff", "a", "b", flag, "10"], &dir);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag \"{flag}\"")),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn perf_diff_refuses_runs_with_different_worker_counts() {
+    let dir = temp_dir("threads");
+    let mut dirs = Vec::new();
+    for threads in [1, 2] {
+        let mut manifest = RunManifest::new("exp-all");
+        manifest.size = "tiny".to_string();
+        manifest.seed = 1;
+        manifest.threads = threads;
+        manifest.wall_time_secs = 10.0;
+        let run = dir.join(format!("t{threads}"));
+        std::fs::create_dir_all(&run).expect("create run dir");
+        std::fs::write(run.join("manifest.json"), manifest.to_json()).expect("write manifest");
+        dirs.push(run.to_string_lossy().into_owned());
+    }
+    let out = ccx(&["perf-diff", &dirs[0], &dirs[1]], &dir);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag"), "{stderr}");
+    assert!(stderr.contains("threads differ: 1 vs 2"), "{stderr}");
+    let out = ccx(&["perf-diff", &dirs[0], &dirs[1], "--force"], &dir);
+    assert!(out.status.success(), "{out:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

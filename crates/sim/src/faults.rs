@@ -297,7 +297,9 @@ impl FaultStats {
     }
 }
 
-fn classify(outcome: DecodeOutcome, data_ok: bool) -> FaultOutcome {
+/// Classifies one decode against ground truth: `data_ok` says whether the
+/// decoded data matches what was written.
+pub fn classify(outcome: DecodeOutcome, data_ok: bool) -> FaultOutcome {
     match outcome {
         DecodeOutcome::Clean => {
             if data_ok {

@@ -237,14 +237,8 @@ impl L1Cache {
         }
     }
 
-    /// Takes the load-completion notifications accumulated so far.
-    pub fn take_completions(&mut self) -> Vec<WarpIdx> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Drains completion notifications in place, keeping the buffer's
-    /// capacity (the per-cycle path; [`take_completions`](Self::take_completions)
-    /// hands the allocation away each call).
+    /// Drains the load-completion notifications accumulated so far in
+    /// place, keeping the buffer's capacity for the next cycle.
     pub fn drain_completions(&mut self) -> std::vec::Drain<'_, WarpIdx> {
         self.completions.drain(..)
     }
@@ -342,6 +336,10 @@ mod tests {
         PhysLoc::new(0, atom.0)
     }
 
+    fn completions(l1: &mut L1Cache) -> Vec<WarpIdx> {
+        l1.drain_completions().collect()
+    }
+
     #[test]
     fn miss_forwards_and_fill_completes_waiters() {
         let mut l1 = l1();
@@ -357,14 +355,14 @@ mod tests {
         });
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].loc, PhysLoc::new(0, 5));
-        assert!(l1.take_completions().is_empty());
+        assert!(completions(&mut l1).is_empty());
         // Fill arrives.
         l1.accept_response(L2Response {
             loc: sent[0].loc,
             dest: SmId(0),
             l1_mshr: sent[0].l1_mshr,
         });
-        assert_eq!(l1.take_completions(), vec![3]);
+        assert_eq!(completions(&mut l1), vec![3]);
         assert_eq!(l1.stats().read_misses, 1);
     }
 
@@ -387,7 +385,7 @@ mod tests {
             dest: SmId(0),
             l1_mshr: sent.unwrap().l1_mshr,
         });
-        let _ = l1.take_completions();
+        let _ = completions(&mut l1);
         // Now a hit: tiny L1 latency is 4.
         l1.push(L1Access {
             warp: 1,
@@ -395,11 +393,11 @@ mod tests {
             kind: AccessKind::Read,
         });
         l1.tick(10, &mut identity_map, &mut send_ok);
-        assert!(l1.take_completions().is_empty());
+        assert!(completions(&mut l1).is_empty());
         l1.tick(13, &mut identity_map, &mut send_ok);
-        assert!(l1.take_completions().is_empty());
+        assert!(completions(&mut l1).is_empty());
         l1.tick(14, &mut identity_map, &mut send_ok);
-        assert_eq!(l1.take_completions(), vec![1]);
+        assert_eq!(completions(&mut l1), vec![1]);
         assert_eq!(l1.stats().read_hits, 1);
     }
 
@@ -428,7 +426,7 @@ mod tests {
             dest: SmId(0),
             l1_mshr: last.unwrap().l1_mshr,
         });
-        let mut done = l1.take_completions();
+        let mut done = completions(&mut l1);
         done.sort_unstable();
         assert_eq!(done, vec![0, 1, 2]);
     }

@@ -535,15 +535,8 @@ impl L2Slice {
         );
     }
 
-    /// Pops responses that are ready at `now`.
-    pub fn pop_responses(&mut self, now: Cycle) -> Vec<L2Response> {
-        let mut out = Vec::new();
-        self.pop_responses_into(now, &mut out);
-        out
-    }
-
-    /// Like [`pop_responses`](Self::pop_responses) into a caller-owned
-    /// buffer (cleared first) so the cycle loop can reuse one allocation.
+    /// Pops responses that are ready at `now` into a caller-owned buffer
+    /// (cleared first) so the cycle loop can reuse one allocation.
     pub fn pop_responses_into(&mut self, now: Cycle, out: &mut Vec<L2Response>) {
         out.clear();
         while let Some(&(ready, resp)) = self.resp_q.front() {
@@ -760,13 +753,18 @@ mod tests {
         start: Cycle,
     ) -> (Vec<L2Response>, Cycle) {
         let mut responses = Vec::new();
+        let mut popped = Vec::new();
         let mut now = start;
         loop {
             slice.tick(scheme, now);
-            responses.extend(slice.pop_responses(now));
+            slice.pop_responses_into(now, &mut popped);
+            responses.append(&mut popped);
             now += 1;
-            if slice.is_idle() && slice.pop_responses(now).is_empty() {
-                break;
+            if slice.is_idle() {
+                slice.pop_responses_into(now, &mut popped);
+                if popped.is_empty() {
+                    break;
+                }
             }
             assert!(now < 100_000, "livelock");
         }
@@ -992,6 +990,7 @@ mod tests {
         let script = bursty_script();
         let mut next = 0;
         let mut responses = Vec::new();
+        let mut popped = Vec::new();
         let mut skipped = 0u64;
         let mut skipped_total = 0u64;
         let mut flushed = false;
@@ -1015,9 +1014,8 @@ mod tests {
                 skipped = 0;
                 slice.tick(&mut scheme, now);
             }
-            for r in slice.pop_responses(now) {
-                responses.push((now, r));
-            }
+            slice.pop_responses_into(now, &mut popped);
+            responses.extend(popped.iter().map(|&r| (now, r)));
             now += 1;
             let flush_due =
                 !flushed && next == script.len() && slice.is_idle() && scheme.is_drained();
@@ -1064,12 +1062,12 @@ mod tests {
         // A hit at cycle `end` must not respond before end + latency (8).
         slice.push(read_req(0));
         slice.tick(&mut scheme, end);
+        let mut popped = Vec::new();
         for now in end..end + 8 {
-            assert!(
-                slice.pop_responses(now).is_empty(),
-                "early response at {now}"
-            );
+            slice.pop_responses_into(now, &mut popped);
+            assert!(popped.is_empty(), "early response at {now}");
         }
-        assert_eq!(slice.pop_responses(end + 8).len(), 1);
+        slice.pop_responses_into(end + 8, &mut popped);
+        assert_eq!(popped.len(), 1);
     }
 }

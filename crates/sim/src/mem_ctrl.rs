@@ -644,14 +644,7 @@ impl MemCtrl {
         bound.max(now + 1)
     }
 
-    /// Collects read completions whose data is available by `now`.
-    pub fn pop_completions(&mut self, now: Cycle) -> Vec<Completion> {
-        let mut done = Vec::new();
-        self.pop_completions_into(now, &mut done);
-        done
-    }
-
-    /// Like [`pop_completions`](Self::pop_completions) but fills a
+    /// Collects read completions whose data is available by `now` into a
     /// caller-owned buffer (cleared first), so the per-cycle hot path can
     /// reuse one allocation.
     pub fn pop_completions_into(&mut self, now: Cycle, out: &mut Vec<Completion>) {
@@ -756,9 +749,11 @@ mod tests {
 
     fn run(mc: &mut MemCtrl, from: Cycle, to: Cycle) -> Vec<Completion> {
         let mut done = Vec::new();
+        let mut popped = Vec::new();
         for now in from..to {
             mc.tick(now);
-            done.extend(mc.pop_completions(now));
+            mc.pop_completions_into(now, &mut popped);
+            done.append(&mut popped);
         }
         done
     }
@@ -828,9 +823,10 @@ mod tests {
         assert_eq!(s.class_count(TrafficClass::DataWrite), 1, "{s:?}");
         assert_eq!(s.class_count(TrafficClass::DataRead), 0, "{s:?}");
         // And the whole batch eventually drains.
+        let mut popped = Vec::new();
         for now in 1..120 {
             mc.tick(now);
-            let _ = mc.pop_completions(now);
+            mc.pop_completions_into(now, &mut popped);
         }
         assert!(mc.is_idle());
         assert_eq!(mc.stats().class_count(TrafficClass::DataWrite), 5);
@@ -862,6 +858,7 @@ mod tests {
         let mut mc = ctrl();
         let mut now = 0;
         let mut completed = 0;
+        let mut popped = Vec::new();
         let mut next = 0u64;
         while completed < 64 {
             while next < 64 && mc.can_accept_read() {
@@ -869,7 +866,8 @@ mod tests {
                 next += 1;
             }
             mc.tick(now);
-            completed += mc.pop_completions(now).len();
+            mc.pop_completions_into(now, &mut popped);
+            completed += popped.len();
             now += 1;
             assert!(now < 10_000, "livelock");
         }
@@ -942,9 +940,10 @@ mod tests {
         mc.push(read(0), 0);
         mc.push(write(64), 0);
         let mut events = Vec::new();
+        let mut popped = Vec::new();
         for now in 0..80 {
             mc.tick(now);
-            let _ = mc.pop_completions(now);
+            mc.pop_completions_into(now, &mut popped);
             events.extend(mc.take_issue_events());
         }
         assert_eq!(events.len(), 2);

@@ -108,16 +108,8 @@ impl Crossbar {
     }
 
     /// Pops up to `ports_per_endpoint` responses that have arrived at `sm`
-    /// by `now`.
-    pub fn deliver_responses(&mut self, sm: u16, now: Cycle) -> Vec<L2Response> {
-        let mut out = Vec::new();
-        self.deliver_responses_into(sm, now, &mut out);
-        out
-    }
-
-    /// Like [`deliver_responses`](Self::deliver_responses) into a
-    /// caller-owned buffer (cleared first) so the cycle loop can reuse one
-    /// allocation across SMs and cycles.
+    /// by `now` into a caller-owned buffer (cleared first), so the cycle
+    /// loop can reuse one allocation across SMs and cycles.
     pub fn deliver_responses_into(&mut self, sm: u16, now: Cycle, out: &mut Vec<L2Response>) {
         out.clear();
         let q = &mut self.resp_q[sm as usize];
@@ -266,8 +258,10 @@ mod tests {
             },
             0,
         );
-        assert!(x.deliver_responses(1, 3).is_empty());
-        let r = x.deliver_responses(1, 4);
+        let mut r = Vec::new();
+        x.deliver_responses_into(1, 3, &mut r);
+        assert!(r.is_empty());
+        x.deliver_responses_into(1, 4, &mut r);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].l1_mshr, 3);
     }

@@ -79,10 +79,11 @@ impl ProtectionScheme for MockScheme {
 }
 
 fn run_until_idle(slice: &mut L2Slice, scheme: &mut MockScheme, start: Cycle) -> Cycle {
+    let mut popped = Vec::new();
     let mut now = start;
     loop {
         slice.tick(scheme, now);
-        let _ = slice.pop_responses(now);
+        slice.pop_responses_into(now, &mut popped);
         now += 1;
         if slice.is_idle() && scheme.is_drained() {
             return now;
@@ -118,10 +119,12 @@ fn demand_fill_waits_for_ecc_piece() {
     // Collect the response time; with an extra ECC fetch the fill cannot
     // complete before both DRAM reads are done.
     let mut responded_at = None;
+    let mut popped = Vec::new();
     let mut now = 0;
     while responded_at.is_none() {
         slice.tick(&mut scheme, now);
-        if !slice.pop_responses(now).is_empty() {
+        slice.pop_responses_into(now, &mut popped);
+        if !popped.is_empty() {
             responded_at = Some(now);
         }
         now += 1;

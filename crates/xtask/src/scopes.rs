@@ -58,18 +58,11 @@ impl ScopeMap {
     }
 }
 
-/// What a `{` opened.
-#[derive(Debug)]
-enum FrameKind {
-    Mod,
-    Impl,
-    Fn(usize),
-    Block,
-}
-
 #[derive(Debug)]
 struct Frame {
-    kind: FrameKind,
+    /// The index into `fns` of the fn whose body this `{` opened; `None`
+    /// for a `mod`/`impl` body or an anonymous block.
+    fn_idx: Option<usize>,
     /// Effective test-gating at this frame (own attr or inherited).
     cfg_test: bool,
 }
@@ -80,9 +73,9 @@ struct Scanner {
     fns: Vec<FnScope>,
     /// `#[cfg(test)]` seen among the attributes of the upcoming item.
     pending_cfg_test: bool,
-    /// Classification for the next `{` (set by `mod`/`impl`/`fn`
-    /// headers; `None` means anonymous block).
-    pending_open: Option<(FrameKind, bool)>,
+    /// Frame for the next `{`: its fn index and test-gating (set by
+    /// `mod`/`impl`/`fn` headers; `None` means anonymous block).
+    pending_open: Option<(Option<usize>, bool)>,
     /// Nesting inside `(...)`/`[...]` groups: a `;` in an array type
     /// (`[u32; 2]`) must not be mistaken for an item-ending semicolon.
     delim: i32,
@@ -130,7 +123,7 @@ impl Scanner {
                         && matches!(t.get(i + 2).map(|x| &x.kind), Some(TokKind::Open('{')))
                     {
                         let test = self.pending_cfg_test || self.inherited_cfg_test();
-                        self.pending_open = Some((FrameKind::Mod, test));
+                        self.pending_open = Some((None, test));
                     }
                     self.pending_cfg_test = false;
                 }
@@ -149,7 +142,7 @@ impl Scanner {
                             body: 0..0,
                             cfg_test: test,
                         });
-                        self.pending_open = Some((FrameKind::Fn(self.fns.len() - 1), test));
+                        self.pending_open = Some((Some(self.fns.len() - 1), test));
                     }
                     self.pending_cfg_test = false;
                 }
@@ -167,30 +160,29 @@ impl Scanner {
                     // A top-level `;` before the pending `{` means the
                     // item had no body after all (e.g. a trait method
                     // declaration).
-                    if let Some((FrameKind::Fn(idx), _)) = &self.pending_open {
-                        let idx = *idx;
+                    if let Some((Some(idx), _)) = self.pending_open {
                         // Signature-only: keep it with an empty body.
                         self.fns[idx].sig = self.fns[idx].sig.start..i;
                     }
                     self.pending_open = None;
                 }
                 TokKind::Open('{') => {
-                    let (kind, test) = self
+                    let (fn_idx, test) = self
                         .pending_open
                         .take()
-                        .unwrap_or((FrameKind::Block, self.inherited_cfg_test()));
-                    if let FrameKind::Fn(idx) = kind {
+                        .unwrap_or((None, self.inherited_cfg_test()));
+                    if let Some(idx) = fn_idx {
                         self.fns[idx].sig = self.fns[idx].sig.start..i;
                         self.fns[idx].body = (i + 1)..(i + 1);
                     }
                     self.frames.push(Frame {
-                        kind,
+                        fn_idx,
                         cfg_test: test,
                     });
                 }
                 TokKind::Close('}') => {
                     if let Some(frame) = self.frames.pop() {
-                        if let FrameKind::Fn(idx) = frame.kind {
+                        if let Some(idx) = frame.fn_idx {
                             self.fns[idx].body = self.fns[idx].body.start..i;
                         }
                     }
@@ -220,7 +212,7 @@ impl Scanner {
             match tok.kind {
                 TokKind::Open('{') => {
                     let test = self.pending_cfg_test || self.inherited_cfg_test();
-                    self.pending_open = Some((FrameKind::Impl, test));
+                    self.pending_open = Some((None, test));
                     return;
                 }
                 TokKind::Punct(';') => return,
