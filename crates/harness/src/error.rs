@@ -44,7 +44,7 @@ pub enum Error {
     },
     /// A simulation cell panicked.
     WorkerPanic {
-        /// `workload/scheme` identifier of the cell.
+        /// The cell's [`cell_label`](crate::runner::cell_label).
         cell: String,
         /// The panic payload, when it was a string.
         message: String,
@@ -52,7 +52,7 @@ pub enum Error {
     /// An experiment's report needed a matrix cell that is absent from
     /// the results (its simulation failed, or was never scheduled).
     MissingCell {
-        /// `workload/scheme` identifier of the missing cell.
+        /// The missing cell's [`cell_label`](crate::runner::cell_label).
         cell: String,
     },
     /// A persisted artifact failed checksum verification and was moved

@@ -280,7 +280,11 @@ mod tests {
         });
         let err = sweep_geomeans(&results, &schemes).expect_err("a cell is missing");
         assert!(
-            matches!(&err, Error::MissingCell { cell } if cell == "spmv/ecc-cache"),
+            matches!(
+                &err,
+                Error::MissingCell { cell }
+                    if cell == "spmv/EccCache { coverage: 8, capacity_per_mc: 16384 }"
+            ),
             "{err}"
         );
     }

@@ -367,17 +367,24 @@ impl CellOutcome {
         format!("{}/{}", self.workload.name(), self.scheme.name())
     }
 
-    /// The error equivalent of a non-ok outcome. It names the scheme's
-    /// full config, so variants sharing a scheme name stay distinct.
+    /// The error equivalent of a non-ok outcome, naming the cell by its
+    /// [`cell_label`].
     pub fn as_error(&self) -> Option<Error> {
         match &self.status {
             CellStatus::Ok => None,
             CellStatus::Failed { message } => Some(Error::WorkerPanic {
-                cell: format!("{}/{:?}", self.workload.name(), self.scheme),
+                cell: cell_label(self.workload, &self.scheme),
                 message: message.clone(),
             }),
         }
     }
+}
+
+/// The name a cell goes by in warnings and errors: the workload and the
+/// scheme with its full config, so configurations that share a scheme
+/// name (the CacheCraft ablation variants) stay distinct.
+pub fn cell_label(workload: Workload, scheme: &SchemeKind) -> String {
+    format!("{}/{scheme:?}", workload.name())
 }
 
 /// The simulation body of one cell: returns the stats plus the truthful
@@ -767,16 +774,15 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
             cache: cell.cache.clone(),
             status: cell.status.clone(),
         });
+        // The matrix engine already warned on stderr when the cell
+        // failed; the manifest keeps the same words.
         if !cell.is_ok() {
             quarantined += 1;
-            let warning = format!(
-                "cell {} {}: {}",
-                cell.key,
-                cell.status,
-                cell.message.as_deref().unwrap_or("(no message)")
+            manifest.warn(
+                cell.message
+                    .clone()
+                    .unwrap_or_else(|| format!("cell {} {}", cell.key, cell.status)),
             );
-            eprintln!("warning: {warning}");
-            manifest.warn(warning);
         }
     }
     // Graceful degradation: a failed cell is quarantined (checkpoint +
@@ -824,8 +830,8 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
 ///
 /// # Errors
 ///
-/// Returns [`Error::MissingCell`] naming `workload/scheme` when the cell
-/// is absent.
+/// Returns [`Error::MissingCell`] naming the cell by its [`cell_label`]
+/// when the cell is absent.
 pub fn require<'a>(
     results: &'a [MatrixResult],
     workload: Workload,
@@ -835,7 +841,7 @@ pub fn require<'a>(
         .iter()
         .find(|r| r.workload == workload && r.scheme == *scheme)
         .ok_or_else(|| Error::MissingCell {
-            cell: format!("{}/{}", workload.name(), scheme.name()),
+            cell: cell_label(workload, scheme),
         })
 }
 
@@ -1088,9 +1094,11 @@ mod tests {
         assert_eq!(got(c1).ok(), Some(100));
         assert_eq!(got(c2).ok(), Some(200));
         let full = SchemeKind::CacheCraft(CacheCraftConfig::full());
+        let label = format!("vecadd/{full:?}");
+        assert!(label.starts_with("vecadd/CacheCraft(CacheCraftConfig {"));
         assert!(matches!(
             got(full),
-            Err(Error::MissingCell { cell }) if cell == "vecadd/cachecraft"
+            Err(Error::MissingCell { cell }) if cell == label
         ));
     }
 

@@ -4,11 +4,19 @@
 //! The pipeline per cycle (reverse order, so data moves one stage per
 //! cycle):
 //!
-//! 1. every L2 slice ticks (controller scheduling, fills, write-backs,
-//!    request pipeline) and emits responses into the crossbar;
+//! 1. every awake L2 slice ticks (controller scheduling, fills,
+//!    write-backs, request pipeline) and emits responses into the
+//!    crossbar;
 //! 2. the crossbar delivers matured requests to slices and matured
-//!    responses to L1s;
-//! 3. every SM ticks (L1 pipeline, LSU streaming, warp scheduling).
+//!    responses to L1s, visiting only the endpoints with a message due;
+//! 3. every awake SM ticks (L1 pipeline, LSU streaming, warp scheduling).
+//!
+//! Which SMs and slices are awake is kept by a wake calendar (see the
+//! `calendar` module): a component whose tick would provably do nothing
+//! but count a stall sleeps until its memo wake or until a delivery or
+//! the flush wakes it, and the ticks it skipped are settled in bulk
+//! later. When everything sleeps and no message is due, the loop jumps
+//! to the next wake.
 //!
 //! When every warp retires, the simulator enters a *flush phase*: the
 //! protection scheme's buffers are flushed and all dirty L2 state is
@@ -17,6 +25,7 @@
 //! Simulation ends when all queues drain, or at `max_cycles` (reported via
 //! [`SimStats::timed_out`]).
 
+use crate::calendar::Calendar;
 use crate::config::GpuConfig;
 use crate::dram::MapOrder;
 use crate::faults::{FaultConfig, FaultInjector};
@@ -72,12 +81,13 @@ struct LoopProf {
     other_ns: u64,
     /// Host ns in the termination scan + flush phase.
     flush_ns: u64,
-    /// Host ns in the idle fast-forward probe (includes the scheme's
-    /// `next_timed_event` pacing probe).
+    /// Host ns in the wake calendar's timer scans and the idle
+    /// fast-forward check.
     probe_ns: u64,
-    /// Per-SM sleep memo effectiveness (hit = SM tick skipped).
+    /// SM ticks run (memo misses); the hits, one per SM and visited
+    /// cycle that it slept through, are derived at the end.
     sm_sleep: MemoStats,
-    /// Per-slice sleep memo effectiveness (hit = slice tick skipped).
+    /// Slice ticks run (memo misses); hits derived as for `sm_sleep`.
     slice_sleep: MemoStats,
     /// Idle fast-forward span lengths, in cycles.
     idle_spans: Histogram,
@@ -146,60 +156,31 @@ const TIMELINE_SERIES: [&str; 10] = [
     "l2.mshrs",
 ];
 
-/// Earliest cycle at which any component can make progress, for idle
-/// fast-forwarding. Returns `None` when some component is busy at `now`
-/// (something can still act this cycle, so no cycles may be skipped) or
-/// when no component reports a future event (drained or deadlocked — the
-/// per-cycle loop handles both identically). Returns `Some(wake > now)`
-/// when every component is quiescent until `wake`: all cycles in
-/// `(now, wake)` are provably idle and can be jumped over. A component
-/// asleep in its memo contributes the memo's wake instead of a fresh
-/// probe: the memo holds what `next_event` returned when it fell asleep,
-/// which the oracle build re-checks against the live probe every cycle.
-fn idle_wake(
-    now: Cycle,
-    sms: &[SmCore],
-    sm_wake: &[Cycle],
-    xbar: &Crossbar,
-    slices: &[L2Slice],
-    scheme: &dyn ProtectionScheme,
-) -> Option<Cycle> {
-    let mut wake: Option<Cycle> = None;
-    let mut merge = |ev: Option<Cycle>| -> bool {
-        match ev {
-            Some(c) if c <= now => false,
-            Some(c) => {
-                wake = Some(wake.map_or(c, |w: Cycle| w.min(c)));
-                true
-            }
-            None => true,
-        }
-    };
-    let memo = |wake: Cycle| (wake != Cycle::MAX).then_some(wake);
-    for slice in slices {
-        let ev = if slice.asleep(now) {
-            memo(slice.wake())
-        } else {
-            slice.next_event(now, scheme)
-        };
-        if !merge(ev) {
-            return None;
+/// Accounts every tick that an SM or slice skipped before `upto` and
+/// has not yet accounted for: a sleeping SM counts the stall its last
+/// tick returned, a sleeping slice the controller's busy cycles. The
+/// loop settles before each telemetry snapshot and when the run ends;
+/// otherwise each component settles when it next ticks.
+fn settle_skipped(
+    upto: Cycle,
+    sms: &mut [SmCore],
+    sm_cal: &mut Calendar,
+    sm_stall: &[StallReason],
+    slices: &mut [L2Slice],
+    slice_cal: &mut Calendar,
+) {
+    for (i, (sm, &stall)) in sms.iter_mut().zip(sm_stall).enumerate() {
+        let skipped = sm_cal.settle(i, upto);
+        if skipped > 0 {
+            sm.account_stalled_span(skipped, stall);
         }
     }
-    if !merge(xbar.next_event()) {
-        return None;
-    }
-    for (sm, &sm_wake) in sms.iter().zip(sm_wake) {
-        let ev = if sm_wake > now {
-            memo(sm_wake)
-        } else {
-            sm.next_event(now)
-        };
-        if !merge(ev) {
-            return None;
+    for (ch, slice) in slices.iter_mut().enumerate() {
+        let skipped = slice_cal.settle(ch, upto);
+        if skipped > 0 {
+            slice.account_asleep_span(skipped);
         }
     }
-    wake.filter(|&w| w > now)
 }
 
 /// Computes one epoch's sample values from the delta between snapshots
@@ -450,22 +431,23 @@ pub fn simulate(
     let mut exec_cycles: Cycle = 0;
     let mut flushed = false;
     let mut timed_out = false;
-    // One response buffer reused across slices, SMs and cycles: the hot
-    // loop allocates nothing per cycle.
+    // One response buffer reused across slices and cycles: the hot loop
+    // allocates nothing per cycle.
     let mut resp_buf: Vec<crate::msg::L2Response> = Vec::new();
-    // Per-SM sleep memo. `sm_wake[i] > now` means SM `i` provably cannot
-    // act before `sm_wake[i]` (`Cycle::MAX`: not until a response
-    // arrives), so its tick is replaced by the stall accounting the tick
-    // would have done; a delivered response resets the memo. `sm_stall[i]`
-    // caches that stall (or doneness), which cannot change while asleep:
-    // every compute expiry is a wake event, load completions arrive as
-    // responses, and an L1 blocked on MSHRs unblocks only on a response.
-    // This skips the O(warps) scheduler scans for stalled SMs even when
-    // the memory system is busy (the common memory-bound case, where the
-    // whole-machine fast-forward below rarely fires). L2 slices keep
-    // their own memo (`L2Slice::asleep`).
-    let mut sm_wake: Vec<Cycle> = vec![0; sms.len()];
+    // Wake calendars: only awake SMs and slices tick (see the `calendar`
+    // module). An SM sleeps after a tick that issued nothing, until its
+    // `next_event` (or, with none, until a response arrives), and
+    // `sm_stall[i]` caches the stall that tick returned: it cannot change
+    // while the SM sleeps, because every compute expiry is a wake event,
+    // load completions arrive as responses, and an L1 blocked on MSHRs
+    // unblocks only on a response. This skips the O(warps) scheduler
+    // scans for stalled SMs even when the memory system is busy (the
+    // common memory-bound case, where the whole-machine fast-forward
+    // below rarely fires). A slice sleeps until its own memo wake
+    // (`L2Slice::asleep`), or until a request or the flush wakes it.
+    let mut sm_cal = Calendar::new(sms.len());
     let mut sm_stall: Vec<StallReason> = vec![StallReason::AllDone; sms.len()];
+    let mut slice_cal = Calendar::new(slices.len());
 
     // Runtime invariant oracle (see the `invariants` module docs). In this
     // build the idle fast-forward below is replaced by ticking through the
@@ -479,25 +461,40 @@ pub fn simulate(
         if let Some(p) = &mut prof {
             p.t.reset();
         }
-        // 1. Memory side. A sleeping slice's tick is replaced by the
-        //    busy-cycle count it would have made; the oracle build runs
-        //    the tick anyway and checks that it did nothing more.
+        sm_cal.fire(now);
+        slice_cal.fire(now);
+        if let Some(p) = &mut prof {
+            p.probe_ns = p.probe_ns.saturating_add(p.t.lap());
+        }
+        // 1. Memory side. The oracle build ticks every sleeping slice
+        //    anyway and checks that the tick did nothing but count the
+        //    busy cycle its skip would have counted.
+        #[cfg(feature = "check-invariants")]
         for (ch, slice) in slices.iter_mut().enumerate() {
-            if slice.asleep(now) {
-                #[cfg(feature = "check-invariants")]
+            if !slice_cal.is_awake(ch) {
+                slice_cal.assert_sleeper("L2 slice", ch, now);
+                assert!(
+                    slice.asleep(now),
+                    "invariant violated: L2 slice {ch} is awake but missing \
+                     from the calendar (cycle {now})"
+                );
                 slice.tick_asleep_checked(scheme, now);
-                #[cfg(not(feature = "check-invariants"))]
-                slice.account_asleep_span(1);
-                if let Some(p) = &mut prof {
-                    p.slice_sleep.hit();
-                }
-            } else {
-                slice.tick(scheme, now);
-                if let Some(p) = &mut prof {
-                    p.slice_sleep.miss();
-                }
+                slice_cal.ticked(ch, now);
+            }
+        }
+        let mut next = slice_cal.next_awake(0);
+        while let Some(ch) = next {
+            let slice = &mut slices[ch];
+            let skipped = slice_cal.ticked(ch, now);
+            if skipped > 0 {
+                slice.account_asleep_span(skipped);
+            }
+            slice.tick(scheme, now);
+            if slice.asleep(now + 1) {
+                slice_cal.sleep(ch, slice.wake());
             }
             if let Some(p) = &mut prof {
+                p.slice_sleep.miss();
                 p.slice_ns[ch] = p.slice_ns[ch].saturating_add(p.t.lap());
             }
             slice.pop_responses_into(now, &mut resp_buf);
@@ -507,64 +504,60 @@ pub fn simulate(
             if let Some(p) = &mut prof {
                 p.xbar_ns = p.xbar_ns.saturating_add(p.t.lap());
             }
+            next = slice_cal.next_awake(ch + 1);
         }
-        // 2. Interconnect delivery.
-        for (ch, slice) in slices.iter_mut().enumerate() {
-            xbar.deliver_requests(ch as u16, now, &mut |req| {
-                if slice.can_accept() {
-                    slice.push(req);
-                    true
-                } else {
-                    false
-                }
-            });
-        }
+        // 2. Interconnect delivery, to the endpoints with a message due.
+        //    A delivery wakes its slice or SM.
+        xbar.deliver_due_requests(now, |ch, req| {
+            let ch = usize::from(ch);
+            let slice = &mut slices[ch];
+            if slice.can_accept() {
+                slice.push(req);
+                slice_cal.wake_up(ch);
+                true
+            } else {
+                false
+            }
+        });
         if let Some(p) = &mut prof {
             p.xbar_ns = p.xbar_ns.saturating_add(p.t.lap());
         }
-        for (i, sm) in sms.iter_mut().enumerate() {
-            xbar.deliver_responses_into(i as u16, now, &mut resp_buf);
-            if !resp_buf.is_empty() {
-                sm_wake[i] = 0;
-            }
-            for &resp in &resp_buf {
-                sm.l1.accept_response(resp);
-            }
-        }
+        xbar.deliver_due_responses(now, |i, resp| {
+            let i = usize::from(i);
+            sm_cal.wake_up(i);
+            sms[i].l1.accept_response(resp);
+        });
         if let Some(p) = &mut prof {
             p.l1_ns = p.l1_ns.saturating_add(p.t.lap());
         }
-        // 3. Cores.
-        for (i, sm) in sms.iter_mut().enumerate() {
-            if sm_wake[i] > now {
-                // Oracle: the sleep memo claims this SM cannot act before
-                // `sm_wake[i]` and that its stall (or doneness) is frozen;
-                // re-derive both from live state.
-                #[cfg(feature = "check-invariants")]
-                {
-                    if let Some(c) = sm.next_event(now) {
-                        assert!(
-                            c >= sm_wake[i],
-                            "invariant violated: SM {i} asleep until {} but \
-                             next_event says {c} (cycle {now})",
-                            sm_wake[i]
-                        );
-                    }
-                    assert_eq!(
-                        sm.stall_reason(now),
-                        sm_stall[i],
-                        "invariant violated: SM {i} stall reason changed \
-                         while asleep (cycle {now})"
+        // 3. Cores. Oracle: the calendar claims each sleeping SM cannot
+        //    act before its wake and that its stall (or doneness) is
+        //    frozen; re-derive both from live state.
+        #[cfg(feature = "check-invariants")]
+        for (i, sm) in sms.iter().enumerate() {
+            if !sm_cal.is_awake(i) {
+                let wake = sm_cal.assert_sleeper("SM", i, now);
+                if let Some(c) = sm.next_event(now) {
+                    assert!(
+                        c >= wake,
+                        "invariant violated: SM {i} asleep until {wake} but \
+                         next_event says {c} (cycle {now})"
                     );
                 }
-                // Asleep: the tick would only have counted one stalled
-                // cycle (or nothing, if done), plus an L1 stall while its
-                // head read waits for an MSHR.
-                sm.account_stalled_span(1, sm_stall[i]);
-                if let Some(p) = &mut prof {
-                    p.sm_sleep.hit();
-                }
-                continue;
+                assert_eq!(
+                    sm.stall_reason(now),
+                    sm_stall[i],
+                    "invariant violated: SM {i} stall reason changed \
+                     while asleep (cycle {now})"
+                );
+            }
+        }
+        let mut next = sm_cal.next_awake(0);
+        while let Some(i) = next {
+            let sm = &mut sms[i];
+            let skipped = sm_cal.ticked(i, now);
+            if skipped > 0 {
+                sm.account_stalled_span(skipped, sm_stall[i]);
             }
             let xbar_ref = &mut xbar;
             let scheme_map = &*scheme;
@@ -574,18 +567,16 @@ pub fn simulate(
             // Probe for sleep only when the tick issued nothing: an
             // issuing SM pays nothing for the memo beyond this branch.
             if let Some(stall) = stall {
-                sm_wake[i] = match sm.next_event(now) {
-                    Some(c) if c <= now => 0,
-                    Some(c) => c,
-                    None => Cycle::MAX,
-                };
                 sm_stall[i] = stall;
-            } else {
-                sm_wake[i] = 0;
+                match sm.next_event(now) {
+                    Some(c) if c <= now + 1 => {}
+                    wake => sm_cal.sleep(i, wake.unwrap_or(Cycle::MAX)),
+                }
             }
             if let Some(p) = &mut prof {
                 p.sm_sleep.miss();
             }
+            next = sm_cal.next_awake(i + 1);
         }
         if let Some(p) = &mut prof {
             p.sm_ns = p.sm_ns.saturating_add(p.t.lap());
@@ -626,6 +617,14 @@ pub fn simulate(
         }
         if let Some(s) = &mut sampler {
             if s.due(now) {
+                settle_skipped(
+                    now + 1,
+                    &mut sms,
+                    &mut sm_cal,
+                    &sm_stall,
+                    &mut slices,
+                    &mut slice_cal,
+                );
                 let cur = Snap::take(&sms, &slices);
                 let epoch_len = now.saturating_sub(epoch_start);
                 s.sample(&epoch_values(prev_snap, cur, epoch_len, &slices));
@@ -645,10 +644,10 @@ pub fn simulate(
         // above); awake SMs are checked live, short-circuiting on the
         // first unfinished one.
         let warps_done = sms.iter().enumerate().all(|(i, s)| {
-            if sm_wake[i] > now {
-                sm_stall[i] == StallReason::AllDone
-            } else {
+            if sm_cal.is_awake(i) {
                 s.all_warps_done(now)
+            } else {
+                sm_stall[i] == StallReason::AllDone
             }
         });
         if warps_done && exec_cycles == 0 {
@@ -664,6 +663,7 @@ pub fn simulate(
                 for slice in &mut slices {
                     slice.flush_dirty(scheme, now);
                 }
+                slice_cal.wake_all();
                 flushed = true;
             }
         }
@@ -683,57 +683,68 @@ pub fn simulate(
             break;
         }
 
-        // Idle fast-forward: when nothing can make progress until some
-        // future event (every SM stalled on memory or compute latency,
-        // queues empty of issuable work), jump straight to the earliest
-        // such event. Skipped cycles are provably identical to ticking
-        // through them — see DESIGN.md "Simulator performance model" for
-        // the invariant argument — so stats stay bit-identical. The jump
-        // is capped at the sampler's next epoch boundary (telemetry
-        // epochs must land on the same cycles either way) and at
-        // `max_cycles` (timeout accounting).
-        if let Some(p) = &mut prof {
-            p.t.reset();
-        }
-        let wake_at = idle_wake(now, &sms, &sm_wake, &xbar, &slices, &*scheme);
-        if let Some(p) = &mut prof {
-            p.probe_ns = p.probe_ns.saturating_add(p.t.lap());
-        }
-        if let Some(wake) = wake_at {
-            #[cfg(not(feature = "check-invariants"))]
-            {
-                let mut wake = wake.min(cfg.max_cycles);
-                if let Some(s) = &sampler {
-                    wake = wake.min(s.next_due_cycle());
-                }
-                if wake > now {
-                    let span = wake.saturating_sub(now);
-                    if let Some(p) = &mut prof {
-                        p.idle_jumps += 1;
-                        p.idle_cycles = p.idle_cycles.saturating_add(span);
-                        p.idle_spans.record(span);
-                    }
-                    for sm in &mut sms {
-                        sm.account_idle_span(now, span);
-                    }
-                    for slice in &mut slices {
-                        slice.account_asleep_span(span);
-                    }
-                    now = wake;
-                    if now >= cfg.max_cycles {
-                        timed_out = true;
-                        break;
-                    }
-                }
+        // Idle fast-forward: when every SM and slice sleeps and no
+        // message is due, nothing happens until the earliest memo wake or
+        // crossbar arrival, so jump straight there. The skipped ticks are
+        // settled like any other sleep, so the jump itself counts
+        // nothing. The jump is capped at the sampler's next epoch
+        // boundary (telemetry epochs must land on the same cycles either
+        // way) and at `max_cycles` (timeout accounting).
+        if sm_cal.all_asleep() && slice_cal.all_asleep() && !xbar.has_due() {
+            if let Some(p) = &mut prof {
+                p.t.reset();
             }
-            // Oracle build: tick through the predicted-idle span instead
-            // of jumping, with the progress signature frozen — any
-            // component doing work inside the span (i.e. `idle_wake` lied)
-            // trips the check at the top of the loop.
-            #[cfg(feature = "check-invariants")]
-            oracle.begin_idle_span(wake, progress_signature(&sms, &xbar, &slices));
+            let wake_at = [
+                sm_cal.next_timer(),
+                slice_cal.next_timer(),
+                xbar.next_arrival(),
+            ]
+            .into_iter()
+            .flatten()
+            .min()
+            .filter(|&wake| wake > now);
+            if let Some(p) = &mut prof {
+                p.probe_ns = p.probe_ns.saturating_add(p.t.lap());
+            }
+            if let Some(wake) = wake_at {
+                #[cfg(not(feature = "check-invariants"))]
+                {
+                    let mut wake = wake.min(cfg.max_cycles);
+                    if let Some(s) = &sampler {
+                        wake = wake.min(s.next_due_cycle());
+                    }
+                    if wake > now {
+                        let span = wake.saturating_sub(now);
+                        if let Some(p) = &mut prof {
+                            p.idle_jumps += 1;
+                            p.idle_cycles = p.idle_cycles.saturating_add(span);
+                            p.idle_spans.record(span);
+                        }
+                        now = wake;
+                        if now >= cfg.max_cycles {
+                            timed_out = true;
+                            break;
+                        }
+                    }
+                }
+                // Oracle build: tick through the predicted-idle span
+                // instead of jumping, with the progress signature frozen
+                // — any component doing work inside the span (a memo or
+                // arrival that lied) trips the check at the top of the
+                // loop.
+                #[cfg(feature = "check-invariants")]
+                oracle.begin_idle_span(wake, progress_signature(&sms, &xbar, &slices));
+            }
         }
     }
+    settle_skipped(
+        now,
+        &mut sms,
+        &mut sm_cal,
+        &sm_stall,
+        &mut slices,
+        &mut slice_cal,
+    );
 
     // Telemetry: close the final (partial) epoch so short runs still get
     // a non-empty timeline and every lane at least one event.
@@ -839,14 +850,23 @@ pub fn simulate(
     // and the per-channel load table from counters the controllers
     // already keep.
     let profile_out = prof.map(|p| {
+        // Every cycle the loop visits, each SM and slice either ticks (a
+        // memo miss) or sleeps (a hit).
+        let visited = now.saturating_sub(p.idle_cycles);
+        let mut sm_sleep = p.sm_sleep;
+        let mut slice_sleep = p.slice_sleep;
+        for (memo, n) in [(&mut sm_sleep, sms.len()), (&mut slice_sleep, slices.len())] {
+            let lookups = visited.saturating_mul(n as u64);
+            memo.hits.add(lookups.saturating_sub(memo.misses.get()));
+        }
         let mut sp = SimProfile {
             cycles: now,
             host_ns_total: p.start.elapsed_ns(),
             idle_jumps: p.idle_jumps,
             idle_cycles_skipped: p.idle_cycles,
             idle_spans: p.idle_spans,
-            sm_sleep: p.sm_sleep,
-            slice_sleep: p.slice_sleep,
+            sm_sleep,
+            slice_sleep,
             ..SimProfile::default()
         };
         let mut slice_total = 0u64;

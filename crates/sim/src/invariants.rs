@@ -1,23 +1,26 @@
 //! Runtime invariant oracle (`check-invariants` builds only).
 //!
 //! The simulator's performance model leans on *memoized idleness*: the
-//! cycle loop jumps over spans that [`crate::gpu`]'s `idle_wake` proves
-//! idle, sleeping SMs and L2 slices skip their ticks, and the memory
-//! controller skips FR-FCFS scans while `scan_asleep_until` holds. Each
-//! memo is an unchecked claim in the default build. Under the
-//! `check-invariants` feature this module (plus `#[cfg]`-gated hooks in
-//! `gpu.rs`, `mem_ctrl.rs`, `dram.rs`, `l1.rs`, `l2.rs` and `xbar.rs`)
-//! turns every claim into an assertion:
+//! cycle loop ticks only the SMs and L2 slices its wake calendar holds
+//! awake, jumps over spans in which every component sleeps and no
+//! crossbar message is due, and the memory controller skips FR-FCFS
+//! scans while `scan_asleep_until` holds. Each memo is an unchecked
+//! claim in the default build. Under the `check-invariants` feature
+//! this module (plus `#[cfg]`-gated hooks in `gpu.rs`, `calendar.rs`,
+//! `mem_ctrl.rs`, `dram.rs`, `l1.rs`, `l2.rs` and `xbar.rs`) turns every
+//! claim into an assertion:
 //!
 //! * **Memo conservativeness** — the loop *ticks through* predicted-idle
 //!   spans instead of jumping, and the [`Oracle`] asserts that the
 //!   machine's progress signature (every counter that moves only when
 //!   real work happens) stays frozen until the predicted wake cycle. A
 //!   component that acts earlier than its `next_event` /
-//!   `next_timed_event` promised is caught on the very next cycle. A
-//!   sleeping SM's wake and stall reason are re-derived from live state
-//!   every cycle, and a sleeping L2 slice is ticked anyway and must change
-//!   nothing but the busy cycle its skip would have counted.
+//!   `next_timed_event` promised is caught on the very next cycle. Every
+//!   cycle, each sleeper must sit in the calendar with a wake ahead that
+//!   the calendar's timer covers; a sleeping SM's wake and stall reason
+//!   are re-derived from live state, and a sleeping L2 slice is ticked
+//!   anyway and must change nothing but the busy cycle its skip would
+//!   have counted.
 //! * **Mirror exactness** — `DramChannel::issue_blocked_until` must agree
 //!   with `DramChannel::try_issue_at` in both directions on every issue
 //!   attempt, and a sleeping controller scan must find nothing issuable.

@@ -40,8 +40,6 @@ pub struct L1Stats {
     pub read_misses: u64,
     /// Stores forwarded (write-through).
     pub writes: u64,
-    /// Cycles the pipeline stalled on MSHRs or crossbar backpressure.
-    pub stalls: u64,
 }
 
 /// The L1 cache pipeline.
@@ -57,6 +55,9 @@ pub struct L1Cache {
     mshrs: Vec<Option<L1Mshr>>,
     mshr_index: FxHashMap<LogicalAtom, usize>,
     free_mshrs: Vec<usize>,
+    /// Emptied waiter lists of freed MSHRs, reused by the next misses so
+    /// a miss allocates nothing once every MSHR has been used.
+    spare_waiters: Vec<Vec<WarpIdx>>,
     /// Completed load notifications for the SM: one entry per finished
     /// access, identifying the warp.
     completions: Vec<WarpIdx>,
@@ -87,6 +88,7 @@ impl L1Cache {
             mshrs: (0..cfg.mshrs).map(|_| None).collect(),
             mshr_index: FxHashMap::default(),
             free_mshrs: (0..cfg.mshrs).rev().collect(),
+            spare_waiters: Vec::new(),
             completions: Vec::new(),
             mshr_blocked: false,
             stats: L1Stats::default(),
@@ -121,7 +123,7 @@ impl L1Cache {
         debug_assert_eq!(resp.dest, self.sm);
         let idx = resp.l1_mshr as usize;
         // lint: allow(panic-freedom) reason=responses carry the MSHR index this L1 allocated; the slot stays occupied until its response arrives
-        let m = self.mshrs[idx].take().expect("response for empty L1 MSHR");
+        let mut m = self.mshrs[idx].take().expect("response for empty L1 MSHR");
         self.mshr_index.remove(&m.atom);
         self.free_mshrs.push(idx);
         self.mshr_blocked = false;
@@ -132,7 +134,8 @@ impl L1Cache {
         // Install; L1 lines are never dirty (write-through), so evictions
         // are silent.
         let _ = self.cache.fill(m.atom.0, false);
-        self.completions.extend(m.waiters);
+        self.completions.append(&mut m.waiters);
+        self.spare_waiters.push(m.waiters);
     }
 
     /// Advances the pipeline one cycle. `send` forwards a request toward
@@ -160,7 +163,6 @@ impl L1Cache {
         // since it stalled) stalls again without the lookup, which would
         // only re-touch its own line (see `next_event`).
         if self.mshr_blocked {
-            self.stats.stalls += 1;
             return;
         }
         if let Some(&access) = self.in_q.front() {
@@ -196,17 +198,16 @@ impl L1Cache {
                                     self.mshr_allocs += 1;
                                 }
                                 self.mshr_index.insert(access.atom, free);
+                                let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+                                waiters.push(access.warp);
                                 self.mshrs[free] = Some(L1Mshr {
                                     atom: access.atom,
-                                    waiters: vec![access.warp],
+                                    waiters,
                                 });
                                 self.stats.read_misses += 1;
                                 self.in_q.pop_front();
-                            } else {
-                                self.stats.stalls += 1;
                             }
                         } else {
-                            self.stats.stalls += 1;
                             self.mshr_blocked = true;
                         }
                     }
@@ -229,8 +230,6 @@ impl L1Cache {
                         }
                         self.stats.writes += 1;
                         self.in_q.pop_front();
-                    } else {
-                        self.stats.stalls += 1;
                     }
                 }
             }
@@ -249,26 +248,16 @@ impl L1Cache {
     /// their own — their wakeup is the L2/crossbar response that feeds
     /// [`accept_response`](Self::accept_response). Neither does an input
     /// queue whose head read last stalled for lack of an MSHR: only a
-    /// response frees one. Until then each tick counts one `stalls`
-    /// ([`account_stalled_span`](Self::account_stalled_span) counts them
-    /// in bulk) and skips the lookup. The lookup would re-touch only the
-    /// head's own line — no other line of this L1 is touched before the
-    /// response, so the LRU order is the same either way — and move the
-    /// cache's own miss counter, which the L1 never reports.
+    /// response frees one. Until then each tick skips the lookup, which
+    /// would re-touch only the head's own line — no other line of this L1
+    /// is touched before the response, so the LRU order is the same
+    /// either way — and move the cache's own miss counter, which the L1
+    /// never reports.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
         if (!self.in_q.is_empty() && !self.mshr_blocked) || !self.completions.is_empty() {
             return Some(now);
         }
         self.hit_q.front().map(|&(ready, _)| ready)
-    }
-
-    /// Accounts for `span` skipped ticks of an L1 that has no event in
-    /// the span, exactly as the ticks would have: one MSHR stall each
-    /// while the head read is blocked, nothing otherwise.
-    pub fn account_stalled_span(&mut self, span: u64) {
-        if self.mshr_blocked {
-            self.stats.stalls += span;
-        }
     }
 
     /// `true` when no work remains in the L1.
@@ -460,7 +449,7 @@ mod tests {
             kind: AccessKind::Read,
         });
         l1.tick(0, &mut identity_map, &mut |_| false);
-        assert_eq!(l1.stats().stalls, 1);
+        assert_eq!(l1.stats().read_misses, 0);
         assert!(!l1.is_idle());
         // Succeeds once the network accepts.
         l1.tick(1, &mut identity_map, &mut |_| true);
@@ -495,7 +484,12 @@ mod tests {
             now += 1;
         }
         assert_eq!(accepted, cfg.l1.mshrs, "extra miss must wait for an MSHR");
-        assert!(l1.stats().stalls > 0);
+        assert!(!l1.is_idle());
+        assert_eq!(
+            l1.next_event(now),
+            None,
+            "only a response unblocks the head"
+        );
     }
 
     #[test]

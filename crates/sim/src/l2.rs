@@ -72,6 +72,9 @@ pub struct L2Slice {
     mshrs: Vec<Option<Mshr>>,
     mshr_index: FxHashMap<u64, usize>,
     free_mshrs: Vec<usize>,
+    /// Emptied waiter lists of freed MSHRs, reused by the next misses so
+    /// a miss allocates nothing once every MSHR has been used.
+    spare_waiters: Vec<Vec<(u16, u32)>>,
     pending_wb: VecDeque<WbTask>,
     mc: MemCtrl,
     stats: L2SliceStats,
@@ -114,6 +117,7 @@ impl L2Slice {
             mshrs: (0..cfg.l2.mshrs).map(|_| None).collect(),
             mshr_index: FxHashMap::default(),
             free_mshrs: (0..cfg.l2.mshrs).rev().collect(),
+            spare_waiters: Vec::new(),
             pending_wb: VecDeque::new(),
             mc: MemCtrl::new(&cfg.mem, order),
             stats: L2SliceStats::default(),
@@ -197,7 +201,7 @@ impl L2Slice {
     #[allow(clippy::expect_used)]
     fn install_fill(&mut self, mshr_idx: usize, scheme: &mut dyn ProtectionScheme, now: Cycle) {
         // lint: allow(panic-freedom) reason=the fill's MSHR slot stays occupied until installed; fills are only generated for allocated slots
-        let m = self.mshrs[mshr_idx].take().expect("mshr present");
+        let mut m = self.mshrs[mshr_idx].take().expect("mshr present");
         self.mshr_index.remove(&m.atom);
         self.free_mshrs.push(mshr_idx);
         let evicted = self.cache.fill(m.atom, m.dirty_after_fill);
@@ -205,7 +209,7 @@ impl L2Slice {
         if let Some(ev) = evicted {
             self.queue_writebacks(&ev.dirty_atoms, &ev.dirty_atoms, scheme, now);
         }
-        for (sm, l1_mshr) in m.waiters {
+        for (sm, l1_mshr) in m.waiters.drain(..) {
             self.resp_q.push_back((
                 now + self.latency as Cycle,
                 L2Response {
@@ -215,6 +219,7 @@ impl L2Slice {
                 },
             ));
         }
+        self.spare_waiters.push(m.waiters);
     }
 
     /// Attempts to issue the head write-back task (all-or-nothing).
@@ -305,9 +310,11 @@ impl L2Slice {
                             let plan = scheme.demand_fill(req.loc, now);
                             debug_assert!(plan.ecc_fetches.len() <= 2);
                             let pieces = 1 + plan.ecc_fetches.len() as u32;
+                            let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+                            waiters.push((req.src.0, req.l1_mshr));
                             let idx = self.alloc_mshr(Mshr {
                                 atom,
-                                waiters: vec![(req.src.0, req.l1_mshr)],
+                                waiters,
                                 pieces_left: pieces,
                                 dirty_after_fill: false,
                             });
@@ -369,9 +376,10 @@ impl L2Slice {
                             }
                             let plan = scheme.demand_fill(req.loc, now);
                             let pieces = 1 + plan.ecc_fetches.len() as u32;
+                            let waiters = self.spare_waiters.pop().unwrap_or_default();
                             let idx = self.alloc_mshr(Mshr {
                                 atom,
-                                waiters: Vec::new(),
+                                waiters,
                                 pieces_left: pieces,
                                 dirty_after_fill: true,
                             });

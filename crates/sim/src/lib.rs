@@ -59,6 +59,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
+mod calendar;
 pub mod coalesce;
 pub mod config;
 pub mod dram;

@@ -73,8 +73,6 @@ pub struct SmStats {
     pub issued_ops: u64,
     /// Cycles in which no warp could issue.
     pub idle_cycles: u64,
-    /// Cycles with at least one unfinished warp.
-    pub active_cycles: u64,
     /// Idle cycles where no warp was ready (all blocked on memory or
     /// compute latency) — the latency-bound stall reason.
     pub stall_no_ready_warp: u64,
@@ -88,10 +86,10 @@ pub struct SmStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallReason {
     /// No warp is ready: all are blocked on memory or compute latency.
-    /// Counts an active, an idle and a `stall_no_ready_warp` cycle.
+    /// Counts an idle and a `stall_no_ready_warp` cycle.
     NoReadyWarp,
     /// The picked warp's memory op waits for the busy LSU. Counts an
-    /// active, an idle and a `stall_lsu_busy` cycle.
+    /// idle and a `stall_lsu_busy` cycle.
     LsuBusy,
     /// Every warp has retired: the SM counts nothing.
     AllDone,
@@ -237,9 +235,6 @@ impl<'t> SmCore<'t> {
     ) -> Option<StallReason> {
         self.l1.tick(now, map, send);
         self.apply_completions();
-        if !self.all_warps_done(now) {
-            self.stats.active_cycles += 1;
-        }
         // Continue streaming the in-flight memory op.
         self.pump_lsu();
         // Issue stage.
@@ -344,32 +339,18 @@ impl<'t> SmCore<'t> {
         }
     }
 
-    /// Accounts for `span` skipped idle cycles starting at `now`, exactly
-    /// as `span` individual [`tick`](Self::tick)s would have: the caller
-    /// (the idle fast-forward in the cycle loop) guarantees that the SM
-    /// has no event before `now + span`, so every skipped tick counts the
-    /// same [`stall_reason`](Self::stall_reason) and L1 stall.
-    pub fn account_idle_span(&mut self, now: Cycle, span: u64) {
-        if span > 0 {
-            let reason = self.stall_reason(now);
-            self.account_stalled_span(span, reason);
-        }
-    }
-
-    /// [`account_idle_span`](Self::account_idle_span) with the stall
-    /// reason supplied: the per-SM sleep memo in the cycle loop caches the
-    /// reason [`tick`](Self::tick) returned when the SM fell asleep,
-    /// because re-scanning all warps every skipped cycle would defeat the
-    /// optimization.
+    /// Accounts for `span` ticks skipped while the SM slept, exactly as
+    /// the ticks would have counted them. The cycle loop's sleep memo
+    /// caches the `reason` [`tick`](Self::tick) returned when the SM fell
+    /// asleep, which cannot change before its next event, and settles
+    /// the span in bulk instead of re-scanning the warps every cycle.
     pub fn account_stalled_span(&mut self, span: u64, reason: StallReason) {
-        self.l1.account_stalled_span(span);
         let counter = match reason {
             StallReason::NoReadyWarp => &mut self.stats.stall_no_ready_warp,
             StallReason::LsuBusy => &mut self.stats.stall_lsu_busy,
             StallReason::AllDone => return,
         };
         *counter += span;
-        self.stats.active_cycles += span;
         self.stats.idle_cycles += span;
     }
 }
@@ -454,7 +435,6 @@ mod tests {
             if now < wake && pending.iter().all(|&(at, _)| at > now) {
                 skipped += 1;
             } else {
-                // Settle the sleep before a response unblocks the L1.
                 settle(sm, &mut skipped, stall);
                 pending.retain(|&(at, req)| {
                     if at <= now {
@@ -527,13 +507,12 @@ mod tests {
         assert_eq!(end_slept, end_ticked);
         assert_eq!(slept.stats(), ticked.stats());
         assert_eq!(slept.l1.stats(), ticked.l1.stats());
-        // Both stall kinds were slept through, some sleeps lasted until a
-        // response, and the L1 stalled on MSHRs throughout them.
+        // Both stall kinds were slept through, and some sleeps lasted
+        // until a response.
         assert!(skipped_by.iter().all(|&n| n > 0), "{skipped_by:?}");
         assert!(response_sleeps > 0);
         let s = ticked.stats();
         assert!(s.stall_lsu_busy > 0 && s.stall_no_ready_warp > 0, "{s:?}");
-        assert!(ticked.l1.stats().stalls > 0);
     }
 
     /// The probe's promise, cycle by cycle: whenever `next_event` says

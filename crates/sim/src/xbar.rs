@@ -6,7 +6,16 @@
 //! `ports_per_endpoint` messages per cycle. Request queues are bounded to
 //! create realistic backpressure into the L1s; response queues are
 //! unbounded so the response path can always drain (deadlock freedom).
+//!
+//! Delivery visits only the endpoints with a message due. Every message
+//! arrives `latency` cycles after it was sent, so each direction keeps
+//! one arrival FIFO of `(arrival, endpoint)` in send order, which is
+//! arrival order. An endpoint becomes due when one of its arrivals
+//! matures and stays due while an arrived message waits for it: a
+//! port-limited endpoint takes the rest on later cycles, and a slice that
+//! refuses a request is offered it again the next cycle.
 
+use crate::calendar::IndexSet;
 use crate::config::XbarConfig;
 use crate::msg::{L2Request, L2Response};
 use crate::types::Cycle;
@@ -26,15 +35,93 @@ pub struct XbarStats {
     pub rejects: u64,
 }
 
+/// One direction of the crossbar: a FIFO of in-flight messages per
+/// endpoint, plus the arrival calendar that says which endpoints have a
+/// message due.
+#[derive(Debug)]
+struct Lane<T> {
+    /// Per-endpoint messages in send order; the first `arrived[e]` of
+    /// endpoint `e` have arrived.
+    queues: Vec<VecDeque<T>>,
+    /// `(arrival, endpoint)` of every message whose arrival has not
+    /// matured yet, in arrival order.
+    arrivals: VecDeque<(Cycle, u16)>,
+    /// Arrived, undelivered messages per endpoint.
+    arrived: Vec<u32>,
+    /// Endpoints with `arrived > 0`.
+    due: IndexSet,
+}
+
+impl<T: Copy> Lane<T> {
+    fn new(endpoints: u16) -> Self {
+        let n = usize::from(endpoints);
+        Lane {
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            arrivals: VecDeque::new(),
+            arrived: vec![0; n],
+            due: IndexSet::new(n),
+        }
+    }
+
+    fn push(&mut self, endpoint: u16, msg: T, arrival: Cycle) {
+        self.queues[usize::from(endpoint)].push_back(msg);
+        self.arrivals.push_back((arrival, endpoint));
+    }
+
+    /// Matures the arrivals due by `now`, then offers each due endpoint,
+    /// in ascending index, up to `ports` of its arrived messages in FIFO
+    /// order until `accept` refuses one. Returns the messages delivered.
+    fn deliver(&mut self, now: Cycle, ports: u32, mut accept: impl FnMut(u16, T) -> bool) -> u64 {
+        while let Some(&(arrival, endpoint)) = self.arrivals.front() {
+            if arrival > now {
+                break;
+            }
+            self.arrivals.pop_front();
+            self.arrived[usize::from(endpoint)] += 1;
+            self.due.insert(usize::from(endpoint));
+        }
+        let mut delivered = 0;
+        let mut next = self.due.next_from(0);
+        while let Some(e) = next {
+            let (queue, arrived) = (&mut self.queues[e], &mut self.arrived[e]);
+            for _ in 0..ports {
+                if *arrived == 0 {
+                    break;
+                }
+                let Some(&msg) = queue.front() else { break };
+                if !accept(e as u16, msg) {
+                    break;
+                }
+                queue.pop_front();
+                *arrived -= 1;
+                delivered += 1;
+            }
+            if *arrived == 0 {
+                self.due.remove(e);
+            }
+            next = self.due.next_from(e + 1);
+        }
+        delivered
+    }
+
+    fn next_arrival(&self) -> Option<Cycle> {
+        self.arrivals.front().map(|&(arrival, _)| arrival)
+    }
+
+    fn queued(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
+}
+
 /// The interconnect.
 #[derive(Debug)]
 pub struct Crossbar {
     latency: u32,
     ports: u32,
-    /// Per-slice in-flight requests, stamped with arrival time.
-    req_q: Vec<VecDeque<(Cycle, L2Request)>>,
-    /// Per-SM in-flight responses.
-    resp_q: Vec<VecDeque<(Cycle, L2Response)>>,
+    /// In-flight requests, per slice.
+    req: Lane<L2Request>,
+    /// In-flight responses, per SM.
+    resp: Lane<L2Response>,
     stats: XbarStats,
     /// Oracle counter: requests handed to a slice (conservation check).
     #[cfg(feature = "check-invariants")]
@@ -50,8 +137,8 @@ impl Crossbar {
         Crossbar {
             latency: cfg.latency,
             ports: cfg.ports_per_endpoint,
-            req_q: (0..slices).map(|_| VecDeque::new()).collect(),
-            resp_q: (0..sms).map(|_| VecDeque::new()).collect(),
+            req: Lane::new(slices),
+            resp: Lane::new(sms),
             stats: XbarStats::default(),
             #[cfg(feature = "check-invariants")]
             delivered_requests: 0,
@@ -63,12 +150,12 @@ impl Crossbar {
     /// Injects a request toward its slice. Returns `false` (and drops
     /// nothing) when that slice's queue is full.
     pub fn try_send_request(&mut self, req: L2Request, now: Cycle) -> bool {
-        let q = &mut self.req_q[req.loc.channel as usize];
-        if q.len() >= REQ_QUEUE_CAP {
+        let slice = req.loc.channel;
+        if self.req.queues[usize::from(slice)].len() >= REQ_QUEUE_CAP {
             self.stats.rejects += 1;
             return false;
         }
-        q.push_back((now + self.latency as Cycle, req));
+        self.req.push(slice, req, now + self.latency as Cycle);
         self.stats.requests += 1;
         true
     }
@@ -76,96 +163,66 @@ impl Crossbar {
     /// Injects a response toward its SM (never fails; response queues are
     /// unbounded for deadlock freedom).
     pub fn send_response(&mut self, resp: L2Response, now: Cycle) {
-        self.resp_q[resp.dest.0 as usize].push_back((now + self.latency as Cycle, resp));
+        self.resp
+            .push(resp.dest.0, resp, now + self.latency as Cycle);
         self.stats.responses += 1;
     }
 
-    /// Pops up to `ports_per_endpoint` requests that have arrived at
-    /// `slice` by `now`, as long as `accept` keeps returning `true`.
-    pub fn deliver_requests(
-        &mut self,
-        slice: u16,
-        now: Cycle,
-        accept: &mut dyn FnMut(L2Request) -> bool,
-    ) {
-        let q = &mut self.req_q[slice as usize];
-        for _ in 0..self.ports {
-            match q.front() {
-                Some(&(arrival, req)) if arrival <= now => {
-                    if accept(req) {
-                        q.pop_front();
-                        #[cfg(feature = "check-invariants")]
-                        {
-                            self.delivered_requests += 1;
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                _ => break,
-            }
+    /// Offers every slice with a request due at `now`, in ascending
+    /// slice order, up to `ports_per_endpoint` of them, as long as
+    /// `accept(slice, req)` keeps returning `true`. A refused or
+    /// port-limited slice stays due.
+    pub fn deliver_due_requests(&mut self, now: Cycle, accept: impl FnMut(u16, L2Request) -> bool) {
+        let _delivered = self.req.deliver(now, self.ports, accept);
+        #[cfg(feature = "check-invariants")]
+        {
+            self.delivered_requests += _delivered;
         }
     }
 
-    /// Pops up to `ports_per_endpoint` responses that have arrived at `sm`
-    /// by `now` into a caller-owned buffer (cleared first), so the cycle
-    /// loop can reuse one allocation across SMs and cycles.
-    pub fn deliver_responses_into(&mut self, sm: u16, now: Cycle, out: &mut Vec<L2Response>) {
-        out.clear();
-        let q = &mut self.resp_q[sm as usize];
-        for _ in 0..self.ports {
-            match q.front() {
-                Some(&(arrival, resp)) if arrival <= now => {
-                    out.push(resp);
-                    q.pop_front();
-                    #[cfg(feature = "check-invariants")]
-                    {
-                        self.delivered_responses += 1;
-                    }
-                }
-                _ => break,
-            }
+    /// Hands every SM with a response due at `now`, in ascending SM
+    /// order, up to `ports_per_endpoint` of them via `deliver(sm, resp)`.
+    pub fn deliver_due_responses(&mut self, now: Cycle, mut deliver: impl FnMut(u16, L2Response)) {
+        let _delivered = self.resp.deliver(now, self.ports, |sm, resp| {
+            deliver(sm, resp);
+            true
+        });
+        #[cfg(feature = "check-invariants")]
+        {
+            self.delivered_responses += _delivered;
         }
     }
 
-    /// `true` when nothing is in flight.
-    pub fn is_idle(&self) -> bool {
-        self.req_q.iter().all(|q| q.is_empty()) && self.resp_q.iter().all(|q| q.is_empty())
+    /// `true` when a message has arrived at an endpoint that has not
+    /// taken it yet.
+    pub fn has_due(&self) -> bool {
+        !self.req.due.is_empty() || !self.resp.due.is_empty()
     }
 
-    /// Earliest message arrival across every queue, for idle
-    /// fast-forwarding. Every push stamps `now + latency` with a constant
-    /// latency, so each queue front is its minimum. `Some(c <= now)`
-    /// means a message is deliverable this cycle; `None` means the
-    /// crossbar is empty.
-    // lint: allow(next-event-pairing) reason=the crossbar advances in deliver_requests/deliver_responses_into, driven every cycle by the gpu loop; there is no standalone tick
-    pub fn next_event(&self) -> Option<Cycle> {
-        let req = self
-            .req_q
-            .iter()
-            .filter_map(|q| q.front().map(|&(arrival, _)| arrival))
-            .min();
-        let resp = self
-            .resp_q
-            .iter()
-            .filter_map(|q| q.front().map(|&(arrival, _)| arrival))
-            .min();
-        match (req, resp) {
+    /// The earliest arrival that has not matured yet, in either
+    /// direction; `None` when every message in flight has arrived.
+    pub fn next_arrival(&self) -> Option<Cycle> {
+        match (self.req.next_arrival(), self.resp.next_arrival()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
+    /// `true` when nothing is in flight.
+    pub fn is_idle(&self) -> bool {
+        self.queued_requests() == 0 && self.queued_responses() == 0
+    }
+
     /// Requests currently in flight toward slices (oracle/telemetry
     /// accessor).
     pub fn queued_requests(&self) -> usize {
-        self.req_q.iter().map(VecDeque::len).sum()
+        self.req.queued()
     }
 
     /// Responses currently in flight toward SMs (oracle/telemetry
     /// accessor).
     pub fn queued_responses(&self) -> usize {
-        self.resp_q.iter().map(VecDeque::len).sum()
+        self.resp.queued()
     }
 
     /// Message conservation: everything injected was either delivered or
@@ -188,7 +245,7 @@ impl Crossbar {
             "invariant violated: crossbar response conservation \
              (sent != delivered + queued)"
         );
-        for (ch, q) in self.req_q.iter().enumerate() {
+        for (ch, q) in self.req.queues.iter().enumerate() {
             assert!(
                 q.len() <= REQ_QUEUE_CAP,
                 "invariant violated: slice {ch} request queue over capacity \
@@ -221,30 +278,38 @@ mod tests {
     }
 
     fn req(channel: u16) -> L2Request {
+        req_from(channel, 0)
+    }
+
+    fn req_from(channel: u16, l1_mshr: u32) -> L2Request {
         L2Request {
             loc: PhysLoc::new(channel, 0),
             kind: AccessKind::Read,
             src: SmId(0),
-            l1_mshr: 0,
+            l1_mshr,
         }
+    }
+
+    /// Delivers the requests due at `now`, accepting all of them.
+    fn take_requests(x: &mut Crossbar, now: Cycle) -> Vec<(u16, u32)> {
+        let mut got = Vec::new();
+        x.deliver_due_requests(now, |slice, r| {
+            got.push((slice, r.l1_mshr));
+            true
+        });
+        got
     }
 
     #[test]
     fn requests_arrive_after_latency() {
         let mut x = xbar();
         assert!(x.try_send_request(req(0), 10));
-        let mut got = Vec::new();
-        x.deliver_requests(0, 13, &mut |r| {
-            got.push(r);
-            true
-        });
-        assert!(got.is_empty(), "delivered before latency elapsed");
-        x.deliver_requests(0, 14, &mut |r| {
-            got.push(r);
-            true
-        });
-        assert_eq!(got.len(), 1);
+        assert_eq!(x.next_arrival(), Some(14));
+        assert!(take_requests(&mut x, 13).is_empty(), "delivered early");
+        assert!(!x.has_due());
+        assert_eq!(take_requests(&mut x, 14), vec![(0, 0)]);
         assert!(x.is_idle());
+        assert_eq!(x.next_arrival(), None);
     }
 
     #[test]
@@ -259,44 +324,76 @@ mod tests {
             0,
         );
         let mut r = Vec::new();
-        x.deliver_responses_into(1, 3, &mut r);
+        x.deliver_due_responses(3, |sm, resp| r.push((sm, resp.l1_mshr)));
         assert!(r.is_empty());
-        x.deliver_responses_into(1, 4, &mut r);
-        assert_eq!(r.len(), 1);
-        assert_eq!(r[0].l1_mshr, 3);
+        x.deliver_due_responses(4, |sm, resp| r.push((sm, resp.l1_mshr)));
+        assert_eq!(r, vec![(1, 3)]);
+        assert!(x.is_idle());
     }
 
     #[test]
-    fn ports_limit_delivery_rate() {
+    fn port_limited_endpoint_delivers_the_rest_on_later_cycles() {
         let mut x = xbar();
-        for _ in 0..3 {
-            assert!(x.try_send_request(req(0), 0));
+        for i in 0..3 {
+            assert!(x.try_send_request(req_from(0, i), 0));
         }
-        let mut count = 0;
-        x.deliver_requests(0, 100, &mut |_| {
-            count += 1;
-            true
-        });
-        assert_eq!(count, 1, "one port means one delivery per cycle");
-        x.deliver_requests(0, 101, &mut |_| {
-            count += 1;
-            true
-        });
-        assert_eq!(count, 2);
+        // All three arrive at cycle 4; one port takes one per cycle, and
+        // the slice stays due with no further arrival to mature.
+        assert_eq!(take_requests(&mut x, 100), vec![(0, 0)]);
+        assert!(x.has_due());
+        assert_eq!(x.next_arrival(), None);
+        assert_eq!(take_requests(&mut x, 101), vec![(0, 1)]);
+        assert_eq!(take_requests(&mut x, 102), vec![(0, 2)]);
+        assert!(!x.has_due());
+        assert!(x.is_idle());
     }
 
     #[test]
-    fn rejected_delivery_keeps_request_queued() {
+    fn refused_request_stays_due() {
         let mut x = xbar();
         assert!(x.try_send_request(req(0), 0));
-        x.deliver_requests(0, 10, &mut |_| false);
-        assert!(!x.is_idle());
-        let mut got = 0;
-        x.deliver_requests(0, 11, &mut |_| {
-            got += 1;
-            true
+        let mut offered = 0;
+        x.deliver_due_requests(10, |_, _| {
+            offered += 1;
+            false
         });
-        assert_eq!(got, 1);
+        assert_eq!(offered, 1);
+        assert!(x.has_due(), "a refused request is offered again");
+        assert!(!x.is_idle());
+        assert_eq!(take_requests(&mut x, 11), vec![(0, 0)]);
+        assert!(!x.has_due());
+    }
+
+    #[test]
+    fn due_endpoints_are_served_in_index_order() {
+        let mut x = Crossbar::new(
+            &XbarConfig {
+                latency: 4,
+                ports_per_endpoint: 2,
+            },
+            4,
+            4,
+        );
+        // Sent in descending slice order, and slice 2's message later.
+        for (now, ch) in [(0, 3), (0, 1), (1, 2), (1, 0), (1, 3)] {
+            assert!(x.try_send_request(req_from(ch, u32::from(ch)), now));
+        }
+        assert_eq!(take_requests(&mut x, 4), vec![(1, 1), (3, 3)]);
+        assert_eq!(take_requests(&mut x, 5), vec![(0, 0), (2, 2), (3, 3)]);
+        for sm in [3, 0, 2] {
+            x.send_response(
+                L2Response {
+                    loc: PhysLoc::new(0, 0),
+                    dest: SmId(sm),
+                    l1_mshr: 0,
+                },
+                6,
+            );
+        }
+        let mut order = Vec::new();
+        x.deliver_due_responses(10, |sm, _| order.push(sm));
+        assert_eq!(order, vec![0, 2, 3]);
+        assert!(x.is_idle());
     }
 
     #[test]
@@ -316,16 +413,6 @@ mod tests {
         let mut x = xbar();
         x.try_send_request(req(0), 0);
         x.try_send_request(req(1), 0);
-        let mut got0 = 0;
-        let mut got1 = 0;
-        x.deliver_requests(0, 10, &mut |_| {
-            got0 += 1;
-            true
-        });
-        x.deliver_requests(1, 10, &mut |_| {
-            got1 += 1;
-            true
-        });
-        assert_eq!((got0, got1), (1, 1));
+        assert_eq!(take_requests(&mut x, 10), vec![(0, 0), (1, 0)]);
     }
 }

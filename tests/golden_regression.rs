@@ -162,3 +162,86 @@ fn pinned_trace_digests_every_workload() {
         assert_eq!(got, expect, "{}: generated trace drifted", expect.0);
     }
 }
+
+/// One scheme's pinned `(name, summed sm.stall_no_ready_warp, summed
+/// sm.stall_lsu_busy, per-channel busy_cycles)`.
+type PinnedStalls = (&'static str, u64, u64, [u64; 8]);
+
+/// `spmv` at tiny size, seed 1, on `GpuConfig::gddr6()`: the SM stall
+/// counters (through the timeline) and the controllers' busy cycles
+/// (through the profile). Neither is part of `SimStats`, and both count
+/// the ticks that sleeping components skip.
+const SPMV_GDDR6_STALLS: [PinnedStalls; 4] = [
+    (
+        "no-protection",
+        499178,
+        256,
+        [2491, 4143, 3818, 3012, 3545, 3868, 3176, 2904],
+    ),
+    (
+        "inline-naive",
+        530026,
+        256,
+        [6097, 5541, 6275, 6042, 6120, 5172, 6279, 5896],
+    ),
+    (
+        "ecc-cache",
+        513746,
+        256,
+        [5171, 4678, 4173, 3784, 5370, 4603, 3519, 3573],
+    ),
+    (
+        "cachecraft",
+        504629,
+        256,
+        [3909, 4712, 4016, 3157, 4079, 4002, 3742, 3006],
+    ),
+];
+
+#[test]
+fn pinned_stalls_and_busy_cycles_spmv_tiny_gddr6() {
+    use cachecraft::sim::dram::MapOrder;
+    use cachecraft::sim::{simulate, Observe};
+    use cachecraft::telemetry::TelemetryConfig;
+
+    let cfg = GpuConfig::gddr6();
+    let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
+    let obs = Observe {
+        telemetry: TelemetryConfig::enabled(),
+        profile: true,
+        ..Observe::default()
+    };
+    let mut got = Vec::new();
+    for kind in SchemeKind::headline(&cfg) {
+        let out = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            kind.build(&cfg).as_mut(),
+            &obs,
+        );
+        let timeline = out.stats.timeline.expect("timeline attached");
+        let sum = |name: &str| -> u64 {
+            let points = &timeline.series(name).expect("series registered").points;
+            points.iter().sum::<f64>() as u64
+        };
+        let profile = out.profile.expect("profile attached");
+        let busy: Vec<u64> = profile.channels.iter().map(|c| c.busy_cycles).collect();
+        got.push((
+            kind.name(),
+            sum("sm.stall_no_ready_warp"),
+            sum("sm.stall_lsu_busy"),
+            busy,
+        ));
+    }
+    for (name, no_ready, lsu, busy) in &got {
+        println!("    (\"{name}\", {no_ready}, {lsu}, {busy:?}),");
+    }
+    for (got, expect) in got.into_iter().zip(SPMV_GDDR6_STALLS) {
+        let (name, no_ready, lsu, busy) = expect;
+        assert_eq!(got.0, name);
+        assert_eq!(got.1, no_ready, "{name}: stall_no_ready_warp drifted");
+        assert_eq!(got.2, lsu, "{name}: stall_lsu_busy drifted");
+        assert_eq!(got.3, busy, "{name}: per-channel busy_cycles drifted");
+    }
+}
