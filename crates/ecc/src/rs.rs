@@ -389,37 +389,39 @@ mod tests {
         }
     }
 
+    /// Every single-symbol error (all 255 values at all 32 data and 4
+    /// check positions) on seeded random codewords is corrected, and only
+    /// data-symbol bits count as flipped.
     #[test]
-    fn corrects_single_symbol_errors_everywhere() {
-        let rs = ReedSolomon::new(36, 32).unwrap();
-        let original = sample_data(32);
-        let check = rs.encode(&original);
-        for pos in 0..32 {
-            for err in [0x01u8, 0x80, 0xFF, 0x5A] {
-                let mut data = original.clone();
-                data[pos] ^= err;
-                let outcome = rs.decode(&mut data, &check);
-                assert!(
-                    matches!(outcome, DecodeOutcome::Corrected { .. }),
-                    "pos {pos} err {err:#x}: {outcome:?}"
-                );
-                assert_eq!(data, original, "pos {pos} err {err:#x}");
-            }
-        }
-    }
+    fn corrects_every_single_symbol_error_on_random_codewords() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn corrects_check_symbol_errors() {
         let rs = ReedSolomon::new(36, 32).unwrap();
-        let original = sample_data(32);
-        let check = rs.encode(&original);
-        for pos in 0..4 {
-            let mut data = original.clone();
-            let mut bad_check = check.clone();
-            bad_check[pos] ^= 0xA5;
-            let outcome = rs.decode(&mut data, &bad_check);
-            assert_eq!(outcome, DecodeOutcome::Corrected { flipped_bits: 0 });
-            assert_eq!(data, original);
+        let mut rng = SmallRng::seed_from_u64(0x5eed_c0de);
+        for _ in 0..4 {
+            let original: [u8; 32] = rng.gen();
+            let check = rs.encode(&original);
+            for pos in 0..36 {
+                for err in 1..=255u8 {
+                    let mut data = original;
+                    let mut bad_check = check.clone();
+                    let flipped_bits = if pos < 32 {
+                        data[pos] ^= err;
+                        err.count_ones()
+                    } else {
+                        bad_check[pos - 32] ^= err;
+                        0
+                    };
+                    let outcome = rs.decode(&mut data, &bad_check);
+                    assert_eq!(
+                        outcome,
+                        DecodeOutcome::Corrected { flipped_bits },
+                        "pos {pos} err {err:#x}"
+                    );
+                    assert_eq!(data, original, "pos {pos} err {err:#x}");
+                }
+            }
         }
     }
 

@@ -374,39 +374,59 @@ mod tests {
         }
     }
 
+    /// Eight seeded random data words of `code`'s width (at most 64 bits).
+    fn random_words(code: &HammingSecDed, seed: u64) -> impl Iterator<Item = u128> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mask = (1u128 << code.data_bits) - 1;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..8).map(move |_| u128::from(rng.gen::<u64>()) & mask)
+    }
+
     #[test]
     fn corrects_every_single_bit_error() {
-        let code = HammingSecDed::new(64);
-        let data = 0xA5A5_5A5A_0FF0_F00F_u128;
-        let clean = code.encode_bits(data);
-        for p in 0..=code.n {
-            let mut cw = clean;
-            cw.flip(p);
-            let (rec, outcome) = code.decode_bits_full(cw);
-            assert!(
-                matches!(outcome, DecodeOutcome::Corrected { .. }),
-                "position {p} not corrected: {outcome:?}"
-            );
-            assert_eq!(rec.unwrap(), data, "wrong correction at position {p}");
+        for bits in [8, 32, 64] {
+            let code = HammingSecDed::new(bits);
+            for data in random_words(&code, u64::from(bits)) {
+                let clean = code.encode_bits(data);
+                for p in 0..=code.n {
+                    let mut cw = clean;
+                    cw.flip(p);
+                    let (rec, outcome) = code.decode_bits_full(cw);
+                    assert!(
+                        matches!(outcome, DecodeOutcome::Corrected { .. }),
+                        "{bits} bits, data {data:#x}: position {p} not corrected: {outcome:?}"
+                    );
+                    assert_eq!(
+                        rec.unwrap(),
+                        data,
+                        "{bits} bits, data {data:#x}: wrong correction at position {p}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn detects_every_double_bit_error() {
-        let code = HammingSecDed::new(32);
-        let data = 0x1234_5678_u128;
-        let clean = code.encode_bits(data);
-        for p1 in 0..=code.n {
-            for p2 in (p1 + 1)..=code.n {
-                let mut cw = clean;
-                cw.flip(p1);
-                cw.flip(p2);
-                let (_, outcome) = code.decode_bits_full(cw);
-                assert_eq!(
-                    outcome,
-                    DecodeOutcome::DetectedUncorrectable,
-                    "double error ({p1},{p2}) not detected"
-                );
+        for bits in [8, 32, 64] {
+            let code = HammingSecDed::new(bits);
+            for data in random_words(&code, u64::from(bits)) {
+                let clean = code.encode_bits(data);
+                for p1 in 0..=code.n {
+                    for p2 in (p1 + 1)..=code.n {
+                        let mut cw = clean;
+                        cw.flip(p1);
+                        cw.flip(p2);
+                        let (_, outcome) = code.decode_bits_full(cw);
+                        assert_eq!(
+                            outcome,
+                            DecodeOutcome::DetectedUncorrectable,
+                            "{bits} bits, data {data:#x}: double error ({p1},{p2}) not detected"
+                        );
+                    }
+                }
             }
         }
     }

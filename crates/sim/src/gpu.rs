@@ -5,8 +5,8 @@
 //! cycle):
 //!
 //! 1. every awake L2 slice ticks (controller scheduling, fills,
-//!    write-backs, request pipeline) and emits responses into the
-//!    crossbar;
+//!    write-backs, request pipeline); each response it makes enters the
+//!    crossbar in that tick, departing `l2.latency` cycles later;
 //! 2. the crossbar delivers matured requests to slices and matured
 //!    responses to L1s, visiting only the endpoints with a message due;
 //! 3. every awake SM ticks (L1 pipeline, LSU streaming, warp scheduling).
@@ -70,7 +70,8 @@ struct LoopProf {
     t: PhaseTimer,
     /// Host ns per channel's slice domain (L2 slice + MC + DRAM).
     slice_ns: Vec<u64>,
-    /// Host ns in crossbar delivery (requests + response send/deliver).
+    /// Host ns in crossbar request delivery (a response is sent inside
+    /// its slice tick, so sending one counts in `slice_ns`).
     xbar_ns: u64,
     /// Host ns in the response-accept loop (L1 fill path).
     l1_ns: u64,
@@ -431,9 +432,6 @@ pub fn simulate(
     let mut exec_cycles: Cycle = 0;
     let mut flushed = false;
     let mut timed_out = false;
-    // One response buffer reused across slices and cycles: the hot loop
-    // allocates nothing per cycle.
-    let mut resp_buf: Vec<crate::msg::L2Response> = Vec::new();
     // Wake calendars: only awake SMs and slices tick (see the `calendar`
     // module). An SM sleeps after a tick that issued nothing, until its
     // `next_event` (or, with none, until a response arrives), and
@@ -489,20 +487,15 @@ pub fn simulate(
             if skipped > 0 {
                 slice.account_asleep_span(skipped);
             }
-            slice.tick(scheme, now);
+            slice.tick(scheme, now, &mut |resp, ready| {
+                xbar.send_response(resp, ready);
+            });
             if slice.asleep(now + 1) {
                 slice_cal.sleep(ch, slice.wake());
             }
             if let Some(p) = &mut prof {
                 p.slice_sleep.miss();
                 p.slice_ns[ch] = p.slice_ns[ch].saturating_add(p.t.lap());
-            }
-            slice.pop_responses_into(now, &mut resp_buf);
-            for &resp in &resp_buf {
-                xbar.send_response(resp, now);
-            }
-            if let Some(p) = &mut prof {
-                p.xbar_ns = p.xbar_ns.saturating_add(p.t.lap());
             }
             next = slice_cal.next_awake(ch + 1);
         }

@@ -10,6 +10,12 @@
 //! dirty write-backs; the ECC traffic they generate shares this slice's
 //! controller queues with demand traffic — which is precisely the contention
 //! CacheCraft attacks.
+//!
+//! The slice keeps no response queue. A response (a read hit, or a reader
+//! of an installed fill) is handed to the caller's `respond` callback in
+//! the tick that makes it, ready `l2.latency` cycles later, and the cycle
+//! loop puts it straight into the crossbar. A slice therefore never wakes
+//! just to send a response.
 
 use crate::cache::{CacheStats, LookupResult, SectorCache};
 use crate::config::GpuConfig;
@@ -68,7 +74,6 @@ pub struct L2Slice {
     latency: u32,
     in_q: VecDeque<L2Request>,
     in_cap: usize,
-    resp_q: VecDeque<(Cycle, L2Response)>,
     mshrs: Vec<Option<Mshr>>,
     mshr_index: FxHashMap<u64, usize>,
     free_mshrs: Vec<usize>,
@@ -113,7 +118,6 @@ impl L2Slice {
             latency: cfg.l2.latency,
             in_q: VecDeque::with_capacity(cfg.l2.input_queue),
             in_cap: cfg.l2.input_queue,
-            resp_q: VecDeque::new(),
             mshrs: (0..cfg.l2.mshrs).map(|_| None).collect(),
             mshr_index: FxHashMap::default(),
             free_mshrs: (0..cfg.l2.mshrs).rev().collect(),
@@ -196,10 +200,17 @@ impl L2Slice {
         }
     }
 
-    /// Installs a completed fill, handling any eviction it causes.
+    /// Installs a completed fill, handling any eviction it causes, and
+    /// answers its readers through `respond`.
     // Invariant: the fill's MSHR slot stays occupied until installed.
     #[allow(clippy::expect_used)]
-    fn install_fill(&mut self, mshr_idx: usize, scheme: &mut dyn ProtectionScheme, now: Cycle) {
+    fn install_fill(
+        &mut self,
+        mshr_idx: usize,
+        scheme: &mut dyn ProtectionScheme,
+        now: Cycle,
+        respond: &mut dyn FnMut(L2Response, Cycle),
+    ) {
         // lint: allow(panic-freedom) reason=the fill's MSHR slot stays occupied until installed; fills are only generated for allocated slots
         let mut m = self.mshrs[mshr_idx].take().expect("mshr present");
         self.mshr_index.remove(&m.atom);
@@ -210,14 +221,14 @@ impl L2Slice {
             self.queue_writebacks(&ev.dirty_atoms, &ev.dirty_atoms, scheme, now);
         }
         for (sm, l1_mshr) in m.waiters.drain(..) {
-            self.resp_q.push_back((
-                now + self.latency as Cycle,
+            respond(
                 L2Response {
                     loc: PhysLoc::new(self.channel, m.atom),
                     dest: crate::types::SmId(sm),
                     l1_mshr,
                 },
-            ));
+                now + self.latency as Cycle,
+            );
         }
         self.spare_waiters.push(m.waiters);
     }
@@ -270,11 +281,17 @@ impl L2Slice {
         true
     }
 
-    /// Processes one request from the input queue. Returns `false` when the
-    /// head request must stall (left at the front).
+    /// Processes one request from the input queue, answering a read hit
+    /// through `respond`. Returns `false` when the head request must stall
+    /// (left at the front).
     // Invariant: `mshr_index` only maps to occupied MSHR slots.
     #[allow(clippy::expect_used)]
-    fn process_request(&mut self, scheme: &mut dyn ProtectionScheme, now: Cycle) -> bool {
+    fn process_request(
+        &mut self,
+        scheme: &mut dyn ProtectionScheme,
+        now: Cycle,
+        respond: &mut dyn FnMut(L2Response, Cycle),
+    ) -> bool {
         let Some(&req) = self.in_q.front() else {
             return false;
         };
@@ -283,14 +300,14 @@ impl L2Slice {
             AccessKind::Read => {
                 match self.cache.lookup_read(atom) {
                     LookupResult::Hit => {
-                        self.resp_q.push_back((
-                            now + self.latency as Cycle,
+                        respond(
                             L2Response {
                                 loc: req.loc,
                                 dest: req.src,
                                 l1_mshr: req.l1_mshr,
                             },
-                        ));
+                            now + self.latency as Cycle,
+                        );
                     }
                     LookupResult::SectorMiss | LookupResult::LineMiss => {
                         if let Some(&idx) = self.mshr_index.get(&atom) {
@@ -411,8 +428,15 @@ impl L2Slice {
     }
 
     /// Advances the slice and its controller one cycle, then refreshes the
-    /// sleep memo.
-    pub fn tick(&mut self, scheme: &mut dyn ProtectionScheme, now: Cycle) {
+    /// sleep memo. Each response the cycle makes (a read hit, or a reader
+    /// of an installed fill) goes to `respond(resp, ready)` at once, with
+    /// `ready = now + l2.latency`: the cycle it leaves the slice.
+    pub fn tick(
+        &mut self,
+        scheme: &mut dyn ProtectionScheme,
+        now: Cycle,
+        respond: &mut dyn FnMut(L2Response, Cycle),
+    ) {
         let mut mc_t = ccraft_telemetry::profiler::PhaseTimer::start(self.mc.profile_enabled());
         self.mc.tick(now);
         self.mc.profile_add_tick_ns(mc_t.lap());
@@ -431,7 +455,7 @@ impl L2Slice {
                     if let Some(m) = self.mshrs[mshr].as_mut() {
                         m.pieces_left -= 1;
                         if m.pieces_left == 0 {
-                            self.install_fill(mshr, scheme, now);
+                            self.install_fill(mshr, scheme, now, respond);
                         }
                     }
                 }
@@ -463,14 +487,15 @@ impl L2Slice {
         }
         // 4. Pipeline: up to SLICE_PORTS requests.
         for _ in 0..SLICE_PORTS {
-            if !self.process_request(scheme, now) {
+            if !self.process_request(scheme, now, respond) {
                 break;
             }
         }
         // 5. Sleep memo: a slice with nothing queued of its own sleeps
         //    until its next event. A stalled head request keeps it awake,
         //    because every retry re-runs the lookup (a miss counted, LRU
-        //    touched). `next_event` reports `now` for the same reason.
+        //    touched). `next_event` reports `now` for the same reason. The
+        //    responses just made are already the crossbar's.
         self.wake = match self.next_event(now, scheme) {
             Some(c) => c,
             None => Cycle::MAX,
@@ -503,8 +528,9 @@ impl L2Slice {
 
     /// Oracle build: runs a tick the sleep memo would skip and asserts
     /// that it changed nothing but what
-    /// [`account_asleep_span`](Self::account_asleep_span) counts, and that
-    /// the live [`next_event`](Self::next_event) never precedes the memo.
+    /// [`account_asleep_span`](Self::account_asleep_span) counts, that it
+    /// made no response, and that the live
+    /// [`next_event`](Self::next_event) never precedes the memo.
     ///
     /// # Panics
     ///
@@ -525,7 +551,6 @@ impl L2Slice {
                 s.stats(),
                 s.mc.stats(),
                 s.mc.outstanding(),
-                s.resp_q.len(),
                 s.pending_wb.len(),
                 s.mshr_index.len(),
             )
@@ -534,27 +559,20 @@ impl L2Slice {
         if self.mc.read_q_len() + self.mc.write_q_len() > 0 {
             expect.1.busy_cycles += 1;
         }
-        self.tick(scheme, now);
+        let mut responses = 0u32;
+        self.tick(scheme, now, &mut |_, _| responses += 1);
+        assert_eq!(
+            responses, 0,
+            "invariant violated: L2 slice {} responded during its \
+             predicted-idle sleep (cycle {now}, asleep until {wake})",
+            self.channel
+        );
         assert!(
             snapshot(self) == expect,
             "invariant violated: L2 slice {} made progress during its \
              predicted-idle sleep (cycle {now}, asleep until {wake})",
             self.channel
         );
-    }
-
-    /// Pops responses that are ready at `now` into a caller-owned buffer
-    /// (cleared first) so the cycle loop can reuse one allocation.
-    pub fn pop_responses_into(&mut self, now: Cycle, out: &mut Vec<L2Response>) {
-        out.clear();
-        while let Some(&(ready, resp)) = self.resp_q.front() {
-            if ready <= now {
-                out.push(resp);
-                self.resp_q.pop_front();
-            } else {
-                break;
-            }
-        }
     }
 
     /// Queues write-backs for every dirty atom still resident (end-of-kernel
@@ -576,19 +594,17 @@ impl L2Slice {
     /// Earliest cycle at which this slice has (or may have) work, for
     /// idle fast-forwarding and the slice's own sleep memo.
     /// `Some(c <= now)` means busy this cycle; `Some(c > now)` is the
-    /// earliest of the next pending response, the controller's event
-    /// ([`MemCtrl::next_event`]) and the scheme's timed drain deadline for
-    /// this channel; `None` means nothing queued, in flight or timed. An
-    /// MSHR is never outstanding without a matching controller event, so
-    /// these checks cover the whole slice.
+    /// earlier of the controller's event ([`MemCtrl::next_event`]) and the
+    /// scheme's timed drain deadline for this channel; `None` means
+    /// nothing queued, in flight or timed. An MSHR is never outstanding
+    /// without a matching controller event, so these checks cover the
+    /// whole slice. A response is never the slice's work: it enters the
+    /// crossbar in the tick that makes it.
     pub fn next_event(&self, now: Cycle, scheme: &dyn ProtectionScheme) -> Option<Cycle> {
         if !self.in_q.is_empty() || !self.pending_wb.is_empty() {
             return Some(now);
         }
         let mut wake = self.mc.next_event(now).unwrap_or(Cycle::MAX);
-        if let Some(&(ready, _)) = self.resp_q.front() {
-            wake = wake.min(ready);
-        }
         if let Some(due) = scheme.next_timed_event(self.channel) {
             wake = wake.min(due);
         }
@@ -603,7 +619,6 @@ impl L2Slice {
     /// `true` when no work remains anywhere in the slice.
     pub fn is_idle(&self) -> bool {
         self.in_q.is_empty()
-            && self.resp_q.is_empty()
             && self.pending_wb.is_empty()
             && self.mshr_index.is_empty()
             && self.mc.is_idle()
@@ -755,24 +770,22 @@ mod tests {
         }
     }
 
+    /// Ticks the slice from `start` until it is idle. Returns every
+    /// response with the cycle it is ready, and the first cycle not ticked.
     fn run_until_idle(
         slice: &mut L2Slice,
         scheme: &mut dyn ProtectionScheme,
         start: Cycle,
-    ) -> (Vec<L2Response>, Cycle) {
+    ) -> (Vec<(Cycle, L2Response)>, Cycle) {
         let mut responses = Vec::new();
-        let mut popped = Vec::new();
         let mut now = start;
         loop {
-            slice.tick(scheme, now);
-            slice.pop_responses_into(now, &mut popped);
-            responses.append(&mut popped);
+            slice.tick(scheme, now, &mut |resp, ready| {
+                responses.push((ready, resp))
+            });
             now += 1;
             if slice.is_idle() {
-                slice.pop_responses_into(now, &mut popped);
-                if popped.is_empty() {
-                    break;
-                }
+                break;
             }
             assert!(now < 100_000, "livelock");
         }
@@ -785,7 +798,7 @@ mod tests {
         slice.push(read_req(0));
         let (resps, _) = run_until_idle(&mut slice, &mut scheme, 0);
         assert_eq!(resps.len(), 1);
-        assert_eq!(resps[0].l1_mshr, 1);
+        assert_eq!(resps[0].1.l1_mshr, 1);
         assert_eq!(slice.stats().fills, 1);
         // Second read is a hit.
         slice.push(read_req(0));
@@ -837,7 +850,7 @@ mod tests {
         let mut now = 0;
         for i in 0..160u64 {
             slice.push(write_req(i * 4, true));
-            slice.tick(&mut scheme, now);
+            slice.tick(&mut scheme, now, &mut |_, _| {});
             now += 1;
         }
         let (_, _) = run_until_idle(&mut slice, &mut scheme, now);
@@ -983,7 +996,7 @@ mod tests {
     /// the run ends inside a sleep, across several refreshes). With
     /// `skip`, the slice ticks only at its wake cycle (or when a request
     /// arrives), and skipped ticks are accounted in bulk. Returns the
-    /// final stats, every response with the cycle it was popped, whether
+    /// final stats, every response with the cycle it is ready, whether
     /// the slice drained, and the number of skipped ticks.
     fn drive_bursty(skip: bool) -> (L2SliceStats, McStats, Vec<(Cycle, L2Response)>, bool, u64) {
         const END: Cycle = 12_000;
@@ -998,7 +1011,6 @@ mod tests {
         let script = bursty_script();
         let mut next = 0;
         let mut responses = Vec::new();
-        let mut popped = Vec::new();
         let mut skipped = 0u64;
         let mut skipped_total = 0u64;
         let mut flushed = false;
@@ -1020,10 +1032,10 @@ mod tests {
                 slice.account_asleep_span(skipped);
                 skipped_total += skipped;
                 skipped = 0;
-                slice.tick(&mut scheme, now);
+                slice.tick(&mut scheme, now, &mut |resp, ready| {
+                    responses.push((ready, resp));
+                });
             }
-            slice.pop_responses_into(now, &mut popped);
-            responses.extend(popped.iter().map(|&r| (now, r)));
             now += 1;
             let flush_due =
                 !flushed && next == script.len() && slice.is_idle() && scheme.is_drained();
@@ -1067,15 +1079,39 @@ mod tests {
         // Prefill.
         slice.push(read_req(0));
         let (_, end) = run_until_idle(&mut slice, &mut scheme, 0);
-        // A hit at cycle `end` must not respond before end + latency (8).
+        // A hit at cycle `end` is ready at end + latency (8).
         slice.push(read_req(0));
-        slice.tick(&mut scheme, end);
-        let mut popped = Vec::new();
-        for now in end..end + 8 {
-            slice.pop_responses_into(now, &mut popped);
-            assert!(popped.is_empty(), "early response at {now}");
-        }
-        slice.pop_responses_into(end + 8, &mut popped);
-        assert_eq!(popped.len(), 1);
+        let mut ready = Vec::new();
+        slice.tick(&mut scheme, end, &mut |_, at| ready.push(at));
+        assert_eq!(ready, vec![end + 8]);
+    }
+
+    /// A slice whose only in-flight work is a hit response has nothing
+    /// left to wake for: the response is already in the crossbar, due at
+    /// `t + l2.latency + xbar.latency`.
+    #[test]
+    fn hit_response_leaves_the_slice_asleep() {
+        let cfg = GpuConfig::tiny();
+        assert_eq!(cfg.mem.timing.t_refi, 0, "tiny has refresh off");
+        let (mut slice, mut scheme) = slice_and_scheme();
+        let mut xbar = crate::xbar::Crossbar::new(&cfg.xbar, cfg.core.sms, cfg.mem.channels);
+        slice.push(read_req(0));
+        let (_, t) = run_until_idle(&mut slice, &mut scheme, 0);
+        slice.push(read_req(0));
+        slice.tick(&mut scheme, t, &mut |resp, ready| {
+            xbar.send_response(resp, ready);
+        });
+        assert_eq!(slice.stats().cache.read_hits, 1);
+        assert!(slice.is_idle());
+        assert_eq!(slice.next_event(t, &scheme), None);
+        assert_eq!(slice.wake(), Cycle::MAX);
+        assert!(slice.asleep(t + 1));
+        let arrival = t + Cycle::from(cfg.l2.latency) + Cycle::from(cfg.xbar.latency);
+        assert_eq!(xbar.next_arrival(), Some(arrival));
+        let mut got = Vec::new();
+        xbar.deliver_due_responses(arrival - 1, |sm, r| got.push((sm, r.l1_mshr)));
+        assert!(got.is_empty(), "delivered early");
+        xbar.deliver_due_responses(arrival, |sm, r| got.push((sm, r.l1_mshr)));
+        assert_eq!(got, vec![(0, 1)]);
     }
 }

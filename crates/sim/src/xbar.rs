@@ -8,12 +8,16 @@
 //! unbounded so the response path can always drain (deadlock freedom).
 //!
 //! Delivery visits only the endpoints with a message due. Every message
-//! arrives `latency` cycles after it was sent, so each direction keeps
-//! one arrival FIFO of `(arrival, endpoint)` in send order, which is
-//! arrival order. An endpoint becomes due when one of its arrivals
-//! matures and stays due while an arrived message waits for it: a
-//! port-limited endpoint takes the rest on later cycles, and a slice that
-//! refuses a request is offered it again the next cycle.
+//! arrives `latency` cycles after it departs, so each direction keeps one
+//! arrival FIFO of `(arrival, endpoint)` in send order, which is arrival
+//! order. A request departs when it is sent. A response is sent in the
+//! slice tick that makes it and departs `l2.latency` cycles later, so
+//! every response push is also `now` plus a constant and the response
+//! FIFO stays sorted too (the oracle build checks each push). An endpoint
+//! becomes due when one of its arrivals matures and stays due while an
+//! arrived message waits for it: a port-limited endpoint takes the rest
+//! on later cycles, and a slice that refuses a request is offered it
+//! again the next cycle.
 
 use crate::calendar::IndexSet;
 use crate::config::XbarConfig;
@@ -64,6 +68,14 @@ impl<T: Copy> Lane<T> {
     }
 
     fn push(&mut self, endpoint: u16, msg: T, arrival: Cycle) {
+        #[cfg(feature = "check-invariants")]
+        if let Some(&(back, _)) = self.arrivals.back() {
+            assert!(
+                arrival >= back,
+                "invariant violated: crossbar arrival {arrival} pushed behind \
+                 a later one ({back}); the arrival FIFO must stay sorted"
+            );
+        }
         self.queues[usize::from(endpoint)].push_back(msg);
         self.arrivals.push_back((arrival, endpoint));
     }
@@ -160,11 +172,13 @@ impl Crossbar {
         true
     }
 
-    /// Injects a response toward its SM (never fails; response queues are
-    /// unbounded for deadlock freedom).
-    pub fn send_response(&mut self, resp: L2Response, now: Cycle) {
+    /// Injects a response toward its SM that departs at cycle `ready`,
+    /// which may lie ahead: a slice sends each response when it makes it,
+    /// `l2.latency` cycles before it departs. Never fails; response queues
+    /// are unbounded for deadlock freedom.
+    pub fn send_response(&mut self, resp: L2Response, ready: Cycle) {
         self.resp
-            .push(resp.dest.0, resp, now + self.latency as Cycle);
+            .push(resp.dest.0, resp, ready + self.latency as Cycle);
         self.stats.responses += 1;
     }
 
@@ -332,6 +346,20 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "check-invariants")]
+    #[should_panic(expected = "arrival FIFO must stay sorted")]
+    fn oracle_rejects_an_arrival_behind_a_later_one() {
+        let mut x = xbar();
+        let resp = L2Response {
+            loc: PhysLoc::new(0, 0),
+            dest: SmId(0),
+            l1_mshr: 0,
+        };
+        x.send_response(resp, 10);
+        x.send_response(resp, 9);
+    }
+
+    #[test]
     fn port_limited_endpoint_delivers_the_rest_on_later_cycles() {
         let mut x = xbar();
         for i in 0..3 {
@@ -399,13 +427,14 @@ mod tests {
     #[test]
     fn queue_capacity_backpressures() {
         let mut x = xbar();
-        for i in 0..REQ_QUEUE_CAP {
-            assert!(x.try_send_request(req(0), i as Cycle));
+        let last = REQ_QUEUE_CAP as Cycle - 1;
+        for now in 0..=last {
+            assert!(x.try_send_request(req(0), now));
         }
-        assert!(!x.try_send_request(req(0), 0));
+        assert!(!x.try_send_request(req(0), last));
         assert_eq!(x.stats().rejects, 1);
         // The other slice's queue is unaffected.
-        assert!(x.try_send_request(req(1), 0));
+        assert!(x.try_send_request(req(1), last));
     }
 
     #[test]

@@ -79,11 +79,9 @@ impl ProtectionScheme for MockScheme {
 }
 
 fn run_until_idle(slice: &mut L2Slice, scheme: &mut MockScheme, start: Cycle) -> Cycle {
-    let mut popped = Vec::new();
     let mut now = start;
     loop {
-        slice.tick(scheme, now);
-        slice.pop_responses_into(now, &mut popped);
+        slice.tick(scheme, now, &mut |_, _| {});
         now += 1;
         if slice.is_idle() && scheme.is_drained() {
             return now;
@@ -116,17 +114,12 @@ fn demand_fill_waits_for_ecc_piece() {
     let mut slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
     let mut scheme = MockScheme::new();
     slice.push(read_req(0));
-    // Collect the response time; with an extra ECC fetch the fill cannot
-    // complete before both DRAM reads are done.
+    // Collect the cycle the response is ready; with an extra ECC fetch the
+    // fill cannot complete before both DRAM reads are done.
     let mut responded_at = None;
-    let mut popped = Vec::new();
     let mut now = 0;
     while responded_at.is_none() {
-        slice.tick(&mut scheme, now);
-        slice.pop_responses_into(now, &mut popped);
-        if !popped.is_empty() {
-            responded_at = Some(now);
-        }
+        slice.tick(&mut scheme, now, &mut |_, ready| responded_at = Some(ready));
         now += 1;
         assert!(now < 10_000, "no response");
     }
@@ -156,7 +149,7 @@ fn buffered_ecc_writes_are_drained_with_budget() {
     let mut now = 0;
     for i in 0..8u64 {
         slice.push(write_req(i));
-        slice.tick(&mut scheme, now);
+        slice.tick(&mut scheme, now, &mut |_, _| {});
         now += 1;
     }
     let end = run_until_idle(&mut slice, &mut scheme, now);
@@ -181,7 +174,7 @@ fn residency_query_sees_co_evicted_atoms() {
     let mut now = 0;
     for i in 0..4u64 {
         slice.push(write_req(i));
-        slice.tick(&mut scheme, now);
+        slice.tick(&mut scheme, now, &mut |_, _| {});
         now += 1;
     }
     let end = run_until_idle(&mut slice, &mut scheme, now);
@@ -207,7 +200,7 @@ fn ecc_reads_share_queues_with_demand_traffic() {
     let mut now = 0;
     for i in 0..16u64 {
         slice.push(read_req(i * 4));
-        slice.tick(&mut scheme, now);
+        slice.tick(&mut scheme, now, &mut |_, _| {});
         now += 1;
     }
     let _ = run_until_idle(&mut slice, &mut scheme, now);

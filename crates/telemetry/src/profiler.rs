@@ -62,6 +62,7 @@ pub struct PhaseTimer(Option<HostStamp>);
 
 impl PhaseTimer {
     /// Starts a timer; a disabled timer never reads the clock.
+    #[inline]
     pub fn start(enabled: bool) -> Self {
         PhaseTimer(if enabled {
             Some(HostStamp::now())
@@ -72,6 +73,7 @@ impl PhaseTimer {
 
     /// Nanoseconds since the previous lap (or start), and resets the
     /// reference point. Returns 0 when disabled.
+    #[inline]
     pub fn lap(&mut self) -> u64 {
         match &mut self.0 {
             Some(stamp) => {
@@ -86,6 +88,7 @@ impl PhaseTimer {
 
     /// Resets the reference point without attributing the elapsed span
     /// anywhere (used to drop uninteresting sections).
+    #[inline]
     pub fn reset(&mut self) {
         if let Some(stamp) = &mut self.0 {
             *stamp = HostStamp::now();
@@ -93,6 +96,7 @@ impl PhaseTimer {
     }
 
     /// True when this timer actually reads the clock.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }

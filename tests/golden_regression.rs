@@ -245,3 +245,55 @@ fn pinned_stalls_and_busy_cycles_spmv_tiny_gddr6() {
         assert_eq!(got.3, busy, "{name}: per-channel busy_cycles drifted");
     }
 }
+
+/// `vecadd` at tiny size, seed 1, on `GpuConfig::tiny()`: per scheme
+/// `(name, SM ticks, L2 slice ticks, controller scans)`.
+const VECADD_TINY_TICKS: [(&str, u64, u64, u64); 4] = [
+    ("no-protection", 35066, 46894, 28716),
+    ("inline-naive", 40512, 106195, 70289),
+    ("ecc-cache", 36905, 57249, 37546),
+    ("cachecraft", 35689, 53092, 34139),
+];
+
+/// The wake calendar's tick counts, read from the self-profile's memo
+/// misses. They do not change the statistics, so a component that stays
+/// awake when it could sleep shows up here and nowhere else.
+#[test]
+fn pinned_tick_counts_vecadd_tiny() {
+    use cachecraft::sim::dram::MapOrder;
+    use cachecraft::sim::{simulate, Observe};
+
+    let cfg = GpuConfig::tiny();
+    let trace = Workload::VecAdd.generate(SizeClass::Tiny, 1);
+    let obs = Observe {
+        profile: true,
+        ..Observe::default()
+    };
+    let mut got = Vec::new();
+    for kind in SchemeKind::headline(&cfg) {
+        let out = simulate(
+            &cfg,
+            MapOrder::RoBaCo,
+            &trace,
+            kind.build(&cfg).as_mut(),
+            &obs,
+        );
+        let p = out.profile.expect("profile attached");
+        got.push((
+            kind.name(),
+            p.sm_sleep.misses.get(),
+            p.slice_sleep.misses.get(),
+            p.scan_memo.misses.get(),
+        ));
+    }
+    for (name, sm, slice, scans) in &got {
+        println!("    (\"{name}\", {sm}, {slice}, {scans}),");
+    }
+    for (got, expect) in got.into_iter().zip(VECADD_TINY_TICKS) {
+        let (name, sm, slice, scans) = expect;
+        assert_eq!(got.0, name);
+        assert_eq!(got.1, sm, "{name}: SM ticks drifted");
+        assert_eq!(got.2, slice, "{name}: L2 slice ticks drifted");
+        assert_eq!(got.3, scans, "{name}: controller scans drifted");
+    }
+}
