@@ -9,12 +9,12 @@
 //! can answer a repeated sweep without simulating anything.
 //!
 //! Entries are stored durably through [`crate::store`]
-//! (`write_durable`/`read_verified`), so the chaos-soak guarantees
-//! extend to the cache: a corrupted entry is quarantined to
-//! `<digest>.json.corrupt-<n>` on read and reported as a miss — the cell
-//! is recomputed, never served from damaged bytes. In front of the disk
-//! sits an in-memory index of known digests, so a cold miss costs one
-//! set probe, not a filesystem round trip.
+//! (`write_durable`/`read_verified`), and an entry is served only when
+//! its checksum footer verifies: a damaged or footer-less entry is
+//! quarantined to `<digest>.json.corrupt-<n>` on read and reported as a
+//! miss — the cell is recomputed, never served from unverified bytes.
+//! In front of the disk sits an in-memory index of known digests, so a
+//! cold miss costs one set probe, not a filesystem round trip.
 //!
 //! [`CellKey::for_cell`] and [`cached`] are the one memoization path:
 //! experiment runs go through a run-local cache at `<results>/cells/`
@@ -254,9 +254,9 @@ impl ResultCache {
 
     /// Looks `key` up. Returns the verified entry on a hit; `None` on a
     /// miss — including when the durable entry exists but fails checksum
-    /// or schema verification (the damaged file is quarantined by
-    /// [`store::read_verified`] / moved aside here, so the caller
-    /// recomputes instead of consuming corruption).
+    /// or schema verification, or has no checksum footer at all (the file
+    /// is quarantined by [`store::read_verified`] or moved aside here, so
+    /// the caller recomputes instead of consuming unverified bytes).
     pub fn lookup(&self, key: &CellKey) -> Option<CacheEntry> {
         let digest = key.digest();
         if !lock_clean(&self.index).contains(&digest) {
@@ -265,8 +265,13 @@ impl ResultCache {
             return None;
         }
         let path = self.entry_path(&digest);
-        let payload = match store::read_verified(&path) {
-            Ok(v) => v.payload,
+        let entry = match store::read_verified(&path) {
+            Ok(v) if v.verified => std::str::from_utf8(&v.payload)
+                .ok()
+                .and_then(|text| serde_json::from_str::<CacheEntry>(text).ok()),
+            // No footer: nothing vouches that these are the bytes `insert`
+            // wrote.
+            Ok(_) => None,
             Err(Error::Corrupt { .. }) => {
                 // read_verified already moved the file aside.
                 self.forget(&digest);
@@ -280,9 +285,6 @@ impl ResultCache {
                 return None;
             }
         };
-        let entry = std::str::from_utf8(&payload)
-            .ok()
-            .and_then(|text| serde_json::from_str::<CacheEntry>(text).ok());
         match entry {
             // Digest collisions are astronomically unlikely but cheap to
             // reject: the stored key must match the requested one.
@@ -291,8 +293,8 @@ impl ResultCache {
                 Some(entry)
             }
             _ => {
-                // Not UTF-8, unparseable or aliased: quarantine and
-                // recompute.
+                // Footer-less, not UTF-8, unparseable or aliased:
+                // quarantine and recompute.
                 // A failed rename is not fatal — the entry is forgotten
                 // and counted corrupt either way, and the next read will
                 // retry — but it must not be silent: the cache directory
@@ -498,7 +500,6 @@ mod tests {
 
     #[test]
     fn insert_then_lookup_round_trips() {
-        let _guard = crate::chaos::test_guard();
         let dir = temp_dir("roundtrip");
         let cache = ResultCache::open(&dir).expect("open cache");
         let key = sample_key();
@@ -527,7 +528,6 @@ mod tests {
 
     #[test]
     fn cache_survives_reopen_in_a_new_instance() {
-        let _guard = crate::chaos::test_guard();
         // Same config through "two processes": a second ResultCache over
         // the same directory reindexes the entry and serves the hit.
         let dir = temp_dir("reopen");
@@ -556,18 +556,25 @@ mod tests {
 
     #[test]
     fn corrupted_entry_is_quarantined_and_recomputed_not_served() {
-        let _guard = crate::chaos::test_guard();
         let dir = temp_dir("corrupt");
         let cache = ResultCache::open(&dir).expect("open cache");
         let key = sample_key();
         let stats = sample_stats();
         cache.insert(&key, &stats, 1).expect("insert");
-        // Flip bytes in the durable file's payload so the crc32 footer
-        // no longer matches.
+        // Bump the first digit of the stats: the JSON still parses and
+        // the key still matches, so only the crc32 footer can tell.
         let path = dir.join(format!("{}.json", key.digest()));
         let mut bytes = std::fs::read(&path).expect("read entry");
-        bytes[10] ^= 0xFF;
-        bytes[11] ^= 0xFF;
+        let at = bytes
+            .windows(7)
+            .position(|w| w == b"\"stats\"")
+            .expect("stats");
+        let i = at
+            + bytes[at..]
+                .iter()
+                .position(u8::is_ascii_digit)
+                .expect("a digit");
+        bytes[i] = if bytes[i] == b'9' { b'8' } else { bytes[i] + 1 };
         std::fs::write(&path, &bytes).expect("corrupt entry");
 
         assert!(
@@ -594,7 +601,6 @@ mod tests {
 
     #[test]
     fn mismatched_key_under_same_digest_is_rejected() {
-        let _guard = crate::chaos::test_guard();
         // Simulate a digest collision by writing an entry whose stored
         // key differs from the lookup key at the colliding path.
         let dir = temp_dir("collision");
@@ -618,7 +624,6 @@ mod tests {
 
     #[test]
     fn panicking_simulation_leaves_no_entry() {
-        let _guard = crate::chaos::test_guard();
         let dir = temp_dir("panic");
         let cache = ResultCache::open(&dir).expect("open cache");
         let key = sample_key();
@@ -668,12 +673,30 @@ mod tests {
         );
     }
 
+    #[test]
+    fn footerless_entry_is_quarantined_not_served() {
+        let dir = temp_dir("footerless");
+        let cache = ResultCache::open(&dir).expect("open cache");
+        let key = sample_key();
+        cache.insert(&key, &sample_stats(), 1).expect("insert");
+        // The entry's JSON parses, but nothing vouches for it.
+        let path = dir.join(format!("{}.json", key.digest()));
+        let bytes = std::fs::read(&path).expect("read entry");
+        std::fs::write(&path, store::strip_footer(&bytes)).expect("drop footer");
+        assert!(
+            cache.lookup(&key).is_none(),
+            "a footer-less entry was served"
+        );
+        assert!(!path.exists(), "the footer-less file was moved aside");
+        assert_eq!(cache.counters().corrupt, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Mutated entry files — torn, bit-flipped, footer-edited, random
     /// JSON, another key's entry — must never panic a lookup nor hand
     /// out another key's stats; whatever cannot be served is quarantined.
     #[test]
     fn fuzzed_entry_files_are_quarantined_never_served() {
-        let _guard = crate::chaos::test_guard();
         let dir = temp_dir("fuzz");
         let cache = ResultCache::open(&dir).expect("open cache");
         let key = sample_key();
@@ -704,7 +727,7 @@ mod tests {
 
         let mut rng = 0x5eed_u64;
         let mut next = move |bound: usize| {
-            rng = crate::chaos::splitmix64(rng);
+            rng = crate::splitmix64(rng);
             (rng % bound.max(1) as u64) as usize
         };
         let mut served = 0;
@@ -757,11 +780,11 @@ mod tests {
             }
             let _ = std::fs::remove_file(&path);
         }
-        // Only mutations that left the entry intact (a bit flip and its
-        // verified re-read can coincide, a truncation can drop exactly
-        // the footer) may be served.
-        assert!(served < 30, "{served} mutated entries served");
-        assert!(cache.counters().corrupt >= 270);
+        // Only an entry whose footer still verifies may be served: at
+        // this seed, the three footer edits that wrote back the byte
+        // already there.
+        assert!(served <= 3, "{served} mutated entries served");
+        assert!(cache.counters().corrupt >= 297);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

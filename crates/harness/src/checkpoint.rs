@@ -200,11 +200,11 @@ pub(crate) fn current() -> Option<Arc<Run>> {
 
 /// Serializes tests that run matrices: the engine consults the
 /// process-global run, so parallel test threads must not record cells
-/// into each other's runs. It is the chaos tests' lock, because a cached
-/// run writes through the store hooks a chaos test may have armed.
+/// into each other's runs.
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
-    crate::chaos::test_guard()
+    static LOCK: Mutex<()> = Mutex::new(());
+    lock_clean(&LOCK)
 }
 
 #[cfg(test)]

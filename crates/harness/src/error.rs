@@ -7,27 +7,8 @@
 //! missing a cell ([`Error::MissingCell`]). Binaries convert these to
 //! exit status + stderr; the runner turns a panicking cell into its
 //! per-cell outcome instead of aborting the whole matrix.
-//!
-//! I/O errors additionally classify as *transient* (worth a bounded,
-//! deterministic retry — see [`crate::store`]) or *permanent* (retrying
-//! cannot help: the disk is full, the path is gone, permissions are
-//! wrong). The store consults [`io_error_is_transient`] before sleeping.
 
 use std::fmt;
-
-/// Whether an [`std::io::Error`] is worth retrying.
-///
-/// Transient kinds are interruptions the next attempt can reasonably
-/// survive: `Interrupted` (EINTR / injected transient EIO), `WouldBlock`,
-/// and `TimedOut`. Everything else — `NotFound`, `PermissionDenied`,
-/// out-of-space conditions — is permanent and fails immediately.
-pub fn io_error_is_transient(e: &std::io::Error) -> bool {
-    use std::io::ErrorKind;
-    matches!(
-        e.kind(),
-        ErrorKind::Interrupted | ErrorKind::WouldBlock | ErrorKind::TimedOut
-    )
-}
 
 /// A harness-level failure.
 #[derive(Debug)]
@@ -87,18 +68,6 @@ impl Error {
             detail: detail.into(),
         }
     }
-
-    /// Whether retrying the failed operation could plausibly succeed.
-    ///
-    /// Only [`Error::Io`] with a transient kind qualifies (see
-    /// [`io_error_is_transient`]); corruption, configuration mistakes,
-    /// and worker failures never do.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            Error::Io { source, .. } => io_error_is_transient(source),
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for Error {
@@ -148,30 +117,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("spmv/cachecraft") && s.contains("index out of bounds"));
-    }
-
-    #[test]
-    fn transient_classification() {
-        use std::io::ErrorKind;
-        for kind in [
-            ErrorKind::Interrupted,
-            ErrorKind::WouldBlock,
-            ErrorKind::TimedOut,
-        ] {
-            let e = std::io::Error::new(kind, "x");
-            assert!(io_error_is_transient(&e), "{kind:?} must be transient");
-            assert!(Error::io("op", e).is_transient());
-        }
-        for kind in [
-            ErrorKind::NotFound,
-            ErrorKind::PermissionDenied,
-            ErrorKind::Other,
-        ] {
-            let e = std::io::Error::new(kind, "x");
-            assert!(!io_error_is_transient(&e), "{kind:?} must be permanent");
-        }
-        assert!(!Error::config("bad").is_transient());
-        assert!(!Error::corrupt("a.csv", "crc mismatch").is_transient());
     }
 
     #[test]

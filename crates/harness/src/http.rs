@@ -280,7 +280,7 @@ fn serve_connection(mut stream: TcpStream, handler: &Handler) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::splitmix64;
+    use crate::splitmix64;
 
     /// A reader over a byte slice that counts what it hands out.
     struct Counting<'a> {

@@ -13,7 +13,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cellcache;
-pub mod chaos;
 pub mod checkpoint;
 pub mod error;
 pub mod experiments;
@@ -22,7 +21,6 @@ pub mod metrics;
 pub mod perfdiff;
 pub mod report;
 pub mod runner;
-pub mod soak;
 pub mod store;
 
 pub use error::Error;
@@ -49,6 +47,15 @@ pub fn geomean(values: &[f64]) -> f64 {
         })
         .sum();
     (log_sum / values.len() as f64).exp()
+}
+
+/// SplitMix64 finalizer: the deterministic draw stream of the fuzz tests.
+#[cfg(test)]
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 #[cfg(test)]

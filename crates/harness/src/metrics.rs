@@ -37,8 +37,6 @@ pub struct MetricsRegistry {
     cells_failed: AtomicU64,
     /// Cells served from the run's cell cache without simulating.
     cells_resumed: AtomicU64,
-    /// Transient-I/O retries performed by the durable store.
-    store_retries: AtomicU64,
     /// Configured worker thread count for the current matrix call.
     workers: AtomicU64,
     /// Workers currently executing a cell.
@@ -67,7 +65,6 @@ impl MetricsRegistry {
             cells_completed: AtomicU64::new(0),
             cells_failed: AtomicU64::new(0),
             cells_resumed: AtomicU64::new(0),
-            store_retries: AtomicU64::new(0),
             workers: AtomicU64::new(0),
             workers_active: AtomicU64::new(0),
             cell_us_sum: AtomicU64::new(0),
@@ -86,11 +83,6 @@ impl MetricsRegistry {
     /// observed through [`MetricsRegistry::observe_cell`]).
     pub fn cache_hit(&self) {
         self.cells_resumed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one transient-I/O retry inside the durable store.
-    pub fn store_retry(&self) {
-        self.store_retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sets the configured worker count.
@@ -139,7 +131,6 @@ impl MetricsRegistry {
         let completed = self.cells_completed.load(Ordering::Relaxed);
         let failed = self.cells_failed.load(Ordering::Relaxed);
         let resumed = self.cells_resumed.load(Ordering::Relaxed);
-        let store_retries = self.store_retries.load(Ordering::Relaxed);
         let workers = self.workers.load(Ordering::Relaxed);
         let active = self.workers_active.load(Ordering::Relaxed);
         let count = self.cell_count.load(Ordering::Relaxed);
@@ -211,11 +202,6 @@ impl MetricsRegistry {
             "ccraft_cells_resumed_total",
             "Matrix cells served from the run's cell cache (finished cells of a --resume).",
             resumed,
-        );
-        counter(
-            "ccraft_store_retries_total",
-            "Transient I/O retries performed by the durable store.",
-            store_retries,
         );
         let _ = writeln!(
             out,
@@ -300,15 +286,12 @@ mod tests {
         reg.observe_cell(0.001, true);
         reg.cache_hit();
         reg.worker_finished();
-        reg.store_retry();
-        reg.store_retry();
         let text = reg.render();
         assert!(text.contains("ccraft_cells_planned 10"));
         // 1 simulated + 1 cache hit; the failed cell is *not* completed.
         assert!(text.contains("ccraft_cells_completed_total 2"));
         assert!(text.contains("ccraft_cells_failed_total 1"));
         assert!(text.contains("ccraft_cells_resumed_total 1"));
-        assert!(text.contains("ccraft_store_retries_total 2"));
         assert!(text.contains("ccraft_workers 4"));
         assert!(text.contains("ccraft_workers_active 0"));
         assert!(text.contains("ccraft_cell_seconds_count 3"));

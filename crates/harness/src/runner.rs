@@ -709,20 +709,6 @@ pub fn run_experiment(id: &str, body: impl FnOnce(&ExpOptions) -> Result<(), Err
     };
     warn_unknown_flags(&unknown_flags);
     let started = Instant::now();
-    // I/O fault injection for chaos testing, off unless CCRAFT_CHAOS is
-    // set (ccx chaos-soak sets it on the child it spawns).
-    match crate::chaos::init_from_env() {
-        Ok(true) => {
-            if let Some(cfg) = crate::chaos::current() {
-                eprintln!("chaos: I/O fault injection active ({})", cfg.to_spec());
-            }
-        }
-        Ok(false) => {}
-        Err(e) => {
-            eprintln!("error: {}: {e}", crate::chaos::CHAOS_ENV);
-            std::process::exit(EXIT_FAILED);
-        }
-    }
     let metrics_server = start_metrics_server();
     let results = crate::report::results_dir();
     let run = match &results {

@@ -12,8 +12,9 @@
 //! * [`read_verified`]: read the file, locate the footer, and verify the
 //!   payload checksum. A corrupt file is *quarantined* — renamed to
 //!   `<name>.corrupt-<n>` — and reported as [`Error::Corrupt`], never
-//!   silently discarded. Files without a footer (hand-edited, or produced
-//!   by an older version) are accepted as *legacy unverified*.
+//!   silently discarded. A file without a footer (hand-edited, or
+//!   produced by an older version) is returned with `verified: false`;
+//!   each caller decides whether unverified bytes are acceptable.
 //!
 //! The footer is one final line of the file:
 //!
@@ -28,14 +29,7 @@
 //! is *not* part of the checksummed payload. The `#`-prefixed line is an
 //! ignorable comment to most line-oriented tools; JSON consumers strip it
 //! with [`strip_footer`] (or by splitting on `\n#ccraft-store:`).
-//!
-//! Transient I/O errors (see [`crate::error::io_error_is_transient`])
-//! get a bounded, deterministic retry schedule ([`RETRY_DELAYS_MS`]) —
-//! fixed backoff, no jitter, so fault-injected runs replay identically.
-//! All filesystem primitives route through the [`crate::chaos`] hooks,
-//! which are free when no fault schedule is installed.
 
-use crate::chaos::{self, WriteDirective};
 use crate::error::Error;
 use std::fs::{self, File};
 use std::io::Write as _;
@@ -43,11 +37,6 @@ use std::path::{Path, PathBuf};
 
 /// Marker that begins a checksum footer line.
 pub const FOOTER_MARK: &str = "#ccraft-store:v1:crc32=";
-
-/// Retry backoff schedule for transient I/O errors, in milliseconds.
-/// Fixed and jitter-free: attempt `i` sleeps `RETRY_DELAYS_MS[i]` before
-/// retrying; after the schedule is exhausted the last error surfaces.
-pub const RETRY_DELAYS_MS: [u64; 3] = [5, 20, 80];
 
 /// Upper bound on quarantine suffix probing (`.corrupt-0` ...).
 const MAX_QUARANTINE: u32 = 10_000;
@@ -157,33 +146,7 @@ pub fn strip_footer(bytes: &[u8]) -> &[u8] {
 }
 
 // ---------------------------------------------------------------------
-// Chaos-aware filesystem primitives with bounded deterministic retries.
-
-fn sleep_backoff(attempt: usize) {
-    if let Some(reg) = crate::metrics::current() {
-        reg.store_retry();
-    }
-    let ms = RETRY_DELAYS_MS[attempt.min(RETRY_DELAYS_MS.len() - 1)];
-    // lint: allow(wall-clock) reason=bounded deterministic retry backoff for transient I/O; fixed schedule, host-side only
-    std::thread::sleep(std::time::Duration::from_millis(ms));
-}
-
-/// Runs `op` with the transient-error retry schedule: permanent errors
-/// surface immediately, transient ones are retried after fixed delays
-/// until the schedule is exhausted.
-fn with_retries<T>(mut op: impl FnMut() -> Result<T, Error>) -> Result<T, Error> {
-    let mut attempt = 0usize;
-    loop {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() && attempt < RETRY_DELAYS_MS.len() => {
-                sleep_backoff(attempt);
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
+// Durable write.
 
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -191,57 +154,20 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-fn write_once(path: &Path, tmp: &Path, bytes: &[u8]) -> Result<(), Error> {
+fn write_via_tmp(path: &Path, tmp: &Path, bytes: &[u8]) -> Result<(), Error> {
     let ctx = |what: &str, p: &Path| format!("{what} {}", p.display());
     let mut f = File::create(tmp).map_err(|e| Error::io(ctx("creating", tmp), e))?;
-    match chaos::on_write(bytes.len()) {
-        WriteDirective::Proceed => f
-            .write_all(bytes)
-            .map_err(|e| Error::io(ctx("writing", tmp), e))?,
-        WriteDirective::Truncate(keep) => {
-            // Torn write: only a prefix lands; report a transient
-            // short-write so the retry rewrites the temp file in full.
-            let _ = f.write_all(&bytes[..keep]);
-            let _ = f.sync_all();
-            return Err(Error::io(
-                ctx("writing", tmp),
-                std::io::Error::new(
-                    std::io::ErrorKind::Interrupted,
-                    format!("short write: {keep} of {} bytes", bytes.len()),
-                ),
-            ));
-        }
-        WriteDirective::FailTransient => {
-            return Err(Error::io(
-                ctx("writing", tmp),
-                std::io::Error::new(std::io::ErrorKind::Interrupted, "injected transient EIO"),
-            ));
-        }
-        WriteDirective::FailEnospc => {
-            return Err(Error::io(
-                ctx("writing", tmp),
-                std::io::Error::other("no space left on device (injected)"),
-            ));
-        }
-    }
-    if let Some(e) = chaos::on_fsync() {
-        return Err(Error::io(ctx("fsyncing", tmp), e));
-    }
+    f.write_all(bytes)
+        .map_err(|e| Error::io(ctx("writing", tmp), e))?;
     f.sync_all()
         .map_err(|e| Error::io(ctx("fsyncing", tmp), e))?;
     drop(f);
-    if let Some(e) = chaos::on_rename() {
-        return Err(Error::io(ctx("renaming to", path), e));
-    }
     fs::rename(tmp, path).map_err(|e| Error::io(ctx("renaming to", path), e))?;
     // Make the rename itself durable: fsync the parent directory.
     let dir = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),
     };
-    if let Some(e) = chaos::on_fsync() {
-        return Err(Error::io(ctx("fsyncing dir", &dir), e));
-    }
     let d = File::open(&dir).map_err(|e| Error::io(ctx("opening dir", &dir), e))?;
     d.sync_all()
         .map_err(|e| Error::io(ctx("fsyncing dir", &dir), e))?;
@@ -250,18 +176,18 @@ fn write_once(path: &Path, tmp: &Path, bytes: &[u8]) -> Result<(), Error> {
 
 /// Durably writes `payload` (plus checksum footer) to `path`:
 /// temp file in the same directory → fsync → atomic rename → fsync of the
-/// parent directory. Transient failures are retried on the fixed
-/// schedule; the temp file never replaces the destination until it holds
-/// the complete, fsynced image.
+/// parent directory. The temp file never replaces the destination until
+/// it holds the complete, fsynced image.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Io`] when a permanent failure occurs or the retry
-/// schedule is exhausted. The destination is untouched on error.
+/// Returns [`Error::Io`] when any step fails. A failure before the
+/// rename leaves the destination untouched; only the directory fsync
+/// comes after it.
 pub fn write_durable(path: &Path, payload: &[u8]) -> Result<(), Error> {
     let bytes = encode(payload);
     let tmp = tmp_path(path);
-    let result = with_retries(|| write_once(path, &tmp, &bytes));
+    let result = write_via_tmp(path, &tmp, &bytes);
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
     }
@@ -274,7 +200,7 @@ pub struct Verified {
     /// The payload, with any checksum footer stripped.
     pub payload: Vec<u8>,
     /// `true` when a footer was present and the checksum matched;
-    /// `false` for legacy footer-less files, accepted unverified.
+    /// `false` for a footer-less file, returned as read.
     pub verified: bool,
 }
 
@@ -290,94 +216,43 @@ impl Verified {
     }
 }
 
-fn read_once(path: &Path) -> Result<Vec<u8>, Error> {
-    let mut bytes =
-        fs::read(path).map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
-    chaos::on_read(&mut bytes).map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
-    Ok(bytes)
-}
-
-/// One read's verification result: no footer at all, a verified payload,
-/// or a checksum mismatch (stored, computed).
-enum Check {
-    NoFooter,
-    Good(Vec<u8>),
-    Mismatch(u32, u32),
-}
-
-fn check(bytes: &[u8]) -> Check {
-    let Some((len, stored)) = parse_footer(bytes) else {
-        return Check::NoFooter;
-    };
-    let computed = crc32(&bytes[..len]);
-    if computed == stored {
-        Check::Good(bytes[..len].to_vec())
-    } else {
-        Check::Mismatch(stored, computed)
-    }
-}
-
-/// Reads `path` and verifies its checksum footer.
+/// Reads `path` and verifies its checksum footer, in one read.
 ///
-/// Footer-less files are returned unverified (legacy format). When the
-/// first read does not verify — checksum mismatch, *or* a footer that no
-/// longer parses (a read-side corruption can land in the footer itself) —
-/// the file is read once more from disk: a transient in-memory corruption
-/// (e.g. an injected bit flip) goes away on the second read, persistent
-/// on-disk corruption does not. A file that is footer-less on both reads
-/// is genuinely legacy; anything else that fails twice gets quarantined
-/// to `<name>.corrupt-<n>` with an [`Error::Corrupt`] naming the
-/// quarantine location.
+/// A footer that verifies yields the payload with `verified: true`; a
+/// file with no footer comes back whole with `verified: false`. A
+/// checksum mismatch is on-disk damage: the file is quarantined to
+/// `<name>.corrupt-<n>` and the caller gets an [`Error::Corrupt`] naming
+/// the quarantine location.
 ///
 /// # Errors
 ///
-/// [`Error::Io`] when the file cannot be read (after transient retries);
-/// [`Error::Corrupt`] when verification fails persistently.
+/// [`Error::Io`] when the file cannot be read; [`Error::Corrupt`] when
+/// the checksum does not match.
 pub fn read_verified(path: &Path) -> Result<Verified, Error> {
-    let first = with_retries(|| read_once(path))?;
-    let first_check = check(&first);
-    if let Check::Good(payload) = first_check {
+    let mut bytes =
+        fs::read(path).map_err(|e| Error::io(format!("reading {}", path.display()), e))?;
+    let Some((len, stored)) = parse_footer(&bytes) else {
         return Ok(Verified {
-            payload,
+            payload: bytes,
+            verified: false,
+        });
+    };
+    let computed = crc32(&bytes[..len]);
+    if computed == stored {
+        bytes.truncate(len);
+        return Ok(Verified {
+            payload: bytes,
             verified: true,
         });
     }
-    // One fresh re-read decides between in-memory corruption (gone now),
-    // a legacy footer-less file (still footer-less), and on-disk damage.
-    let second = with_retries(|| read_once(path)).ok();
-    let second_check = second.as_deref().map(check);
-    match &second_check {
-        Some(Check::Good(payload)) => {
-            return Ok(Verified {
-                payload: payload.clone(),
-                verified: true,
-            })
-        }
-        // Legacy acceptance is deliberately strict: footer-less on BOTH
-        // reads *and* byte-identical. A read-side flip that mangles the
-        // footer region makes the reads differ, so corrupted bytes are
-        // never handed back as "legacy".
-        Some(Check::NoFooter)
-            if matches!(first_check, Check::NoFooter)
-                && second.as_deref() == Some(first.as_slice()) =>
-        {
-            return Ok(Verified {
-                payload: first,
-                verified: false,
-            });
-        }
-        _ => {}
-    }
-    let detail = match first_check {
-        Check::Mismatch(stored, computed) => {
-            format!("crc32 mismatch (stored {stored:08x}, computed {computed:08x})")
-        }
-        _ => "checksum footer unparseable".to_string(),
-    };
     let quarantined = quarantine(path)?;
     Err(Error::corrupt(
         path.display().to_string(),
-        format!("{detail}; original preserved at {}", quarantined.display()),
+        format!(
+            "crc32 mismatch (stored {stored:08x}, computed {computed:08x}); \
+             original preserved at {}",
+            quarantined.display()
+        ),
     ))
 }
 
@@ -428,7 +303,6 @@ pub fn quarantine(path: &Path) -> Result<PathBuf, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosConfig;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ccraft-store-{tag}-{}", std::process::id()));
@@ -465,8 +339,6 @@ mod tests {
 
     #[test]
     fn write_then_read_verifies() {
-        let _guard = crate::chaos::test_guard();
-        crate::chaos::clear();
         let path = tmpdir("roundtrip").join("t.csv");
         write_durable(&path, b"a,b\n1,2\n").unwrap();
         let v = read_verified(&path).unwrap();
@@ -484,8 +356,6 @@ mod tests {
 
     #[test]
     fn legacy_file_reads_unverified() {
-        let _guard = crate::chaos::test_guard();
-        crate::chaos::clear();
         let path = tmpdir("legacy").join("old.json");
         fs::write(&path, b"{\"x\":1}").unwrap();
         let v = read_verified(&path).unwrap();
@@ -495,8 +365,6 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_quarantined_not_dropped() {
-        let _guard = crate::chaos::test_guard();
-        crate::chaos::clear();
         let dir = tmpdir("corrupt");
         let path = dir.join("c.json");
         let _ = fs::remove_file(dir.join("c.json.corrupt-0"));
@@ -525,104 +393,16 @@ mod tests {
     }
 
     #[test]
-    fn transient_read_flip_survives_via_reread() {
-        let _guard = crate::chaos::test_guard();
-        let dir = tmpdir("flip");
-        let path = dir.join("f.json");
-        crate::chaos::clear();
-        write_durable(&path, b"{\"stable\":true}\n").unwrap();
-        // flip=0.5: some reads corrupt in memory; every one must either
-        // verify via the re-read or quarantine — but the file on disk is
-        // good, so quarantine would be a bug in the re-read defence only
-        // if *both* reads flip. With p=0.5 over 20 rounds some reads flip;
-        // we assert no round both-flips into a *matching* wrong CRC (the
-        // checksum catches every flip) and that most rounds succeed.
-        crate::chaos::install(ChaosConfig::parse("seed=11,flip=0.5").unwrap());
-        let mut ok = 0;
-        let mut quarantined = 0;
-        for _ in 0..20 {
-            match read_verified(&path) {
-                Ok(v) => {
-                    assert!(v.verified);
-                    assert_eq!(v.payload, b"{\"stable\":true}\n");
-                    ok += 1;
-                }
-                Err(Error::Corrupt { .. }) => {
-                    // Both reads flipped (p = flip²) — allowed to
-                    // quarantine, never to return bad data. Put the good
-                    // file back for the next round; a flip-only schedule
-                    // never touches the write hooks (and re-installing
-                    // would reset the op counter and replay the same
-                    // flips forever).
-                    quarantined += 1;
-                    write_durable(&path, b"{\"stable\":true}\n").unwrap();
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        crate::chaos::clear();
-        assert_eq!(ok + quarantined, 20);
-        // flip=0.5 → a round quarantines only when both reads flip
-        // (p = 0.25), so the single-flip re-read defence must carry a
-        // clear majority of rounds.
-        assert!(ok >= 10, "re-read defence should save most flips: ok={ok}");
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn transient_write_errors_are_retried() {
-        let _guard = crate::chaos::test_guard();
-        let dir = tmpdir("retry");
-        let path = dir.join("r.csv");
-        // eio=0.4: isolated transient failures; the 3-retry schedule
-        // makes 4 consecutive failures (p≈2.6%) unlikely per write, so
-        // at least one of the writes below must land.
-        crate::chaos::install(ChaosConfig::parse("seed=2,eio=0.4").unwrap());
-        let mut landed = 0;
-        for i in 0..5 {
-            if write_durable(&path, format!("row-{i}\n").as_bytes()).is_ok() {
-                landed += 1;
-            }
-        }
-        crate::chaos::clear();
-        assert!(landed >= 1, "retries should absorb isolated transient EIO");
+    fn failed_write_leaves_the_destination_intact() {
+        let dir = tmpdir("failed-write");
+        let path = dir.join("e.json");
+        write_durable(&path, b"{\"v\":1}\n").unwrap();
+        // A directory squatting on the temp path makes `File::create` fail.
+        fs::create_dir_all(tmp_path(&path)).unwrap();
+        let err = write_durable(&path, b"{\"v\":2}\n").unwrap_err();
+        assert!(matches!(err, Error::Io { .. }), "{err:?}");
         let v = read_verified(&path).unwrap();
         assert!(v.verified);
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn torn_writes_never_corrupt_the_destination() {
-        let _guard = crate::chaos::test_guard();
-        let dir = tmpdir("torn");
-        let path = dir.join("t.json");
-        crate::chaos::clear();
-        write_durable(&path, b"{\"generation\":0}\n").unwrap();
-        crate::chaos::install(ChaosConfig::parse("seed=4,torn=0.6").unwrap());
-        for g in 1..10 {
-            let _ = write_durable(&path, format!("{{\"generation\":{g}}}\n").as_bytes());
-            // Whatever happened, the destination must verify.
-            crate::chaos::clear();
-            let v = read_verified(&path).unwrap();
-            assert!(v.verified, "destination must never hold a torn image");
-            crate::chaos::install(ChaosConfig::parse("seed=4,torn=0.6").unwrap());
-        }
-        crate::chaos::clear();
-        let _ = fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn enospc_is_permanent_and_destination_survives() {
-        let _guard = crate::chaos::test_guard();
-        let dir = tmpdir("enospc");
-        let path = dir.join("e.json");
-        crate::chaos::clear();
-        write_durable(&path, b"{\"v\":1}\n").unwrap();
-        crate::chaos::install(ChaosConfig::parse("seed=1,enospc=1").unwrap());
-        let err = write_durable(&path, b"{\"v\":2}\n").unwrap_err();
-        assert!(!err.is_transient(), "ENOSPC must not be retried");
-        crate::chaos::clear();
-        let v = read_verified(&path).unwrap();
         assert_eq!(v.payload, b"{\"v\":1}\n");
         let _ = fs::remove_dir_all(dir);
     }

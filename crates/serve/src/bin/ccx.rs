@@ -46,8 +46,6 @@ USAGE:
   ccx reliability [--codec <secded|rs36|rs18|crc32|tagged4>]
                   [--pattern <bit1|bit2|bit3|burst4|symbol|chiplane>] [--trials N] [--seed N]
   ccx perf-diff <run-dir-A> <run-dir-B> [--force]
-  ccx chaos-soak <id> [--size tiny|small|full] [--seed N] [--threads N]
-                 [--chaos <spec>] [--kills N] [--max-attempts N]
   ccx serve [--addr HOST:PORT] [--cache-dir DIR]
   ccx submit [--addr HOST:PORT] [--workload <name,...|all>] [--scheme <name,...|all>]
              [--size tiny|small|full] [--machine gddr6|hbm2] [--seed N]
@@ -72,17 +70,6 @@ EXPERIMENT SERVICE (ccx serve / ccx submit):
   submit prints a greppable summary line: cells=N hits=N misses=N
   simulated=N. GET /metrics on the daemon serves Prometheus counters for
   its jobs' cells.
-
-CHAOS SOAK (ccx chaos-soak):
-  Verifies crash/fault recovery end to end: runs `ccx exp <id>` (e.g.
-  main) once fault-free as a golden reference, then again with I/O
-  faults injected via CCRAFT_CHAOS (--chaos, e.g.
-  \"seed=7,eio=0.05,torn=0.05,flip=0.02\"), SIGKILLed at seeded points
-  and resumed with --resume (finished cells come back from the run's
-  results/cells/ cache) until it completes. Exits 0 only when every
-  reference CSV comes back byte-identical and checksum-valid from the
-  chaos run. A chaos spec of probabilities 0 (the default) degenerates
-  to a pure kill/resume soak.
 
 PERF DIFF (ccx perf-diff):
   Joins each run directory's manifest.json and profile.json (from
@@ -519,82 +506,6 @@ impl Serialize for RawValue {
     }
 }
 
-/// `ccx chaos-soak <id>`: crash/fault recovery verifier (see
-/// `ccraft_harness::soak`). Exit codes: 0 recovery contract held,
-/// 1 violated or soak setup failed, 2 bad arguments.
-fn cmd_chaos_soak(args: &[String]) -> ExitCode {
-    let mut opts = ccraft_harness::soak::SoakOptions::default();
-    let mut experiment: Option<String> = None;
-    let mut i = 1; // args[0] is "chaos-soak"
-    while i < args.len() {
-        match args[i].as_str() {
-            "--size" => {
-                i += 1;
-                opts.size = match args.get(i).map(String::as_str) {
-                    Some(s @ ("tiny" | "small" | "full")) => s.to_string(),
-                    other => {
-                        eprintln!("--size expects tiny|small|full, got {other:?}\n\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            "--seed" | "--threads" | "--kills" | "--max-attempts" => {
-                let flag = args[i].clone();
-                i += 1;
-                let Some(Ok(v)) = args.get(i).map(|s| s.parse::<u64>()) else {
-                    eprintln!("{flag} expects an integer\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                match flag.as_str() {
-                    "--seed" => opts.seed = v,
-                    "--threads" => opts.threads = v as usize,
-                    "--kills" => opts.kills = v as u32,
-                    _ => opts.max_attempts = v as u32,
-                }
-            }
-            "--chaos" => {
-                i += 1;
-                let Some(spec) = args.get(i) else {
-                    eprintln!("--chaos expects a spec (e.g. seed=7,eio=0.05)\n\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                opts.chaos = match ccraft_harness::chaos::ChaosConfig::parse(spec) {
-                    Ok(cfg) => cfg,
-                    Err(e) => {
-                        eprintln!("--chaos: {e}\n\n{USAGE}");
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other:?}\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            name => experiment = Some(name.to_string()),
-        }
-        i += 1;
-    }
-    let experiment = experiment.unwrap_or_default();
-    if !experiments::is_known(&experiment) {
-        eprintln!(
-            "chaos-soak expects an experiment id, got {experiment:?}; valid ids: {}\n\n{USAGE}",
-            experiments::id_list()
-        );
-        return ExitCode::from(2);
-    }
-    opts.experiment = experiment;
-    match ccraft_harness::soak::run_soak(&opts) {
-        Ok(report) => {
-            print!("{}", report.render());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("chaos-soak: FAILED: {e}");
-            ExitCode::from(1)
-        }
-    }
-}
-
 fn cmd_reliability(args: &[String]) -> ExitCode {
     let seed = match parse_options(args, &["--codec", "--pattern", "--trials"]) {
         Ok((opts, _)) => opts.seed,
@@ -834,7 +745,6 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args),
         Some("reliability") => cmd_reliability(&args),
         Some("perf-diff") => cmd_perf_diff(&args),
-        Some("chaos-soak") => cmd_chaos_soak(&args),
         Some("serve") => cmd_serve(&args),
         Some("submit") => cmd_submit(&args),
         _ => {

@@ -1,5 +1,5 @@
-//! The `ccx` front end as a process: experiment ids, chaos-soak argument
-//! checks, and unknown-flag reporting.
+//! The `ccx` front end as a process: experiment ids and unknown-flag
+//! reporting.
 
 use ccraft_telemetry::manifest::RunManifest;
 use std::path::PathBuf;
@@ -36,26 +36,6 @@ fn unknown_experiment_exits_2_and_lists_the_ids() {
     }
     let ran_nothing = std::fs::read_dir(&dir).expect("list").next().is_none();
     assert!(ran_nothing, "an unknown id must not run anything");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn chaos_soak_of_an_unknown_experiment_fails_before_spawning() {
-    let dir = temp_dir("soak");
-    // The soak puts its reference and chaos runs under the temp dir.
-    let out = Command::new(env!("CARGO_BIN_EXE_ccx"))
-        .args(["chaos-soak", "nosuch", "--size", "tiny", "--kills", "0"])
-        .env("TMPDIR", &dir)
-        .output()
-        .expect("run ccx chaos-soak");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("valid ids: all config"), "{stderr}");
-    let created: Vec<_> = std::fs::read_dir(&dir).expect("list").flatten().collect();
-    assert!(created.is_empty(), "soak created {created:?}");
-    // `smoke` is not a size.
-    let out = ccx(&["chaos-soak", "main", "--size", "smoke"], &dir);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

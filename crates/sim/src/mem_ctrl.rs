@@ -702,10 +702,14 @@ impl MemCtrl {
 
     /// Accounts for `span` skipped ticks with no event in them (see
     /// [`next_event`](Self::next_event)), exactly as the ticks would have:
-    /// one busy cycle each while a request is queued.
+    /// one busy cycle each while a request is queued, and with it one
+    /// scan-memo hit (a queued controller sleeps only on its scan memo).
     pub fn account_idle_span(&mut self, span: u64) {
         if self.has_queued() {
             self.stats.busy_cycles += span;
+            if let Some(p) = &mut self.profile {
+                p.scan_memo.hits.add(span);
+            }
         }
     }
 

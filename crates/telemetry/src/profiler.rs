@@ -203,8 +203,9 @@ pub struct SimProfile {
     #[serde(default)]
     pub slice_sleep: MemoStats,
     /// FR-FCFS scan-sleep memo effectiveness (hit = queue scan skipped),
-    /// summed over channels. Counts only controller ticks that ran, not
-    /// those skipped with a sleeping slice.
+    /// summed over channels. One lookup per busy controller cycle, ticked
+    /// or skipped with a sleeping slice: hits + misses equals the
+    /// channels' summed `busy_cycles`.
     pub scan_memo: MemoStats,
     /// Window entries examined per performed first-ready scan, summed
     /// over channels.

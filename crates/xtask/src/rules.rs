@@ -89,7 +89,7 @@ pub fn scope_for(rel: &str) -> Scope {
             || in_any(&["crates/workloads/src/", "crates/telemetry/src/"]))
             && rel != "crates/telemetry/src/manifest.rs")
             // The durable store is host-side but must stay deterministic:
-            // its single retry-backoff sleep carries an explicit waiver.
+            // it has no wall-clock site, and none may creep in.
             || rel == "crates/harness/src/store.rs"
             // The serve daemon hands out cached deterministic results;
             // its two sanctioned wall-clock sites carry waivers.

@@ -235,8 +235,8 @@ fn waiver_listing_is_sorted_file_then_line() {
     sorted.sort();
     assert_eq!(keys, sorted);
     // The canonical inventory from DESIGN.md §12 must be present: the
-    // store retry sleep and the three profiler wall-clock sites.
-    assert!(listing.contains("crates/harness/src/store.rs"));
+    // three profiler wall-clock sites, and nothing in the store.
+    assert!(!listing.contains("crates/harness/src/store.rs"));
     assert_eq!(
         listing
             .lines()

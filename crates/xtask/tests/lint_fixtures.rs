@@ -108,7 +108,7 @@ fn store_scope_is_surgical() {
     // Only store.rs joins the wall-clock scope; the rest of the harness
     // (host-side orchestration) legitimately uses wall time.
     assert!(scope_for("crates/harness/src/store.rs").wall_clock);
-    assert!(!scope_for("crates/harness/src/soak.rs").wall_clock);
+    assert!(!scope_for("crates/harness/src/checkpoint.rs").wall_clock);
     assert!(!scope_for("crates/harness/src/runner.rs").wall_clock);
 }
 

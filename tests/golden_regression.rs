@@ -297,3 +297,31 @@ fn pinned_tick_counts_vecadd_tiny() {
         assert_eq!(got.3, scans, "{name}: controller scans drifted");
     }
 }
+
+/// Every busy controller cycle is one scan-memo lookup, whether the
+/// controller ticked it or slept through it with its slice.
+#[test]
+fn scan_memo_lookups_equal_busy_cycles() {
+    use cachecraft::sim::dram::MapOrder;
+    use cachecraft::sim::{simulate, Observe};
+
+    let cfg = GpuConfig::tiny();
+    let trace = Workload::VecAdd.generate(SizeClass::Tiny, 1);
+    let obs = Observe {
+        profile: true,
+        ..Observe::default()
+    };
+    let kind = SchemeKind::headline(&cfg)[3];
+    assert_eq!(kind.name(), "cachecraft");
+    let out = simulate(
+        &cfg,
+        MapOrder::RoBaCo,
+        &trace,
+        kind.build(&cfg).as_mut(),
+        &obs,
+    );
+    let p = out.profile.expect("profile attached");
+    let busy: u64 = p.channels.iter().map(|c| c.busy_cycles).sum();
+    assert!(p.scan_memo.hits.get() > 0);
+    assert_eq!(p.scan_memo.total(), busy);
+}
