@@ -28,7 +28,7 @@ use crate::inline_map::{ChannelStore, InlineMap, StoreProbe};
 use ccraft_ecc::layout::EccPlacement;
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::fxmap::FxHashMap;
-use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
+use ccraft_sim::protection::{Fill, ProtectionScheme, ProtectionStats, Writeback};
 use ccraft_sim::types::{Cycle, LogicalAtom, PhysLoc};
 use std::collections::VecDeque;
 
@@ -119,25 +119,24 @@ struct CoalesceBuffer {
     /// Pending atoms mapped to the number of writes folded into their
     /// entry (1 = fresh entry, no merges yet).
     members: FxHashMap<u64, u64>,
+    /// Most entries ever pending at once.
+    peak_occupancy: u64,
+    /// Longest merge chain ever folded into one entry.
+    max_merge_depth: u64,
 }
 
 impl CoalesceBuffer {
-    /// Inserts or merges a pending ECC write. Returns `Some(depth)` — the
-    /// entry's merge chain length — if merged into an existing entry,
-    /// `None` if a fresh entry was created.
-    fn push(&mut self, atom: u64, due: Cycle) -> Option<u64> {
-        if let Some(count) = self.members.get_mut(&atom) {
-            *count += 1;
-            Some(*count)
-        } else {
-            self.members.insert(atom, 1);
-            self.queue.push_back((atom, due));
-            None
-        }
+    /// Adds a fresh pending ECC write. The caller has checked that the
+    /// atom is not pending ([`merge_into`](Self::merge_into) covers that
+    /// case).
+    fn push(&mut self, atom: u64, due: Cycle) {
+        let fresh = self.members.insert(atom, 1).is_none();
+        debug_assert!(fresh, "ECC atom {atom} already pending");
+        self.queue.push_back((atom, due));
+        self.peak_occupancy = self.peak_occupancy.max(self.queue.len() as u64);
     }
 
-    /// Folds one more write into an already-pending entry, returning the
-    /// new merge chain length.
+    /// Folds one more write into an already-pending entry.
     ///
     /// # Panics
     ///
@@ -145,40 +144,32 @@ impl CoalesceBuffer {
     /// [`contains`](Self::contains) first.
     // Documented invariant panic: callers check `contains` first.
     #[allow(clippy::expect_used)]
-    fn merge_into(&mut self, atom: u64) -> u64 {
+    fn merge_into(&mut self, atom: u64) {
         let count = self
             .members
             .get_mut(&atom)
             .expect("caller checked membership");
         *count += 1;
-        *count
+        self.max_merge_depth = self.max_merge_depth.max(*count);
     }
 
     fn contains(&self, atom: u64) -> bool {
         self.members.contains_key(&atom)
     }
 
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Pops entries that are due at `now` or overflow `capacity`, up to
-    /// `budget`.
-    fn drain(&mut self, now: Cycle, capacity: usize, budget: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        while out.len() < budget {
-            let Some(&(atom, due)) = self.queue.front() else {
-                break;
-            };
-            if due <= now || self.queue.len() > capacity {
-                self.queue.pop_front();
-                self.members.remove(&atom);
-                out.push(atom);
-            } else {
-                break;
+    /// Appends to `out` the entries that are due at `now` or overflow
+    /// `capacity`, up to `budget`.
+    fn drain(&mut self, now: Cycle, capacity: usize, budget: usize, out: &mut Vec<u64>) {
+        for _ in 0..budget {
+            match self.queue.front() {
+                Some(&(atom, due)) if due <= now || self.queue.len() > capacity => {
+                    self.queue.pop_front();
+                    self.members.remove(&atom);
+                    out.push(atom);
+                }
+                _ => break,
             }
         }
-        out
     }
 
     fn make_all_due(&mut self) {
@@ -199,17 +190,15 @@ impl CoalesceBuffer {
     }
 }
 
-/// One channel's worth of CacheCraft state: the coalescing buffer, the
-/// channel's fragment-store slice, and channel-local counters. The scheme
-/// logic lives here — [`CacheCraft`] routes every channel-scoped call to
-/// the owning channel.
+/// One channel's worth of CacheCraft state: the coalescing buffer and the
+/// channel's fragment-store slice. The scheme logic lives here —
+/// [`CacheCraft`] routes every channel-scoped call to the owning channel.
 #[derive(Debug)]
 struct CacheCraftChannel {
     cfg: CacheCraftConfig,
     map: InlineMap,
     coalesce: CoalesceBuffer,
     store: Option<ChannelStore>,
-    stats: ProtectionStats,
 }
 
 impl CacheCraftChannel {
@@ -221,28 +210,17 @@ impl CacheCraftChannel {
             store: cfg
                 .fragment_store
                 .then(|| ChannelStore::new(cfg.fragment_bytes_per_slice, 8)),
-            stats: ProtectionStats::default(),
         }
     }
 
     /// Queues an outgoing ECC write, via the coalescing buffer when C3 is
-    /// enabled. Returns `None` when the write was buffered or merged;
-    /// `Some(atom)` when it must be issued immediately.
+    /// enabled. Returns `None` when the write was buffered; `Some(atom)`
+    /// when it must be issued immediately. Callers reach this only after
+    /// [`writeback`](Self::writeback)'s step 2 found no pending write to
+    /// `ecc`, so the buffer never merges here.
     fn queue_ecc_write(&mut self, ecc: u64, now: Cycle) -> Option<u64> {
         if self.cfg.reconstruct {
-            match self.coalesce.push(ecc, now + self.cfg.coalesce_age) {
-                Some(depth) => {
-                    self.stats.coalesced_ecc_writes += 1;
-                    self.stats.coalesce_max_merge_depth =
-                        self.stats.coalesce_max_merge_depth.max(depth);
-                }
-                None => {
-                    self.stats.coalesce_peak_occupancy = self
-                        .stats
-                        .coalesce_peak_occupancy
-                        .max(self.coalesce.len() as u64);
-                }
-            }
+            self.coalesce.push(ecc, now + self.cfg.coalesce_age);
             None
         } else {
             Some(ecc)
@@ -260,40 +238,16 @@ impl CacheCraftChannel {
         self.coalesce.is_empty() && self.store.as_ref().is_none_or(|s| s.is_drained())
     }
 
-    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
+    fn demand_fill(&mut self, loc: PhysLoc) -> Fill {
         let ecc = self.map.ecc_atom(loc);
         // A pending coalesced write holds the freshest ECC on chip.
         if self.cfg.reconstruct && self.coalesce.contains(ecc) {
-            self.stats.ecc_fetch_hits += 1;
-            return FillPlan::none();
+            return Fill::OnChip;
         }
-        if let Some(store) = &mut self.store {
-            match store.probe_fill(ecc) {
-                probe @ (StoreProbe::Hit | StoreProbe::InFlight) => {
-                    self.stats.ecc_fetch_hits += 1;
-                    if probe == StoreProbe::Hit {
-                        self.stats.fragment_store_hits += 1;
-                    }
-                    FillPlan::none()
-                }
-                StoreProbe::Miss => {
-                    self.stats.ecc_demand_fetches += 1;
-                    FillPlan {
-                        ecc_fetches: vec![ecc],
-                    }
-                }
-            }
-        } else {
-            self.stats.ecc_demand_fetches += 1;
-            FillPlan {
-                ecc_fetches: vec![ecc],
-            }
-        }
-    }
-
-    fn ecc_arrived(&mut self, loc: PhysLoc, _now: Cycle) {
-        if let Some(store) = &mut self.store {
-            store.install(loc.atom, false);
+        match self.store.as_mut().map(|store| store.probe_fill(ecc)) {
+            Some(StoreProbe::Hit) => Fill::FragmentHit,
+            Some(StoreProbe::InFlight) => Fill::OnChip,
+            Some(StoreProbe::Miss) | None => Fill::Fetch(ecc),
         }
     }
 
@@ -302,62 +256,45 @@ impl CacheCraftChannel {
         loc: PhysLoc,
         now: Cycle,
         resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
+    ) -> Writeback {
         let ecc = self.map.ecc_atom(loc);
         // 1. Fragment-store hit: merge on chip, write on eviction.
         if let Some(store) = &mut self.store {
             if store.absorb_write(ecc) {
-                self.stats.absorbed_writebacks += 1;
-                return WritebackPlan::none();
+                return Writeback::Absorbed;
             }
         }
         // 2. Pending coalesced write to the same ECC atom: merge.
         if self.cfg.reconstruct && self.coalesce.contains(ecc) {
-            let depth = self.coalesce.merge_into(ecc);
-            self.stats.coalesced_ecc_writes += 1;
-            self.stats.coalesce_max_merge_depth = self.stats.coalesce_max_merge_depth.max(depth);
-            self.stats.absorbed_writebacks += 1;
-            return WritebackPlan::none();
+            self.coalesce.merge_into(ecc);
+            return Writeback::Merged;
         }
         // 3. Reconstruction: all siblings on chip → re-encode, no RMW read.
         if self.cfg.reconstruct {
             let (first, count) = self.map.ecc_group(loc);
             if (first..first + count).all(resident) {
-                self.stats.reconstructed_writebacks += 1;
-                let immediate = self.queue_ecc_write(ecc, now);
-                return WritebackPlan {
-                    ecc_reads: Vec::new(),
-                    ecc_writes: immediate.into_iter().collect(),
-                };
+                let write = self.queue_ecc_write(ecc, now);
+                return Writeback::Reconstructed { write };
             }
         }
         // 4. Fall back to a read-modify-write.
-        self.stats.rmw_writebacks += 1;
-        if let Some(store) = &mut self.store {
+        let write = if let Some(store) = &mut self.store {
             // Write-allocate the merged result in the fragment store.
             store.install(ecc, true);
-            WritebackPlan {
-                ecc_reads: vec![ecc],
-                ecc_writes: Vec::new(),
-            }
+            None
         } else {
-            let immediate = self.queue_ecc_write(ecc, now);
-            WritebackPlan {
-                ecc_reads: vec![ecc],
-                ecc_writes: immediate.into_iter().collect(),
-            }
-        }
+            self.queue_ecc_write(ecc, now)
+        };
+        Writeback::Rmw { read: ecc, write }
     }
 
-    fn drain_ecc_writes(&mut self, now: Cycle, budget: usize) -> Vec<u64> {
-        let mut out = self.coalesce.drain(now, self.cfg.coalesce_entries, budget);
-        if out.len() < budget {
-            if let Some(store) = &mut self.store {
-                out.extend(store.drain_writes(budget - out.len()));
-            }
+    fn drain_ecc_writes(&mut self, now: Cycle, budget: usize, out: &mut Vec<u64>) {
+        let start = out.len();
+        self.coalesce
+            .drain(now, self.cfg.coalesce_entries, budget, out);
+        if let Some(store) = &mut self.store {
+            store.drain_writes(budget - (out.len() - start), out);
         }
-        self.stats.ecc_structure_writebacks += out.len() as u64;
-        out
     }
 
     fn next_timed_event(&self) -> Option<Cycle> {
@@ -405,16 +342,6 @@ impl CacheCraft {
                 .collect(),
         }
     }
-
-    /// Builds the full design with default parameters.
-    pub fn full(gpu: &GpuConfig) -> Self {
-        Self::new(gpu, CacheCraftConfig::full())
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> CacheCraftConfig {
-        self.cfg
-    }
 }
 
 impl ProtectionScheme for CacheCraft {
@@ -426,12 +353,14 @@ impl ProtectionScheme for CacheCraft {
         self.map.map(logical)
     }
 
-    fn demand_fill(&mut self, loc: PhysLoc, now: Cycle) -> FillPlan {
-        self.channels[loc.channel as usize].demand_fill(loc, now)
+    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> Fill {
+        self.channels[loc.channel as usize].demand_fill(loc)
     }
 
-    fn ecc_arrived(&mut self, loc: PhysLoc, now: Cycle) {
-        self.channels[loc.channel as usize].ecc_arrived(loc, now)
+    fn ecc_arrived(&mut self, loc: PhysLoc, _now: Cycle) {
+        if let Some(store) = &mut self.channels[loc.channel as usize].store {
+            store.install(loc.atom, false);
+        }
     }
 
     fn writeback(
@@ -439,12 +368,12 @@ impl ProtectionScheme for CacheCraft {
         loc: PhysLoc,
         now: Cycle,
         resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
+    ) -> Writeback {
         self.channels[loc.channel as usize].writeback(loc, now, resident)
     }
 
-    fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
-        self.channels[channel as usize].drain_ecc_writes(now, budget)
+    fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize, out: &mut Vec<u64>) {
+        self.channels[channel as usize].drain_ecc_writes(now, budget, out)
     }
 
     fn flush(&mut self) {
@@ -475,11 +404,14 @@ impl ProtectionScheme for CacheCraft {
     }
 
     fn stats(&self) -> ProtectionStats {
-        // Counters sum and watermarks max across channels
-        // (order-independent).
+        // The coalescing watermarks, maxed across channels.
         let mut total = ProtectionStats::default();
         for c in &self.channels {
-            total.merge(&c.stats);
+            total.coalesce_peak_occupancy =
+                total.coalesce_peak_occupancy.max(c.coalesce.peak_occupancy);
+            total.coalesce_max_merge_depth = total
+                .coalesce_max_merge_depth
+                .max(c.coalesce.max_merge_depth);
         }
         total
     }
@@ -493,10 +425,16 @@ mod tests {
         CacheCraft::new(&GpuConfig::tiny(), cfg)
     }
 
+    fn drain(s: &mut CacheCraft, channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
+        let mut out = Vec::new();
+        s.drain_ecc_writes(channel, now, budget, &mut out);
+        out
+    }
+
     #[test]
     fn colocation_keeps_ecc_in_row() {
         let gpu = GpuConfig::tiny();
-        let s = CacheCraft::full(&gpu);
+        let s = CacheCraft::new(&gpu, CacheCraftConfig::full());
         let row_atoms = gpu.mem.row_atoms();
         for a in (0..50_000u64).step_by(61) {
             let loc = s.map(LogicalAtom(a));
@@ -509,17 +447,15 @@ mod tests {
     fn fragment_store_serves_neighbourhood() {
         let mut s = scheme(CacheCraftConfig::full());
         let loc = s.map(LogicalAtom(0));
-        assert_eq!(s.demand_fill(loc, 0).ecc_fetches.len(), 1);
         let ecc = s.map.ecc_atom(loc);
+        assert_eq!(s.demand_fill(loc, 0), Fill::Fetch(ecc));
         s.ecc_arrived(PhysLoc::new(loc.channel, ecc), 1);
         // All 7 siblings now fill without ECC traffic.
         for i in 1..8u64 {
             let sib = s.map(LogicalAtom(i));
             assert_eq!(sib.channel, loc.channel);
-            assert!(s.demand_fill(sib, 2).ecc_fetches.is_empty(), "sibling {i}");
+            assert_eq!(s.demand_fill(sib, 2), Fill::FragmentHit, "sibling {i}");
         }
-        assert_eq!(s.stats().ecc_demand_fetches, 1);
-        assert_eq!(s.stats().ecc_fetch_hits, 7);
     }
 
     #[test]
@@ -528,19 +464,17 @@ mod tests {
         let loc = s.map(LogicalAtom(0));
         // All siblings resident -> reconstruct, no ECC read, write buffered.
         let mut all_resident = |_: u64| true;
-        let plan = s.writeback(loc, 0, &mut all_resident);
-        assert!(plan.ecc_reads.is_empty());
-        assert!(plan.ecc_writes.is_empty(), "write goes through the buffer");
-        assert_eq!(s.stats().reconstructed_writebacks, 1);
+        assert_eq!(
+            s.writeback(loc, 0, &mut all_resident),
+            Writeback::Reconstructed { write: None },
+            "write goes through the buffer"
+        );
         assert!(!s.is_drained());
         // Sibling write-back coalesces into the same pending ECC write.
         let sib = s.map(LogicalAtom(1));
-        let plan2 = s.writeback(sib, 1, &mut all_resident);
-        assert_eq!(plan2, WritebackPlan::none());
-        assert_eq!(s.stats().coalesced_ecc_writes, 1);
+        assert_eq!(s.writeback(sib, 1, &mut all_resident), Writeback::Merged);
         // Drain after the age threshold: exactly one ECC write.
-        let writes = s.drain_ecc_writes(loc.channel, 10_000, 8);
-        assert_eq!(writes.len(), 1);
+        assert_eq!(drain(&mut s, loc.channel, 10_000, 8).len(), 1);
         assert!(s.is_drained());
     }
 
@@ -549,10 +483,14 @@ mod tests {
         let mut s = scheme(CacheCraftConfig::reconstruct_only());
         let loc = s.map(LogicalAtom(0));
         let mut none_resident = |_: u64| false;
-        let plan = s.writeback(loc, 0, &mut none_resident);
-        assert_eq!(plan.ecc_reads.len(), 1);
-        assert_eq!(s.stats().rmw_writebacks, 1);
-        assert_eq!(s.stats().reconstructed_writebacks, 0);
+        let ecc = s.map.ecc_atom(loc);
+        assert_eq!(
+            s.writeback(loc, 0, &mut none_resident),
+            Writeback::Rmw {
+                read: ecc,
+                write: None
+            }
+        );
     }
 
     #[test]
@@ -563,8 +501,7 @@ mod tests {
         let _ = s.writeback(loc, 0, &mut all); // buffers the ECC write
                                                // A demand fill of a sibling finds the ECC on chip.
         let sib = s.map(LogicalAtom(3));
-        assert!(s.demand_fill(sib, 1).ecc_fetches.is_empty());
-        assert_eq!(s.stats().ecc_fetch_hits, 1);
+        assert_eq!(s.demand_fill(sib, 1), Fill::OnChip);
     }
 
     #[test]
@@ -577,11 +514,8 @@ mod tests {
         let loc = s.map(LogicalAtom(0));
         let mut all = |_: u64| true;
         let _ = s.writeback(loc, 50, &mut all);
-        assert!(
-            s.drain_ecc_writes(loc.channel, 100, 8).is_empty(),
-            "not due yet"
-        );
-        assert_eq!(s.drain_ecc_writes(loc.channel, 150, 8).len(), 1);
+        assert!(drain(&mut s, loc.channel, 100, 8).is_empty(), "not due yet");
+        assert_eq!(drain(&mut s, loc.channel, 150, 8).len(), 1);
     }
 
     #[test]
@@ -600,8 +534,11 @@ mod tests {
             assert_eq!(loc.channel, 0);
             let _ = s.writeback(loc, k, &mut all);
         }
-        let drained = s.drain_ecc_writes(0, 10, 8);
-        assert_eq!(drained.len(), 2, "entries beyond capacity must spill");
+        assert_eq!(
+            drain(&mut s, 0, 10, 8).len(),
+            2,
+            "entries beyond capacity must spill"
+        );
     }
 
     #[test]
@@ -609,18 +546,33 @@ mod tests {
         let mut s = scheme(CacheCraftConfig::reconstruct_only());
         let mut all = |_: u64| true;
         // Three write-backs under one ECC atom: one entry, merge depth 3.
-        for k in 0..3u64 {
-            let loc = s.map(LogicalAtom(k));
-            let _ = s.writeback(loc, k, &mut all);
-        }
+        let decisions: Vec<Writeback> = (0..3u64)
+            .map(|k| {
+                let loc = s.map(LogicalAtom(k));
+                s.writeback(loc, k, &mut all)
+            })
+            .collect();
+        assert_eq!(
+            decisions,
+            [
+                Writeback::Reconstructed { write: None },
+                Writeback::Merged,
+                Writeback::Merged
+            ]
+        );
         // A second distinct ECC group on the same channel: occupancy 2.
         let other = s.map(LogicalAtom(16));
         assert_eq!(other.channel, s.map(LogicalAtom(0)).channel);
         let _ = s.writeback(other, 10, &mut all);
-        let st = s.stats();
-        assert_eq!(st.coalesce_max_merge_depth, 3);
-        assert_eq!(st.coalesce_peak_occupancy, 2);
-        assert_eq!(st.coalesced_ecc_writes, 2);
+        assert_eq!(
+            s.stats(),
+            ProtectionStats {
+                coalesce_max_merge_depth: 3,
+                coalesce_peak_occupancy: 2,
+                ..ProtectionStats::default()
+            },
+            "the scheme reports only its watermarks"
+        );
     }
 
     #[test]
@@ -628,19 +580,16 @@ mod tests {
         let mut s = scheme(CacheCraftConfig::fragments_only());
         let loc = s.map(LogicalAtom(0));
         // Miss registers the fetch as in flight.
-        assert_eq!(s.demand_fill(loc, 0).ecc_fetches.len(), 1);
-        // Sibling while in flight: a hit for traffic purposes, but not a
+        let ecc = s.map.ecc_atom(loc);
+        assert_eq!(s.demand_fill(loc, 0), Fill::Fetch(ecc));
+        // Sibling while in flight: on chip for traffic purposes, but not a
         // resident fragment-store hit.
         let sib = s.map(LogicalAtom(1));
-        assert!(s.demand_fill(sib, 1).ecc_fetches.is_empty());
-        assert_eq!(s.stats().fragment_store_hits, 0);
+        assert_eq!(s.demand_fill(sib, 1), Fill::OnChip);
         // After arrival, further siblings are true store hits.
-        let ecc = s.map.ecc_atom(loc);
         s.ecc_arrived(PhysLoc::new(loc.channel, ecc), 2);
         let sib2 = s.map(LogicalAtom(2));
-        assert!(s.demand_fill(sib2, 3).ecc_fetches.is_empty());
-        assert_eq!(s.stats().fragment_store_hits, 1);
-        assert_eq!(s.stats().ecc_fetch_hits, 2);
+        assert_eq!(s.demand_fill(sib2, 3), Fill::FragmentHit);
     }
 
     #[test]
@@ -651,10 +600,7 @@ mod tests {
         let _ = s.writeback(loc, 0, &mut all);
         assert!(!s.is_drained());
         s.flush();
-        let mut total = 0;
-        for ch in 0..2 {
-            total += s.drain_ecc_writes(ch, 1, 64).len();
-        }
+        let total: usize = (0..2).map(|ch| drain(&mut s, ch, 1, 64).len()).sum();
         assert_eq!(total, 1);
         assert!(s.is_drained());
     }
@@ -664,8 +610,8 @@ mod tests {
         // C1 only: fills always fetch; l2 untaxed.
         let mut c1 = scheme(CacheCraftConfig::colocate_only());
         let loc = c1.map(LogicalAtom(0));
-        assert_eq!(c1.demand_fill(loc, 0).ecc_fetches.len(), 1);
-        assert_eq!(c1.demand_fill(loc, 1).ecc_fetches.len(), 1);
+        assert!(matches!(c1.demand_fill(loc, 0), Fill::Fetch(_)));
+        assert!(matches!(c1.demand_fill(loc, 1), Fill::Fetch(_)));
         assert_eq!(c1.l2_tax_bytes(), 0);
         // C2 only: taxes L2, uses reserved region.
         let c2 = scheme(CacheCraftConfig::fragments_only());
@@ -695,9 +641,15 @@ mod tests {
         let mut s = scheme(cfg);
         let loc = s.map(LogicalAtom(0));
         let mut none = |_: u64| false;
-        let plan = s.writeback(loc, 0, &mut none);
-        assert_eq!(plan.ecc_reads.len(), 1);
-        assert_eq!(plan.ecc_writes.len(), 1, "no buffer: immediate RMW write");
+        let ecc = s.map.ecc_atom(loc);
+        assert_eq!(
+            s.writeback(loc, 0, &mut none),
+            Writeback::Rmw {
+                read: ecc,
+                write: Some(ecc)
+            },
+            "no buffer: immediate RMW write"
+        );
         assert!(s.is_drained());
     }
 }

@@ -13,79 +13,19 @@
 use crate::inline_map::{ChannelStore, InlineMap, StoreProbe};
 use ccraft_ecc::layout::EccPlacement;
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
+use ccraft_sim::protection::{Fill, ProtectionScheme, Writeback};
 use ccraft_sim::types::{Cycle, LogicalAtom, PhysLoc};
 
 /// Default dedicated capacity per memory controller (16 KiB, as in the
 /// evaluation's T1 configuration).
 pub const DEFAULT_CAPACITY_PER_MC: u64 = 16 << 10;
 
-/// One memory controller's dedicated ECC cache plus channel-local
-/// counters. The scheme logic lives here — [`EccCache`] routes each
-/// channel-scoped call to the owning channel.
-#[derive(Debug)]
-struct EccCacheChannel {
-    map: InlineMap,
-    store: ChannelStore,
-    stats: ProtectionStats,
-}
-
-impl EccCacheChannel {
-    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
-        let ecc = self.map.ecc_atom(loc);
-        match self.store.probe_fill(ecc) {
-            StoreProbe::Hit | StoreProbe::InFlight => {
-                self.stats.ecc_fetch_hits += 1;
-                FillPlan::none()
-            }
-            StoreProbe::Miss => {
-                self.stats.ecc_demand_fetches += 1;
-                FillPlan {
-                    ecc_fetches: vec![ecc],
-                }
-            }
-        }
-    }
-
-    fn ecc_arrived(&mut self, loc: PhysLoc, _now: Cycle) {
-        self.store.install(loc.atom, false);
-    }
-
-    fn writeback(
-        &mut self,
-        loc: PhysLoc,
-        _now: Cycle,
-        _resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        let ecc = self.map.ecc_atom(loc);
-        if self.store.absorb_write(ecc) {
-            self.stats.absorbed_writebacks += 1;
-            return WritebackPlan::none();
-        }
-        // RMW with write-allocation: read the ECC atom now, keep the
-        // merged result resident and dirty; DRAM sees the write when the
-        // entry is evicted or flushed.
-        self.stats.rmw_writebacks += 1;
-        self.store.install(ecc, true);
-        WritebackPlan {
-            ecc_reads: vec![ecc],
-            ecc_writes: Vec::new(),
-        }
-    }
-
-    fn drain_ecc_writes(&mut self, _now: Cycle, budget: usize) -> Vec<u64> {
-        let drained = self.store.drain_writes(budget);
-        self.stats.ecc_structure_writebacks += drained.len() as u64;
-        drained
-    }
-}
-
 /// The dedicated-ECC-cache scheme.
 #[derive(Debug)]
 pub struct EccCache {
     map: InlineMap,
-    /// One dedicated cache per channel.
-    channels: Vec<EccCacheChannel>,
+    /// One dedicated cache per channel; each call goes to its channel's.
+    stores: Vec<ChannelStore>,
 }
 
 impl EccCache {
@@ -96,27 +36,12 @@ impl EccCache {
     ///
     /// Panics if the capacity does not form a valid 8-way cache geometry.
     pub fn new(cfg: &GpuConfig, coverage: u32, capacity_per_mc: u64) -> Self {
-        let map = InlineMap::new(cfg, EccPlacement::ReservedRegion, coverage);
         EccCache {
-            map,
-            channels: (0..cfg.mem.channels)
-                .map(|_| EccCacheChannel {
-                    map,
-                    store: ChannelStore::new(capacity_per_mc, 8),
-                    stats: ProtectionStats::default(),
-                })
+            map: InlineMap::new(cfg, EccPlacement::ReservedRegion, coverage),
+            stores: (0..cfg.mem.channels)
+                .map(|_| ChannelStore::new(capacity_per_mc, 8))
                 .collect(),
         }
-    }
-
-    /// Builds the scheme with the default 16 KiB/MC capacity.
-    pub fn with_default_capacity(cfg: &GpuConfig, coverage: u32) -> Self {
-        Self::new(cfg, coverage, DEFAULT_CAPACITY_PER_MC)
-    }
-
-    /// Dedicated SRAM bytes per channel.
-    pub fn capacity_per_mc(&self) -> u64 {
-        self.channels[0].store.capacity_bytes()
     }
 }
 
@@ -129,49 +54,54 @@ impl ProtectionScheme for EccCache {
         self.map.map(logical)
     }
 
-    fn demand_fill(&mut self, loc: PhysLoc, now: Cycle) -> FillPlan {
-        self.channels[loc.channel as usize].demand_fill(loc, now)
+    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> Fill {
+        let ecc = self.map.ecc_atom(loc);
+        match self.stores[loc.channel as usize].probe_fill(ecc) {
+            StoreProbe::Hit | StoreProbe::InFlight => Fill::OnChip,
+            StoreProbe::Miss => Fill::Fetch(ecc),
+        }
     }
 
-    fn ecc_arrived(&mut self, loc: PhysLoc, now: Cycle) {
-        self.channels[loc.channel as usize].ecc_arrived(loc, now)
+    fn ecc_arrived(&mut self, loc: PhysLoc, _now: Cycle) {
+        self.stores[loc.channel as usize].install(loc.atom, false);
     }
 
     fn writeback(
         &mut self,
         loc: PhysLoc,
-        now: Cycle,
-        resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        self.channels[loc.channel as usize].writeback(loc, now, resident)
-    }
-
-    fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
-        self.channels[channel as usize].drain_ecc_writes(now, budget)
-    }
-
-    fn flush(&mut self) {
-        for ch in &mut self.channels {
-            ch.store.flush();
+        _now: Cycle,
+        _resident: &mut dyn FnMut(u64) -> bool,
+    ) -> Writeback {
+        let ecc = self.map.ecc_atom(loc);
+        let store = &mut self.stores[loc.channel as usize];
+        if store.absorb_write(ecc) {
+            return Writeback::Absorbed;
+        }
+        // RMW with write-allocation: read the ECC atom now, keep the
+        // merged result resident and dirty; DRAM sees the write when the
+        // entry is evicted or flushed.
+        store.install(ecc, true);
+        Writeback::Rmw {
+            read: ecc,
+            write: None,
         }
     }
 
+    fn drain_ecc_writes(&mut self, channel: u16, _now: Cycle, budget: usize, out: &mut Vec<u64>) {
+        self.stores[channel as usize].drain_writes(budget, out);
+    }
+
+    fn flush(&mut self) {
+        self.stores.iter_mut().for_each(ChannelStore::flush);
+    }
+
     fn is_drained(&self) -> bool {
-        self.channels.iter().all(|c| c.store.is_drained())
+        self.stores.iter().all(ChannelStore::is_drained)
     }
 
     fn fault_codec(&self) -> ccraft_sim::faults::ProtectionCodec {
         // Same SEC-DED storage code as inline-naive; only fetch policy differs.
         ccraft_sim::faults::ProtectionCodec::SecDed64
-    }
-
-    fn stats(&self) -> ProtectionStats {
-        // Counters sum across channels (order-independent merge).
-        let mut total = ProtectionStats::default();
-        for c in &self.channels {
-            total.merge(&c.stats);
-        }
-        total
     }
 }
 
@@ -180,24 +110,21 @@ mod tests {
     use super::*;
 
     fn scheme() -> EccCache {
-        EccCache::with_default_capacity(&GpuConfig::tiny(), 8)
+        EccCache::new(&GpuConfig::tiny(), 8, DEFAULT_CAPACITY_PER_MC)
     }
 
     #[test]
     fn first_fill_fetches_second_hits() {
         let mut s = scheme();
         let loc = s.map(LogicalAtom(0));
-        assert_eq!(s.demand_fill(loc, 0).ecc_fetches.len(), 1);
+        let ecc = s.map.ecc_atom(loc);
+        assert_eq!(s.demand_fill(loc, 0), Fill::Fetch(ecc));
         // Before arrival: a sibling fill merges with the in-flight fetch.
         let sib = s.map(LogicalAtom(1));
-        assert!(s.demand_fill(sib, 1).ecc_fetches.is_empty());
+        assert_eq!(s.demand_fill(sib, 1), Fill::OnChip);
         // After arrival: resident.
-        let ecc = s.map.ecc_atom(loc);
         s.ecc_arrived(PhysLoc::new(loc.channel, ecc), 2);
-        assert!(s.demand_fill(loc, 3).ecc_fetches.is_empty());
-        let st = s.stats();
-        assert_eq!(st.ecc_demand_fetches, 1);
-        assert_eq!(st.ecc_fetch_hits, 2);
+        assert_eq!(s.demand_fill(loc, 3), Fill::OnChip);
     }
 
     #[test]
@@ -207,13 +134,12 @@ mod tests {
         let ecc = s.map.ecc_atom(loc);
         s.ecc_arrived(PhysLoc::new(loc.channel, ecc), 0); // make resident
         let mut res = |_: u64| false;
-        let plan = s.writeback(loc, 1, &mut res);
-        assert_eq!(plan, WritebackPlan::none());
-        assert_eq!(s.stats().absorbed_writebacks, 1);
+        assert_eq!(s.writeback(loc, 1, &mut res), Writeback::Absorbed);
         // The dirty entry is written out on flush.
         s.flush();
-        let w = s.drain_ecc_writes(loc.channel, 2, 8);
-        assert_eq!(w, vec![ecc]);
+        let mut w = Vec::new();
+        s.drain_ecc_writes(loc.channel, 2, 8, &mut w);
+        assert_eq!(w, [ecc]);
         assert!(s.is_drained());
     }
 
@@ -222,14 +148,18 @@ mod tests {
         let mut s = scheme();
         let loc = s.map(LogicalAtom(0));
         let mut res = |_: u64| false;
-        let plan = s.writeback(loc, 0, &mut res);
-        assert_eq!(plan.ecc_reads.len(), 1);
-        assert!(plan.ecc_writes.is_empty(), "write deferred to eviction");
-        assert_eq!(s.stats().rmw_writebacks, 1);
+        let ecc = s.map.ecc_atom(loc);
+        assert_eq!(
+            s.writeback(loc, 0, &mut res),
+            Writeback::Rmw {
+                read: ecc,
+                write: None
+            },
+            "write deferred to eviction"
+        );
         // Now resident: a second write-back to the same group is free.
         let sib = s.map(LogicalAtom(2));
-        let plan2 = s.writeback(sib, 1, &mut res);
-        assert_eq!(plan2, WritebackPlan::none());
+        assert_eq!(s.writeback(sib, 1, &mut res), Writeback::Absorbed);
     }
 
     #[test]
@@ -244,7 +174,7 @@ mod tests {
         for i in 0..20_000u64 {
             let loc = s.map(LogicalAtom(i * 8));
             if loc.channel == 0 {
-                fetches += s.demand_fill(loc, i).ecc_fetches.len();
+                fetches += matches!(s.demand_fill(loc, i), Fill::Fetch(_)) as usize;
                 let ecc = s.map.ecc_atom(loc);
                 s.ecc_arrived(PhysLoc::new(loc.channel, ecc), i);
             }

@@ -18,7 +18,7 @@
 use crate::inline_map::InlineMap;
 use ccraft_ecc::layout::EccPlacement;
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
+use ccraft_sim::protection::{Fill, ProtectionScheme, Writeback};
 use ccraft_sim::types::{Cycle, LogicalAtom, PhysLoc};
 
 /// The compression-backed inline-ECC scheme.
@@ -27,7 +27,6 @@ pub struct CompressedInline {
     map: InlineMap,
     /// Percentage (0–100) of atoms that compress below 32 - check bytes.
     compress_pct: u8,
-    stats: ProtectionStats,
 }
 
 impl CompressedInline {
@@ -44,7 +43,6 @@ impl CompressedInline {
             // exception atom per `coverage` data atoms, same as ECC.
             map: InlineMap::new(cfg, EccPlacement::ReservedRegion, coverage),
             compress_pct,
-            stats: ProtectionStats::default(),
         }
     }
 
@@ -55,11 +53,6 @@ impl CompressedInline {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         (z % 100) < self.compress_pct as u64
-    }
-
-    /// The configured compressibility percentage.
-    pub fn compress_pct(&self) -> u8 {
-        self.compress_pct
     }
 }
 
@@ -72,56 +65,35 @@ impl ProtectionScheme for CompressedInline {
         self.map.map(logical)
     }
 
-    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
+    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> Fill {
         if self.compressible(loc.atom) {
-            self.stats.ecc_fetch_hits += 1; // counted as an avoided fetch
-            FillPlan::none()
+            // The atom carries its own check bits: an avoided fetch.
+            Fill::OnChip
         } else {
-            self.stats.ecc_demand_fetches += 1;
-            FillPlan {
-                ecc_fetches: vec![self.map.ecc_atom(loc)],
-            }
+            Fill::Fetch(self.map.ecc_atom(loc))
         }
     }
-
-    fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
 
     fn writeback(
         &mut self,
         loc: PhysLoc,
         _now: Cycle,
         _resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
+    ) -> Writeback {
         if self.compressible(loc.atom) {
-            self.stats.absorbed_writebacks += 1;
-            WritebackPlan::none()
+            Writeback::Absorbed
         } else {
-            self.stats.rmw_writebacks += 1;
             let exc = self.map.ecc_atom(loc);
-            WritebackPlan {
-                ecc_reads: vec![exc],
-                ecc_writes: vec![exc],
+            Writeback::Rmw {
+                read: exc,
+                write: Some(exc),
             }
         }
-    }
-
-    fn drain_ecc_writes(&mut self, _channel: u16, _now: Cycle, _budget: usize) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn flush(&mut self) {}
-
-    fn is_drained(&self) -> bool {
-        true
     }
 
     fn fault_codec(&self) -> ccraft_sim::faults::ProtectionCodec {
         // Compressed layouts still decode SEC-DED codewords.
         ccraft_sim::faults::ProtectionCodec::SecDed64
-    }
-
-    fn stats(&self) -> ProtectionStats {
-        self.stats
     }
 }
 
@@ -150,22 +122,25 @@ mod tests {
     fn compressible_atoms_pay_nothing() {
         let mut s = scheme(100);
         let loc = s.map(LogicalAtom(7));
-        assert_eq!(s.demand_fill(loc, 0), FillPlan::none());
+        assert_eq!(s.demand_fill(loc, 0), Fill::OnChip);
         let mut res = |_: u64| false;
-        assert_eq!(s.writeback(loc, 0, &mut res), WritebackPlan::none());
-        assert_eq!(s.stats().ecc_demand_fetches, 0);
-        assert_eq!(s.stats().rmw_writebacks, 0);
+        assert_eq!(s.writeback(loc, 0, &mut res), Writeback::Absorbed);
     }
 
     #[test]
     fn incompressible_atoms_pay_like_naive() {
         let mut s = scheme(0);
         let loc = s.map(LogicalAtom(7));
-        assert_eq!(s.demand_fill(loc, 0).ecc_fetches.len(), 1);
+        let exc = s.map.ecc_atom(loc);
+        assert_eq!(s.demand_fill(loc, 0), Fill::Fetch(exc));
         let mut res = |_: u64| true; // residency is irrelevant here
-        let plan = s.writeback(loc, 0, &mut res);
-        assert_eq!(plan.ecc_reads.len(), 1);
-        assert_eq!(plan.ecc_writes.len(), 1);
+        assert_eq!(
+            s.writeback(loc, 0, &mut res),
+            Writeback::Rmw {
+                read: exc,
+                write: Some(exc)
+            }
+        );
     }
 
     #[test]
@@ -182,7 +157,9 @@ mod tests {
         let mut s = scheme(50);
         assert!(s.is_drained());
         s.flush();
-        assert!(s.drain_ecc_writes(0, 0, 16).is_empty());
+        let mut out = Vec::new();
+        s.drain_ecc_writes(0, 0, 16, &mut out);
+        assert!(out.is_empty());
         assert_eq!(s.l2_tax_bytes(), 0);
         assert_eq!(s.name(), "compressed-inline");
     }

@@ -33,11 +33,6 @@ impl InlineMap {
         InlineMap { interleave, layout }
     }
 
-    /// The per-channel layout.
-    pub fn layout(&self) -> &InlineLayout {
-        &self.layout
-    }
-
     /// Maps a software-visible atom to its physical location.
     pub fn map(&self, logical: LogicalAtom) -> PhysLoc {
         let (channel, local) = self.interleave.split(logical);
@@ -82,11 +77,6 @@ impl ChannelStore {
         }
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.cache.capacity_bytes()
-    }
-
     /// Probes for a demand fill: on a miss the atom is registered as in
     /// flight, so concurrent misses to the same ECC atom fetch once.
     pub fn probe_fill(&mut self, ecc_atom: u64) -> StoreProbe {
@@ -125,10 +115,11 @@ impl ChannelStore {
         }
     }
 
-    /// Dirty-eviction (and flush) write queue, up to `budget` atoms.
-    pub fn drain_writes(&mut self, budget: usize) -> Vec<u64> {
+    /// Appends to `out` up to `budget` atoms of the dirty-eviction (and
+    /// flush) write queue.
+    pub fn drain_writes(&mut self, budget: usize, out: &mut Vec<u64>) {
         let n = budget.min(self.pending_writes.len());
-        self.pending_writes.drain(..n).collect()
+        out.extend(self.pending_writes.drain(..n));
     }
 
     /// Moves every dirty resident atom into the write queue (end of
@@ -149,11 +140,6 @@ impl ChannelStore {
     /// `true` when no pending writes remain.
     pub fn is_drained(&self) -> bool {
         self.pending_writes.is_empty()
-    }
-
-    /// Queued-but-undrained dirty-eviction writes (diagnostics).
-    pub fn pending_write_count(&self) -> usize {
-        self.pending_writes.len()
     }
 }
 
@@ -235,8 +221,8 @@ mod tests {
         for i in 0..48u64 {
             s.install(i * 8, true);
         }
-        assert!(s.pending_write_count() >= 16);
-        let w = s.drain_writes(100);
+        let mut w = Vec::new();
+        s.drain_writes(100, &mut w);
         assert!(w.len() >= 16);
         assert!(s.is_drained());
     }
@@ -249,7 +235,9 @@ mod tests {
         assert!(s.absorb_write(3));
         // Flushing pushes the now-dirty atom to the write queue.
         s.flush();
-        assert_eq!(s.drain_writes(10), vec![3]);
+        let mut w = Vec::new();
+        s.drain_writes(10, &mut w);
+        assert_eq!(w, vec![3]);
         // Flush is idempotent.
         s.flush();
         assert!(s.is_drained());
@@ -262,7 +250,10 @@ mod tests {
             s.install(i, true);
         }
         s.flush();
-        assert_eq!(s.drain_writes(3).len(), 3);
-        assert_eq!(s.drain_writes(100).len(), 5);
+        let mut w = Vec::new();
+        s.drain_writes(3, &mut w);
+        assert_eq!(w.len(), 3);
+        s.drain_writes(100, &mut w);
+        assert_eq!(w.len(), 8, "appends the other 5");
     }
 }

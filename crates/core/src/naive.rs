@@ -13,14 +13,13 @@
 use crate::inline_map::InlineMap;
 use ccraft_ecc::layout::EccPlacement;
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
+use ccraft_sim::protection::{Fill, ProtectionScheme, Writeback};
 use ccraft_sim::types::{Cycle, LogicalAtom, PhysLoc};
 
 /// The naive inline-ECC scheme.
 #[derive(Debug)]
 pub struct InlineNaive {
     map: InlineMap,
-    stats: ProtectionStats,
 }
 
 impl InlineNaive {
@@ -29,7 +28,6 @@ impl InlineNaive {
     pub fn new(cfg: &GpuConfig, coverage: u32) -> Self {
         InlineNaive {
             map: InlineMap::new(cfg, EccPlacement::ReservedRegion, coverage),
-            stats: ProtectionStats::default(),
         }
     }
 }
@@ -43,46 +41,26 @@ impl ProtectionScheme for InlineNaive {
         self.map.map(logical)
     }
 
-    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
-        self.stats.ecc_demand_fetches += 1;
-        FillPlan {
-            ecc_fetches: vec![self.map.ecc_atom(loc)],
-        }
+    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> Fill {
+        Fill::Fetch(self.map.ecc_atom(loc))
     }
-
-    fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
 
     fn writeback(
         &mut self,
         loc: PhysLoc,
         _now: Cycle,
         _resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        self.stats.rmw_writebacks += 1;
+    ) -> Writeback {
         let ecc = self.map.ecc_atom(loc);
-        WritebackPlan {
-            ecc_reads: vec![ecc],
-            ecc_writes: vec![ecc],
+        Writeback::Rmw {
+            read: ecc,
+            write: Some(ecc),
         }
-    }
-
-    fn drain_ecc_writes(&mut self, _channel: u16, _now: Cycle, _budget: usize) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn flush(&mut self) {}
-
-    fn is_drained(&self) -> bool {
-        true
     }
 
     fn fault_codec(&self) -> ccraft_sim::faults::ProtectionCodec {
         // SEC-DED(72,64) per inline codeword.
         ccraft_sim::faults::ProtectionCodec::SecDed64
-    }
-
-    fn stats(&self) -> ProtectionStats {
-        self.stats
     }
 }
 
@@ -95,14 +73,13 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let mut s = InlineNaive::new(&cfg, 8);
         let loc = s.map(LogicalAtom(100));
-        let plan = s.demand_fill(loc, 0);
-        assert_eq!(plan.ecc_fetches.len(), 1);
-        assert_ne!(plan.ecc_fetches[0], loc.atom);
-        assert_eq!(s.stats().ecc_demand_fetches, 1);
+        let fill = s.demand_fill(loc, 0);
+        assert!(
+            matches!(fill, Fill::Fetch(ecc) if ecc != loc.atom),
+            "{fill:?}"
+        );
         // Repeated fill of the same atom fetches again (no caching).
-        let plan2 = s.demand_fill(loc, 1);
-        assert_eq!(plan2.ecc_fetches, plan.ecc_fetches);
-        assert_eq!(s.stats().ecc_demand_fetches, 2);
+        assert_eq!(s.demand_fill(loc, 1), fill);
     }
 
     #[test]
@@ -111,10 +88,14 @@ mod tests {
         let mut s = InlineNaive::new(&cfg, 8);
         let loc = s.map(LogicalAtom(7));
         let mut resident = |_: u64| true; // residency is irrelevant to naive
-        let plan = s.writeback(loc, 0, &mut resident);
-        assert_eq!(plan.ecc_reads.len(), 1);
-        assert_eq!(plan.ecc_writes, plan.ecc_reads);
-        assert_eq!(s.stats().rmw_writebacks, 1);
+        let ecc = s.map.ecc_atom(loc);
+        assert_eq!(
+            s.writeback(loc, 0, &mut resident),
+            Writeback::Rmw {
+                read: ecc,
+                write: Some(ecc)
+            }
+        );
     }
 
     #[test]
@@ -125,9 +106,7 @@ mod tests {
         let a = s.map(LogicalAtom(0));
         let b = s.map(LogicalAtom(7));
         assert_eq!(a.channel, b.channel);
-        let ea = s.demand_fill(a, 0).ecc_fetches[0];
-        let eb = s.demand_fill(b, 0).ecc_fetches[0];
-        assert_eq!(ea, eb);
+        assert_eq!(s.demand_fill(a, 0), s.demand_fill(b, 0));
     }
 
     #[test]
@@ -136,7 +115,9 @@ mod tests {
         let mut s = InlineNaive::new(&cfg, 8);
         assert!(s.is_drained());
         s.flush();
-        assert!(s.drain_ecc_writes(0, 0, 8).is_empty());
+        let mut out = Vec::new();
+        s.drain_ecc_writes(0, 0, 8, &mut out);
+        assert!(out.is_empty());
         assert_eq!(s.l2_tax_bytes(), 0);
     }
 }

@@ -777,6 +777,8 @@ pub fn simulate(
         row_conflicts: 0,
         refreshes: 0,
         mean_read_latency: 0.0,
+        // The scheme's buffer watermarks; the slices' decision counts are
+        // merged in below.
         protection: scheme.stats(),
         latency_hist: None,
         timeline: None,
@@ -811,6 +813,7 @@ pub fn simulate(
         stats.l2_read_misses += s.cache.read_misses;
         stats.l2_fills += s.fills;
         stats.l2_writebacks += s.writebacks;
+        stats.protection.merge(&s.protection);
         let mc = slice.mc_stats();
         for (i, c) in mc.count.iter().enumerate() {
             stats.dram[i] += c;

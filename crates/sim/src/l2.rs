@@ -23,7 +23,7 @@ use crate::dram::MapOrder;
 use crate::fxmap::FxHashMap;
 use crate::mem_ctrl::{Completion, DramRequest, DramTag, IssueEvent, McStats, MemCtrl};
 use crate::msg::{L2Request, L2Response};
-use crate::protection::ProtectionScheme;
+use crate::protection::{Fill, ProtectionScheme, ProtectionStats, Writeback};
 use crate::types::{AccessKind, Cycle, PhysLoc, TrafficClass};
 use std::collections::VecDeque;
 
@@ -44,12 +44,13 @@ struct Mshr {
     dirty_after_fill: bool,
 }
 
-/// A deferred write-back: data write plus the ECC traffic planned for it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A deferred write-back: the data write plus the ECC traffic its
+/// [`Writeback`] decision issues with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WbTask {
-    data_atom: Option<u64>,
-    ecc_reads: Vec<u64>,
-    ecc_writes: Vec<u64>,
+    data: u64,
+    ecc_read: Option<u64>,
+    ecc_write: Option<u64>,
 }
 
 /// Per-slice statistics.
@@ -64,6 +65,10 @@ pub struct L2SliceStats {
     pub fills: u64,
     /// Write-backs issued to DRAM (data atoms).
     pub writebacks: u64,
+    /// The protection scheme's decisions on this slice's fills and
+    /// write-backs, and the buffered ECC writes it drained (the
+    /// coalescing watermarks stay zero: the scheme reports those).
+    pub protection: ProtectionStats,
 }
 
 /// One L2 slice plus its memory controller.
@@ -85,6 +90,8 @@ pub struct L2Slice {
     stats: L2SliceStats,
     /// Reused scratch for DRAM completions (hot-path allocation avoidance).
     comp_buf: Vec<Completion>,
+    /// Reused scratch for the scheme's drained ECC writes.
+    drain_buf: Vec<u64>,
     /// Sleep memo: ticks before this cycle are provably no-ops apart from
     /// the controller's busy-cycle count (see [`asleep`](Self::asleep)).
     /// Set after each tick that leaves the input queue and the write-back
@@ -126,6 +133,7 @@ impl L2Slice {
             mc: MemCtrl::new(&cfg.mem, order),
             stats: L2SliceStats::default(),
             comp_buf: Vec::new(),
+            drain_buf: Vec::new(),
             wake: 0,
             #[cfg(feature = "check-invariants")]
             mshr_allocs: 0,
@@ -163,20 +171,6 @@ impl L2Slice {
         self.cache.probe(atom)
     }
 
-    // Invariant: callers check MSHR availability before allocating.
-    #[allow(clippy::expect_used)]
-    fn alloc_mshr(&mut self, m: Mshr) -> usize {
-        // lint: allow(panic-freedom) reason=both call sites check free_mshrs availability in the same cycle before allocating
-        let idx = self.free_mshrs.pop().expect("caller checked availability");
-        self.mshr_index.insert(m.atom, idx);
-        self.mshrs[idx] = Some(m);
-        #[cfg(feature = "check-invariants")]
-        {
-            self.mshr_allocs += 1;
-        }
-        idx
-    }
-
     /// Plans and queues the write-back of dirty atoms evicted together.
     /// `evicted_set` lists all dirty atoms leaving in this eviction so the
     /// reconstruction residency check can count them as available.
@@ -187,16 +181,67 @@ impl L2Slice {
         scheme: &mut dyn ProtectionScheme,
         now: Cycle,
     ) {
-        for &atom in dirty_atoms {
+        for &data in dirty_atoms {
             let cache = &self.cache;
-            let plan = scheme.writeback(PhysLoc::new(self.channel, atom), now, &mut |a| {
+            let decision = scheme.writeback(PhysLoc::new(self.channel, data), now, &mut |a| {
                 cache.probe(a) || evicted_set.contains(&a)
             });
+            let (ecc_read, ecc_write) = self.count_writeback(decision);
             self.pending_wb.push_back(WbTask {
-                data_atom: Some(atom),
-                ecc_reads: plan.ecc_reads,
-                ecc_writes: plan.ecc_writes,
+                data,
+                ecc_read,
+                ecc_write,
             });
+        }
+    }
+
+    /// Counts a fill decision and returns the ECC atom to fetch with the
+    /// data. With [`count_writeback`](Self::count_writeback) and the drain
+    /// in [`tick`](Self::tick), the one place the protection counters
+    /// move.
+    fn count_fill(&mut self, decision: Fill) -> Option<u64> {
+        let p = &mut self.stats.protection;
+        match decision {
+            Fill::Unprotected => None,
+            Fill::Fetch(ecc) => {
+                p.ecc_demand_fetches += 1;
+                Some(ecc)
+            }
+            Fill::OnChip => {
+                p.ecc_fetch_hits += 1;
+                None
+            }
+            Fill::FragmentHit => {
+                p.ecc_fetch_hits += 1;
+                p.fragment_store_hits += 1;
+                None
+            }
+        }
+    }
+
+    /// Counts a write-back decision and returns the ECC `(read, write)`
+    /// to issue with the data write.
+    fn count_writeback(&mut self, decision: Writeback) -> (Option<u64>, Option<u64>) {
+        let p = &mut self.stats.protection;
+        match decision {
+            Writeback::Unprotected => (None, None),
+            Writeback::Absorbed => {
+                p.absorbed_writebacks += 1;
+                (None, None)
+            }
+            Writeback::Merged => {
+                p.absorbed_writebacks += 1;
+                p.coalesced_ecc_writes += 1;
+                (None, None)
+            }
+            Writeback::Reconstructed { write } => {
+                p.reconstructed_writebacks += 1;
+                (None, write)
+            }
+            Writeback::Rmw { read, write } => {
+                p.rmw_writebacks += 1;
+                (Some(read), write)
+            }
         }
     }
 
@@ -234,31 +279,26 @@ impl L2Slice {
     }
 
     /// Attempts to issue the head write-back task (all-or-nothing).
-    // Invariant: guarded by a non-empty writeback queue check.
-    #[allow(clippy::expect_used)]
     fn try_issue_wb(&mut self, now: Cycle) -> bool {
-        let Some(task) = self.pending_wb.front() else {
+        let Some(&task) = self.pending_wb.front() else {
             return false;
         };
-        let writes_needed = task.data_atom.is_some() as usize + task.ecc_writes.len();
-        let reads_needed = task.ecc_reads.len();
+        let writes_needed = 1 + task.ecc_write.is_some() as usize;
+        let reads_needed = task.ecc_read.is_some() as usize;
         if self.mc.write_free() < writes_needed || self.mc.read_free() < reads_needed {
             return false;
         }
-        // lint: allow(panic-freedom) reason=the queue was peeked non-empty at the top of this function and nothing pops between
-        let task = self.pending_wb.pop_front().expect("checked nonempty");
-        if let Some(atom) = task.data_atom {
-            self.mc.push(
-                DramRequest {
-                    atom,
-                    class: TrafficClass::DataWrite,
-                    tag: DramTag::Write,
-                },
-                now,
-            );
-            self.stats.writebacks += 1;
-        }
-        for atom in task.ecc_reads {
+        self.pending_wb.pop_front();
+        self.mc.push(
+            DramRequest {
+                atom: task.data,
+                class: TrafficClass::DataWrite,
+                tag: DramTag::Write,
+            },
+            now,
+        );
+        self.stats.writebacks += 1;
+        if let Some(atom) = task.ecc_read {
             self.mc.push(
                 DramRequest {
                     atom,
@@ -268,7 +308,7 @@ impl L2Slice {
                 now,
             );
         }
-        for atom in task.ecc_writes {
+        if let Some(atom) = task.ecc_write {
             self.mc.push(
                 DramRequest {
                     atom,
@@ -296,134 +336,101 @@ impl L2Slice {
             return false;
         };
         let atom = req.loc.atom;
-        match req.kind {
-            AccessKind::Read => {
-                match self.cache.lookup_read(atom) {
-                    LookupResult::Hit => {
-                        respond(
-                            L2Response {
-                                loc: req.loc,
-                                dest: req.src,
-                                l1_mshr: req.l1_mshr,
-                            },
-                            now + self.latency as Cycle,
-                        );
-                    }
-                    LookupResult::SectorMiss | LookupResult::LineMiss => {
-                        if let Some(&idx) = self.mshr_index.get(&atom) {
-                            // Merge into the in-flight miss.
-                            // lint: allow(panic-freedom) reason=mshr_index only maps atoms to occupied slots; entries are removed before the slot is freed
-                            let m = self.mshrs[idx].as_mut().expect("indexed mshr");
-                            m.waiters.push((req.src.0, req.l1_mshr));
-                        } else {
-                            // Need an MSHR plus room for data + up to the
-                            // plan's ECC fetches (bounded by 2 in practice;
-                            // reserve conservatively before consulting the
-                            // scheme, which mutates its state).
-                            if self.free_mshrs.is_empty() || self.mc.read_free() < 3 {
-                                self.stats.pipeline_stalls += 1;
-                                return false;
-                            }
-                            let plan = scheme.demand_fill(req.loc, now);
-                            debug_assert!(plan.ecc_fetches.len() <= 2);
-                            let pieces = 1 + plan.ecc_fetches.len() as u32;
-                            let mut waiters = self.spare_waiters.pop().unwrap_or_default();
-                            waiters.push((req.src.0, req.l1_mshr));
-                            let idx = self.alloc_mshr(Mshr {
-                                atom,
-                                waiters,
-                                pieces_left: pieces,
-                                dirty_after_fill: false,
-                            });
-                            self.mc.push(
-                                DramRequest {
-                                    atom,
-                                    class: TrafficClass::DataRead,
-                                    tag: DramTag::DemandData { mshr: idx },
-                                },
-                                now,
-                            );
-                            for ecc in plan.ecc_fetches {
-                                self.mc.push(
-                                    DramRequest {
-                                        atom: ecc,
-                                        class: TrafficClass::EccRead,
-                                        tag: DramTag::DemandEcc { mshr: idx },
-                                    },
-                                    now,
-                                );
-                            }
-                        }
-                    }
-                }
+        let hit = match req.kind {
+            AccessKind::Read => self.cache.lookup_read(atom) == LookupResult::Hit,
+            AccessKind::Write { .. } => self.cache.lookup_write(atom) == LookupResult::Hit,
+        };
+        if hit {
+            if req.kind == AccessKind::Read {
+                respond(
+                    L2Response {
+                        loc: req.loc,
+                        dest: req.src,
+                        l1_mshr: req.l1_mshr,
+                    },
+                    now + self.latency as Cycle,
+                );
             }
-            AccessKind::Write { full } => {
-                match self.cache.lookup_write(atom) {
-                    LookupResult::Hit => {}
-                    _ if full => {
-                        // Write-allocate without fetch: install dirty.
-                        if let Some(&idx) = self.mshr_index.get(&atom) {
-                            // A fetch is in flight; merge the write into it.
-                            // lint: allow(panic-freedom) reason=mshr_index only maps atoms to occupied slots; entries are removed before the slot is freed
-                            let m = self.mshrs[idx].as_mut().expect("indexed mshr");
-                            m.dirty_after_fill = true;
-                        } else {
-                            let evicted = self.cache.fill(atom, true);
-                            if let Some(ev) = evicted {
-                                self.queue_writebacks(
-                                    &ev.dirty_atoms,
-                                    &ev.dirty_atoms,
-                                    scheme,
-                                    now,
-                                );
-                            }
-                        }
-                    }
-                    _ => {
-                        // Partial write to a non-resident sector:
-                        // fetch-on-write.
-                        if let Some(&idx) = self.mshr_index.get(&atom) {
-                            // lint: allow(panic-freedom) reason=mshr_index only maps atoms to occupied slots; entries are removed before the slot is freed
-                            let m = self.mshrs[idx].as_mut().expect("indexed mshr");
-                            m.dirty_after_fill = true;
-                        } else {
-                            if self.free_mshrs.is_empty() || self.mc.read_free() < 3 {
-                                self.stats.pipeline_stalls += 1;
-                                return false;
-                            }
-                            let plan = scheme.demand_fill(req.loc, now);
-                            let pieces = 1 + plan.ecc_fetches.len() as u32;
-                            let waiters = self.spare_waiters.pop().unwrap_or_default();
-                            let idx = self.alloc_mshr(Mshr {
-                                atom,
-                                waiters,
-                                pieces_left: pieces,
-                                dirty_after_fill: true,
-                            });
-                            self.mc.push(
-                                DramRequest {
-                                    atom,
-                                    class: TrafficClass::DataRead,
-                                    tag: DramTag::DemandData { mshr: idx },
-                                },
-                                now,
-                            );
-                            for ecc in plan.ecc_fetches {
-                                self.mc.push(
-                                    DramRequest {
-                                        atom: ecc,
-                                        class: TrafficClass::EccRead,
-                                        tag: DramTag::DemandEcc { mshr: idx },
-                                    },
-                                    now,
-                                );
-                            }
-                        }
-                    }
-                }
+        } else if let Some(&idx) = self.mshr_index.get(&atom) {
+            // Merge into the in-flight fill: a reader waits for it, a
+            // write makes it install dirty.
+            // lint: allow(panic-freedom) reason=mshr_index only maps atoms to occupied slots; entries are removed before the slot is freed
+            let m = self.mshrs[idx].as_mut().expect("indexed mshr");
+            match req.kind {
+                AccessKind::Read => m.waiters.push((req.src.0, req.l1_mshr)),
+                AccessKind::Write { .. } => m.dirty_after_fill = true,
             }
+        } else if req.kind == (AccessKind::Write { full: true }) {
+            // Write-allocate without fetch: install dirty.
+            if let Some(ev) = self.cache.fill(atom, true) {
+                self.queue_writebacks(&ev.dirty_atoms, &ev.dirty_atoms, scheme, now);
+            }
+        } else if !self.start_fill(req, scheme, now) {
+            return false;
         }
         self.in_q.pop_front();
+        true
+    }
+
+    /// Starts the demand fill of a read miss, or the fetch-on-write of a
+    /// partial write to a non-resident sector: an MSHR, the data read and
+    /// the ECC fetch the scheme's [`Fill`] asks for. Returns `false` (a
+    /// stall, counted) when no MSHR or too few controller read slots are
+    /// free.
+    fn start_fill(
+        &mut self,
+        req: L2Request,
+        scheme: &mut dyn ProtectionScheme,
+        now: Cycle,
+    ) -> bool {
+        // Reserve read slots before consulting the scheme, which mutates
+        // its state. A fill needs two (data plus at most one ECC fetch);
+        // the reservation keeps a third, because tightening it moves the
+        // simulated timing and so needs the goldens re-blessed.
+        let idx = match self.free_mshrs.last() {
+            Some(&idx) if self.mc.read_free() >= 3 => idx,
+            _ => {
+                self.stats.pipeline_stalls += 1;
+                return false;
+            }
+        };
+        self.free_mshrs.pop();
+        let decision = scheme.demand_fill(req.loc, now);
+        let ecc = self.count_fill(decision);
+        let read = req.kind == AccessKind::Read;
+        let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+        if read {
+            waiters.push((req.src.0, req.l1_mshr));
+        }
+        self.mshr_index.insert(req.loc.atom, idx);
+        self.mshrs[idx] = Some(Mshr {
+            atom: req.loc.atom,
+            waiters,
+            pieces_left: 1 + ecc.is_some() as u32,
+            dirty_after_fill: !read,
+        });
+        #[cfg(feature = "check-invariants")]
+        {
+            self.mshr_allocs += 1;
+        }
+        self.mc.push(
+            DramRequest {
+                atom: req.loc.atom,
+                class: TrafficClass::DataRead,
+                tag: DramTag::DemandData { mshr: idx },
+            },
+            now,
+        );
+        if let Some(atom) = ecc {
+            self.mc.push(
+                DramRequest {
+                    atom,
+                    class: TrafficClass::EccRead,
+                    tag: DramTag::DemandEcc { mshr: idx },
+                },
+                now,
+            );
+        }
         true
     }
 
@@ -474,7 +481,9 @@ impl L2Slice {
         //    keeping one slot in reserve for data write-backs.
         let budget = self.mc.write_free().saturating_sub(1);
         if budget > 0 {
-            for atom in scheme.drain_ecc_writes(self.channel, now, budget) {
+            scheme.drain_ecc_writes(self.channel, now, budget, &mut self.drain_buf);
+            self.stats.protection.ecc_structure_writebacks += self.drain_buf.len() as u64;
+            for atom in self.drain_buf.drain(..) {
                 self.mc.push(
                     DramRequest {
                         atom,
@@ -546,6 +555,8 @@ impl L2Slice {
                 self.channel
             );
         }
+        // The slice stats carry its protection counters, so a scheme
+        // decision or drained ECC write inside the sleep fails here too.
         let snapshot = |s: &Self| {
             (
                 s.stats(),
@@ -926,28 +937,35 @@ mod tests {
         fn map(&self, logical: crate::types::LogicalAtom) -> PhysLoc {
             self.inner.map(logical)
         }
-        fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> crate::protection::FillPlan {
-            crate::protection::FillPlan {
-                ecc_fetches: vec![(1 << 20) + loc.atom / 8],
-            }
+        fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> Fill {
+            Fill::Fetch((1 << 20) + loc.atom / 8)
         }
-        fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
         fn writeback(
             &mut self,
             loc: PhysLoc,
             now: Cycle,
             _resident: &mut dyn FnMut(u64) -> bool,
-        ) -> crate::protection::WritebackPlan {
+        ) -> Writeback {
             self.pending
                 .push_back(((1 << 20) + loc.atom / 8, now + Self::AGE));
-            crate::protection::WritebackPlan::none()
+            Writeback::Reconstructed { write: None }
         }
-        fn drain_ecc_writes(&mut self, _channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
-            let mut out = Vec::new();
-            while out.len() < budget && self.pending.front().is_some_and(|&(_, due)| due <= now) {
-                out.extend(self.pending.pop_front().map(|(atom, _)| atom));
+        fn drain_ecc_writes(
+            &mut self,
+            _channel: u16,
+            now: Cycle,
+            budget: usize,
+            out: &mut Vec<u64>,
+        ) {
+            for _ in 0..budget {
+                match self.pending.front() {
+                    Some(&(atom, due)) if due <= now => {
+                        self.pending.pop_front();
+                        out.push(atom);
+                    }
+                    _ => break,
+                }
             }
-            out
         }
         fn flush(&mut self) {
             for entry in &mut self.pending {
@@ -959,9 +977,6 @@ mod tests {
         }
         fn next_timed_event(&self, _channel: u16) -> Option<Cycle> {
             self.pending.front().map(|&(_, due)| due)
-        }
-        fn stats(&self) -> crate::protection::ProtectionStats {
-            crate::protection::ProtectionStats::default()
         }
     }
 

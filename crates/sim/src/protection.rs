@@ -8,12 +8,19 @@
 //!    translated to channel-local physical locations. Inline-ECC layouts
 //!    insert carve-outs here.
 //! 2. **Demand fills** ([`ProtectionScheme::demand_fill`]) — on an L2 miss
-//!    the scheme may require additional ECC-atom fetches that gate the fill
-//!    (the data cannot be verified until its check bits arrive).
+//!    the scheme returns a [`Fill`]: the one ECC atom to fetch before the
+//!    data can be verified, or why none is needed.
 //! 3. **Write-backs** ([`ProtectionScheme::writeback`]) — a dirty eviction
-//!    may require an ECC read-modify-write, or may be satisfiable on chip
-//!    (CacheCraft's codeword reconstruction), possibly buffered and
-//!    coalesced ([`ProtectionScheme::drain_ecc_writes`]).
+//!    returns a [`Writeback`]: an ECC read-modify-write, an update
+//!    absorbed or merged on chip, or CacheCraft's codeword
+//!    reconstruction. Buffered ECC writes leave later through
+//!    [`ProtectionScheme::drain_ecc_writes`], into a buffer the caller
+//!    owns.
+//!
+//! Both decisions are small `Copy` values, and the L2 slice that asked
+//! counts them in one place, so every scheme's [`ProtectionStats`] mean
+//! the same thing. A scheme's own [`stats`](ProtectionScheme::stats)
+//! reports only its internal buffer state (the coalescing watermarks).
 //!
 //! [`NoProtection`] (ECC disabled) lives here so the simulator is testable
 //! stand-alone; the inline-ECC baselines and CacheCraft live in the
@@ -80,40 +87,58 @@ impl ChannelInterleave {
     }
 }
 
-/// Extra DRAM fetches required before a demand fill is usable.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FillPlan {
-    /// Channel-local ECC atoms to fetch (same channel as the data). Empty
-    /// when the fill needs no ECC traffic (unprotected, or the check bits
-    /// are already on chip).
-    pub ecc_fetches: Vec<u64>,
+/// A scheme's decision on one demand fill: whether the check bits that
+/// gate it come from DRAM, and if not, why not.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fill {
+    /// The scheme keeps no check bits (ECC off): nothing gates the fill.
+    Unprotected,
+    /// Fetch this channel-local ECC atom (same channel as the data); the
+    /// fill waits for it. No scheme gates a fill on more than one fetch.
+    Fetch(u64),
+    /// The check bits are already on chip, or on their way: a resident
+    /// ECC-cache entry, a fetch already in flight, a pending coalesced
+    /// write, or an atom that carries its own check bits (compressed).
+    OnChip,
+    /// The check bits are resident in CacheCraft's fragment store (C2).
+    FragmentHit,
 }
 
-impl FillPlan {
-    /// A plan requiring no extra traffic.
-    pub fn none() -> Self {
-        FillPlan::default()
-    }
+/// A scheme's decision on one dirty-data write-back: the ECC traffic it
+/// issues with the data write, and why. No scheme reads or writes more
+/// than one ECC atom per write-back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Writeback {
+    /// The scheme keeps no check bits (ECC off).
+    Unprotected,
+    /// The ECC update was absorbed on chip (a resident ECC entry now
+    /// dirty, or an atom that carries its own check bits): no ECC traffic.
+    Absorbed,
+    /// The ECC update merged into a pending coalesced ECC write to the
+    /// same atom (CacheCraft C3): no ECC traffic.
+    Merged,
+    /// Every sibling of the ECC group is on chip, so the ECC atom was
+    /// re-encoded without a read (CacheCraft C3). `write` is the ECC write
+    /// to issue now, `None` when a buffer took it.
+    Reconstructed {
+        /// ECC atom to write now.
+        write: Option<u64>,
+    },
+    /// A read-modify-write: read the ECC atom now; `write` is the ECC
+    /// write to issue now, `None` when it is deferred (write-allocated on
+    /// chip, or buffered for coalescing).
+    Rmw {
+        /// ECC atom to read.
+        read: u64,
+        /// ECC atom to write now.
+        write: Option<u64>,
+    },
 }
 
-/// ECC traffic for one dirty-data write-back.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WritebackPlan {
-    /// ECC atoms to read (the read half of a read-modify-write).
-    pub ecc_reads: Vec<u64>,
-    /// ECC atoms to write immediately (un-buffered RMW write half).
-    pub ecc_writes: Vec<u64>,
-}
-
-impl WritebackPlan {
-    /// A plan requiring no ECC traffic.
-    pub fn none() -> Self {
-        WritebackPlan::default()
-    }
-}
-
-/// Counters every scheme reports; fields not applicable to a scheme stay
-/// zero.
+/// Protection counters of a run; fields not applicable to a scheme stay
+/// zero. The L2 slices count every field but the two coalescing
+/// watermarks from the [`Fill`] and [`Writeback`] decisions and the
+/// drained atoms; [`ProtectionScheme::stats`] reports the watermarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProtectionStats {
     /// Demand fills that needed an ECC fetch from DRAM.
@@ -131,7 +156,9 @@ pub struct ProtectionStats {
     /// ECC writes merged away by coalescing (writes that never reached
     /// DRAM because a later write to the same ECC atom subsumed them).
     pub coalesced_ecc_writes: u64,
-    /// Dirty ECC-structure evictions that produced a DRAM ECC write.
+    /// Buffered ECC writes drained to DRAM (coalescing-buffer entries and
+    /// dirty ECC-structure evictions): the atoms
+    /// [`ProtectionScheme::drain_ecc_writes`] handed out.
     pub ecc_structure_writebacks: u64,
     /// Demand fills served by a fragment-store hit specifically (a subset
     /// of [`ecc_fetch_hits`](Self::ecc_fetch_hits)). Serialized only when
@@ -180,8 +207,11 @@ impl ProtectionStats {
 /// A memory-protection scheme plugged into the simulator.
 ///
 /// Implementations must be deterministic: the same call sequence must
-/// produce the same plans (simulation results are required to be
-/// reproducible bit-for-bit given a seed).
+/// produce the same decisions (simulation results are required to be
+/// reproducible bit-for-bit given a seed). A scheme does not count its
+/// decisions: the L2 slice that asked counts them (see
+/// [`ProtectionStats`]). The buffer hooks default to a scheme with no
+/// on-chip ECC state.
 pub trait ProtectionScheme: fmt::Debug + Send {
     /// Short scheme name for reports (e.g. `"cachecraft"`).
     fn name(&self) -> &str;
@@ -190,13 +220,13 @@ pub trait ProtectionScheme: fmt::Debug + Send {
     fn map(&self, logical: LogicalAtom) -> PhysLoc;
 
     /// Called on an L2 demand miss for `loc` (a data atom). Returns the
-    /// ECC fetches that gate the fill. The scheme may update internal
-    /// structures (e.g. reserve an ECC-cache entry).
-    fn demand_fill(&mut self, loc: PhysLoc, now: Cycle) -> FillPlan;
+    /// decision on the ECC fetch that gates the fill. The scheme may
+    /// update internal structures (e.g. reserve an ECC-cache entry).
+    fn demand_fill(&mut self, loc: PhysLoc, now: Cycle) -> Fill;
 
     /// Called when a demand ECC fetch previously returned by
     /// [`demand_fill`](Self::demand_fill) arrives from DRAM.
-    fn ecc_arrived(&mut self, loc: PhysLoc, now: Cycle);
+    fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
 
     /// Called when the L2 writes back a dirty data atom. `resident`
     /// answers whether a given channel-local data atom currently holds
@@ -206,18 +236,27 @@ pub trait ProtectionScheme: fmt::Debug + Send {
         loc: PhysLoc,
         now: Cycle,
         resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan;
+    ) -> Writeback;
 
-    /// Hands out buffered ECC writes (coalescing buffers, dirty
-    /// ECC-structure evictions) that should be issued now, up to `budget`
-    /// atoms for `channel`.
-    fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize) -> Vec<u64>;
+    /// Appends to `out` the buffered ECC writes (coalescing buffers, dirty
+    /// ECC-structure evictions) that should be issued now, at most
+    /// `budget` atoms for `channel`. `out` is the caller's reused buffer.
+    fn drain_ecc_writes(
+        &mut self,
+        _channel: u16,
+        _now: Cycle,
+        _budget: usize,
+        _out: &mut Vec<u64>,
+    ) {
+    }
 
     /// Forces all internal buffers to become drainable (end of kernel).
-    fn flush(&mut self);
+    fn flush(&mut self) {}
 
     /// `true` when no buffered ECC writes remain anywhere.
-    fn is_drained(&self) -> bool;
+    fn is_drained(&self) -> bool {
+        true
+    }
 
     /// Earliest cycle at which [`drain_ecc_writes`](Self::drain_ecc_writes)
     /// for `channel` may newly produce atoms *without any other simulator
@@ -256,8 +295,13 @@ pub trait ProtectionScheme: fmt::Debug + Send {
         crate::faults::ProtectionCodec::Unprotected
     }
 
-    /// Aggregate counters.
-    fn stats(&self) -> ProtectionStats;
+    /// The scheme's internal buffer state: only the two coalescing
+    /// watermarks (`coalesce_peak_occupancy`, `coalesce_max_merge_depth`);
+    /// every other field stays zero, because the slices count the
+    /// decisions. Zero by default.
+    fn stats(&self) -> ProtectionStats {
+        ProtectionStats::default()
+    }
 }
 
 /// ECC disabled: identity layout, no extra traffic. The performance
@@ -284,33 +328,17 @@ impl ProtectionScheme for NoProtection {
         PhysLoc::new(channel, local)
     }
 
-    fn demand_fill(&mut self, _loc: PhysLoc, _now: Cycle) -> FillPlan {
-        FillPlan::none()
+    fn demand_fill(&mut self, _loc: PhysLoc, _now: Cycle) -> Fill {
+        Fill::Unprotected
     }
-
-    fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
 
     fn writeback(
         &mut self,
         _loc: PhysLoc,
         _now: Cycle,
         _resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        WritebackPlan::none()
-    }
-
-    fn drain_ecc_writes(&mut self, _channel: u16, _now: Cycle, _budget: usize) -> Vec<u64> {
-        Vec::new()
-    }
-
-    fn flush(&mut self) {}
-
-    fn is_drained(&self) -> bool {
-        true
-    }
-
-    fn stats(&self) -> ProtectionStats {
-        ProtectionStats::default()
+    ) -> Writeback {
+        Writeback::Unprotected
     }
 }
 
@@ -359,11 +387,11 @@ mod tests {
         let loc = scheme.map(LogicalAtom(100));
         let (ch, local) = il.split(LogicalAtom(100));
         assert_eq!(loc, PhysLoc::new(ch, local));
-        assert_eq!(scheme.demand_fill(loc, 0), FillPlan::none());
+        assert_eq!(scheme.demand_fill(loc, 0), Fill::Unprotected);
         let mut resident = |_: u64| true;
         assert_eq!(
             scheme.writeback(loc, 0, &mut resident),
-            WritebackPlan::none()
+            Writeback::Unprotected
         );
         assert!(scheme.is_drained());
         assert_eq!(scheme.stats(), ProtectionStats::default());

@@ -7,7 +7,7 @@ use ccraft_sim::config::GpuConfig;
 use ccraft_sim::dram::MapOrder;
 use ccraft_sim::l2::L2Slice;
 use ccraft_sim::msg::{L2Request, NO_L1_MSHR};
-use ccraft_sim::protection::{FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan};
+use ccraft_sim::protection::{Fill, ProtectionScheme, Writeback};
 use ccraft_sim::types::{AccessKind, Cycle, LogicalAtom, PhysLoc, SmId, TrafficClass};
 use std::collections::VecDeque;
 
@@ -43,11 +43,9 @@ impl ProtectionScheme for MockScheme {
     fn map(&self, logical: LogicalAtom) -> PhysLoc {
         PhysLoc::new(0, logical.0)
     }
-    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> FillPlan {
+    fn demand_fill(&mut self, loc: PhysLoc, _now: Cycle) -> Fill {
         self.fills += 1;
-        FillPlan {
-            ecc_fetches: vec![ECC_BASE + loc.atom],
-        }
+        Fill::Fetch(ECC_BASE + loc.atom)
     }
     fn ecc_arrived(&mut self, loc: PhysLoc, _now: Cycle) {
         assert!(loc.atom >= ECC_BASE, "non-ECC atom routed to ecc_arrived");
@@ -58,23 +56,19 @@ impl ProtectionScheme for MockScheme {
         loc: PhysLoc,
         _now: Cycle,
         resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
+    ) -> Writeback {
         self.writebacks += 1;
         // Probe residency of the atom itself (must be answerable).
         self.residency_answers.push(resident(loc.atom));
         self.pending.push_back(ECC_BASE + loc.atom);
-        WritebackPlan::none()
+        Writeback::Reconstructed { write: None }
     }
-    fn drain_ecc_writes(&mut self, _channel: u16, _now: Cycle, budget: usize) -> Vec<u64> {
+    fn drain_ecc_writes(&mut self, _channel: u16, _now: Cycle, budget: usize, out: &mut Vec<u64>) {
         let n = budget.min(self.pending.len());
-        self.pending.drain(..n).collect()
+        out.extend(self.pending.drain(..n));
     }
-    fn flush(&mut self) {}
     fn is_drained(&self) -> bool {
         self.pending.is_empty()
-    }
-    fn stats(&self) -> ProtectionStats {
-        ProtectionStats::default()
     }
 }
 

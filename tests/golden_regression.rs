@@ -10,8 +10,50 @@
 
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
+use cachecraft::sim::protection::ProtectionStats;
 use cachecraft::sim::trace::{KernelTrace, WarpOp};
 use cachecraft::workloads::{SizeClass, Workload};
+
+/// Every [`ProtectionStats`] field in declaration order: demand fetches,
+/// fetch hits, RMW, reconstructed, absorbed, coalesced ECC writes,
+/// ECC-structure write-backs, fragment-store hits, coalesce peak
+/// occupancy, coalesce merge depth. The destructuring makes a new field a
+/// compile error here until it is pinned too.
+fn protection_fields(p: &ProtectionStats) -> [u64; 10] {
+    let ProtectionStats {
+        ecc_demand_fetches,
+        ecc_fetch_hits,
+        rmw_writebacks,
+        reconstructed_writebacks,
+        absorbed_writebacks,
+        coalesced_ecc_writes,
+        ecc_structure_writebacks,
+        fragment_store_hits,
+        coalesce_peak_occupancy,
+        coalesce_max_merge_depth,
+    } = *p;
+    [
+        ecc_demand_fetches,
+        ecc_fetch_hits,
+        rmw_writebacks,
+        reconstructed_writebacks,
+        absorbed_writebacks,
+        coalesced_ecc_writes,
+        ecc_structure_writebacks,
+        fragment_store_hits,
+        coalesce_peak_occupancy,
+        coalesce_max_merge_depth,
+    ]
+}
+
+/// `vecadd` at tiny size, seed 1, on `GpuConfig::tiny()`: each headline
+/// scheme's [`protection_fields`].
+const VECADD_TINY_PROTECTION: [[u64; 10]; 4] = [
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [16384, 0, 8192, 0, 0, 0, 0, 0, 0, 0],
+    [2048, 14336, 1024, 0, 7168, 0, 984, 0, 0, 0],
+    [2048, 14336, 297, 1024, 6871, 5980, 1307, 5712, 17, 8],
+];
 
 #[test]
 fn pinned_stats_vecadd_tiny() {
@@ -23,12 +65,20 @@ fn pinned_stats_vecadd_tiny() {
         ("ecc-cache", 43125, 42425, [16384, 8192, 3072, 984]),
         ("cachecraft", 38168, 37838, [16384, 8192, 2345, 1307]),
     ];
-    for (kind, (name, cycles, exec, dram)) in SchemeKind::headline(&cfg).into_iter().zip(expect) {
+    let schemes = SchemeKind::headline(&cfg)
+        .into_iter()
+        .zip(VECADD_TINY_PROTECTION);
+    for ((kind, protection), (name, cycles, exec, dram)) in schemes.zip(expect) {
         let s = run_scheme(&cfg, kind, &trace);
         assert_eq!(kind.name(), name);
         assert_eq!(s.cycles, cycles, "{name}: total cycles drifted");
         assert_eq!(s.exec_cycles, exec, "{name}: exec cycles drifted");
         assert_eq!(s.dram, dram, "{name}: DRAM traffic drifted");
+        assert_eq!(
+            protection_fields(&s.protection),
+            protection,
+            "{name}: protection counters drifted"
+        );
     }
 }
 
@@ -72,11 +122,23 @@ const SPMV_GDDR6: [Pinned; 4] = [
     ),
 ];
 
+/// `spmv` at tiny size, seed 1, on `GpuConfig::gddr6()`: each headline
+/// scheme's [`protection_fields`].
+const SPMV_GDDR6_PROTECTION: [[u64; 10]; 4] = [
+    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    [9216, 0, 512, 0, 0, 0, 0, 0, 0, 0],
+    [1153, 8063, 64, 0, 448, 0, 0, 0, 0, 0],
+    [1153, 8063, 1, 63, 448, 441, 63, 4654, 8, 8],
+];
+
 #[test]
 fn pinned_stats_spmv_tiny_gddr6() {
     let cfg = GpuConfig::gddr6();
     let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
-    for (kind, expect) in SchemeKind::headline(&cfg).into_iter().zip(SPMV_GDDR6) {
+    let schemes = SchemeKind::headline(&cfg)
+        .into_iter()
+        .zip(SPMV_GDDR6_PROTECTION);
+    for ((kind, protection), expect) in schemes.zip(SPMV_GDDR6) {
         let (name, cycles, exec, dram, rows, refreshes) = expect;
         let s = run_scheme(&cfg, kind, &trace);
         assert_eq!(kind.name(), name);
@@ -89,6 +151,11 @@ fn pinned_stats_spmv_tiny_gddr6() {
             "{name}: row-buffer outcomes drifted"
         );
         assert_eq!(s.refreshes, refreshes, "{name}: refresh count drifted");
+        assert_eq!(
+            protection_fields(&s.protection),
+            protection,
+            "{name}: protection counters drifted"
+        );
     }
 }
 

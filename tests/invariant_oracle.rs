@@ -19,9 +19,7 @@ use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
 use cachecraft::sim::dram::MapOrder;
 use cachecraft::sim::gpu::{simulate, Observe};
-use cachecraft::sim::protection::{
-    ChannelInterleave, FillPlan, ProtectionScheme, ProtectionStats, WritebackPlan,
-};
+use cachecraft::sim::protection::{ChannelInterleave, Fill, ProtectionScheme, Writeback};
 use cachecraft::sim::trace::{KernelTrace, WarpOp, WarpTrace};
 use cachecraft::sim::types::{Cycle, LogicalAtom, PhysLoc};
 use cachecraft::workloads::{SizeClass, Workload};
@@ -162,35 +160,32 @@ impl ProtectionScheme for LyingScheme {
         PhysLoc::new(channel, local)
     }
 
-    fn demand_fill(&mut self, loc: PhysLoc, now: Cycle) -> FillPlan {
+    fn demand_fill(&mut self, loc: PhysLoc, now: Cycle) -> Fill {
         // Hide a delayed ECC write in a carve-out far above the data.
         self.pending
             .push((loc.channel, loc.atom + (1 << 20), now + 500));
-        FillPlan::none()
+        Fill::Unprotected
     }
-
-    fn ecc_arrived(&mut self, _loc: PhysLoc, _now: Cycle) {}
 
     fn writeback(
         &mut self,
         _loc: PhysLoc,
         _now: Cycle,
         _resident: &mut dyn FnMut(u64) -> bool,
-    ) -> WritebackPlan {
-        WritebackPlan::none()
+    ) -> Writeback {
+        Writeback::Unprotected
     }
 
-    fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize) -> Vec<u64> {
-        let mut out = Vec::new();
+    fn drain_ecc_writes(&mut self, channel: u16, now: Cycle, budget: usize, out: &mut Vec<u64>) {
+        let start = out.len();
         self.pending.retain(|&(ch, atom, due)| {
-            if ch == channel && due <= now && out.len() < budget {
+            if ch == channel && due <= now && out.len() - start < budget {
                 out.push(atom);
                 false
             } else {
                 true
             }
         });
-        out
     }
 
     fn flush(&mut self) {
@@ -205,10 +200,6 @@ impl ProtectionScheme for LyingScheme {
 
     // The lie: pending timed writes exist, but none are ever announced.
     // (A correct scheme returns the earliest pending deadline here.)
-
-    fn stats(&self) -> ProtectionStats {
-        ProtectionStats::default()
-    }
 }
 
 /// The hidden write lands mid-span: one load plants the delayed ECC
