@@ -97,9 +97,7 @@ impl ChannelStore {
     pub fn install(&mut self, ecc_atom: u64, dirty: bool) {
         self.inflight.remove(&ecc_atom);
         if let Some(ev) = self.cache.fill(ecc_atom, dirty) {
-            for atom in ev.dirty_atoms {
-                self.pending_writes.push_back(atom);
-            }
+            self.pending_writes.extend(ev.dirty_atoms());
         }
     }
 

@@ -23,12 +23,27 @@ pub enum LookupResult {
 }
 
 /// A victim evicted to make room for a fill.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
     /// First atom of the evicted line.
     pub base_atom: u64,
-    /// Atom indices (absolute) that were valid and dirty.
-    pub dirty_atoms: Vec<u64>,
+    /// Sectors that were valid and dirty: bit `k` is atom `base_atom + k`.
+    pub dirty: u8,
+}
+
+impl Eviction {
+    /// The atoms (absolute) that were valid and dirty, in ascending order.
+    pub fn dirty_atoms(self) -> impl Iterator<Item = u64> {
+        (0..8)
+            .filter(move |&k| self.dirty & (1 << k) != 0)
+            .map(move |k| self.base_atom + k)
+    }
+
+    /// `true` when `atom` left dirty in this eviction.
+    pub fn contains(self, atom: u64) -> bool {
+        atom.checked_sub(self.base_atom)
+            .is_some_and(|k| k < 8 && self.dirty & (1 << k) != 0)
+    }
 }
 
 /// Aggregate counters for one cache instance.
@@ -284,17 +299,13 @@ impl SectorCache {
         let evicted = if self.lines[victim].tag != INVALID {
             self.stats.evictions += 1;
             let line = self.lines[victim];
-            let base = line.tag * self.atoms_per_line;
-            let dirty_atoms: Vec<u64> = (0..self.atoms_per_line)
-                .filter(|&k| line.valid & line.dirty & (1 << k) != 0)
-                .map(|k| base + k)
-                .collect();
-            if !dirty_atoms.is_empty() {
+            let dirty = line.valid & line.dirty;
+            if dirty != 0 {
                 self.stats.dirty_evictions += 1;
             }
             Some(Eviction {
-                base_atom: base,
-                dirty_atoms,
+                base_atom: line.tag * self.atoms_per_line,
+                dirty,
             })
         } else {
             None
@@ -410,7 +421,9 @@ mod tests {
         // New line in the single way evicts line 0 with atom 1 dirty.
         let ev = c.fill(100, false).expect("eviction");
         assert_eq!(ev.base_atom, 0);
-        assert_eq!(ev.dirty_atoms, vec![1]);
+        assert_eq!(ev.dirty_atoms().collect::<Vec<_>>(), vec![1]);
+        assert!(ev.contains(1));
+        assert!(!ev.contains(0) && !ev.contains(2) && !ev.contains(101));
         assert_eq!(c.stats().dirty_evictions, 1);
     }
 

@@ -8,11 +8,14 @@
 //! second-order constraints (`tFAW`, bank-group `tCCD_L/S` distinction,
 //! per-rank structure). DESIGN.md §5 records these approximations.
 //!
-//! A channel exposes one operation, [`DramChannel::try_issue`]: given a
-//! request and the current cycle, either commit it (returning its data
-//! completion time and the row-buffer outcome) or report that it cannot
-//! start this cycle. The FR-FCFS controller in [`crate::mem_ctrl`] drives
-//! this interface.
+//! A channel exposes one operation, [`DramChannel::try_issue_at`]: given a
+//! request's coordinates and the current cycle, either commit it
+//! (returning its data completion time and the row-buffer outcome) or
+//! report the cycle its first-failing constraint expires. One private
+//! function states the timing rules; the side-effect-free
+//! [`DramChannel::issue_blocked_until`] reads the same answer without
+//! committing. The FR-FCFS controller in [`crate::mem_ctrl`] drives this
+//! interface.
 
 use crate::config::{DramTiming, MemConfig};
 use crate::types::Cycle;
@@ -169,6 +172,18 @@ pub struct IssueInfo {
     pub row_outcome: RowOutcome,
 }
 
+/// What issuing an access at a given cycle would do, when every
+/// constraint is met.
+#[derive(Debug, Clone, Copy)]
+struct Plan {
+    outcome: RowOutcome,
+    /// Command-to-data latency before CAS (activate, precharge).
+    col_delay: Cycle,
+    dir: BusDir,
+    /// First cycle of the data burst.
+    data_start: Cycle,
+}
+
 /// One DRAM channel: banks plus the shared data bus.
 #[derive(Debug, Clone)]
 pub struct DramChannel {
@@ -191,10 +206,6 @@ pub struct DramChannel {
     pub row_conflicts: u64,
     /// Refresh operations performed.
     pub refreshes: u64,
-    /// Row activations (Empty and Conflict accesses both activate).
-    pub activates: u64,
-    /// Row precharges (Conflict accesses and refresh-closed rows).
-    pub precharges: u64,
 }
 
 impl DramChannel {
@@ -218,8 +229,6 @@ impl DramChannel {
             row_empties: 0,
             row_conflicts: 0,
             refreshes: 0,
-            activates: 0,
-            precharges: 0,
         }
     }
 
@@ -228,16 +237,10 @@ impl DramChannel {
         self.map
     }
 
-    /// Peeks at the row-buffer outcome the access *would* have, without
-    /// changing any state. Used by FR-FCFS to prefer row hits.
-    pub fn peek_outcome(&self, atom: u64) -> RowOutcome {
-        self.row_outcome_at(self.map.decompose(atom))
-    }
-
-    /// [`peek_outcome`](Self::peek_outcome) for a pre-decomposed
-    /// coordinate: the memory controller caches each request's
-    /// [`DramCoord`] at enqueue time so the per-cycle FR-FCFS scan does
-    /// no address arithmetic.
+    /// The row-buffer outcome an access to `coord` would have, without
+    /// changing any state. Used by FR-FCFS to prefer row hits; the memory
+    /// controller caches each request's [`DramCoord`] at enqueue time so
+    /// the per-cycle scan does no address arithmetic.
     pub fn row_outcome_at(&self, coord: DramCoord) -> RowOutcome {
         match self.banks[coord.bank as usize].open_row {
             Some(r) if r == coord.row => RowOutcome::Hit,
@@ -260,45 +263,26 @@ impl DramChannel {
             self.last_refresh_tick = now;
         }
         while now >= self.next_refresh {
-            let start = self.next_refresh;
-            let end = start + self.timing.t_rfc as Cycle;
+            let end = self.next_refresh + self.timing.t_rfc as Cycle;
             for bank in &mut self.banks {
                 bank.ready_at = bank.ready_at.max(end);
-                if bank.open_row.take().is_some() {
-                    self.precharges += 1;
-                }
+                bank.open_row = None;
             }
             self.refreshes += 1;
             self.next_refresh += self.timing.t_refi as Cycle;
         }
     }
 
-    /// Attempts to issue the access *this cycle*. On success, commits bank
-    /// and bus state and returns the completion time; on failure (bank or
-    /// bus constraint not yet met) returns `None` and changes nothing.
-    pub fn try_issue(&mut self, atom: u64, is_write: bool, now: Cycle) -> Option<IssueInfo> {
-        self.try_issue_at(self.map.decompose(atom), is_write, now)
-    }
-
-    /// [`try_issue`](Self::try_issue) for a pre-decomposed coordinate
-    /// (see [`row_outcome_at`](Self::row_outcome_at)).
-    pub fn try_issue_at(
-        &mut self,
-        coord: DramCoord,
-        is_write: bool,
-        now: Cycle,
-    ) -> Option<IssueInfo> {
+    /// The timing rules, stated once: what issuing the access at `now`
+    /// would do, or the cycle its first-failing constraint expires
+    /// (assuming no intervening issue or refresh changes channel state).
+    fn plan(&self, coord: DramCoord, is_write: bool, now: Cycle) -> Result<Plan, Cycle> {
         let t = self.timing;
         let bank = &self.banks[coord.bank as usize];
         if bank.ready_at > now {
-            return None;
+            return Err(bank.ready_at);
         }
-        let outcome = match bank.open_row {
-            Some(r) if r == coord.row => RowOutcome::Hit,
-            Some(_) => RowOutcome::Conflict,
-            None => RowOutcome::Empty,
-        };
-        // Command-to-data latency for this access.
+        let outcome = self.row_outcome_at(coord);
         let col_delay: Cycle = match outcome {
             RowOutcome::Hit => 0,
             RowOutcome::Empty => t.t_rcd as Cycle,
@@ -308,13 +292,11 @@ impl DramChannel {
                 let pre_ok = (bank.row_opened_at + t.t_ras as Cycle)
                     .max(bank.last_write_end + t.t_wr as Cycle);
                 if pre_ok > now {
-                    return None;
+                    return Err(pre_ok);
                 }
                 (t.t_rp + t.t_rcd) as Cycle
             }
         };
-        let cas = t.cas as Cycle;
-        let data_start = now + col_delay + cas;
         // Bus availability, including direction turnaround.
         let dir = if is_write {
             BusDir::Write
@@ -326,16 +308,41 @@ impl DramChannel {
             (BusDir::Write, BusDir::Read) => t.t_wtr as Cycle,
             _ => 0,
         };
-        if self.bus_free_at + turnaround > data_start {
-            return None;
+        let lead = col_delay + t.cas as Cycle;
+        let bus_ok = self.bus_free_at + turnaround;
+        if bus_ok > now + lead {
+            // First cycle n with bus_ok <= n + lead; no underflow because
+            // the guard implies bus_ok > lead.
+            return Err(bus_ok - lead);
         }
-        let data_end = data_start + t.burst_cycles as Cycle;
+        Ok(Plan {
+            outcome,
+            col_delay,
+            dir,
+            data_start: now + lead,
+        })
+    }
+
+    /// Attempts to issue the access *this cycle*. On success, commits bank
+    /// and bus state and returns the completion time; on failure changes
+    /// nothing and returns the cycle the first-failing constraint expires
+    /// (see [`issue_blocked_until`](Self::issue_blocked_until)).
+    pub fn try_issue_at(
+        &mut self,
+        coord: DramCoord,
+        is_write: bool,
+        now: Cycle,
+    ) -> Result<IssueInfo, Cycle> {
+        let p = self.plan(coord, is_write, now)?;
+        let t = self.timing;
+        let data_end = p.data_start + t.burst_cycles as Cycle;
         // Oracle: re-assert protocol legality of the issue we are about to
-        // commit. These are the DDR constraints the mirror
-        // (`issue_blocked_until`) reasons about; an issue slipping through
-        // with one unmet means the model itself is broken.
+        // commit, restating the DDR constraints independently of `plan`;
+        // an issue slipping through with one unmet means the model itself
+        // is broken.
         #[cfg(feature = "check-invariants")]
         {
+            let bank = &self.banks[coord.bank as usize];
             assert!(
                 bank.ready_at <= now,
                 "invariant violated: issuing to bank {} before ready_at \
@@ -343,7 +350,7 @@ impl DramChannel {
                 coord.bank,
                 bank.ready_at
             );
-            match outcome {
+            match p.outcome {
                 RowOutcome::Conflict => {
                     assert!(
                         now >= bank.row_opened_at + t.t_ras as Cycle,
@@ -360,18 +367,24 @@ impl DramChannel {
                 }
                 RowOutcome::Empty => {
                     assert_eq!(
-                        col_delay, t.t_rcd as Cycle,
+                        p.col_delay, t.t_rcd as Cycle,
                         "invariant violated: activate without tRCD delay"
                     );
                 }
                 RowOutcome::Hit => {}
             }
+            let turnaround = match (self.bus_dir, is_write) {
+                (BusDir::Read, true) => t.t_rtw as Cycle,
+                (BusDir::Write, false) => t.t_wtr as Cycle,
+                _ => 0,
+            };
             assert!(
-                self.bus_free_at + turnaround <= data_start,
+                self.bus_free_at + turnaround <= p.data_start,
                 "invariant violated: data burst overlaps bus occupancy \
                  (bus free at {} + turnaround {turnaround} > data start \
-                  {data_start})",
-                self.bus_free_at
+                  {})",
+                self.bus_free_at,
+                p.data_start
             );
             assert!(
                 now < self.next_refresh,
@@ -382,20 +395,15 @@ impl DramChannel {
         }
         // Commit.
         let bank = &mut self.banks[coord.bank as usize];
-        match outcome {
-            RowOutcome::Hit => {
-                self.row_hits += 1;
-            }
+        match p.outcome {
+            RowOutcome::Hit => self.row_hits += 1,
             RowOutcome::Empty => {
                 self.row_empties += 1;
-                self.activates += 1;
                 bank.row_opened_at = now;
                 bank.open_row = Some(coord.row);
             }
             RowOutcome::Conflict => {
                 self.row_conflicts += 1;
-                self.precharges += 1;
-                self.activates += 1;
                 bank.row_opened_at = now + t.t_rp as Cycle;
                 bank.open_row = Some(coord.row);
             }
@@ -403,15 +411,15 @@ impl DramChannel {
         // The bank can take its next column command after this access'
         // command sequence plus one burst slot (serializes same-bank
         // columns at burst rate).
-        bank.ready_at = now + col_delay + t.burst_cycles as Cycle;
+        bank.ready_at = now + p.col_delay + t.burst_cycles as Cycle;
         if is_write {
             bank.last_write_end = data_end;
         }
         self.bus_free_at = data_end;
-        self.bus_dir = dir;
-        Some(IssueInfo {
+        self.bus_dir = p.dir;
+        Ok(IssueInfo {
             data_ready: data_end,
-            row_outcome: outcome,
+            row_outcome: p.outcome,
         })
     }
 
@@ -425,66 +433,10 @@ impl DramChannel {
     /// Earliest cycle at which [`try_issue_at`](Self::try_issue_at) for
     /// this access could stop failing on its *currently first-failing*
     /// constraint, assuming no intervening issue or refresh changes
-    /// channel state. Mirrors `try_issue_at`'s checks exactly — the two
-    /// must stay in sync; the memory controller uses the minimum over its
-    /// scheduling window to skip provably-futile scans.
+    /// channel state; `now` when it would issue. The same rules as
+    /// `try_issue_at`, without committing.
     pub fn issue_blocked_until(&self, coord: DramCoord, is_write: bool, now: Cycle) -> Cycle {
-        let t = self.timing;
-        let bank = &self.banks[coord.bank as usize];
-        if bank.ready_at > now {
-            return bank.ready_at;
-        }
-        let outcome = match bank.open_row {
-            Some(r) if r == coord.row => RowOutcome::Hit,
-            Some(_) => RowOutcome::Conflict,
-            None => RowOutcome::Empty,
-        };
-        let col_delay: Cycle = match outcome {
-            RowOutcome::Hit => 0,
-            RowOutcome::Empty => t.t_rcd as Cycle,
-            RowOutcome::Conflict => {
-                let pre_ok = (bank.row_opened_at + t.t_ras as Cycle)
-                    .max(bank.last_write_end + t.t_wr as Cycle);
-                if pre_ok > now {
-                    return pre_ok;
-                }
-                (t.t_rp + t.t_rcd) as Cycle
-            }
-        };
-        let cas = t.cas as Cycle;
-        let dir = if is_write {
-            BusDir::Write
-        } else {
-            BusDir::Read
-        };
-        let turnaround: Cycle = match (self.bus_dir, dir) {
-            (BusDir::Read, BusDir::Write) => t.t_rtw as Cycle,
-            (BusDir::Write, BusDir::Read) => t.t_wtr as Cycle,
-            _ => 0,
-        };
-        if self.bus_free_at + turnaround > now + col_delay + cas {
-            // First cycle n with bus_free_at + turnaround <= n + col_delay
-            // + cas; no underflow because the guard implies the sum on the
-            // left exceeds col_delay + cas.
-            return self.bus_free_at + turnaround - col_delay - cas;
-        }
-        // No constraint blocks: issueable this cycle.
-        now
-    }
-
-    /// Total accesses classified so far.
-    pub fn total_accesses(&self) -> u64 {
-        self.row_hits + self.row_empties + self.row_conflicts
-    }
-
-    /// Row-hit rate in [0, 1]; 1.0 when idle.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.total_accesses();
-        if total == 0 {
-            1.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
+        self.plan(coord, is_write, now).err().unwrap_or(now)
     }
 }
 
@@ -497,6 +449,21 @@ mod tests {
         // tiny(): t_rcd=5, t_rp=5, t_ras=12, cas=5, burst=1, refresh off,
         // 4 banks, 64-atom rows.
         DramChannel::new(&GpuConfig::tiny().mem, MapOrder::RoBaCo)
+    }
+
+    /// Issues the access to `atom` through the channel's address map.
+    fn issue(
+        ch: &mut DramChannel,
+        atom: u64,
+        is_write: bool,
+        now: Cycle,
+    ) -> Result<IssueInfo, Cycle> {
+        ch.try_issue_at(ch.address_map().decompose(atom), is_write, now)
+    }
+
+    /// The row-buffer outcome an access to `atom` would have.
+    fn outcome(ch: &DramChannel, atom: u64) -> RowOutcome {
+        ch.row_outcome_at(ch.address_map().decompose(atom))
     }
 
     #[test]
@@ -579,7 +546,7 @@ mod tests {
     #[test]
     fn first_access_is_row_empty() {
         let mut ch = channel();
-        let info = ch.try_issue(0, false, 0).expect("issue");
+        let info = issue(&mut ch, 0, false, 0).expect("issue");
         assert_eq!(info.row_outcome, RowOutcome::Empty);
         // tRCD + CAS + burst = 5 + 5 + 1.
         assert_eq!(info.data_ready, 11);
@@ -588,9 +555,9 @@ mod tests {
     #[test]
     fn second_access_same_row_is_hit() {
         let mut ch = channel();
-        ch.try_issue(0, false, 0).unwrap();
+        issue(&mut ch, 0, false, 0).unwrap();
         // Bank busy until col_delay + burst = 6; bus busy until 11.
-        let info = ch.try_issue(1, false, 6).expect("issue");
+        let info = issue(&mut ch, 1, false, 6).expect("issue");
         assert_eq!(info.row_outcome, RowOutcome::Hit);
         // data at 6 + CAS + burst = 12 (pipelines right behind first burst).
         assert_eq!(info.data_ready, 12);
@@ -599,12 +566,12 @@ mod tests {
     #[test]
     fn row_conflict_waits_for_tras() {
         let mut ch = channel();
-        ch.try_issue(0, false, 0).unwrap(); // opens row 0 of bank 0 at t=0
-                                            // Same hashed bank, different row: atom 320 = row 1, raw bank 1,
-                                            // hashed bank 1^1 = 0 — conflicts with atom 0's bank.
-                                            // tRAS=12: precharge not allowed before cycle 12.
-        assert!(ch.try_issue(320, false, 6).is_none());
-        let info = ch.try_issue(320, false, 12).expect("issue");
+        issue(&mut ch, 0, false, 0).unwrap(); // opens row 0 of bank 0 at t=0
+                                              // Same hashed bank, different row: atom 320 = row 1, raw bank 1,
+                                              // hashed bank 1^1 = 0 — conflicts with atom 0's bank.
+                                              // tRAS=12: precharge not allowed before cycle 12.
+        assert_eq!(issue(&mut ch, 320, false, 6), Err(12));
+        let info = issue(&mut ch, 320, false, 12).expect("issue");
         assert_eq!(info.row_outcome, RowOutcome::Conflict);
         // tRP + tRCD + CAS + burst = 5+5+5+1 after t=12.
         assert_eq!(info.data_ready, 12 + 16);
@@ -613,9 +580,9 @@ mod tests {
     #[test]
     fn different_banks_overlap() {
         let mut ch = channel();
-        ch.try_issue(0, false, 0).unwrap(); // bank 0
-                                            // Bank 1 (atom 64) can activate in parallel; only bus conflicts.
-        let info = ch.try_issue(64, false, 1).expect("issue");
+        issue(&mut ch, 0, false, 0).unwrap(); // bank 0
+                                              // Bank 1 (atom 64) can activate in parallel; only bus conflicts.
+        let info = issue(&mut ch, 64, false, 1).expect("issue");
         assert_eq!(info.row_outcome, RowOutcome::Empty);
         assert_eq!(info.data_ready, 1 + 5 + 5 + 1);
     }
@@ -624,19 +591,19 @@ mod tests {
     fn bus_conflict_blocks_issue() {
         let mut ch = channel();
         // Two banks, data would collide on the bus at the same cycle.
-        ch.try_issue(0, false, 0).unwrap(); // data 10..11
-                                            // bank 1 at now=0: data would start at 10 too -> bus_free 11 > 10.
-        assert!(ch.try_issue(64, false, 0).is_none());
-        assert!(ch.try_issue(64, false, 1).is_some());
+        issue(&mut ch, 0, false, 0).unwrap(); // data 10..11
+                                              // bank 1 at now=0: data would start at 10 too -> bus_free 11 > 10.
+        assert_eq!(issue(&mut ch, 64, false, 0), Err(1));
+        assert!(issue(&mut ch, 64, false, 1).is_ok());
     }
 
     #[test]
     fn write_to_read_turnaround() {
         let mut ch = channel();
-        ch.try_issue(0, true, 0).unwrap(); // write: data 10..11, dir=Write
-                                           // Read on another bank at now=5: data_start = 5+5+5 = 15,
-                                           // needs bus_free(11) + tWTR(3) = 14 <= 15: OK.
-        let info = ch.try_issue(64, false, 5).expect("issue");
+        issue(&mut ch, 0, true, 0).unwrap(); // write: data 10..11, dir=Write
+                                             // Read on another bank at now=5: data_start = 5+5+5 = 15,
+                                             // needs bus_free(11) + tWTR(3) = 14 <= 15: OK.
+        let info = issue(&mut ch, 64, false, 5).expect("issue");
         assert_eq!(info.data_ready, 16);
         // Immediately after, same-direction has no extra penalty.
     }
@@ -644,12 +611,12 @@ mod tests {
     #[test]
     fn write_recovery_delays_precharge() {
         let mut ch = channel();
-        ch.try_issue(0, true, 0).unwrap(); // write ends at 11
-                                           // Conflict in same bank: precharge needs tRAS(12) and
-                                           // last_write_end(11) + tWR(6) = 17.
-        assert!(ch.try_issue(320, false, 12).is_none());
-        assert!(ch.try_issue(320, false, 16).is_none());
-        assert!(ch.try_issue(320, false, 17).is_some());
+        issue(&mut ch, 0, true, 0).unwrap(); // write ends at 11
+                                             // Conflict in same bank: precharge needs tRAS(12) and
+                                             // last_write_end(11) + tWR(6) = 17.
+        assert_eq!(issue(&mut ch, 320, false, 12), Err(17));
+        assert_eq!(issue(&mut ch, 320, false, 16), Err(17));
+        assert!(issue(&mut ch, 320, false, 17).is_ok());
     }
 
     #[test]
@@ -658,54 +625,35 @@ mod tests {
         cfg.mem.timing.t_refi = 100;
         cfg.mem.timing.t_rfc = 20;
         let mut ch = DramChannel::new(&cfg.mem, MapOrder::RoBaCo);
-        ch.try_issue(0, false, 0).unwrap();
-        assert_eq!(ch.peek_outcome(1), RowOutcome::Hit);
+        issue(&mut ch, 0, false, 0).unwrap();
+        assert_eq!(outcome(&ch, 1), RowOutcome::Hit);
         ch.tick_refresh(100);
         assert_eq!(ch.refreshes, 1);
         // Row closed by refresh; bank stalled until 120.
-        assert_eq!(ch.peek_outcome(1), RowOutcome::Empty);
-        assert!(ch.try_issue(1, false, 110).is_none());
-        assert!(ch.try_issue(1, false, 120).is_some());
+        assert_eq!(outcome(&ch, 1), RowOutcome::Empty);
+        assert_eq!(issue(&mut ch, 1, false, 110), Err(120));
+        assert!(issue(&mut ch, 1, false, 120).is_ok());
     }
 
     #[test]
     fn peek_matches_issue_outcome() {
         let mut ch = channel();
-        assert_eq!(ch.peek_outcome(0), RowOutcome::Empty);
-        ch.try_issue(0, false, 0).unwrap();
-        assert_eq!(ch.peek_outcome(1), RowOutcome::Hit);
-        assert_eq!(ch.peek_outcome(320), RowOutcome::Conflict);
+        assert_eq!(outcome(&ch, 0), RowOutcome::Empty);
+        issue(&mut ch, 0, false, 0).unwrap();
+        assert_eq!(outcome(&ch, 1), RowOutcome::Hit);
+        assert_eq!(outcome(&ch, 320), RowOutcome::Conflict);
     }
 
     #[test]
     fn stats_accumulate() {
         let mut ch = channel();
-        ch.try_issue(0, false, 0).unwrap();
+        issue(&mut ch, 0, false, 0).unwrap();
         let mut now = 6;
-        ch.try_issue(1, false, now).unwrap();
+        issue(&mut ch, 1, false, now).unwrap();
         now = 20;
-        ch.try_issue(320, false, now).unwrap();
+        issue(&mut ch, 320, false, now).unwrap();
         assert_eq!(ch.row_empties, 1);
         assert_eq!(ch.row_hits, 1);
         assert_eq!(ch.row_conflicts, 1);
-        assert!((ch.row_hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-        // Row-state transitions: empty and conflict both activate, only
-        // the conflict precharged.
-        assert_eq!(ch.activates, 2);
-        assert_eq!(ch.precharges, 1);
-    }
-
-    #[test]
-    fn refresh_precharges_open_rows() {
-        let mut cfg = GpuConfig::tiny();
-        cfg.mem.timing.t_refi = 100;
-        cfg.mem.timing.t_rfc = 20;
-        let mut ch = DramChannel::new(&cfg.mem, MapOrder::RoBaCo);
-        ch.try_issue(0, false, 0).unwrap(); // opens one row
-        ch.tick_refresh(100);
-        assert_eq!(ch.precharges, 1);
-        // A second refresh with no rows open precharges nothing.
-        ch.tick_refresh(200);
-        assert_eq!(ch.precharges, 1);
     }
 }

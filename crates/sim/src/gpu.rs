@@ -196,9 +196,8 @@ fn epoch_values(prev: Snap, cur: Snap, epoch_len: u64, slices: &[L2Slice]) -> Ve
     let mut write_q = 0usize;
     let mut mshrs = 0usize;
     for slice in slices {
-        let (r, w) = slice.mc_queue_depth();
-        read_q += r;
-        write_q += w;
+        read_q += slice.mc.read_q_len();
+        write_q += slice.mc.write_q_len();
         mshrs += slice.mshrs_in_use();
     }
     vec![
@@ -252,7 +251,6 @@ fn emit_epoch_events(
         });
     }
     for (ch, slice) in slices.iter().enumerate() {
-        let (r, w) = slice.mc_queue_depth();
         trace_out.complete(TraceEvent {
             name: "epoch".to_string(),
             cat: "mem".to_string(),
@@ -260,8 +258,8 @@ fn emit_epoch_events(
             ts: epoch_start,
             dur,
             args: vec![
-                ("read_q".to_string(), r as f64),
-                ("write_q".to_string(), w as f64),
+                ("read_q".to_string(), slice.mc.read_q_len() as f64),
+                ("write_q".to_string(), slice.mc.write_q_len() as f64),
                 ("mshrs".to_string(), slice.mshrs_in_use() as f64),
                 (
                     "reads_total".to_string(),
@@ -382,9 +380,9 @@ pub fn simulate(
     };
     if enabled {
         for slice in &mut slices {
-            slice.enable_mc_latency_hist();
+            slice.mc.enable_latency_hist();
             if tracing {
-                slice.enable_mc_issue_trace();
+                slice.mc.enable_issue_trace();
             }
         }
     }
@@ -406,7 +404,7 @@ pub fn simulate(
     // the loop is one predictable branch.
     let mut prof = if profile {
         for slice in &mut slices {
-            slice.enable_mc_profile();
+            slice.mc.enable_profile();
         }
         Some(LoopProf {
             start: HostStamp::now(),
@@ -441,8 +439,9 @@ pub fn simulate(
     // unblocks only on a response. This skips the O(warps) scheduler
     // scans for stalled SMs even when the memory system is busy (the
     // common memory-bound case, where the whole-machine fast-forward
-    // below rarely fires). A slice sleeps until its own memo wake
-    // (`L2Slice::asleep`), or until a request or the flush wakes it.
+    // below rarely fires). A slice sleeps after a tick, by the same rule,
+    // until the `next_event` that tick returned, or until a request or
+    // the flush wakes it.
     let mut sm_cal = Calendar::new(sms.len());
     let mut sm_stall: Vec<StallReason> = vec![StallReason::AllDone; sms.len()];
     let mut slice_cal = Calendar::new(slices.len());
@@ -470,13 +469,8 @@ pub fn simulate(
         #[cfg(feature = "check-invariants")]
         for (ch, slice) in slices.iter_mut().enumerate() {
             if !slice_cal.is_awake(ch) {
-                slice_cal.assert_sleeper("L2 slice", ch, now);
-                assert!(
-                    slice.asleep(now),
-                    "invariant violated: L2 slice {ch} is awake but missing \
-                     from the calendar (cycle {now})"
-                );
-                slice.tick_asleep_checked(scheme, now);
+                let wake = slice_cal.assert_sleeper("L2 slice", ch, now);
+                slice.tick_asleep_checked(scheme, now, wake);
                 slice_cal.ticked(ch, now);
             }
         }
@@ -487,11 +481,12 @@ pub fn simulate(
             if skipped > 0 {
                 slice.account_asleep_span(skipped);
             }
-            slice.tick(scheme, now, &mut |resp, ready| {
+            let event = slice.tick(scheme, now, &mut |resp, ready| {
                 xbar.send_response(resp, ready);
             });
-            if slice.asleep(now + 1) {
-                slice_cal.sleep(ch, slice.wake());
+            match event {
+                Some(c) if c <= now + 1 => {}
+                wake => slice_cal.sleep(ch, wake.unwrap_or(Cycle::MAX)),
             }
             if let Some(p) = &mut prof {
                 p.slice_sleep.miss();
@@ -593,7 +588,7 @@ pub fn simulate(
         // Telemetry: per-transaction DRAM events and epoch sampling.
         if let Some(t) = &mut trace_out {
             for (ch, slice) in slices.iter_mut().enumerate() {
-                for ev in slice.take_mc_issue_events() {
+                for ev in slice.mc.take_issue_events() {
                     t.complete(TraceEvent {
                         name: ev.class.to_string(),
                         cat: "dram".to_string(),
@@ -833,7 +828,7 @@ pub fn simulate(
     if enabled {
         let mut merged = Histogram::new();
         for slice in &slices {
-            if let Some(h) = slice.mc_read_latency_hist() {
+            if let Some(h) = slice.mc.read_latency_hist() {
                 merged.merge(h);
             }
         }
@@ -870,7 +865,7 @@ pub fn simulate(
         let mut dram_total = 0u64;
         for (ch, slice) in slices.iter().enumerate() {
             let mc = slice.mc_stats();
-            if let Some(m) = slice.mc_profile() {
+            if let Some(m) = slice.mc.profile() {
                 sp.scan_memo.merge(&m.scan_memo);
                 sp.scan_depth.merge(&m.scan_depth);
                 mc_total = mc_total.saturating_add(m.host_tick_ns);

@@ -21,9 +21,11 @@
 //!   are re-derived from live state, and a sleeping L2 slice is ticked
 //!   anyway and must change nothing but the busy cycle its skip would
 //!   have counted.
-//! * **Mirror exactness** — `DramChannel::issue_blocked_until` must agree
-//!   with `DramChannel::try_issue_at` in both directions on every issue
-//!   attempt, and a sleeping controller scan must find nothing issuable.
+//! * **Scan-sleep exactness** — a sleeping controller scan must find
+//!   nothing issuable. The sleep bound is the earliest cycle the failed
+//!   scan's refused attempts reported, and `DramChannel::try_issue_at`
+//!   and `DramChannel::issue_blocked_until` read one statement of the
+//!   timing rules, so the two agree by construction.
 //! * **Conservation** — requests in equal requests out plus requests in
 //!   flight, at the crossbar, the L1/L2 MSHR files and the controller
 //!   queues.
@@ -90,9 +92,8 @@ pub fn progress_signature(sms: &[SmCore], xbar: &Crossbar, slices: &[L2Slice]) -
         sig = fold(sig, mc.row_hits);
         sig = fold(sig, mc.row_empties);
         sig = fold(sig, mc.row_conflicts);
-        let (r, w) = slice.mc_queue_depth();
-        sig = fold(sig, r as u64);
-        sig = fold(sig, w as u64);
+        sig = fold(sig, slice.mc.read_q_len() as u64);
+        sig = fold(sig, slice.mc.write_q_len() as u64);
         sig = fold(sig, slice.mshrs_in_use() as u64);
     }
     sig

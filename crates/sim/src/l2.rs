@@ -17,11 +17,11 @@
 //! loop puts it straight into the crossbar. A slice therefore never wakes
 //! just to send a response.
 
-use crate::cache::{CacheStats, LookupResult, SectorCache};
+use crate::cache::{CacheStats, Eviction, LookupResult, SectorCache};
 use crate::config::GpuConfig;
 use crate::dram::MapOrder;
 use crate::fxmap::FxHashMap;
-use crate::mem_ctrl::{Completion, DramRequest, DramTag, IssueEvent, McStats, MemCtrl};
+use crate::mem_ctrl::{Completion, DramRequest, DramTag, McStats, MemCtrl};
 use crate::msg::{L2Request, L2Response};
 use crate::protection::{Fill, ProtectionScheme, ProtectionStats, Writeback};
 use crate::types::{AccessKind, Cycle, PhysLoc, TrafficClass};
@@ -86,17 +86,14 @@ pub struct L2Slice {
     /// a miss allocates nothing once every MSHR has been used.
     spare_waiters: Vec<Vec<(u16, u32)>>,
     pending_wb: VecDeque<WbTask>,
-    mc: MemCtrl,
+    /// The slice's memory controller (the cycle loop reads its telemetry
+    /// and queue depths directly).
+    pub(crate) mc: MemCtrl,
     stats: L2SliceStats,
     /// Reused scratch for DRAM completions (hot-path allocation avoidance).
     comp_buf: Vec<Completion>,
     /// Reused scratch for the scheme's drained ECC writes.
     drain_buf: Vec<u64>,
-    /// Sleep memo: ticks before this cycle are provably no-ops apart from
-    /// the controller's busy-cycle count (see [`asleep`](Self::asleep)).
-    /// Set after each tick that leaves the input queue and the write-back
-    /// queue empty; `push` and `flush_dirty` clear it.
-    wake: Cycle,
     /// Oracle counter: MSHRs allocated (fill conservation).
     #[cfg(feature = "check-invariants")]
     mshr_allocs: u64,
@@ -134,15 +131,9 @@ impl L2Slice {
             stats: L2SliceStats::default(),
             comp_buf: Vec::new(),
             drain_buf: Vec::new(),
-            wake: 0,
             #[cfg(feature = "check-invariants")]
             mshr_allocs: 0,
         }
-    }
-
-    /// Capacity in bytes actually used by the cache after the tax.
-    pub fn cache_capacity(&self) -> u64 {
-        self.cache.capacity_bytes()
     }
 
     /// `true` when the slice can take another request from the crossbar.
@@ -163,28 +154,23 @@ impl L2Slice {
             "request routed to wrong slice"
         );
         self.in_q.push_back(req);
-        self.wake = 0;
     }
 
-    /// Residency probe used by protection schemes (valid data atoms only).
-    pub fn probe(&self, atom: u64) -> bool {
-        self.cache.probe(atom)
-    }
-
-    /// Plans and queues the write-back of dirty atoms evicted together.
-    /// `evicted_set` lists all dirty atoms leaving in this eviction so the
-    /// reconstruction residency check can count them as available.
+    /// Plans and queues the write-back of `dirty_atoms`. When they leave
+    /// in an eviction, `evicted` is it, so the reconstruction residency
+    /// check counts its dirty atoms as available although the cache no
+    /// longer holds them.
     fn queue_writebacks(
         &mut self,
-        dirty_atoms: &[u64],
-        evicted_set: &[u64],
+        dirty_atoms: impl IntoIterator<Item = u64>,
+        evicted: Option<Eviction>,
         scheme: &mut dyn ProtectionScheme,
         now: Cycle,
     ) {
-        for &data in dirty_atoms {
+        for data in dirty_atoms {
             let cache = &self.cache;
             let decision = scheme.writeback(PhysLoc::new(self.channel, data), now, &mut |a| {
-                cache.probe(a) || evicted_set.contains(&a)
+                cache.probe(a) || evicted.is_some_and(|ev| ev.contains(a))
             });
             let (ecc_read, ecc_write) = self.count_writeback(decision);
             self.pending_wb.push_back(WbTask {
@@ -263,7 +249,7 @@ impl L2Slice {
         let evicted = self.cache.fill(m.atom, m.dirty_after_fill);
         self.stats.fills += 1;
         if let Some(ev) = evicted {
-            self.queue_writebacks(&ev.dirty_atoms, &ev.dirty_atoms, scheme, now);
+            self.queue_writebacks(ev.dirty_atoms(), evicted, scheme, now);
         }
         for (sm, l1_mshr) in m.waiters.drain(..) {
             respond(
@@ -363,7 +349,7 @@ impl L2Slice {
         } else if req.kind == (AccessKind::Write { full: true }) {
             // Write-allocate without fetch: install dirty.
             if let Some(ev) = self.cache.fill(atom, true) {
-                self.queue_writebacks(&ev.dirty_atoms, &ev.dirty_atoms, scheme, now);
+                self.queue_writebacks(ev.dirty_atoms(), Some(ev), scheme, now);
             }
         } else if !self.start_fill(req, scheme, now) {
             return false;
@@ -434,16 +420,32 @@ impl L2Slice {
         true
     }
 
-    /// Advances the slice and its controller one cycle, then refreshes the
-    /// sleep memo. Each response the cycle makes (a read hit, or a reader
-    /// of an installed fill) goes to `respond(resp, ready)` at once, with
-    /// `ready = now + l2.latency`: the cycle it leaves the slice.
+    /// Advances the slice and its controller one cycle and returns the
+    /// slice's [`next_event`](Self::next_event) after it. Each response
+    /// the cycle makes (a read hit, or a reader of an installed fill) goes
+    /// to `respond(resp, ready)` at once, with `ready = now + l2.latency`:
+    /// the cycle it leaves the slice.
+    ///
+    /// Until the returned cycle, ticks are provably no-ops apart from the
+    /// controller's busy-cycle count, so the cycle loop may sleep the
+    /// slice and replace them by
+    /// [`account_asleep_span`](Self::account_asleep_span), as long as no
+    /// request arrives (a `push`) and no flush queues write-backs (both
+    /// wake it). Exact because nothing the tick does can change before
+    /// then: no request is queued in the slice, the controller neither
+    /// scans (its `scan_asleep_until` is an event) nor completes a read
+    /// (the earliest completion is an event) nor refreshes (the next
+    /// refresh is an event), and the scheme's drain yields nothing. That
+    /// drain gets `write_free - 1` slots, which only a controller issue
+    /// can change; a drain that filled its budget left at most one slot
+    /// (budget 0), and one that did not has nothing left until the
+    /// channel's `next_timed_event`, also an event.
     pub fn tick(
         &mut self,
         scheme: &mut dyn ProtectionScheme,
         now: Cycle,
         respond: &mut dyn FnMut(L2Response, Cycle),
-    ) {
+    ) -> Option<Cycle> {
         let mut mc_t = ccraft_telemetry::profiler::PhaseTimer::start(self.mc.profile_enabled());
         self.mc.tick(now);
         self.mc.profile_add_tick_ns(mc_t.lap());
@@ -500,53 +502,36 @@ impl L2Slice {
                 break;
             }
         }
-        // 5. Sleep memo: a slice with nothing queued of its own sleeps
-        //    until its next event. A stalled head request keeps it awake,
-        //    because every retry re-runs the lookup (a miss counted, LRU
-        //    touched). `next_event` reports `now` for the same reason. The
-        //    responses just made are already the crossbar's.
-        self.wake = match self.next_event(now, scheme) {
-            Some(c) => c,
-            None => Cycle::MAX,
-        };
+        // 5. A slice with nothing queued of its own can sleep until its
+        //    next event. A stalled head request keeps it awake, because
+        //    every retry re-runs the lookup (a miss counted, LRU touched):
+        //    `next_event` reports `now` for it. The responses just made
+        //    are already the crossbar's.
+        self.next_event(now, scheme)
     }
 
-    /// `true` when the tick at `now` is provably a no-op apart from the
-    /// controller's busy-cycle count, so the cycle loop may replace it by
-    /// [`account_asleep_span`](Self::account_asleep_span).
-    ///
-    /// Exact because, after the last tick set the memo, nothing the tick
-    /// does can change before the wake: no request is queued in the slice
-    /// (a `push` would have cleared the memo), the controller neither
-    /// scans (its `scan_asleep_until` is a wake) nor completes a read (the
-    /// earliest completion is a wake) nor refreshes (the next refresh is a
-    /// wake), and the scheme's drain yields nothing. That drain gets
-    /// `write_free - 1` slots, which only a controller issue can change;
-    /// a drain that filled its budget left at most one slot (budget 0),
-    /// and one that did not has nothing left until the channel's
-    /// `next_timed_event`, also a wake.
-    pub fn asleep(&self, now: Cycle) -> bool {
-        now < self.wake
-    }
-
-    /// Accounts for `span` ticks skipped while [`asleep`](Self::asleep),
-    /// exactly as they would have counted.
+    /// Accounts for `span` ticks skipped while asleep (see
+    /// [`tick`](Self::tick)), exactly as they would have counted.
     pub fn account_asleep_span(&mut self, span: u64) {
         self.mc.account_idle_span(span);
     }
 
-    /// Oracle build: runs a tick the sleep memo would skip and asserts
-    /// that it changed nothing but what
+    /// Oracle build: runs a tick that the cycle loop skips, with the slice
+    /// asleep until `wake`, and asserts that it changed nothing but what
     /// [`account_asleep_span`](Self::account_asleep_span) counts, that it
     /// made no response, and that the live
-    /// [`next_event`](Self::next_event) never precedes the memo.
+    /// [`next_event`](Self::next_event) never precedes `wake`.
     ///
     /// # Panics
     ///
-    /// Panics when the memo's wake is later than the slice's real one.
+    /// Panics when `wake` is later than the slice's real next event.
     #[cfg(feature = "check-invariants")]
-    pub fn tick_asleep_checked(&mut self, scheme: &mut dyn ProtectionScheme, now: Cycle) {
-        let wake = self.wake;
+    pub fn tick_asleep_checked(
+        &mut self,
+        scheme: &mut dyn ProtectionScheme,
+        now: Cycle,
+        wake: Cycle,
+    ) {
         if let Some(c) = self.next_event(now, scheme) {
             assert!(
                 c >= wake,
@@ -587,23 +572,24 @@ impl L2Slice {
     }
 
     /// Queues write-backs for every dirty atom still resident (end-of-kernel
-    /// flush), leaving the cache clean.
+    /// flush), leaving the cache clean. Every flushed atom stays resident
+    /// while its write-back is planned, so the residency check needs no
+    /// eviction.
     pub fn flush_dirty(&mut self, scheme: &mut dyn ProtectionScheme, now: Cycle) {
-        self.wake = 0;
         let dirty: Vec<u64> = self
             .cache
             .iter_valid()
             .filter(|&(_, d)| d)
             .map(|(a, _)| a)
             .collect();
-        self.queue_writebacks(&dirty, &dirty, scheme, now);
+        self.queue_writebacks(dirty.iter().copied(), None, scheme, now);
         for &a in &dirty {
             self.cache.clean(a);
         }
     }
 
     /// Earliest cycle at which this slice has (or may have) work, for
-    /// idle fast-forwarding and the slice's own sleep memo.
+    /// idle fast-forwarding and the slice's sleep in the wake calendar.
     /// `Some(c <= now)` means busy this cycle; `Some(c > now)` is the
     /// earlier of the controller's event ([`MemCtrl::next_event`]) and the
     /// scheme's timed drain deadline for this channel; `None` means
@@ -620,11 +606,6 @@ impl L2Slice {
             wake = wake.min(due);
         }
         (wake != Cycle::MAX).then_some(wake)
-    }
-
-    /// The sleep memo's wake cycle: the tick at this cycle runs.
-    pub fn wake(&self) -> Cycle {
-        self.wake
     }
 
     /// `true` when no work remains anywhere in the slice.
@@ -703,46 +684,6 @@ impl L2Slice {
     /// MSHRs currently tracking an in-flight miss (telemetry accessor).
     pub fn mshrs_in_use(&self) -> usize {
         self.mshr_index.len()
-    }
-
-    /// Total MSHR slots.
-    pub fn mshr_capacity(&self) -> usize {
-        self.mshrs.len()
-    }
-
-    /// Controller queue depths `(reads, writes)` (telemetry accessor).
-    pub fn mc_queue_depth(&self) -> (usize, usize) {
-        (self.mc.read_q_len(), self.mc.write_q_len())
-    }
-
-    /// Turns on the controller's latency histograms (telemetry only).
-    pub fn enable_mc_latency_hist(&mut self) {
-        self.mc.enable_latency_hist();
-    }
-
-    /// The controller's read-latency histogram, when enabled.
-    pub fn mc_read_latency_hist(&self) -> Option<&ccraft_telemetry::Histogram> {
-        self.mc.read_latency_hist()
-    }
-
-    /// Turns on per-transaction DRAM issue tracing (telemetry only).
-    pub fn enable_mc_issue_trace(&mut self) {
-        self.mc.enable_issue_trace();
-    }
-
-    /// Drains collected DRAM issue events (empty when tracing is off).
-    pub fn take_mc_issue_events(&mut self) -> Vec<IssueEvent> {
-        self.mc.take_issue_events()
-    }
-
-    /// Turns on controller self-profiling (observation only).
-    pub fn enable_mc_profile(&mut self) {
-        self.mc.enable_profile();
-    }
-
-    /// The controller's self-profile, when enabled.
-    pub fn mc_profile(&self) -> Option<&crate::mem_ctrl::McProfile> {
-        self.mc.profile()
     }
 }
 
@@ -835,7 +776,7 @@ mod tests {
         let (mut slice, mut scheme) = slice_and_scheme();
         slice.push(write_req(4, true));
         let (_, _) = run_until_idle(&mut slice, &mut scheme, 0);
-        assert!(slice.probe(4));
+        assert!(slice.cache.probe(4));
         assert_eq!(slice.mc_stats().class_count(TrafficClass::DataRead), 0);
     }
 
@@ -845,7 +786,7 @@ mod tests {
         slice.push(write_req(4, false));
         let (resps, _) = run_until_idle(&mut slice, &mut scheme, 0);
         assert!(resps.is_empty(), "stores produce no responses");
-        assert!(slice.probe(4));
+        assert!(slice.cache.probe(4));
         assert_eq!(slice.mc_stats().class_count(TrafficClass::DataRead), 1);
     }
 
@@ -900,8 +841,8 @@ mod tests {
         let cfg = GpuConfig::tiny();
         let full = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
         let taxed = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 8 << 10);
-        assert_eq!(full.cache_capacity(), 16 << 10);
-        assert_eq!(taxed.cache_capacity(), 8 << 10);
+        assert_eq!(full.cache.capacity_bytes(), 16 << 10);
+        assert_eq!(taxed.cache.capacity_bytes(), 8 << 10);
     }
 
     #[test]
@@ -1009,8 +950,9 @@ mod tests {
     /// Drives a slice through `bursty_script` with refresh on, flushing
     /// once the script is done and then idling to a fixed end cycle (so
     /// the run ends inside a sleep, across several refreshes). With
-    /// `skip`, the slice ticks only at its wake cycle (or when a request
-    /// arrives), and skipped ticks are accounted in bulk. Returns the
+    /// `skip`, the slice sleeps as the cycle loop sleeps it: until the
+    /// next event its last tick returned, or until a request arrives or
+    /// the flush, and skipped ticks are accounted in bulk. Returns the
     /// final stats, every response with the cycle it is ready, whether
     /// the slice drained, and the number of skipped ticks.
     fn drive_bursty(skip: bool) -> (L2SliceStats, McStats, Vec<(Cycle, L2Response)>, bool, u64) {
@@ -1029,35 +971,40 @@ mod tests {
         let mut skipped = 0u64;
         let mut skipped_total = 0u64;
         let mut flushed = false;
+        // The slice ticks at every cycle before `wake`'s.
+        let mut wake: Cycle = 0;
         let mut now: Cycle = 0;
         while now < END {
             while next < script.len() && script[next].0 <= now && slice.can_accept() {
                 slice.push(script[next].1);
                 next += 1;
+                wake = 0;
             }
             let flush_due = next == script.len() && slice.is_idle() && scheme.is_drained();
             if flush_due && !flushed {
                 scheme.flush();
                 slice.flush_dirty(&mut scheme, now);
                 flushed = true;
+                wake = 0;
             }
-            if skip && slice.asleep(now) {
+            if skip && now < wake {
                 skipped += 1;
             } else {
                 slice.account_asleep_span(skipped);
                 skipped_total += skipped;
                 skipped = 0;
-                slice.tick(&mut scheme, now, &mut |resp, ready| {
+                let event = slice.tick(&mut scheme, now, &mut |resp, ready| {
                     responses.push((ready, resp));
                 });
+                wake = event.unwrap_or(Cycle::MAX);
             }
             now += 1;
             let flush_due =
                 !flushed && next == script.len() && slice.is_idle() && scheme.is_drained();
-            if skip && slice.asleep(now) && !flush_due {
+            if skip && now < wake && !flush_due {
                 // Jump to the wake, stopping early for the next arrival.
                 let arrival = script.get(next).map_or(Cycle::MAX, |&(at, _)| at.max(now));
-                let to = slice.wake().min(arrival).min(END);
+                let to = wake.min(arrival).min(END);
                 skipped += to - now;
                 now = to;
             }
@@ -1113,14 +1060,12 @@ mod tests {
         slice.push(read_req(0));
         let (_, t) = run_until_idle(&mut slice, &mut scheme, 0);
         slice.push(read_req(0));
-        slice.tick(&mut scheme, t, &mut |resp, ready| {
+        let event = slice.tick(&mut scheme, t, &mut |resp, ready| {
             xbar.send_response(resp, ready);
         });
         assert_eq!(slice.stats().cache.read_hits, 1);
         assert!(slice.is_idle());
-        assert_eq!(slice.next_event(t, &scheme), None);
-        assert_eq!(slice.wake(), Cycle::MAX);
-        assert!(slice.asleep(t + 1));
+        assert_eq!(event, None);
         let arrival = t + Cycle::from(cfg.l2.latency) + Cycle::from(cfg.xbar.latency);
         assert_eq!(xbar.next_arrival(), Some(arrival));
         let mut got = Vec::new();

@@ -113,35 +113,12 @@ pub struct McStats {
     pub busy_cycles: u64,
     /// All-bank refresh operations performed.
     pub refreshes: u64,
-    /// Row activations (see [`DramChannel`]).
-    pub activates: u64,
-    /// Row precharges.
-    pub precharges: u64,
 }
 
 impl McStats {
     /// Transactions of one class.
     pub fn class_count(&self, class: TrafficClass) -> u64 {
         self.count[class.index()]
-    }
-
-    /// Mean read latency in cycles (0 when no reads completed).
-    pub fn mean_read_latency(&self) -> f64 {
-        if self.read_latency_count == 0 {
-            0.0
-        } else {
-            self.read_latency_sum as f64 / self.read_latency_count as f64
-        }
-    }
-
-    /// Row-hit rate over all accesses.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_empties + self.row_conflicts;
-        if total == 0 {
-            1.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
     }
 }
 
@@ -177,10 +154,11 @@ pub struct MemCtrl {
     draining: bool,
     /// Scan-skip memo: until this cycle, every window entry is provably
     /// blocked (bank/precharge/bus constraint not yet expired), so
-    /// `pick_and_issue` scans are futile and skipped. Reset on every
-    /// push (new entries may issue immediately) and recomputed each time
-    /// a full scan of both queues fails; capped at the next refresh,
-    /// the only event that changes bank state without an issue.
+    /// `pick_and_issue` scans are futile and skipped. Set each time a
+    /// full scan of both queues fails, to the earliest cycle any refused
+    /// attempt reported, capped at the next refresh (the only event that
+    /// changes bank state without an issue); lowered by a push whose
+    /// entry could issue sooner.
     scan_asleep_until: Cycle,
     /// (data_ready, completion) pairs not yet collected.
     inflight: Vec<Completion>,
@@ -199,8 +177,6 @@ pub struct MemCtrl {
     popped_reads: u64,
     /// Telemetry: read-latency histogram (enqueue to data), when enabled.
     read_lat_hist: Option<Histogram>,
-    /// Telemetry: write service-latency histogram, when enabled.
-    write_lat_hist: Option<Histogram>,
     /// Telemetry: per-transaction issue events, when enabled.
     issue_trace: Option<Vec<IssueEvent>>,
     /// Self-profiling state, when enabled (boxed: cold by default).
@@ -231,7 +207,6 @@ impl MemCtrl {
             #[cfg(feature = "check-invariants")]
             popped_reads: 0,
             read_lat_hist: None,
-            write_lat_hist: None,
             issue_trace: None,
             profile: None,
         }
@@ -262,21 +237,15 @@ impl MemCtrl {
         self.profile.as_deref()
     }
 
-    /// Turns on the read/write latency histograms. Telemetry only; has no
+    /// Turns on the read-latency histogram. Telemetry only; has no
     /// effect on scheduling or timing.
     pub fn enable_latency_hist(&mut self) {
         self.read_lat_hist = Some(Histogram::new());
-        self.write_lat_hist = Some(Histogram::new());
     }
 
-    /// The read-latency histogram, when enabled and non-empty.
+    /// The read-latency histogram, when enabled.
     pub fn read_latency_hist(&self) -> Option<&Histogram> {
         self.read_lat_hist.as_ref()
-    }
-
-    /// The write service-latency histogram, when enabled.
-    pub fn write_latency_hist(&self) -> Option<&Histogram> {
-        self.write_lat_hist.as_ref()
     }
 
     /// Turns on per-transaction issue-event collection (drain with
@@ -303,16 +272,6 @@ impl MemCtrl {
         self.write_q.len()
     }
 
-    /// Space available in the read queue.
-    pub fn can_accept_read(&self) -> bool {
-        self.read_q.len() < self.read_cap
-    }
-
-    /// Space available in the write queue.
-    pub fn can_accept_write(&self) -> bool {
-        self.write_q.len() < self.write_cap
-    }
-
     /// Free read-queue slots (for all-or-nothing multi-request issue).
     pub fn read_free(&self) -> usize {
         self.read_cap - self.read_q.len()
@@ -328,8 +287,8 @@ impl MemCtrl {
     /// # Panics
     ///
     /// Panics if the corresponding queue is full; callers must check
-    /// [`can_accept_read`](Self::can_accept_read) /
-    /// [`can_accept_write`](Self::can_accept_write) first.
+    /// [`read_free`](Self::read_free) / [`write_free`](Self::write_free)
+    /// first.
     pub fn push(&mut self, req: DramRequest, now: Cycle) {
         let coord = self.chan.address_map().decompose(req.atom);
         // A fresh entry may be issueable sooner than the sleeping scan's
@@ -347,14 +306,14 @@ impl MemCtrl {
             coord,
         };
         if req.is_write() {
-            assert!(self.can_accept_write(), "write queue overflow");
+            assert!(self.write_free() > 0, "write queue overflow");
             self.write_q.push_back(pending);
             #[cfg(feature = "check-invariants")]
             {
                 self.pushed_writes += 1;
             }
         } else {
-            assert!(self.can_accept_read(), "read queue overflow");
+            assert!(self.read_free() > 0, "read queue overflow");
             self.read_q.push_back(pending);
             #[cfg(feature = "check-invariants")]
             {
@@ -373,14 +332,18 @@ impl MemCtrl {
         self.read_q.len() + self.write_q.len() + self.inflight.len()
     }
 
-    fn pick_and_issue(&mut self, now: Cycle, from_writes: bool) -> bool {
+    /// Issues the first request of one queue's window that can go this
+    /// cycle, in FR-FCFS order. When none can, every window entry was
+    /// tried and refused, and the result is the earliest cycle any of
+    /// them could issue (`Cycle::MAX` for an empty queue).
+    fn pick_and_issue(&mut self, now: Cycle, from_writes: bool) -> Result<(), Cycle> {
         let q = if from_writes {
             &self.write_q
         } else {
             &self.read_q
         };
         if q.is_empty() {
-            return false;
+            return Err(Cycle::MAX);
         }
         let window = self.window.min(q.len());
         // First-ready: prefer the oldest row hit that can issue now, else
@@ -407,71 +370,32 @@ impl MemCtrl {
         // Try the row-hit candidate first, then the oldest request, then
         // the rest of the window in age order. The two candidates are
         // distinct by construction (`chosen` is a hit, `fallback` only
-        // records non-hits), so a plain skip in the final scan reproduces
-        // the old dedup'd order without allocating.
-        if let Some(i) = chosen {
-            if self.try_issue_at(now, from_writes, i) {
-                return true;
+        // records non-hits), so a plain skip in the final pass tries
+        // every entry exactly once.
+        let rest = (0..window).filter(|&i| Some(i) != chosen && Some(i) != fallback);
+        let mut bound = Cycle::MAX;
+        for i in chosen.into_iter().chain(fallback).chain(rest) {
+            match self.try_issue_at(now, from_writes, i) {
+                Ok(()) => return Ok(()),
+                Err(b) => bound = bound.min(b),
             }
         }
-        if let Some(i) = fallback {
-            if self.try_issue_at(now, from_writes, i) {
-                return true;
-            }
-        }
-        for i in 0..window {
-            if Some(i) == chosen || Some(i) == fallback {
-                continue;
-            }
-            if self.try_issue_at(now, from_writes, i) {
-                return true;
-            }
-        }
-        false
+        Err(bound)
     }
 
     /// Attempts to issue queue entry `i`; on success removes it and does
-    /// all completion/stat/trace bookkeeping.
-    fn try_issue_at(&mut self, now: Cycle, from_writes: bool, i: usize) -> bool {
-        let q = if from_writes {
-            &self.write_q
-        } else {
-            &self.read_q
-        };
-        let pending = q[i];
-        // Mirror cross-check: `issue_blocked_until` must agree with
-        // `try_issue_at` in both directions, on every attempt. This is
-        // the load-bearing equivalence behind the scan-skip memo and the
-        // idle fast-forward — a divergent mirror silently changes timing.
-        #[cfg(feature = "check-invariants")]
-        let predicted = self
-            .chan
-            .issue_blocked_until(pending.coord, pending.req.is_write(), now);
-        let Some(info) = self
-            .chan
-            .try_issue_at(pending.coord, pending.req.is_write(), now)
-        else {
-            #[cfg(feature = "check-invariants")]
-            assert!(
-                predicted > now,
-                "invariant violated: issue_blocked_until said atom {} was \
-                 issueable at {now} but try_issue_at refused",
-                pending.req.atom
-            );
-            return false;
-        };
-        #[cfg(feature = "check-invariants")]
-        assert!(
-            predicted <= now,
-            "invariant violated: issue_blocked_until said atom {} was blocked \
-             until {predicted} but try_issue_at issued at {now}",
-            pending.req.atom
-        );
+    /// all completion/stat/trace bookkeeping, on failure returns the
+    /// cycle its first-failing DRAM constraint expires.
+    fn try_issue_at(&mut self, now: Cycle, from_writes: bool, i: usize) -> Result<(), Cycle> {
         let q = if from_writes {
             &mut self.write_q
         } else {
             &mut self.read_q
         };
+        let pending = q[i];
+        let info = self
+            .chan
+            .try_issue_at(pending.coord, pending.req.is_write(), now)?;
         q.remove(i);
         self.stats.count[pending.req.class.index()] += 1;
         if !pending.req.is_write() {
@@ -485,8 +409,6 @@ impl MemCtrl {
                 done: info.data_ready,
             });
             self.earliest_done = self.earliest_done.min(info.data_ready);
-        } else if let Some(h) = &mut self.write_lat_hist {
-            h.record(info.data_ready - pending.enqueued);
         }
         if let Some(buf) = &mut self.issue_trace {
             buf.push(IssueEvent {
@@ -498,7 +420,7 @@ impl MemCtrl {
                 queued: now - pending.enqueued,
             });
         }
-        true
+        Ok(())
     }
 
     /// Advances the controller one cycle: refresh bookkeeping, write-drain
@@ -535,15 +457,22 @@ impl MemCtrl {
                 p.scan_memo.miss();
             }
         }
-        let serve_writes = self.draining || self.read_q.is_empty();
-        let issued = if serve_writes {
-            // Opportunistically serve a read if no write could issue.
-            self.pick_and_issue(now, true) || self.pick_and_issue(now, false)
-        } else {
-            self.pick_and_issue(now, false) || self.pick_and_issue(now, true)
-        };
-        if !issued && (!self.read_q.is_empty() || !self.write_q.is_empty()) {
-            self.scan_asleep_until = self.earliest_possible_issue(now);
+        // Opportunistically serve the other queue if the first could not
+        // issue.
+        let writes_first = self.draining || self.read_q.is_empty();
+        let issued = self.pick_and_issue(now, writes_first).or_else(|first| {
+            self.pick_and_issue(now, !writes_first)
+                .map_err(|second| first.min(second))
+        });
+        // A failed scan refused every window entry of both queues, each
+        // with the cycle its first-failing constraint expires. A refusal
+        // changes no state, so no entry can issue before the earliest of
+        // them unless a push (which lowers the memo) or a refresh (the
+        // cap) intervenes. Never sleep at or before `now`.
+        if let Err(bound) = issued {
+            if self.has_queued() {
+                self.scan_asleep_until = bound.min(self.chan.next_refresh_at()).max(now + 1);
+            }
         }
         if let Some(p) = &mut self.profile {
             p.host_sched_ns = p.host_sched_ns.saturating_add(sched_t.lap());
@@ -551,10 +480,9 @@ impl MemCtrl {
     }
 
     /// Scan-sleep verification: while `scan_asleep_until` claims every
-    /// window entry is blocked, re-scan both queues through the
-    /// side-effect-free mirror and panic if anything could in fact issue
-    /// (the mirror itself is cross-checked against `try_issue_at` on
-    /// every real attempt, so this closes the loop on the memo).
+    /// window entry is blocked, re-check both queues through the
+    /// side-effect-free `issue_blocked_until` (the same timing rules as
+    /// an issue attempt) and panic if anything could in fact issue.
     #[cfg(feature = "check-invariants")]
     fn assert_scan_asleep(&self, now: Cycle) {
         for p in self.read_q.iter().take(self.window) {
@@ -623,25 +551,6 @@ impl MemCtrl {
             self.write_q.len() as u64 + issued_writes,
             "invariant violated: write conservation (pushed != queued + issued)"
         );
-    }
-
-    /// Conservative lower bound on the next cycle any window entry could
-    /// issue, given that a full scan just failed at `now`. Exact under
-    /// the constraint model: a failed attempt changes no state, and every
-    /// entry's first-failing constraint holds until its reported expiry
-    /// unless an issue (none can happen before the bound, by induction)
-    /// or a refresh (the bound is capped at it) intervenes.
-    fn earliest_possible_issue(&self, now: Cycle) -> Cycle {
-        let mut bound = self.chan.next_refresh_at();
-        for p in self.read_q.iter().take(self.window) {
-            bound = bound.min(self.chan.issue_blocked_until(p.coord, false, now));
-        }
-        for p in self.write_q.iter().take(self.window) {
-            bound = bound.min(self.chan.issue_blocked_until(p.coord, true, now));
-        }
-        // Never stall the scan at or before `now` (defensive: a bound in
-        // the past would otherwise disable the memo's monotone progress).
-        bound.max(now + 1)
     }
 
     /// Collects read completions whose data is available by `now` into a
@@ -720,8 +629,6 @@ impl MemCtrl {
         s.row_empties = self.chan.row_empties;
         s.row_conflicts = self.chan.row_conflicts;
         s.refreshes = self.chan.refreshes;
-        s.activates = self.chan.activates;
-        s.precharges = self.chan.precharges;
         s
     }
 }
@@ -841,11 +748,11 @@ mod tests {
         let mut mc = ctrl();
         let cap = GpuConfig::tiny().mem.read_queue;
         for i in 0..cap as u64 {
-            assert!(mc.can_accept_read());
+            assert!(mc.read_free() > 0);
             mc.push(read(i), 0);
         }
-        assert!(!mc.can_accept_read());
-        assert!(mc.can_accept_write());
+        assert_eq!(mc.read_free(), 0);
+        assert!(mc.write_free() > 0);
     }
 
     #[test]
@@ -865,7 +772,7 @@ mod tests {
         let mut popped = Vec::new();
         let mut next = 0u64;
         while completed < 64 {
-            while next < 64 && mc.can_accept_read() {
+            while next < 64 && mc.read_free() > 0 {
                 mc.push(read(next), now);
                 next += 1;
             }
@@ -879,7 +786,6 @@ mod tests {
         assert_eq!(s.row_empties, 1);
         assert_eq!(s.row_conflicts, 0);
         assert_eq!(s.row_hits, 63);
-        assert!(s.row_hit_rate() > 0.98);
     }
 
     #[test]
@@ -890,7 +796,7 @@ mod tests {
         let _ = run(&mut mc, 0, 100);
         let s = mc.stats();
         assert_eq!(s.read_latency_count, 2);
-        assert!(s.mean_read_latency() > 11.0);
+        assert!(s.read_latency_sum > 2 * 11);
     }
 
     #[test]
@@ -933,8 +839,6 @@ mod tests {
         assert_eq!(h.sum, s.read_latency_sum);
         assert!(h.p99() >= h.p50());
         assert!(h.p50() >= 1);
-        let w = mc.write_latency_hist().expect("enabled");
-        assert_eq!(w.count, 1);
     }
 
     #[test]

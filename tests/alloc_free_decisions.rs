@@ -63,13 +63,14 @@ static GLOBAL: Counting = Counting;
 
 /// A protected scheme may allocate at most this many times what ECC-off
 /// allocates on the same cell. Measured on `vecadd`, tiny, seed 1, on
-/// `GpuConfig::tiny()`: ECC-off makes 2,130 allocations inside
-/// `simulate`; inline-naive, ecc-cache and CacheCraft make 2,121, 2,806
-/// and 2,421 (1.00, 1.32 and 1.14 times ECC-off). What is left above
-/// ECC-off is the on-chip ECC stores' growth and their dirty evictions'
-/// `Eviction::dirty_atoms`, not the decisions. When each decision and
-/// each drain returned a `Vec`, the three made 34,889, 6,826 and 6,271
-/// (16.4, 3.2 and 2.9 times).
+/// `GpuConfig::tiny()`: ECC-off makes 164 allocations inside
+/// `simulate`; inline-naive, ecc-cache and CacheCraft make 158, 199 and
+/// 203 (0.96, 1.21 and 1.24 times ECC-off). What is left above ECC-off
+/// is the on-chip ECC stores' growth, not the decisions. When a cache
+/// eviction listed its dirty atoms in a `Vec`, the four made 2,130,
+/// 2,121, 2,806 and 2,421; when each decision and each drain also
+/// returned a `Vec`, the three protected schemes made 34,889, 6,826 and
+/// 6,271 (16.4, 3.2 and 2.9 times).
 const MAX_RATIO_TO_ECC_OFF: f64 = 1.5;
 
 #[test]

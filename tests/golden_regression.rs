@@ -322,6 +322,16 @@ const VECADD_TINY_TICKS: [(&str, u64, u64, u64); 4] = [
     ("cachecraft", 35689, 53092, 34139),
 ];
 
+/// `spmv` at tiny size, seed 1, on `GpuConfig::gddr6()`, the same
+/// columns. Refresh is on here, so these also pin the scan sleep's cap at
+/// the next refresh.
+const SPMV_GDDR6_TICKS: [(&str, u64, u64, u64); 4] = [
+    ("no-protection", 81040, 27153, 10180),
+    ("inline-naive", 81062, 45726, 21048),
+    ("ecc-cache", 81055, 30381, 11893),
+    ("cachecraft", 81019, 29565, 11580),
+];
+
 /// The wake calendar's tick counts, read from the self-profile's memo
 /// misses. They do not change the statistics, so a component that stays
 /// awake when it could sleep shows up here and nowhere else.
@@ -330,38 +340,44 @@ fn pinned_tick_counts_vecadd_tiny() {
     use cachecraft::sim::dram::MapOrder;
     use cachecraft::sim::{simulate, Observe};
 
-    let cfg = GpuConfig::tiny();
-    let trace = Workload::VecAdd.generate(SizeClass::Tiny, 1);
     let obs = Observe {
         profile: true,
         ..Observe::default()
     };
-    let mut got = Vec::new();
-    for kind in SchemeKind::headline(&cfg) {
-        let out = simulate(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            kind.build(&cfg).as_mut(),
-            &obs,
-        );
-        let p = out.profile.expect("profile attached");
-        got.push((
-            kind.name(),
-            p.sm_sleep.misses.get(),
-            p.slice_sleep.misses.get(),
-            p.scan_memo.misses.get(),
-        ));
-    }
-    for (name, sm, slice, scans) in &got {
-        println!("    (\"{name}\", {sm}, {slice}, {scans}),");
-    }
-    for (got, expect) in got.into_iter().zip(VECADD_TINY_TICKS) {
-        let (name, sm, slice, scans) = expect;
-        assert_eq!(got.0, name);
-        assert_eq!(got.1, sm, "{name}: SM ticks drifted");
-        assert_eq!(got.2, slice, "{name}: L2 slice ticks drifted");
-        assert_eq!(got.3, scans, "{name}: controller scans drifted");
+    let inputs = [
+        (GpuConfig::tiny(), Workload::VecAdd, VECADD_TINY_TICKS),
+        (GpuConfig::gddr6(), Workload::Spmv, SPMV_GDDR6_TICKS),
+    ];
+    for (cfg, workload, pinned) in inputs {
+        let trace = workload.generate(SizeClass::Tiny, 1);
+        let mut got = Vec::new();
+        for kind in SchemeKind::headline(&cfg) {
+            let out = simulate(
+                &cfg,
+                MapOrder::RoBaCo,
+                &trace,
+                kind.build(&cfg).as_mut(),
+                &obs,
+            );
+            let p = out.profile.expect("profile attached");
+            got.push((
+                kind.name(),
+                p.sm_sleep.misses.get(),
+                p.slice_sleep.misses.get(),
+                p.scan_memo.misses.get(),
+            ));
+        }
+        println!("{workload}:");
+        for (name, sm, slice, scans) in &got {
+            println!("    (\"{name}\", {sm}, {slice}, {scans}),");
+        }
+        for (got, expect) in got.into_iter().zip(pinned) {
+            let (name, sm, slice, scans) = expect;
+            assert_eq!(got.0, name);
+            assert_eq!(got.1, sm, "{workload}/{name}: SM ticks drifted");
+            assert_eq!(got.2, slice, "{workload}/{name}: L2 slice ticks drifted");
+            assert_eq!(got.3, scans, "{workload}/{name}: controller scans drifted");
+        }
     }
 }
 

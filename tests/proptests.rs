@@ -14,6 +14,7 @@ use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::cache::SectorCache;
 use cachecraft::sim::coalesce::{coalesce, coalesce_writes};
 use cachecraft::sim::config::GpuConfig;
+use cachecraft::sim::dram::{DramChannel, MapOrder, RowOutcome};
 use cachecraft::sim::protection::ChannelInterleave;
 use cachecraft::sim::trace::{KernelTrace, WarpOp, WarpTrace};
 use cachecraft::sim::types::LogicalAtom;
@@ -227,6 +228,70 @@ fn cache_fill_probe_capacity() {
             assert!(c.probe(a), "case {case}: atom {a} lost right after fill");
         }
         assert!(c.valid_atoms() <= 64, "case {case}: capacity exceeded");
+    }
+}
+
+/// The DRAM channel's blocked-until bound is never late: the memory
+/// controller sleeps its FR-FCFS scan until the earliest bound its failed
+/// attempts report, so a bound later than the first cycle an access could
+/// really issue would silently delay it. Seeded random accesses over a
+/// few rows per bank (so hits, empties and conflicts all occur), with
+/// refresh on for `gddr6`; at each step the bound is `now` exactly when
+/// the access issues, and every cycle before the bound (up to the next
+/// refresh, which changes bank state) still refuses it.
+#[test]
+fn dram_issue_bound_is_never_late() {
+    /// Cycles checked past `now` per step, to bound the test's run time.
+    const MAX_SPAN: u64 = 48;
+    for (name, mem) in [
+        ("tiny", GpuConfig::tiny().mem),
+        ("gddr6", GpuConfig::gddr6().mem),
+    ] {
+        let mut rng = SmallRng::seed_from_u64(0xD0CB);
+        let mut ch = DramChannel::new(&mem, MapOrder::RoBaCo);
+        let map = ch.address_map();
+        let atoms = 3 * mem.banks as u64 * mem.row_atoms();
+        let mut outcomes = [0u64; 3];
+        let mut now = 0;
+        for step in 0..12_000 {
+            now += rng.gen_range(0..4u64);
+            ch.tick_refresh(now);
+            let coord = map.decompose(rng.gen_range(0..atoms));
+            let is_write = rng.gen_bool(0.3);
+            let bound = ch.issue_blocked_until(coord, is_write, now);
+            assert!(
+                bound >= now,
+                "{name} step {step}: bound {bound} before {now}"
+            );
+            let issued = ch.clone().try_issue_at(coord, is_write, now);
+            assert_eq!(
+                bound == now,
+                issued.is_ok(),
+                "{name} step {step}: bound {bound} at {now} but issue gave {issued:?}"
+            );
+            let end = bound.min(ch.next_refresh_at()).min(now + MAX_SPAN);
+            for n in now..end {
+                assert!(
+                    ch.clone().try_issue_at(coord, is_write, n).is_err(),
+                    "{name} step {step}: bound {bound} at {now} is late: issues at {n}"
+                );
+            }
+            if let Ok(info) = ch.try_issue_at(coord, is_write, now) {
+                let k = match info.row_outcome {
+                    RowOutcome::Hit => 0,
+                    RowOutcome::Empty => 1,
+                    RowOutcome::Conflict => 2,
+                };
+                outcomes[k] += 1;
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "{name}: hits, empties and conflicts must all occur: {outcomes:?}"
+        );
+        if mem.timing.t_refi > 0 {
+            assert!(ch.refreshes >= 3, "{name}: only {} refreshes", ch.refreshes);
+        }
     }
 }
 
