@@ -5,7 +5,6 @@ use crate::cachecraft::{CacheCraft, CacheCraftConfig};
 use crate::ecc_cache::EccCache;
 use crate::naive::InlineNaive;
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::dram::MapOrder;
 use ccraft_sim::protection::{ChannelInterleave, NoProtection, ProtectionScheme};
 use ccraft_sim::stats::SimStats;
 use ccraft_sim::trace::KernelTrace;
@@ -98,18 +97,10 @@ impl fmt::Display for SchemeKind {
     }
 }
 
-/// Runs `trace` under `kind` on `cfg` with the standard row-major DRAM
-/// mapping, returning the run's statistics.
+/// Runs `trace` under `kind` on `cfg`, returning the run's statistics.
 pub fn run_scheme(cfg: &GpuConfig, kind: SchemeKind, trace: &KernelTrace) -> SimStats {
     let mut scheme = kind.build(cfg);
-    simulate(
-        cfg,
-        MapOrder::RoBaCo,
-        trace,
-        scheme.as_mut(),
-        &Observe::default(),
-    )
-    .stats
+    simulate(cfg, trace, scheme.as_mut(), &Observe::default()).stats
 }
 
 /// [`run_scheme`] with the observers as positional arguments. Kept only
@@ -129,7 +120,7 @@ pub fn run_scheme_profiled(
         faults: faults.copied(),
         profile,
     };
-    simulate(cfg, MapOrder::RoBaCo, trace, kind.build(cfg).as_mut(), &obs)
+    simulate(cfg, trace, kind.build(cfg).as_mut(), &obs)
 }
 
 #[cfg(test)]
@@ -159,7 +150,7 @@ mod tests {
         trace: &KernelTrace,
         obs: &Observe,
     ) -> ccraft_sim::SimOutput {
-        simulate(cfg, MapOrder::RoBaCo, trace, kind.build(cfg).as_mut(), obs)
+        simulate(cfg, trace, kind.build(cfg).as_mut(), obs)
     }
 
     #[test]

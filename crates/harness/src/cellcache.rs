@@ -22,6 +22,7 @@
 //! through its long-lived one.
 
 use crate::error::Error;
+use crate::lock_clean;
 use crate::runner::{cell_faults, CacheDisposition, CellRun, ExpOptions};
 use crate::store;
 use ccraft_core::factory::SchemeKind;
@@ -36,17 +37,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// FNV-1a 64-bit offset basis (first digest half).
-const FNV_BASIS_A: u64 = 0xcbf2_9ce4_8422_2325;
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// A second, independent basis (the first basis XOR a large odd
 /// constant) so the two halves of the digest are decorrelated.
-const FNV_BASIS_B: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15;
+const FNV_BASIS_B: u64 = FNV_BASIS ^ 0x9e37_79b9_7f4a_7c15;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over `bytes` from an explicit basis. Pure arithmetic — no
 /// `DefaultHasher`, whose output is allowed to vary across processes and
 /// releases, which would break the cross-process digest guarantee.
-fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
+pub fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
     let mut h = basis;
     for &b in bytes {
         h ^= u64::from(b);
@@ -133,7 +134,7 @@ impl CellKey {
     /// Deterministic across processes, platforms, and releases.
     pub fn digest(&self) -> String {
         let canon = self.canonical();
-        let a = fnv1a64(canon.as_bytes(), FNV_BASIS_A);
+        let a = fnv1a64(canon.as_bytes(), FNV_BASIS);
         let b = fnv1a64(canon.as_bytes(), FNV_BASIS_B);
         format!("{a:016x}{b:016x}")
     }
@@ -386,10 +387,6 @@ fn code_version() -> &'static str {
     })
 }
 
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,7 +432,7 @@ mod tests {
         assert_eq!(key.digest().len(), 32);
         assert!(key.digest().bytes().all(|b| b.is_ascii_hexdigit()));
         let recomputed = {
-            let a = fnv1a64(key.canonical().as_bytes(), FNV_BASIS_A);
+            let a = fnv1a64(key.canonical().as_bytes(), FNV_BASIS);
             let b = fnv1a64(key.canonical().as_bytes(), FNV_BASIS_B);
             format!("{a:016x}{b:016x}")
         };

@@ -21,11 +21,12 @@
 
 use crate::cellcache::ResultCache;
 use crate::error::Error;
+use crate::lock_clean;
 use crate::runner::CellOutcome;
 use ccraft_sim::stats::SimStats;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Format version of the `checkpoint.json` ledger.
 pub const CHECKPOINT_SCHEMA: u32 = 3;
@@ -171,12 +172,6 @@ impl Run {
 
 /// The process-global active run, if any.
 static CURRENT: Mutex<Option<Arc<Run>>> = Mutex::new(None);
-
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A poisoned lock only means some thread panicked mid-update; the
-    // data inside is still valid.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Makes `run` the active run while `f` executes: every standard matrix
 /// cell inside memoizes through its cache and lands in its ledger. The

@@ -29,6 +29,15 @@ pub use runner::{
     CacheDisposition, CellOutcome, CellRun, CellStatus, ExpOptions, MatrixResult, EXIT_DEGRADED,
     EXIT_FAILED, EXIT_OK, OPTIONS_USAGE,
 };
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Acquires a mutex even when a previous holder panicked. Every mutex in
+/// the harness and the daemon (job queues, result slots, the cache index,
+/// the checkpoint ledger) guards data that stays structurally valid across
+/// a panic mid-update, so poisoning is recoverable.
+pub fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Geometric mean of positive values; 0.0 for an empty slice.
 ///

@@ -16,9 +16,9 @@
 use crate::cellcache::{cached, CellKey};
 use crate::checkpoint;
 use crate::error::Error;
+use crate::lock_clean;
 use ccraft_core::factory::SchemeKind;
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::dram::MapOrder;
 use ccraft_sim::faults::FaultConfig;
 use ccraft_sim::stats::SimStats;
 use ccraft_sim::trace::KernelTrace;
@@ -28,7 +28,7 @@ use ccraft_workloads::{SizeClass, Workload};
 use std::io::IsTerminal as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 use std::time::Instant;
 
 /// Usage text for the options shared by every experiment.
@@ -220,13 +220,6 @@ fn parse_value<T: std::str::FromStr>(
             args.get(i)
         ))),
     }
-}
-
-/// Acquires a mutex even when a previous holder panicked: the protected
-/// data in this runner (job queues, result slots) stays
-/// structurally valid across a cell panic, so poisoning is recoverable.
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Renders a panic payload as text.
@@ -480,7 +473,7 @@ pub fn run_cell(
         ..Observe::default()
     };
     let mut built = scheme.build(cfg);
-    let stats = simulate(cfg, MapOrder::RoBaCo, trace, built.as_mut(), &obs).stats;
+    let stats = simulate(cfg, trace, built.as_mut(), &obs).stats;
     CellRun::plain(stats)
 }
 

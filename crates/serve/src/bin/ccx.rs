@@ -22,7 +22,6 @@ use ccraft_harness::report::{results_dir, write_manifest};
 use ccraft_harness::{Error, ExpOptions, OPTIONS_USAGE};
 use ccraft_serve::{machine_by_name, scheme_by_name};
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::dram::MapOrder;
 use ccraft_sim::energy::EnergyModel;
 use ccraft_sim::{simulate, Observe};
 use ccraft_telemetry::chrome_trace::ChromeTrace;
@@ -257,7 +256,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         println!("\n{trace}");
         for &kind in &schemes {
             let mut scheme = kind.build(&cfg);
-            let out = simulate(&cfg, MapOrder::RoBaCo, &trace, scheme.as_mut(), &obs);
+            let out = simulate(&cfg, &trace, scheme.as_mut(), &obs);
             if let Some(chrome) = out.trace {
                 last_trace = Some((format!("{}/{}", w.name(), kind.name()), chrome));
             }

@@ -40,11 +40,11 @@
 #![warn(missing_debug_implementations)]
 
 use ccraft_core::factory::SchemeKind;
-use ccraft_harness::cellcache::{cached, CellKey, ResultCache};
+use ccraft_harness::cellcache::{cached, fnv1a64, CellKey, ResultCache, FNV_BASIS};
 use ccraft_harness::http::{Request, Response};
 use ccraft_harness::report::Table;
 use ccraft_harness::runner::{run_cell, run_matrix_cells_with_body, CellBody, CellRun};
-use ccraft_harness::{CacheDisposition, CellOutcome, Error, ExpOptions};
+use ccraft_harness::{lock_clean, CacheDisposition, CellOutcome, Error, ExpOptions};
 use ccraft_sim::config::GpuConfig;
 use ccraft_sim::faults::FaultConfig;
 use ccraft_telemetry::manifest::{CellManifest, RunManifest};
@@ -273,10 +273,6 @@ pub struct ServeState {
     next_job: AtomicU64,
 }
 
-fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 impl ServeState {
     /// Opens the cache directory.
     ///
@@ -414,9 +410,10 @@ impl ServeState {
             .map_or(spec.seed, |o| o.seed);
         let cell_opts = ExpOptions { seed, ..*base_opts };
         // The injection seed derives from the cell index; use a stable
-        // per-identity index so the result is independent of the sweep's
-        // shape (the cache key must fully determine the result).
-        let idx = stable_cell_index(&cell);
+        // per-identity index (FNV-1a of the cell name) so the result is
+        // independent of the sweep's shape (the cache key must fully
+        // determine the result).
+        let idx = fnv1a64(cell.as_bytes(), FNV_BASIS) as usize;
         let key = CellKey::for_cell(cfg, &cell_opts, idx, workload, scheme);
         let run = cached(&self.cache, &key, || {
             lock_clean(job).push_event(format!("cell {cell}: cache miss, simulating"));
@@ -428,17 +425,6 @@ impl ServeState {
         });
         run
     }
-}
-
-/// FNV-1a of the cell identity, used as a stable per-cell index for
-/// injection seed derivation (independent of matrix position).
-fn stable_cell_index(cell: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in cell.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h as usize
 }
 
 /// Renders a deterministic results CSV over the sweep's successful cells.

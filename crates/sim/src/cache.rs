@@ -63,18 +63,6 @@ pub struct CacheStats {
     pub dirty_evictions: u64,
 }
 
-impl CacheStats {
-    /// Read hit rate in [0, 1]; 1 when there were no reads.
-    pub fn read_hit_rate(&self) -> f64 {
-        let total = self.read_hits + self.read_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.read_hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Line {
     /// Line-granularity tag (atom / atoms_per_line); `u64::MAX` = invalid.
@@ -329,24 +317,6 @@ impl SectorCache {
         }
     }
 
-    /// Invalidates a single atom (other sectors of the line survive).
-    /// Returns `true` if it was valid and dirty.
-    pub fn invalidate(&mut self, atom: u64) -> bool {
-        let tag = self.tag_of(atom);
-        if let Some(i) = self.find(tag) {
-            let s = self.sector_of(atom);
-            let was_dirty = self.lines[i].valid & self.lines[i].dirty & s != 0;
-            self.lines[i].valid &= !s;
-            self.lines[i].dirty &= !s;
-            if self.lines[i].valid == 0 {
-                self.lines[i] = Line::empty();
-            }
-            was_dirty
-        } else {
-            false
-        }
-    }
-
     /// Iterates over all currently valid atoms (for drain/flush logic),
     /// yielding `(atom, dirty)`.
     pub fn iter_valid(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
@@ -448,17 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_single_sector() {
-        let mut c = SectorCache::new(2, 2, 4);
-        c.fill(0, true);
-        c.fill(1, false);
-        assert!(c.invalidate(0)); // was dirty
-        assert!(!c.invalidate(0)); // already gone
-        assert!(!c.probe(0));
-        assert!(c.probe(1));
-    }
-
-    #[test]
     fn capacity_and_with_capacity() {
         let c = SectorCache::with_capacity(16 << 10, 8, 4);
         assert_eq!(c.capacity_bytes(), 16 << 10);
@@ -477,7 +436,6 @@ mod tests {
         assert_eq!(s.read_misses, 1);
         assert_eq!(s.read_hits, 1);
         assert_eq!(s.write_hits, 1);
-        assert!((s.read_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -34,23 +34,18 @@ pub struct CoreConfig {
     pub sms: u16,
     /// Resident warps per SM.
     pub warps_per_sm: u16,
-    /// Threads per warp (fixed at 32 in the generators, informational here).
-    pub threads_per_warp: u16,
     /// Warp scheduling policy.
     pub scheduler: SchedulerPolicy,
-    /// Capacity of the per-SM load/store unit queue (coalesced accesses).
-    pub lsu_queue: usize,
 }
 
-/// Parameters of a sectored cache (used for both L1 and L2).
+/// Parameters of a sectored cache (used for both L1 and L2). Lines are
+/// `ATOM_BYTES * ATOMS_PER_LINE` = 128 bytes: four 32-byte sectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
     /// Associativity.
     pub ways: u32,
-    /// Line size in bytes (must be `ATOM_BYTES * ATOMS_PER_LINE`).
-    pub line_bytes: u64,
     /// Access (hit) latency in cycles.
     pub latency: u32,
     /// Miss-status holding registers.
@@ -62,7 +57,7 @@ pub struct CacheConfig {
 impl CacheConfig {
     /// Number of sets implied by the geometry.
     pub fn sets(&self) -> u64 {
-        self.capacity_bytes / (self.line_bytes * self.ways as u64)
+        self.capacity_bytes / (ATOM_BYTES * ATOMS_PER_LINE * self.ways as u64)
     }
 }
 
@@ -179,14 +174,11 @@ impl GpuConfig {
             core: CoreConfig {
                 sms: 16,
                 warps_per_sm: 24,
-                threads_per_warp: 32,
                 scheduler: SchedulerPolicy::GreedyThenOldest,
-                lsu_queue: 64,
             },
             l1: CacheConfig {
                 capacity_bytes: 64 << 10,
                 ways: 4,
-                line_bytes: 128,
                 latency: 28,
                 mshrs: 16,
                 input_queue: 32,
@@ -194,7 +186,6 @@ impl GpuConfig {
             l2: CacheConfig {
                 capacity_bytes: 512 << 10, // per slice; 4 MiB total
                 ways: 16,
-                line_bytes: 128,
                 latency: 96,
                 mshrs: 48,
                 input_queue: 32,
@@ -255,14 +246,11 @@ impl GpuConfig {
             core: CoreConfig {
                 sms: 2,
                 warps_per_sm: 4,
-                threads_per_warp: 32,
                 scheduler: SchedulerPolicy::GreedyThenOldest,
-                lsu_queue: 16,
             },
             l1: CacheConfig {
                 capacity_bytes: 4 << 10,
                 ways: 4,
-                line_bytes: 128,
                 latency: 4,
                 mshrs: 8,
                 input_queue: 8,
@@ -270,7 +258,6 @@ impl GpuConfig {
             l2: CacheConfig {
                 capacity_bytes: 16 << 10,
                 ways: 8,
-                line_bytes: 128,
                 latency: 8,
                 mshrs: 16,
                 input_queue: 8,
@@ -318,16 +305,10 @@ impl GpuConfig {
             return err("need at least one SM and one warp".into());
         }
         for (name, c) in [("l1", &self.l1), ("l2", &self.l2)] {
-            if c.line_bytes != ATOM_BYTES * ATOMS_PER_LINE {
-                return err(format!(
-                    "{name}: line_bytes must be {} (sectored, 4 x 32 B)",
-                    ATOM_BYTES * ATOMS_PER_LINE
-                ));
-            }
             if c.ways == 0 || c.capacity_bytes == 0 {
                 return err(format!("{name}: zero capacity or ways"));
             }
-            if c.capacity_bytes % (c.line_bytes * c.ways as u64) != 0 {
+            if c.capacity_bytes % (ATOM_BYTES * ATOMS_PER_LINE * c.ways as u64) != 0 {
                 return err(format!("{name}: capacity not divisible by way size"));
             }
             if !c.sets().is_power_of_two() {
@@ -411,14 +392,6 @@ mod tests {
     fn cache_sets_math() {
         let l2 = GpuConfig::gddr6().l2;
         assert_eq!(l2.sets(), (512 << 10) / (128 * 16));
-    }
-
-    #[test]
-    fn validation_rejects_bad_line_size() {
-        let mut cfg = GpuConfig::tiny();
-        cfg.l1.line_bytes = 64;
-        let e = cfg.validate().unwrap_err();
-        assert!(e.to_string().contains("line_bytes"));
     }
 
     #[test]

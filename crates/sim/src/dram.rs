@@ -21,18 +21,15 @@ use crate::config::{DramTiming, MemConfig};
 use crate::types::Cycle;
 use serde::{Deserialize, Serialize};
 
-/// How channel-local atom indices map onto (bank, row, column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The DRAM address order, as the benchmark crate (`ccbench/`) passes it
+/// to [`simulate_with_exec`](crate::gpu::simulate_with_exec), which
+/// ignores it: the simulator has one order, the row-major one of
+/// [`DramAddressMap`]. Kept only for that crate; ROADMAP item 7 deletes
+/// it with `ExecConfig`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapOrder {
-    /// Row-major: consecutive atoms fill a DRAM row, banks interleave at
-    /// row granularity (`[row][bank][col]`). Streams enjoy long row hits;
-    /// bank-level parallelism comes from concurrent streams. This is the
-    /// layout CacheCraft's row co-location (C1) assumes.
+    /// Row-major, `[row][bank][col]`.
     RoBaCo,
-    /// Fine bank interleave: banks rotate every 128-byte line
-    /// (`[row][colhi][bank][collo]`). Maximizes single-stream bank
-    /// parallelism at the cost of row locality. Used as an ablation.
-    RoCoBa,
 }
 
 /// Decomposed DRAM coordinates of one atom.
@@ -46,77 +43,42 @@ pub struct DramCoord {
     pub col: u64,
 }
 
-/// Maps channel-local atoms to DRAM coordinates.
+/// Maps channel-local atoms to DRAM coordinates, row-major
+/// (`[row][bank][col]`): consecutive atoms fill a DRAM row and banks
+/// interleave at row granularity. Streams enjoy long row hits; bank-level
+/// parallelism comes from concurrent streams. This is the layout
+/// CacheCraft's row co-location (C1) assumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramAddressMap {
-    order: MapOrder,
     banks: u32,
     row_atoms: u64,
 }
 
 impl DramAddressMap {
-    /// Atoms per line used by the fine-interleave order.
-    const LINE_ATOMS: u64 = 4;
-
     /// Creates a map.
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is zero or `row_atoms` is not a positive multiple
-    /// of 4.
-    pub fn new(order: MapOrder, banks: u32, row_atoms: u64) -> Self {
-        assert!(banks > 0, "banks must be positive");
-        assert!(
-            row_atoms >= Self::LINE_ATOMS && row_atoms.is_multiple_of(Self::LINE_ATOMS),
-            "row_atoms must be a positive multiple of 4"
-        );
-        DramAddressMap {
-            order,
-            banks,
-            row_atoms,
-        }
+    /// Panics if `banks` is not a power of two or `row_atoms` is zero.
+    pub fn new(banks: u32, row_atoms: u64) -> Self {
+        assert!(banks.is_power_of_two(), "banks must be a power of two");
+        assert!(row_atoms > 0, "row_atoms must be positive");
+        DramAddressMap { banks, row_atoms }
     }
 
-    /// Permutation-based bank hashing (Zhang et al., MICRO'00): XOR the
-    /// low row bits into the bank index. Bijective per row; it breaks the
-    /// pathological case where same-aligned arrays land on the same bank
-    /// in lock-step. All real GPU memory controllers hash banks this way.
-    fn hash_bank(&self, bank_raw: u64, row: u64) -> u32 {
-        if self.banks.is_power_of_two() {
-            ((bank_raw ^ row) & (self.banks as u64 - 1)) as u32
-        } else {
-            // Non-power-of-two bank counts skip hashing (keeps bijectivity).
-            (bank_raw % self.banks as u64) as u32
-        }
-    }
-
-    /// Decomposes an atom index.
+    /// Decomposes an atom index. Banks are hashed by permutation (Zhang
+    /// et al., MICRO'00): the low row bits are XORed into the bank index.
+    /// Bijective per row; it breaks the pathological case where
+    /// same-aligned arrays land on the same bank in lock-step. All real
+    /// GPU memory controllers hash banks this way.
     pub fn decompose(&self, atom: u64) -> DramCoord {
-        match self.order {
-            MapOrder::RoBaCo => {
-                let col = atom % self.row_atoms;
-                let bank_raw = (atom / self.row_atoms) % self.banks as u64;
-                let row = atom / (self.row_atoms * self.banks as u64);
-                DramCoord {
-                    bank: self.hash_bank(bank_raw, row),
-                    row,
-                    col,
-                }
-            }
-            MapOrder::RoCoBa => {
-                let lo = atom % Self::LINE_ATOMS;
-                let rest = atom / Self::LINE_ATOMS;
-                let bank_raw = rest % self.banks as u64;
-                let rest = rest / self.banks as u64;
-                let cols_hi = self.row_atoms / Self::LINE_ATOMS;
-                let col = (rest % cols_hi) * Self::LINE_ATOMS + lo;
-                let row = rest / cols_hi;
-                DramCoord {
-                    bank: self.hash_bank(bank_raw, row),
-                    row,
-                    col,
-                }
-            }
+        let col = atom % self.row_atoms;
+        let bank_raw = (atom / self.row_atoms) % self.banks as u64;
+        let row = atom / (self.row_atoms * self.banks as u64);
+        DramCoord {
+            bank: ((bank_raw ^ row) & (self.banks as u64 - 1)) as u32,
+            row,
+            col,
         }
     }
 }
@@ -210,8 +172,8 @@ pub struct DramChannel {
 
 impl DramChannel {
     /// Creates a channel from the memory configuration.
-    pub fn new(mem: &MemConfig, order: MapOrder) -> Self {
-        let map = DramAddressMap::new(order, mem.banks, mem.row_atoms());
+    pub fn new(mem: &MemConfig) -> Self {
+        let map = DramAddressMap::new(mem.banks, mem.row_atoms());
         DramChannel {
             map,
             timing: mem.timing,
@@ -448,7 +410,7 @@ mod tests {
     fn channel() -> DramChannel {
         // tiny(): t_rcd=5, t_rp=5, t_ras=12, cas=5, burst=1, refresh off,
         // 4 banks, 64-atom rows.
-        DramChannel::new(&GpuConfig::tiny().mem, MapOrder::RoBaCo)
+        DramChannel::new(&GpuConfig::tiny().mem)
     }
 
     /// Issues the access to `atom` through the channel's address map.
@@ -468,7 +430,7 @@ mod tests {
 
     #[test]
     fn robaco_decomposition() {
-        let map = DramAddressMap::new(MapOrder::RoBaCo, 4, 64);
+        let map = DramAddressMap::new(4, 64);
         assert_eq!(
             map.decompose(0),
             DramCoord {
@@ -513,33 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn rocoba_decomposition() {
-        let map = DramAddressMap::new(MapOrder::RoCoBa, 4, 64);
-        // Atoms 0..4 in bank 0, atoms 4..8 in bank 1, ...
-        assert_eq!(map.decompose(0).bank, 0);
-        assert_eq!(map.decompose(3).bank, 0);
-        assert_eq!(map.decompose(4).bank, 1);
-        assert_eq!(map.decompose(15).bank, 3);
-        assert_eq!(map.decompose(16).bank, 0);
-        assert_eq!(map.decompose(16).col, 4);
-        // Row increments after banks * row_atoms atoms.
-        assert_eq!(map.decompose(4 * 64).row, 1);
-    }
-
-    #[test]
     fn decomposition_is_injective_within_capacity() {
-        for order in [MapOrder::RoBaCo, MapOrder::RoCoBa] {
-            let map = DramAddressMap::new(order, 4, 64);
-            let mut seen = crate::fxmap::FxHashSet::default();
-            for atom in 0..(4 * 64 * 8) {
-                let c = map.decompose(atom);
-                assert!(c.col < 64);
-                assert!(c.bank < 4);
-                assert!(
-                    seen.insert((c.bank, c.row, c.col)),
-                    "{order:?}: collision at {atom}"
-                );
-            }
+        let map = DramAddressMap::new(4, 64);
+        let mut seen = crate::fxmap::FxHashSet::default();
+        for atom in 0..(4 * 64 * 8) {
+            let c = map.decompose(atom);
+            assert!(c.col < 64);
+            assert!(c.bank < 4);
+            assert!(seen.insert((c.bank, c.row, c.col)), "collision at {atom}");
         }
     }
 
@@ -624,7 +567,7 @@ mod tests {
         let mut cfg = GpuConfig::tiny();
         cfg.mem.timing.t_refi = 100;
         cfg.mem.timing.t_rfc = 20;
-        let mut ch = DramChannel::new(&cfg.mem, MapOrder::RoBaCo);
+        let mut ch = DramChannel::new(&cfg.mem);
         issue(&mut ch, 0, false, 0).unwrap();
         assert_eq!(outcome(&ch, 1), RowOutcome::Hit);
         ch.tick_refresh(100);

@@ -7,8 +7,8 @@
 //! scans while `scan_asleep_until` holds. Each memo is an unchecked
 //! claim in the default build. Under the `check-invariants` feature
 //! this module (plus `#[cfg]`-gated hooks in `gpu.rs`, `calendar.rs`,
-//! `mem_ctrl.rs`, `dram.rs`, `l1.rs`, `l2.rs` and `xbar.rs`) turns every
-//! claim into an assertion:
+//! `mem_ctrl.rs`, `dram.rs`, `l1.rs`, `l2.rs`, `mshr.rs` and `xbar.rs`)
+//! turns every claim into an assertion:
 //!
 //! * **Memo conservativeness** — the loop *ticks through* predicted-idle
 //!   spans instead of jumping, and the [`Oracle`] asserts that the

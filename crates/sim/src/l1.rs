@@ -9,9 +9,9 @@
 
 use crate::cache::{LookupResult, SectorCache};
 use crate::config::CacheConfig;
-use crate::fxmap::FxHashMap;
 use crate::msg::{L2Request, L2Response, NO_L1_MSHR};
-use crate::types::{AccessKind, Cycle, LogicalAtom, SmId, WarpIdx};
+use crate::mshr::MshrFile;
+use crate::types::{AccessKind, Cycle, LogicalAtom, SmId, WarpIdx, ATOMS_PER_LINE};
 use std::collections::VecDeque;
 
 /// One access handed from the SM's load/store unit to the L1.
@@ -23,12 +23,6 @@ pub struct L1Access {
     pub atom: LogicalAtom,
     /// Read or write.
     pub kind: AccessKind,
-}
-
-#[derive(Debug)]
-struct L1Mshr {
-    atom: LogicalAtom,
-    waiters: Vec<WarpIdx>,
 }
 
 /// Per-L1 statistics.
@@ -52,12 +46,9 @@ pub struct L1Cache {
     in_cap: usize,
     /// Loads that hit, waiting out the hit latency: `(ready, warp)`.
     hit_q: VecDeque<(Cycle, WarpIdx)>,
-    mshrs: Vec<Option<L1Mshr>>,
-    mshr_index: FxHashMap<LogicalAtom, usize>,
-    free_mshrs: Vec<usize>,
-    /// Emptied waiter lists of freed MSHRs, reused by the next misses so
-    /// a miss allocates nothing once every MSHR has been used.
-    spare_waiters: Vec<Vec<WarpIdx>>,
+    /// Outstanding read misses by atom; the waiters are the warps to
+    /// notify on fill.
+    mshrs: MshrFile<LogicalAtom, WarpIdx, ()>,
     /// Completed load notifications for the SM: one entry per finished
     /// access, identifying the warp.
     completions: Vec<WarpIdx>,
@@ -67,12 +58,6 @@ pub struct L1Cache {
     /// [`next_event`](Self::next_event)).
     mshr_blocked: bool,
     stats: L1Stats,
-    /// Oracle counter: MSHRs allocated (request conservation).
-    #[cfg(feature = "check-invariants")]
-    mshr_allocs: u64,
-    /// Oracle counter: fill responses accepted (request conservation).
-    #[cfg(feature = "check-invariants")]
-    fills_accepted: u64,
 }
 
 impl L1Cache {
@@ -80,22 +65,15 @@ impl L1Cache {
     pub fn new(sm: SmId, cfg: &CacheConfig) -> Self {
         L1Cache {
             sm,
-            cache: SectorCache::new(cfg.sets(), cfg.ways, 4),
+            cache: SectorCache::new(cfg.sets(), cfg.ways, ATOMS_PER_LINE),
             latency: cfg.latency,
             in_q: VecDeque::with_capacity(cfg.input_queue),
             in_cap: cfg.input_queue,
             hit_q: VecDeque::new(),
-            mshrs: (0..cfg.mshrs).map(|_| None).collect(),
-            mshr_index: FxHashMap::default(),
-            free_mshrs: (0..cfg.mshrs).rev().collect(),
-            spare_waiters: Vec::new(),
+            mshrs: MshrFile::new(cfg.mshrs),
             completions: Vec::new(),
             mshr_blocked: false,
             stats: L1Stats::default(),
-            #[cfg(feature = "check-invariants")]
-            mshr_allocs: 0,
-            #[cfg(feature = "check-invariants")]
-            fills_accepted: 0,
         }
     }
 
@@ -116,33 +94,20 @@ impl L1Cache {
     }
 
     /// Accepts a fill response from the L2 (via the crossbar).
-    // Invariant: responses carry the MSHR index this L1 allocated, so
-    // the slot is occupied until its response arrives.
-    #[allow(clippy::expect_used)]
     pub fn accept_response(&mut self, resp: L2Response) {
         debug_assert_eq!(resp.dest, self.sm);
-        let idx = resp.l1_mshr as usize;
-        // lint: allow(panic-freedom) reason=responses carry the MSHR index this L1 allocated; the slot stays occupied until its response arrives
-        let mut m = self.mshrs[idx].take().expect("response for empty L1 MSHR");
-        self.mshr_index.remove(&m.atom);
-        self.free_mshrs.push(idx);
+        let mut m = self.mshrs.release(resp.l1_mshr as usize);
         self.mshr_blocked = false;
-        #[cfg(feature = "check-invariants")]
-        {
-            self.fills_accepted += 1;
-        }
         // Install; L1 lines are never dirty (write-through), so evictions
         // are silent.
-        let _ = self.cache.fill(m.atom.0, false);
+        let _ = self.cache.fill(m.key.0, false);
         self.completions.append(&mut m.waiters);
-        self.spare_waiters.push(m.waiters);
+        self.mshrs.recycle(m.waiters);
     }
 
     /// Advances the pipeline one cycle. `send` forwards a request toward
     /// the L2 (returns `false` on backpressure); `map` is the protection
     /// scheme's logical→physical translation.
-    // Invariant: `mshr_index` only maps to occupied MSHR slots.
-    #[allow(clippy::expect_used)]
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -175,16 +140,11 @@ impl L1Cache {
                         self.in_q.pop_front();
                     }
                     LookupResult::SectorMiss | LookupResult::LineMiss => {
-                        if let Some(&idx) = self.mshr_index.get(&access.atom) {
-                            self.mshrs[idx]
-                                .as_mut()
-                                // lint: allow(panic-freedom) reason=mshr_index only maps atoms to occupied slots; entries are removed before the slot is freed
-                                .expect("indexed mshr")
-                                .waiters
-                                .push(access.warp);
+                        if let Some(m) = self.mshrs.find_mut(access.atom) {
+                            m.waiters.push(access.warp);
                             self.stats.read_misses += 1;
                             self.in_q.pop_front();
-                        } else if let Some(&free) = self.free_mshrs.last() {
+                        } else if let Some(free) = self.mshrs.next_free() {
                             let req = L2Request {
                                 loc: map(access.atom),
                                 kind: AccessKind::Read,
@@ -192,18 +152,7 @@ impl L1Cache {
                                 l1_mshr: free as u32,
                             };
                             if send(req) {
-                                self.free_mshrs.pop();
-                                #[cfg(feature = "check-invariants")]
-                                {
-                                    self.mshr_allocs += 1;
-                                }
-                                self.mshr_index.insert(access.atom, free);
-                                let mut waiters = self.spare_waiters.pop().unwrap_or_default();
-                                waiters.push(access.warp);
-                                self.mshrs[free] = Some(L1Mshr {
-                                    atom: access.atom,
-                                    waiters,
-                                });
+                                self.mshrs.insert(access.atom, ()).waiters.push(access.warp);
                                 self.stats.read_misses += 1;
                                 self.in_q.pop_front();
                             }
@@ -264,7 +213,7 @@ impl L1Cache {
     pub fn is_idle(&self) -> bool {
         self.in_q.is_empty()
             && self.hit_q.is_empty()
-            && self.mshr_index.is_empty()
+            && self.mshrs.is_empty()
             && self.completions.is_empty()
     }
 
@@ -278,36 +227,16 @@ impl L1Cache {
     ///
     /// # Panics
     ///
-    /// Panics on an MSHR leak, a dangling index entry, an over-capacity
-    /// queue, or a miss whose response never arrived being double-freed.
+    /// Panics on an over-capacity queue, or on an MSHR leak, a dangling
+    /// index entry or a request neither answered nor outstanding.
     #[cfg(feature = "check-invariants")]
     pub fn assert_coherent(&self) {
         assert!(
             self.in_q.len() <= self.in_cap,
             "invariant violated: L1 input queue over capacity"
         );
-        assert_eq!(
-            self.free_mshrs.len() + self.mshr_index.len(),
-            self.mshrs.len(),
-            "invariant violated: L1 MSHR leak (free + indexed != total)"
-        );
-        for (&atom, &idx) in &self.mshr_index {
-            match self.mshrs[idx].as_ref() {
-                Some(m) => assert_eq!(
-                    m.atom, atom,
-                    "invariant violated: L1 mshr_index atom mismatch at slot {idx}"
-                ),
-                None => {
-                    panic!("invariant violated: L1 mshr_index maps {atom:?} to empty slot {idx}")
-                }
-            }
-        }
-        assert_eq!(
-            self.mshr_allocs,
-            self.fills_accepted + self.mshr_index.len() as u64,
-            "invariant violated: L1 request conservation \
-             (misses sent != responses received + outstanding MSHRs)"
-        );
+        self.mshrs
+            .assert_coherent(format_args!("L1 of SM {}", self.sm.0));
     }
 }
 

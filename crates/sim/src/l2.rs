@@ -19,12 +19,11 @@
 
 use crate::cache::{CacheStats, Eviction, LookupResult, SectorCache};
 use crate::config::GpuConfig;
-use crate::dram::MapOrder;
-use crate::fxmap::FxHashMap;
 use crate::mem_ctrl::{Completion, DramRequest, DramTag, McStats, MemCtrl};
 use crate::msg::{L2Request, L2Response};
+use crate::mshr::MshrFile;
 use crate::protection::{Fill, ProtectionScheme, ProtectionStats, Writeback};
-use crate::types::{AccessKind, Cycle, PhysLoc, TrafficClass};
+use crate::types::{AccessKind, Cycle, PhysLoc, TrafficClass, ATOMS_PER_LINE, ATOM_BYTES};
 use std::collections::VecDeque;
 
 /// Requests the slice pipeline processes per cycle.
@@ -33,11 +32,9 @@ pub const SLICE_PORTS: usize = 2;
 /// Write-back tasks and pending fills processed per cycle.
 const WB_TASKS_PER_CYCLE: usize = 4;
 
+/// The state of one in-flight fill beyond its atom and readers.
 #[derive(Debug)]
-struct Mshr {
-    atom: u64,
-    /// Readers to notify on fill: `(sm, l1_mshr)`.
-    waiters: Vec<(u16, u32)>,
+struct FillState {
     /// DRAM pieces still outstanding (data + ECC fetches).
     pieces_left: u32,
     /// Install the sector dirty (fetch-on-write merge happened).
@@ -58,9 +55,6 @@ struct WbTask {
 pub struct L2SliceStats {
     /// Sectored-cache counters.
     pub cache: CacheStats,
-    /// Cycles a request stalled because MSHRs or controller queues were
-    /// full.
-    pub pipeline_stalls: u64,
     /// Demand fills completed.
     pub fills: u64,
     /// Write-backs issued to DRAM (data atoms).
@@ -79,12 +73,9 @@ pub struct L2Slice {
     latency: u32,
     in_q: VecDeque<L2Request>,
     in_cap: usize,
-    mshrs: Vec<Option<Mshr>>,
-    mshr_index: FxHashMap<u64, usize>,
-    free_mshrs: Vec<usize>,
-    /// Emptied waiter lists of freed MSHRs, reused by the next misses so
-    /// a miss allocates nothing once every MSHR has been used.
-    spare_waiters: Vec<Vec<(u16, u32)>>,
+    /// In-flight fills by atom; the waiters are the readers to notify,
+    /// `(sm, l1_mshr)`.
+    mshrs: MshrFile<u64, (u16, u32), FillState>,
     pending_wb: VecDeque<WbTask>,
     /// The slice's memory controller (the cycle loop reads its telemetry
     /// and queue depths directly).
@@ -94,9 +85,6 @@ pub struct L2Slice {
     comp_buf: Vec<Completion>,
     /// Reused scratch for the scheme's drained ECC writes.
     drain_buf: Vec<u64>,
-    /// Oracle counter: MSHRs allocated (fill conservation).
-    #[cfg(feature = "check-invariants")]
-    mshr_allocs: u64,
 }
 
 impl L2Slice {
@@ -107,32 +95,26 @@ impl L2Slice {
     /// # Panics
     ///
     /// Panics if the tax leaves no valid cache geometry.
-    pub fn new(cfg: &GpuConfig, channel: u16, order: MapOrder, l2_tax_bytes: u64) -> Self {
+    pub fn new(cfg: &GpuConfig, channel: u16, l2_tax_bytes: u64) -> Self {
         let cap = cfg.l2.capacity_bytes.saturating_sub(l2_tax_bytes);
         assert!(cap > 0, "protection tax consumed the whole L2 slice");
         // Keep the configured (power-of-two) set count and absorb the tax
         // by reducing associativity, so capacity is honoured exactly.
-        let line = cfg.l2.line_bytes;
         let sets = cfg.l2.sets();
-        let ways = (cap / (line * sets)) as u32;
+        let ways = (cap / (ATOM_BYTES * ATOMS_PER_LINE * sets)) as u32;
         assert!(ways > 0, "protection tax leaves less than one way");
         L2Slice {
             channel,
-            cache: SectorCache::new_hashed(sets, ways, 4),
+            cache: SectorCache::new_hashed(sets, ways, ATOMS_PER_LINE),
             latency: cfg.l2.latency,
             in_q: VecDeque::with_capacity(cfg.l2.input_queue),
             in_cap: cfg.l2.input_queue,
-            mshrs: (0..cfg.l2.mshrs).map(|_| None).collect(),
-            mshr_index: FxHashMap::default(),
-            free_mshrs: (0..cfg.l2.mshrs).rev().collect(),
-            spare_waiters: Vec::new(),
+            mshrs: MshrFile::new(cfg.l2.mshrs),
             pending_wb: VecDeque::new(),
-            mc: MemCtrl::new(&cfg.mem, order),
+            mc: MemCtrl::new(&cfg.mem),
             stats: L2SliceStats::default(),
             comp_buf: Vec::new(),
             drain_buf: Vec::new(),
-            #[cfg(feature = "check-invariants")]
-            mshr_allocs: 0,
         }
     }
 
@@ -233,8 +215,6 @@ impl L2Slice {
 
     /// Installs a completed fill, handling any eviction it causes, and
     /// answers its readers through `respond`.
-    // Invariant: the fill's MSHR slot stays occupied until installed.
-    #[allow(clippy::expect_used)]
     fn install_fill(
         &mut self,
         mshr_idx: usize,
@@ -242,11 +222,8 @@ impl L2Slice {
         now: Cycle,
         respond: &mut dyn FnMut(L2Response, Cycle),
     ) {
-        // lint: allow(panic-freedom) reason=the fill's MSHR slot stays occupied until installed; fills are only generated for allocated slots
-        let mut m = self.mshrs[mshr_idx].take().expect("mshr present");
-        self.mshr_index.remove(&m.atom);
-        self.free_mshrs.push(mshr_idx);
-        let evicted = self.cache.fill(m.atom, m.dirty_after_fill);
+        let mut m = self.mshrs.release(mshr_idx);
+        let evicted = self.cache.fill(m.key, m.extra.dirty_after_fill);
         self.stats.fills += 1;
         if let Some(ev) = evicted {
             self.queue_writebacks(ev.dirty_atoms(), evicted, scheme, now);
@@ -254,14 +231,14 @@ impl L2Slice {
         for (sm, l1_mshr) in m.waiters.drain(..) {
             respond(
                 L2Response {
-                    loc: PhysLoc::new(self.channel, m.atom),
+                    loc: PhysLoc::new(self.channel, m.key),
                     dest: crate::types::SmId(sm),
                     l1_mshr,
                 },
                 now + self.latency as Cycle,
             );
         }
-        self.spare_waiters.push(m.waiters);
+        self.mshrs.recycle(m.waiters);
     }
 
     /// Attempts to issue the head write-back task (all-or-nothing).
@@ -310,8 +287,6 @@ impl L2Slice {
     /// Processes one request from the input queue, answering a read hit
     /// through `respond`. Returns `false` when the head request must stall
     /// (left at the front).
-    // Invariant: `mshr_index` only maps to occupied MSHR slots.
-    #[allow(clippy::expect_used)]
     fn process_request(
         &mut self,
         scheme: &mut dyn ProtectionScheme,
@@ -337,14 +312,12 @@ impl L2Slice {
                     now + self.latency as Cycle,
                 );
             }
-        } else if let Some(&idx) = self.mshr_index.get(&atom) {
+        } else if let Some(m) = self.mshrs.find_mut(atom) {
             // Merge into the in-flight fill: a reader waits for it, a
             // write makes it install dirty.
-            // lint: allow(panic-freedom) reason=mshr_index only maps atoms to occupied slots; entries are removed before the slot is freed
-            let m = self.mshrs[idx].as_mut().expect("indexed mshr");
             match req.kind {
                 AccessKind::Read => m.waiters.push((req.src.0, req.l1_mshr)),
-                AccessKind::Write { .. } => m.dirty_after_fill = true,
+                AccessKind::Write { .. } => m.extra.dirty_after_fill = true,
             }
         } else if req.kind == (AccessKind::Write { full: true }) {
             // Write-allocate without fetch: install dirty.
@@ -361,8 +334,7 @@ impl L2Slice {
     /// Starts the demand fill of a read miss, or the fetch-on-write of a
     /// partial write to a non-resident sector: an MSHR, the data read and
     /// the ECC fetch the scheme's [`Fill`] asks for. Returns `false` (a
-    /// stall, counted) when no MSHR or too few controller read slots are
-    /// free.
+    /// stall) when no MSHR or too few controller read slots are free.
     fn start_fill(
         &mut self,
         req: L2Request,
@@ -373,31 +345,22 @@ impl L2Slice {
         // its state. A fill needs two (data plus at most one ECC fetch);
         // the reservation keeps a third, because tightening it moves the
         // simulated timing and so needs the goldens re-blessed.
-        let idx = match self.free_mshrs.last() {
-            Some(&idx) if self.mc.read_free() >= 3 => idx,
-            _ => {
-                self.stats.pipeline_stalls += 1;
-                return false;
-            }
+        let idx = match self.mshrs.next_free() {
+            Some(idx) if self.mc.read_free() >= 3 => idx,
+            _ => return false,
         };
-        self.free_mshrs.pop();
         let decision = scheme.demand_fill(req.loc, now);
         let ecc = self.count_fill(decision);
         let read = req.kind == AccessKind::Read;
-        let mut waiters = self.spare_waiters.pop().unwrap_or_default();
+        let m = self.mshrs.insert(
+            req.loc.atom,
+            FillState {
+                pieces_left: 1 + ecc.is_some() as u32,
+                dirty_after_fill: !read,
+            },
+        );
         if read {
-            waiters.push((req.src.0, req.l1_mshr));
-        }
-        self.mshr_index.insert(req.loc.atom, idx);
-        self.mshrs[idx] = Some(Mshr {
-            atom: req.loc.atom,
-            waiters,
-            pieces_left: 1 + ecc.is_some() as u32,
-            dirty_after_fill: !read,
-        });
-        #[cfg(feature = "check-invariants")]
-        {
-            self.mshr_allocs += 1;
+            m.waiters.push((req.src.0, req.l1_mshr));
         }
         self.mc.push(
             DramRequest {
@@ -461,9 +424,9 @@ impl L2Slice {
                     }
                     // The MSHR may have been freed if a full-line write
                     // raced ahead; guard accordingly.
-                    if let Some(m) = self.mshrs[mshr].as_mut() {
-                        m.pieces_left -= 1;
-                        if m.pieces_left == 0 {
+                    if let Some(m) = self.mshrs.get_mut(mshr) {
+                        m.extra.pieces_left -= 1;
+                        if m.extra.pieces_left == 0 {
                             self.install_fill(mshr, scheme, now, respond);
                         }
                     }
@@ -548,7 +511,7 @@ impl L2Slice {
                 s.mc.stats(),
                 s.mc.outstanding(),
                 s.pending_wb.len(),
-                s.mshr_index.len(),
+                s.mshrs.len(),
             )
         };
         let mut expect = snapshot(self);
@@ -612,7 +575,7 @@ impl L2Slice {
     pub fn is_idle(&self) -> bool {
         self.in_q.is_empty()
             && self.pending_wb.is_empty()
-            && self.mshr_index.is_empty()
+            && self.mshrs.is_empty()
             && self.mc.is_idle()
     }
 
@@ -634,8 +597,8 @@ impl L2Slice {
     /// # Panics
     ///
     /// Panics on an MSHR leak, a dangling or mismatched index entry, a
-    /// zero-piece MSHR that should already have installed, or an
-    /// over-capacity input queue.
+    /// fill neither installed nor outstanding, a zero-piece MSHR that
+    /// should already have installed, or an over-capacity input queue.
     #[cfg(feature = "check-invariants")]
     pub fn assert_coherent(&self) {
         assert!(
@@ -643,47 +606,22 @@ impl L2Slice {
             "invariant violated: L2 slice {} input queue over capacity",
             self.channel
         );
-        assert_eq!(
-            self.free_mshrs.len() + self.mshr_index.len(),
-            self.mshrs.len(),
-            "invariant violated: L2 slice {} MSHR leak (free + indexed != total)",
-            self.channel
-        );
-        for (&atom, &idx) in &self.mshr_index {
-            match self.mshrs[idx].as_ref() {
-                Some(m) => {
-                    assert_eq!(
-                        m.atom, atom,
-                        "invariant violated: L2 slice {} mshr_index atom mismatch \
-                         at slot {idx}",
-                        self.channel
-                    );
-                    assert!(
-                        m.pieces_left >= 1,
-                        "invariant violated: L2 slice {} MSHR {idx} has zero pieces \
-                         left but was not installed",
-                        self.channel
-                    );
-                }
-                None => panic!(
-                    "invariant violated: L2 slice {} mshr_index maps atom {atom} \
-                     to empty slot {idx}",
-                    self.channel
-                ),
-            }
+        self.mshrs
+            .assert_coherent(format_args!("L2 slice {}", self.channel));
+        for m in self.mshrs.entries() {
+            assert!(
+                m.extra.pieces_left >= 1,
+                "invariant violated: L2 slice {} MSHR for atom {} has zero pieces \
+                 left but was not installed",
+                self.channel,
+                m.key
+            );
         }
-        assert_eq!(
-            self.mshr_allocs,
-            self.stats.fills + self.mshr_index.len() as u64,
-            "invariant violated: L2 slice {} fill conservation \
-             (allocated MSHRs != fills installed + outstanding)",
-            self.channel
-        );
     }
 
     /// MSHRs currently tracking an in-flight miss (telemetry accessor).
     pub fn mshrs_in_use(&self) -> usize {
-        self.mshr_index.len()
+        self.mshrs.len()
     }
 }
 
@@ -696,7 +634,7 @@ mod tests {
 
     fn slice_and_scheme() -> (L2Slice, NoProtection) {
         let cfg = GpuConfig::tiny();
-        let slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
+        let slice = L2Slice::new(&cfg, 0, 0);
         let scheme = NoProtection::new(ChannelInterleave::new(
             cfg.mem.channels,
             cfg.mem.interleave_atoms,
@@ -793,7 +731,7 @@ mod tests {
     #[test]
     fn dirty_eviction_writes_back() {
         let cfg = GpuConfig::tiny();
-        let mut slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
+        let mut slice = L2Slice::new(&cfg, 0, 0);
         let mut scheme = NoProtection::new(ChannelInterleave::new(2, 8));
         // tiny L2 slice: 16 KiB = 128 lines (set indices are hashed, so
         // guarantee evictions by writing more distinct lines than the whole
@@ -839,8 +777,8 @@ mod tests {
     #[test]
     fn l2_tax_shrinks_cache() {
         let cfg = GpuConfig::tiny();
-        let full = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
-        let taxed = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 8 << 10);
+        let full = L2Slice::new(&cfg, 0, 0);
+        let taxed = L2Slice::new(&cfg, 0, 8 << 10);
         assert_eq!(full.cache.capacity_bytes(), 16 << 10);
         assert_eq!(taxed.cache.capacity_bytes(), 8 << 10);
     }
@@ -960,7 +898,7 @@ mod tests {
         let mut cfg = GpuConfig::tiny();
         cfg.mem.timing.t_refi = 400;
         cfg.mem.timing.t_rfc = 30;
-        let mut slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
+        let mut slice = L2Slice::new(&cfg, 0, 0);
         let mut scheme = TimedScheme {
             inner: NoProtection::new(ChannelInterleave::new(1, 8)),
             pending: VecDeque::new(),

@@ -18,7 +18,6 @@
 //!
 //! ```
 //! use ccraft_sim::config::GpuConfig;
-//! use ccraft_sim::dram::MapOrder;
 //! use ccraft_sim::gpu::{simulate, Observe};
 //! use ccraft_sim::protection::{ChannelInterleave, NoProtection};
 //! use ccraft_sim::trace::{KernelTrace, WarpOp, WarpTrace};
@@ -35,7 +34,7 @@
 //!     cfg.mem.channels,
 //!     cfg.mem.interleave_atoms,
 //! ));
-//! let stats = simulate(&cfg, MapOrder::RoBaCo, &trace, &mut scheme, &Observe::default()).stats;
+//! let stats = simulate(&cfg, &trace, &mut scheme, &Observe::default()).stats;
 //! assert!(!stats.timed_out);
 //! assert_eq!(stats.dram[0], 4); // four data-read atoms
 //! ```
@@ -73,6 +72,7 @@ pub mod l1;
 pub mod l2;
 pub mod mem_ctrl;
 pub mod msg;
+mod mshr;
 pub mod protection;
 pub mod sm;
 pub mod stats;

@@ -13,7 +13,7 @@
 //! for completion routing.
 
 use crate::config::MemConfig;
-use crate::dram::{DramChannel, MapOrder, RowOutcome};
+use crate::dram::{DramChannel, RowOutcome};
 use crate::types::{Cycle, TrafficClass};
 use ccraft_telemetry::profiler::{MemoStats, PhaseTimer};
 use ccraft_telemetry::Histogram;
@@ -185,9 +185,9 @@ pub struct MemCtrl {
 
 impl MemCtrl {
     /// Creates a controller for one channel.
-    pub fn new(mem: &MemConfig, order: MapOrder) -> Self {
+    pub fn new(mem: &MemConfig) -> Self {
         MemCtrl {
-            chan: DramChannel::new(mem, order),
+            chan: DramChannel::new(mem),
             read_q: VecDeque::with_capacity(mem.read_queue),
             write_q: VecDeque::with_capacity(mem.write_queue),
             read_cap: mem.read_queue,
@@ -639,7 +639,7 @@ mod tests {
     use crate::config::GpuConfig;
 
     fn ctrl() -> MemCtrl {
-        MemCtrl::new(&GpuConfig::tiny().mem, MapOrder::RoBaCo)
+        MemCtrl::new(&GpuConfig::tiny().mem)
     }
 
     fn read(atom: u64) -> DramRequest {
@@ -721,7 +721,7 @@ mod tests {
         let mut cfg = GpuConfig::tiny();
         cfg.mem.write_drain_high = 4;
         cfg.mem.write_drain_low = 1;
-        let mut mc = MemCtrl::new(&cfg.mem, MapOrder::RoBaCo);
+        let mut mc = MemCtrl::new(&cfg.mem);
         for i in 0..5 {
             mc.push(write(i), 0);
         }

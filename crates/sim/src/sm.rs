@@ -71,14 +71,20 @@ impl<'t> WarpState<'t> {
 pub struct SmStats {
     /// Instructions issued (trace ops started).
     pub issued_ops: u64,
-    /// Cycles in which no warp could issue.
-    pub idle_cycles: u64,
     /// Idle cycles where no warp was ready (all blocked on memory or
     /// compute latency) — the latency-bound stall reason.
     pub stall_no_ready_warp: u64,
     /// Idle cycles where a ready warp could not issue its memory op
     /// because the LSU was streaming another op — the structural hazard.
     pub stall_lsu_busy: u64,
+}
+
+impl SmStats {
+    /// Cycles in which no warp could issue: the two stall reasons
+    /// partition them.
+    pub fn idle_cycles(&self) -> u64 {
+        self.stall_no_ready_warp + self.stall_lsu_busy
+    }
 }
 
 /// Why a tick's issue stage issued nothing, which fixes what the tick
@@ -242,7 +248,6 @@ impl<'t> SmCore<'t> {
             if self.all_warps_done(now) {
                 return Some(StallReason::AllDone);
             }
-            self.stats.idle_cycles += 1;
             self.stats.stall_no_ready_warp += 1;
             return Some(StallReason::NoReadyWarp);
         };
@@ -250,7 +255,6 @@ impl<'t> SmCore<'t> {
         if w.at_memory_op {
             if self.lsu_warp.is_some() {
                 // LSU busy: structural hazard, no issue this cycle.
-                self.stats.idle_cycles += 1;
                 self.stats.stall_lsu_busy += 1;
                 return Some(StallReason::LsuBusy);
             }
@@ -273,11 +277,6 @@ impl<'t> SmCore<'t> {
     /// Statistics snapshot.
     pub fn stats(&self) -> SmStats {
         self.stats
-    }
-
-    /// Total ops across all resident warp traces (for progress accounting).
-    pub fn total_trace_ops(&self) -> u64 {
-        self.warps.iter().map(|w| w.ops.len() as u64).sum()
     }
 
     /// Earliest cycle at which this SM can make progress, for idle
@@ -351,7 +350,6 @@ impl<'t> SmCore<'t> {
             StallReason::AllDone => return,
         };
         *counter += span;
-        self.stats.idle_cycles += span;
     }
 }
 
@@ -689,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn stall_reasons_partition_idle_cycles() {
+    fn both_stall_reasons_are_counted() {
         // One warp blocked on a long load: every idle cycle while it waits
         // is a "no ready warp" stall. Two warps with back-to-back memory
         // ops add "LSU busy" structural stalls.
@@ -705,18 +703,12 @@ mod tests {
         let s = sm.stats();
         assert!(s.stall_no_ready_warp > 0, "{s:?}");
         assert!(s.stall_lsu_busy > 0, "{s:?}");
-        assert_eq!(
-            s.idle_cycles,
-            s.stall_no_ready_warp + s.stall_lsu_busy,
-            "{s:?}"
-        );
     }
 
     #[test]
     fn empty_sm_is_done_immediately() {
         let sm = mk_sm(&[]);
         assert!(sm.all_warps_done(0));
-        assert_eq!(sm.total_trace_ops(), 0);
     }
 
     #[test]

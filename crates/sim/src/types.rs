@@ -37,12 +37,6 @@ impl LogicalAtom {
     pub fn from_byte_addr(addr: u64) -> Self {
         LogicalAtom(addr / ATOM_BYTES)
     }
-
-    /// First byte address of this atom.
-    #[inline]
-    pub fn byte_addr(self) -> u64 {
-        self.0 * ATOM_BYTES
-    }
 }
 
 impl fmt::Display for LogicalAtom {
@@ -186,7 +180,6 @@ mod tests {
         assert_eq!(LogicalAtom::from_byte_addr(0), LogicalAtom(0));
         assert_eq!(LogicalAtom::from_byte_addr(31), LogicalAtom(0));
         assert_eq!(LogicalAtom::from_byte_addr(32), LogicalAtom(1));
-        assert_eq!(LogicalAtom(3).byte_addr(), 96);
     }
 
     #[test]

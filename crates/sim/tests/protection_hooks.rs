@@ -4,7 +4,6 @@
 //! queries during write-back planning.
 
 use ccraft_sim::config::GpuConfig;
-use ccraft_sim::dram::MapOrder;
 use ccraft_sim::l2::L2Slice;
 use ccraft_sim::msg::{L2Request, NO_L1_MSHR};
 use ccraft_sim::protection::{Fill, ProtectionScheme, Writeback};
@@ -105,7 +104,7 @@ fn write_req(atom: u64) -> L2Request {
 #[test]
 fn demand_fill_waits_for_ecc_piece() {
     let cfg = GpuConfig::tiny();
-    let mut slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
+    let mut slice = L2Slice::new(&cfg, 0, 0);
     let mut scheme = MockScheme::new();
     slice.push(read_req(0));
     // Collect the cycle the response is ready; with an extra ECC fetch the
@@ -136,7 +135,7 @@ fn demand_fill_waits_for_ecc_piece() {
 #[test]
 fn buffered_ecc_writes_are_drained_with_budget() {
     let cfg = GpuConfig::tiny();
-    let mut slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
+    let mut slice = L2Slice::new(&cfg, 0, 0);
     let mut scheme = MockScheme::new();
     // Dirty a few full atoms, then flush: write-backs buffer ECC writes in
     // the scheme, which the slice must drain to the controller.
@@ -163,7 +162,7 @@ fn buffered_ecc_writes_are_drained_with_budget() {
 #[test]
 fn residency_query_sees_co_evicted_atoms() {
     let cfg = GpuConfig::tiny();
-    let mut slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
+    let mut slice = L2Slice::new(&cfg, 0, 0);
     let mut scheme = MockScheme::new();
     let mut now = 0;
     for i in 0..4u64 {
@@ -189,7 +188,7 @@ fn ecc_reads_share_queues_with_demand_traffic() {
     // With the mock scheme doubling every read, the controller must see
     // exactly 2x transactions and still drain.
     let cfg = GpuConfig::tiny();
-    let mut slice = L2Slice::new(&cfg, 0, MapOrder::RoBaCo, 0);
+    let mut slice = L2Slice::new(&cfg, 0, 0);
     let mut scheme = MockScheme::new();
     let mut now = 0;
     for i in 0..16u64 {

@@ -168,13 +168,6 @@ pub struct ChannelLoad {
     pub host_ns: u64,
 }
 
-impl ChannelLoad {
-    /// Total DRAM commands issued on this channel.
-    pub fn requests(&self) -> u64 {
-        self.reads.saturating_add(self.writes)
-    }
-}
-
 /// A self-profile of one simulator run: where host wall-time went per
 /// component, how effective the idle/sleep memos were, and how evenly
 /// load spread across channels.
@@ -237,12 +230,6 @@ impl SimProfile {
     /// 1.0 when there are no channels or no busy cycles at all.
     pub fn busy_imbalance(&self) -> f64 {
         imbalance(self.channels.iter().map(|c| c.busy_cycles))
-    }
-
-    /// Request-count imbalance across channels: max/mean of
-    /// [`ChannelLoad::requests`].
-    pub fn request_imbalance(&self) -> f64 {
-        imbalance(self.channels.iter().map(ChannelLoad::requests))
     }
 }
 
@@ -395,7 +382,6 @@ mod tests {
             });
         }
         assert!((p.busy_imbalance() - 1.0).abs() < 1e-12);
-        assert!((p.request_imbalance() - 1.0).abs() < 1e-12);
         // Skew one channel: imbalance rises above 1.
         p.channels[0].busy_cycles = 4000;
         assert!(p.busy_imbalance() > 1.0);

@@ -10,7 +10,6 @@
 
 use cachecraft::schemes::factory::SchemeKind;
 use cachecraft::sim::config::GpuConfig;
-use cachecraft::sim::dram::MapOrder;
 use cachecraft::sim::{simulate, Observe};
 use cachecraft::workloads::{SizeClass, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,13 +81,7 @@ fn protection_decisions_do_not_allocate() {
         .map(|kind| {
             let mut scheme = kind.build(&cfg);
             let before = ALLOCS.with(Cell::get);
-            let out = simulate(
-                &cfg,
-                MapOrder::RoBaCo,
-                &trace,
-                scheme.as_mut(),
-                &Observe::default(),
-            );
+            let out = simulate(&cfg, &trace, scheme.as_mut(), &Observe::default());
             let allocs = ALLOCS.with(Cell::get) - before;
             assert!(!out.stats.timed_out, "{}: timed out", kind.name());
             (kind.name(), allocs)

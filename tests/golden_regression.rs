@@ -267,7 +267,6 @@ const SPMV_GDDR6_STALLS: [PinnedStalls; 4] = [
 
 #[test]
 fn pinned_stalls_and_busy_cycles_spmv_tiny_gddr6() {
-    use cachecraft::sim::dram::MapOrder;
     use cachecraft::sim::{simulate, Observe};
     use cachecraft::telemetry::TelemetryConfig;
 
@@ -280,13 +279,7 @@ fn pinned_stalls_and_busy_cycles_spmv_tiny_gddr6() {
     };
     let mut got = Vec::new();
     for kind in SchemeKind::headline(&cfg) {
-        let out = simulate(
-            &cfg,
-            MapOrder::RoBaCo,
-            &trace,
-            kind.build(&cfg).as_mut(),
-            &obs,
-        );
+        let out = simulate(&cfg, &trace, kind.build(&cfg).as_mut(), &obs);
         let timeline = out.stats.timeline.expect("timeline attached");
         let sum = |name: &str| -> u64 {
             let points = &timeline.series(name).expect("series registered").points;
@@ -337,7 +330,6 @@ const SPMV_GDDR6_TICKS: [(&str, u64, u64, u64); 4] = [
 /// awake when it could sleep shows up here and nowhere else.
 #[test]
 fn pinned_tick_counts_vecadd_tiny() {
-    use cachecraft::sim::dram::MapOrder;
     use cachecraft::sim::{simulate, Observe};
 
     let obs = Observe {
@@ -352,13 +344,7 @@ fn pinned_tick_counts_vecadd_tiny() {
         let trace = workload.generate(SizeClass::Tiny, 1);
         let mut got = Vec::new();
         for kind in SchemeKind::headline(&cfg) {
-            let out = simulate(
-                &cfg,
-                MapOrder::RoBaCo,
-                &trace,
-                kind.build(&cfg).as_mut(),
-                &obs,
-            );
+            let out = simulate(&cfg, &trace, kind.build(&cfg).as_mut(), &obs);
             let p = out.profile.expect("profile attached");
             got.push((
                 kind.name(),
@@ -385,7 +371,6 @@ fn pinned_tick_counts_vecadd_tiny() {
 /// controller ticked it or slept through it with its slice.
 #[test]
 fn scan_memo_lookups_equal_busy_cycles() {
-    use cachecraft::sim::dram::MapOrder;
     use cachecraft::sim::{simulate, Observe};
 
     let cfg = GpuConfig::tiny();
@@ -396,13 +381,7 @@ fn scan_memo_lookups_equal_busy_cycles() {
     };
     let kind = SchemeKind::headline(&cfg)[3];
     assert_eq!(kind.name(), "cachecraft");
-    let out = simulate(
-        &cfg,
-        MapOrder::RoBaCo,
-        &trace,
-        kind.build(&cfg).as_mut(),
-        &obs,
-    );
+    let out = simulate(&cfg, &trace, kind.build(&cfg).as_mut(), &obs);
     let p = out.profile.expect("profile attached");
     let busy: u64 = p.channels.iter().map(|c| c.busy_cycles).sum();
     assert!(p.scan_memo.hits.get() > 0);

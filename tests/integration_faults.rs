@@ -18,7 +18,6 @@ use cachecraft::harness::runner::{run_matrix, CacheDisposition, ExpOptions};
 use cachecraft::schemes::cachecraft::CacheCraftConfig;
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
-use cachecraft::sim::dram::MapOrder;
 use cachecraft::sim::faults::FaultConfig;
 use cachecraft::sim::trace::KernelTrace;
 use cachecraft::sim::{simulate, Observe, SimOutput};
@@ -30,7 +29,7 @@ fn injected(cfg: &GpuConfig, kind: SchemeKind, trace: &KernelTrace, fc: FaultCon
         faults: Some(fc),
         ..Observe::default()
     };
-    simulate(cfg, MapOrder::RoBaCo, trace, kind.build(cfg).as_mut(), &obs)
+    simulate(cfg, trace, kind.build(cfg).as_mut(), &obs)
 }
 
 #[test]

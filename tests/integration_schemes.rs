@@ -5,7 +5,6 @@
 use cachecraft::schemes::cachecraft::CacheCraftConfig;
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
-use cachecraft::sim::dram::MapOrder;
 use cachecraft::sim::types::TrafficClass;
 use cachecraft::sim::{simulate, Observe};
 use cachecraft::workloads::{SizeClass, Workload};
@@ -135,14 +134,14 @@ fn cachecraft_beats_naive_on_average_and_on_traffic() {
 }
 
 #[test]
-fn hbm_preset_and_fine_interleave_work_end_to_end() {
+fn hbm_preset_works_end_to_end() {
     let cfg = GpuConfig::hbm2();
     let trace = Workload::Stencil2D.generate(SizeClass::Tiny, 4);
     for kind in SchemeKind::headline(&cfg) {
         let mut scheme = kind.build(&cfg);
         let obs = Observe::default();
-        let s = simulate(&cfg, MapOrder::RoCoBa, &trace, scheme.as_mut(), &obs).stats;
-        assert!(!s.timed_out, "{kind} timed out on hbm2/RoCoBa");
+        let s = simulate(&cfg, &trace, scheme.as_mut(), &obs).stats;
+        assert!(!s.timed_out, "{kind} timed out on hbm2");
     }
 }
 

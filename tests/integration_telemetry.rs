@@ -15,7 +15,6 @@
 use cachecraft::schemes::cachecraft::CacheCraftConfig;
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
-use cachecraft::sim::dram::MapOrder;
 use cachecraft::sim::faults::FaultConfig;
 use cachecraft::sim::trace::KernelTrace;
 use cachecraft::sim::{simulate, Observe, SimOutput};
@@ -28,7 +27,7 @@ fn cachecraft_kind(cfg: &GpuConfig) -> SchemeKind {
 
 /// Runs `kind` on `trace` with the observers `obs` turns on.
 fn observed(cfg: &GpuConfig, kind: SchemeKind, trace: &KernelTrace, obs: &Observe) -> SimOutput {
-    simulate(cfg, MapOrder::RoBaCo, trace, kind.build(cfg).as_mut(), obs)
+    simulate(cfg, trace, kind.build(cfg).as_mut(), obs)
 }
 
 /// Telemetry configured by `telemetry`, every other observer off.

@@ -17,7 +17,6 @@
 
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::config::GpuConfig;
-use cachecraft::sim::dram::MapOrder;
 use cachecraft::sim::gpu::{simulate, Observe};
 use cachecraft::sim::protection::{ChannelInterleave, Fill, ProtectionScheme, Writeback};
 use cachecraft::sim::trace::{KernelTrace, WarpOp, WarpTrace};
@@ -221,11 +220,5 @@ fn lying_scheme_is_caught_mid_span() {
             WarpOp::Compute { cycles: 4000 },
         ])],
     );
-    let _ = simulate(
-        &cfg,
-        MapOrder::RoBaCo,
-        &trace,
-        &mut scheme,
-        &Observe::default(),
-    );
+    let _ = simulate(&cfg, &trace, &mut scheme, &Observe::default());
 }

@@ -14,7 +14,7 @@ use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::cache::SectorCache;
 use cachecraft::sim::coalesce::{coalesce, coalesce_writes};
 use cachecraft::sim::config::GpuConfig;
-use cachecraft::sim::dram::{DramChannel, MapOrder, RowOutcome};
+use cachecraft::sim::dram::{DramChannel, RowOutcome};
 use cachecraft::sim::protection::ChannelInterleave;
 use cachecraft::sim::trace::{KernelTrace, WarpOp, WarpTrace};
 use cachecraft::sim::types::LogicalAtom;
@@ -248,7 +248,7 @@ fn dram_issue_bound_is_never_late() {
         ("gddr6", GpuConfig::gddr6().mem),
     ] {
         let mut rng = SmallRng::seed_from_u64(0xD0CB);
-        let mut ch = DramChannel::new(&mem, MapOrder::RoBaCo);
+        let mut ch = DramChannel::new(&mem);
         let map = ch.address_map();
         let atoms = 3 * mem.banks as u64 * mem.row_atoms();
         let mut outcomes = [0u64; 3];
