@@ -116,7 +116,7 @@ pub fn run_scheme_profiled(
     profile: bool,
 ) -> ccraft_sim::SimOutput {
     let obs = Observe {
-        telemetry: tel.clone(),
+        telemetry: *tel,
         faults: faults.copied(),
         profile,
     };
@@ -215,7 +215,7 @@ mod tests {
         // Enabled telemetry: histogram and timeline attached, aggregates
         // unchanged.
         let obs = Observe {
-            telemetry: ccraft_telemetry::TelemetryConfig::enabled(),
+            telemetry: ccraft_telemetry::TelemetryConfig::Timeline,
             ..Observe::default()
         };
         let on = observe(&cfg, kind, &trace, &obs);

@@ -203,11 +203,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     let telemetry = if trace_path.is_some() {
-        TelemetryConfig::full()
+        TelemetryConfig::Full
     } else if show_hist || timeline_path.is_some() {
-        TelemetryConfig::enabled()
+        TelemetryConfig::Timeline
     } else {
-        TelemetryConfig::disabled()
+        TelemetryConfig::Off
     };
     let obs = Observe {
         telemetry,

@@ -273,7 +273,7 @@ fn pinned_stalls_and_busy_cycles_spmv_tiny_gddr6() {
     let cfg = GpuConfig::gddr6();
     let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
     let obs = Observe {
-        telemetry: TelemetryConfig::enabled(),
+        telemetry: TelemetryConfig::Timeline,
         profile: true,
         ..Observe::default()
     };

@@ -44,7 +44,7 @@ fn disabled_telemetry_is_invisible() {
     let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
     let kind = cachecraft_kind(&cfg);
     let plain = run_scheme(&cfg, kind, &trace);
-    let off = observed(&cfg, kind, &trace, &telemetry(TelemetryConfig::disabled()));
+    let off = observed(&cfg, kind, &trace, &telemetry(TelemetryConfig::Off));
     assert_eq!(
         off.stats, plain,
         "disabled telemetry must not perturb stats"
@@ -65,7 +65,7 @@ fn enabled_run_reports_timeline_and_percentiles() {
         &cfg,
         cachecraft_kind(&cfg),
         &trace,
-        &telemetry(TelemetryConfig::enabled()),
+        &telemetry(TelemetryConfig::Timeline),
     );
     // Aggregates are unchanged relative to a plain run.
     let plain = run_scheme(&cfg, cachecraft_kind(&cfg), &trace);
@@ -102,7 +102,7 @@ fn chrome_trace_covers_every_component() {
         &cfg,
         cachecraft_kind(&cfg),
         &trace,
-        &telemetry(TelemetryConfig::full()),
+        &telemetry(TelemetryConfig::Full),
     );
     let chrome = out.trace.expect("trace collected");
     assert!(!chrome.is_empty());
@@ -138,7 +138,7 @@ fn telemetry_round_trips_through_json() {
         &cfg,
         cachecraft_kind(&cfg),
         &trace,
-        &telemetry(TelemetryConfig::enabled()),
+        &telemetry(TelemetryConfig::Timeline),
     );
     let json = serde_json::to_string_pretty(&out.stats).unwrap();
     let back: cachecraft::sim::SimStats = serde_json::from_str(&json).unwrap();
@@ -152,7 +152,7 @@ fn all_observers_compose_without_perturbing() {
     let cfg = GpuConfig::tiny();
     let trace = Workload::Spmv.generate(SizeClass::Tiny, 1);
     let all = Observe {
-        telemetry: TelemetryConfig::full(),
+        telemetry: TelemetryConfig::Full,
         faults: Some(
             FaultConfig::parse("symbol:1.0")
                 .expect("valid spec")
