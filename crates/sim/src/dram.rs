@@ -10,8 +10,8 @@
 //!
 //! A channel exposes one operation, [`DramChannel::try_issue_at`]: given a
 //! request's coordinates and the current cycle, either commit it
-//! (returning its data completion time and the row-buffer outcome) or
-//! report the cycle its first-failing constraint expires. One private
+//! (returning its data completion time) or report the cycle its
+//! first-failing constraint expires. One private
 //! function states the timing rules; the side-effect-free
 //! [`DramChannel::issue_blocked_until`] reads the same answer without
 //! committing. The FR-FCFS controller in [`crate::mem_ctrl`] drives this
@@ -122,16 +122,6 @@ enum BusDir {
     Idle,
     Read,
     Write,
-}
-
-/// Result of a successful issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IssueInfo {
-    /// Cycle at which the last data beat is on the bus (read data arrives /
-    /// write completes).
-    pub data_ready: Cycle,
-    /// Row-buffer outcome.
-    pub row_outcome: RowOutcome,
 }
 
 /// What issuing an access at a given cycle would do, when every
@@ -286,7 +276,8 @@ impl DramChannel {
     }
 
     /// Attempts to issue the access *this cycle*. On success, commits bank
-    /// and bus state and returns the completion time; on failure changes
+    /// and bus state and returns the cycle the last data beat is on the
+    /// bus (read data arrives / write completes); on failure changes
     /// nothing and returns the cycle the first-failing constraint expires
     /// (see [`issue_blocked_until`](Self::issue_blocked_until)).
     pub fn try_issue_at(
@@ -294,7 +285,7 @@ impl DramChannel {
         coord: DramCoord,
         is_write: bool,
         now: Cycle,
-    ) -> Result<IssueInfo, Cycle> {
+    ) -> Result<Cycle, Cycle> {
         let p = self.plan(coord, is_write, now)?;
         let t = self.timing;
         let data_end = p.data_start + t.burst_cycles as Cycle;
@@ -379,10 +370,7 @@ impl DramChannel {
         }
         self.bus_free_at = data_end;
         self.bus_dir = p.dir;
-        Ok(IssueInfo {
-            data_ready: data_end,
-            row_outcome: p.outcome,
-        })
+        Ok(data_end)
     }
 
     /// The cycle the next refresh window opens (`Cycle::MAX` when refresh
@@ -414,12 +402,7 @@ mod tests {
     }
 
     /// Issues the access to `atom` through the channel's address map.
-    fn issue(
-        ch: &mut DramChannel,
-        atom: u64,
-        is_write: bool,
-        now: Cycle,
-    ) -> Result<IssueInfo, Cycle> {
+    fn issue(ch: &mut DramChannel, atom: u64, is_write: bool, now: Cycle) -> Result<Cycle, Cycle> {
         ch.try_issue_at(ch.address_map().decompose(atom), is_write, now)
     }
 
@@ -489,10 +472,10 @@ mod tests {
     #[test]
     fn first_access_is_row_empty() {
         let mut ch = channel();
-        let info = issue(&mut ch, 0, false, 0).expect("issue");
-        assert_eq!(info.row_outcome, RowOutcome::Empty);
+        assert_eq!(outcome(&ch, 0), RowOutcome::Empty);
+        let ready = issue(&mut ch, 0, false, 0).expect("issue");
         // tRCD + CAS + burst = 5 + 5 + 1.
-        assert_eq!(info.data_ready, 11);
+        assert_eq!(ready, 11);
     }
 
     #[test]
@@ -500,10 +483,10 @@ mod tests {
         let mut ch = channel();
         issue(&mut ch, 0, false, 0).unwrap();
         // Bank busy until col_delay + burst = 6; bus busy until 11.
-        let info = issue(&mut ch, 1, false, 6).expect("issue");
-        assert_eq!(info.row_outcome, RowOutcome::Hit);
+        assert_eq!(outcome(&ch, 1), RowOutcome::Hit);
+        let ready = issue(&mut ch, 1, false, 6).expect("issue");
         // data at 6 + CAS + burst = 12 (pipelines right behind first burst).
-        assert_eq!(info.data_ready, 12);
+        assert_eq!(ready, 12);
     }
 
     #[test]
@@ -514,10 +497,10 @@ mod tests {
                                               // hashed bank 1^1 = 0 — conflicts with atom 0's bank.
                                               // tRAS=12: precharge not allowed before cycle 12.
         assert_eq!(issue(&mut ch, 320, false, 6), Err(12));
-        let info = issue(&mut ch, 320, false, 12).expect("issue");
-        assert_eq!(info.row_outcome, RowOutcome::Conflict);
+        assert_eq!(outcome(&ch, 320), RowOutcome::Conflict);
+        let ready = issue(&mut ch, 320, false, 12).expect("issue");
         // tRP + tRCD + CAS + burst = 5+5+5+1 after t=12.
-        assert_eq!(info.data_ready, 12 + 16);
+        assert_eq!(ready, 12 + 16);
     }
 
     #[test]
@@ -525,9 +508,9 @@ mod tests {
         let mut ch = channel();
         issue(&mut ch, 0, false, 0).unwrap(); // bank 0
                                               // Bank 1 (atom 64) can activate in parallel; only bus conflicts.
-        let info = issue(&mut ch, 64, false, 1).expect("issue");
-        assert_eq!(info.row_outcome, RowOutcome::Empty);
-        assert_eq!(info.data_ready, 1 + 5 + 5 + 1);
+        assert_eq!(outcome(&ch, 64), RowOutcome::Empty);
+        let ready = issue(&mut ch, 64, false, 1).expect("issue");
+        assert_eq!(ready, 1 + 5 + 5 + 1);
     }
 
     #[test]
@@ -546,8 +529,8 @@ mod tests {
         issue(&mut ch, 0, true, 0).unwrap(); // write: data 10..11, dir=Write
                                              // Read on another bank at now=5: data_start = 5+5+5 = 15,
                                              // needs bus_free(11) + tWTR(3) = 14 <= 15: OK.
-        let info = issue(&mut ch, 64, false, 5).expect("issue");
-        assert_eq!(info.data_ready, 16);
+        let ready = issue(&mut ch, 64, false, 5).expect("issue");
+        assert_eq!(ready, 16);
         // Immediately after, same-direction has no extra penalty.
     }
 

@@ -276,8 +276,9 @@ fn dram_issue_bound_is_never_late() {
                     "{name} step {step}: bound {bound} at {now} is late: issues at {n}"
                 );
             }
-            if let Ok(info) = ch.try_issue_at(coord, is_write, now) {
-                let k = match info.row_outcome {
+            let row = ch.row_outcome_at(coord);
+            if ch.try_issue_at(coord, is_write, now).is_ok() {
+                let k = match row {
                     RowOutcome::Hit => 0,
                     RowOutcome::Empty => 1,
                     RowOutcome::Conflict => 2,
