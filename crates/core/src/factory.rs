@@ -132,13 +132,13 @@ mod tests {
     fn small_stream() -> KernelTrace {
         let warps = (0..4u64)
             .map(|w| {
-                WarpTrace::new(
-                    (0..32)
-                        .map(|i| WarpOp::Load {
-                            atoms: (0..4).map(|k| LogicalAtom(w * 512 + i * 4 + k)).collect(),
-                        })
-                        .collect(),
-                )
+                let mut warp = WarpTrace::default();
+                for i in 0..32 {
+                    warp.push(WarpOp::Load {
+                        atoms: &[0, 1, 2, 3].map(|k| LogicalAtom(w * 512 + i * 4 + k)),
+                    });
+                }
+                warp
             })
             .collect();
         KernelTrace::new("stream", warps)

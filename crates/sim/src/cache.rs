@@ -65,7 +65,7 @@ pub struct CacheStats {
 
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    /// Line-granularity tag (atom / atoms_per_line); `u64::MAX` = invalid.
+    /// Line-granularity tag (`atom >> line_shift`); `u64::MAX` = invalid.
     tag: u64,
     valid: u8,
     dirty: u8,
@@ -90,7 +90,9 @@ impl Line {
 pub struct SectorCache {
     sets: u64,
     ways: u32,
-    atoms_per_line: u64,
+    /// log2 of `atoms_per_line`: tags and sectors come from shifts and
+    /// masks, not from dividing by a runtime value.
+    line_shift: u32,
     /// XOR-fold higher tag bits into the set index (GPU L2s hash their set
     /// selection; essential when the address stream is strided, e.g. the
     /// row-tail ECC atoms of a co-located inline layout).
@@ -133,7 +135,7 @@ impl SectorCache {
         SectorCache {
             sets,
             ways,
-            atoms_per_line,
+            line_shift: atoms_per_line.trailing_zeros(),
             hashed,
             lines: vec![Line::empty(); (sets * ways as u64) as usize],
             stamp: 0,
@@ -166,7 +168,12 @@ impl SectorCache {
 
     /// Capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.sets * self.ways as u64 * self.atoms_per_line * crate::types::ATOM_BYTES
+        self.sets * self.ways as u64 * self.atoms_per_line() * crate::types::ATOM_BYTES
+    }
+
+    /// Atoms per line: 1, 2 or 4.
+    fn atoms_per_line(&self) -> u64 {
+        1 << self.line_shift
     }
 
     /// Accumulated statistics.
@@ -175,11 +182,11 @@ impl SectorCache {
     }
 
     fn tag_of(&self, atom: u64) -> u64 {
-        atom / self.atoms_per_line
+        atom >> self.line_shift
     }
 
     fn sector_of(&self, atom: u64) -> u8 {
-        1 << (atom % self.atoms_per_line)
+        1 << (atom & (self.atoms_per_line() - 1))
     }
 
     fn set_range(&self, tag: u64) -> std::ops::Range<usize> {
@@ -292,7 +299,7 @@ impl SectorCache {
                 self.stats.dirty_evictions += 1;
             }
             Some(Eviction {
-                base_atom: line.tag * self.atoms_per_line,
+                base_atom: line.tag << self.line_shift,
                 dirty,
             })
         } else {
@@ -321,10 +328,10 @@ impl SectorCache {
     /// yielding `(atom, dirty)`.
     pub fn iter_valid(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
         self.lines.iter().flat_map(move |line| {
-            (0..self.atoms_per_line).filter_map(move |k| {
+            (0..self.atoms_per_line()).filter_map(move |k| {
                 if line.tag != INVALID && line.valid & (1 << k) != 0 {
                     Some((
-                        line.tag * self.atoms_per_line + k,
+                        (line.tag << self.line_shift) + k,
                         line.dirty & (1 << k) != 0,
                     ))
                 } else {
@@ -345,7 +352,7 @@ impl fmt::Debug for SectorCache {
         f.debug_struct("SectorCache")
             .field("sets", &self.sets)
             .field("ways", &self.ways)
-            .field("atoms_per_line", &self.atoms_per_line)
+            .field("atoms_per_line", &self.atoms_per_line())
             .field("valid_atoms", &self.valid_atoms())
             .field("stats", &self.stats)
             .finish()

@@ -10,8 +10,8 @@
 //!
 //! A channel exposes one operation, [`DramChannel::try_issue_at`]: given a
 //! request's coordinates and the current cycle, either commit it
-//! (returning its data completion time) or report the cycle its
-//! first-failing constraint expires. One private
+//! (returning its data completion time) or report the earliest cycle it
+//! can issue, the latest of its timing constraints. One private
 //! function states the timing rules; the side-effect-free
 //! [`DramChannel::issue_blocked_until`] reads the same answer without
 //! committing. The FR-FCFS controller in [`crate::mem_ctrl`] drives this
@@ -226,14 +226,15 @@ impl DramChannel {
     }
 
     /// The timing rules, stated once: what issuing the access at `now`
-    /// would do, or the cycle its first-failing constraint expires
-    /// (assuming no intervening issue or refresh changes channel state).
+    /// would do, or the earliest cycle it can issue — the latest of its
+    /// constraints: the bank's `ready_at`, precharge legality on a row
+    /// conflict, and the data bus. Channel state changes only on an issue
+    /// or a refresh, so until either happens that cycle is exact: the
+    /// access fails before it and issues at it.
     fn plan(&self, coord: DramCoord, is_write: bool, now: Cycle) -> Result<Plan, Cycle> {
         let t = self.timing;
         let bank = &self.banks[coord.bank as usize];
-        if bank.ready_at > now {
-            return Err(bank.ready_at);
-        }
+        let mut earliest = bank.ready_at;
         let outcome = self.row_outcome_at(coord);
         let col_delay: Cycle = match outcome {
             RowOutcome::Hit => 0,
@@ -241,15 +242,14 @@ impl DramChannel {
             RowOutcome::Conflict => {
                 // Precharge legality: tRAS since activate, tWR since the
                 // last write burst to this bank.
-                let pre_ok = (bank.row_opened_at + t.t_ras as Cycle)
+                earliest = earliest
+                    .max(bank.row_opened_at + t.t_ras as Cycle)
                     .max(bank.last_write_end + t.t_wr as Cycle);
-                if pre_ok > now {
-                    return Err(pre_ok);
-                }
                 (t.t_rp + t.t_rcd) as Cycle
             }
         };
-        // Bus availability, including direction turnaround.
+        // Bus availability, including direction turnaround: the data
+        // burst starts `lead` cycles after the issue.
         let dir = if is_write {
             BusDir::Write
         } else {
@@ -261,11 +261,9 @@ impl DramChannel {
             _ => 0,
         };
         let lead = col_delay + t.cas as Cycle;
-        let bus_ok = self.bus_free_at + turnaround;
-        if bus_ok > now + lead {
-            // First cycle n with bus_ok <= n + lead; no underflow because
-            // the guard implies bus_ok > lead.
-            return Err(bus_ok - lead);
+        earliest = earliest.max((self.bus_free_at + turnaround).saturating_sub(lead));
+        if earliest > now {
+            return Err(earliest);
         }
         Ok(Plan {
             outcome,
@@ -278,8 +276,8 @@ impl DramChannel {
     /// Attempts to issue the access *this cycle*. On success, commits bank
     /// and bus state and returns the cycle the last data beat is on the
     /// bus (read data arrives / write completes); on failure changes
-    /// nothing and returns the cycle the first-failing constraint expires
-    /// (see [`issue_blocked_until`](Self::issue_blocked_until)).
+    /// nothing and returns the earliest cycle the access can issue (see
+    /// [`issue_blocked_until`](Self::issue_blocked_until)).
     pub fn try_issue_at(
         &mut self,
         coord: DramCoord,
@@ -381,10 +379,10 @@ impl DramChannel {
     }
 
     /// Earliest cycle at which [`try_issue_at`](Self::try_issue_at) for
-    /// this access could stop failing on its *currently first-failing*
-    /// constraint, assuming no intervening issue or refresh changes
-    /// channel state; `now` when it would issue. The same rules as
-    /// `try_issue_at`, without committing.
+    /// this access succeeds, assuming no intervening issue or refresh
+    /// changes channel state; `now` when it would issue. Exact: every
+    /// constraint has expired by then and one has not before. The same
+    /// rules as `try_issue_at`, without committing.
     pub fn issue_blocked_until(&self, coord: DramCoord, is_write: bool, now: Cycle) -> Cycle {
         self.plan(coord, is_write, now).err().unwrap_or(now)
     }

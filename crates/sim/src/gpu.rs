@@ -979,14 +979,14 @@ mod tests {
     fn streaming(warps: usize, atoms_per_warp: u64) -> KernelTrace {
         let traces = (0..warps as u64)
             .map(|w| {
-                let ops = (0..atoms_per_warp / 4)
-                    .map(|i| WarpOp::Load {
-                        atoms: (0..4)
-                            .map(|k| LogicalAtom(w * atoms_per_warp + i * 4 + k))
-                            .collect(),
-                    })
-                    .collect();
-                WarpTrace::new(ops)
+                let mut warp = WarpTrace::default();
+                for i in 0..atoms_per_warp / 4 {
+                    let base = w * atoms_per_warp + i * 4;
+                    warp.push(WarpOp::Load {
+                        atoms: &[0, 1, 2, 3].map(|k| LogicalAtom(base + k)),
+                    });
+                }
+                warp
             })
             .collect();
         KernelTrace::new("stream-test", traces)
@@ -1023,13 +1023,8 @@ mod tests {
     #[test]
     fn reuse_hits_in_l2() {
         // Two passes over a small footprint: second pass hits in caches.
-        let ops: Vec<WarpOp> = (0..2)
-            .flat_map(|_| {
-                (0..16).map(|i| WarpOp::Load {
-                    atoms: vec![LogicalAtom(i * 4)],
-                })
-            })
-            .collect();
+        let atoms: Vec<LogicalAtom> = (0..16).map(|i| LogicalAtom(i * 4)).collect();
+        let ops = (0..2).flat_map(|_| atoms.chunks(1).map(|atoms| WarpOp::Load { atoms }));
         let trace = KernelTrace::new("reuse", vec![WarpTrace::new(ops)]);
         let cfg = GpuConfig::tiny();
         let mut scheme = tiny_scheme(&cfg);
@@ -1042,12 +1037,10 @@ mod tests {
 
     #[test]
     fn store_kernel_writes_back_on_flush() {
-        let ops: Vec<WarpOp> = (0..8)
-            .map(|i| WarpOp::Store {
-                atoms: vec![LogicalAtom(i)],
-                full: true,
-            })
-            .collect();
+        let atoms: Vec<LogicalAtom> = (0..8).map(LogicalAtom).collect();
+        let ops = atoms
+            .chunks(1)
+            .map(|atoms| WarpOp::Store { atoms, full: true });
         let trace = KernelTrace::new("store", vec![WarpTrace::new(ops)]);
         let cfg = GpuConfig::tiny();
         let mut scheme = tiny_scheme(&cfg);

@@ -20,16 +20,13 @@
 //! use ccraft_sim::config::GpuConfig;
 //! use ccraft_sim::gpu::{simulate, Observe};
 //! use ccraft_sim::protection::{ChannelInterleave, NoProtection};
-//! use ccraft_sim::trace::{KernelTrace, WarpOp, WarpTrace};
-//! use ccraft_sim::types::LogicalAtom;
+//! use ccraft_sim::trace::{KernelTrace, WarpTrace};
 //!
 //! let cfg = GpuConfig::tiny();
-//! let trace = KernelTrace::new(
-//!     "hello",
-//!     vec![WarpTrace::new(vec![WarpOp::Load {
-//!         atoms: (0..4).map(LogicalAtom).collect(),
-//!     }])],
-//! );
+//! // One warp loads 32 consecutive f32s: the coalescer makes 4 atoms.
+//! let mut warp = WarpTrace::default();
+//! warp.load(&(0..32).map(|t| 4 * t).collect::<Vec<u64>>());
+//! let trace = KernelTrace::new("hello", vec![warp]);
 //! let mut scheme = NoProtection::new(ChannelInterleave::new(
 //!     cfg.mem.channels,
 //!     cfg.mem.interleave_atoms,

@@ -163,7 +163,8 @@ pub struct MemCtrl {
     /// blocked (bank/precharge/bus constraint not yet expired), so
     /// `pick_and_issue` scans are futile and skipped. Set each time a
     /// full scan of both queues fails, to the earliest cycle any refused
-    /// attempt reported, capped at the next refresh (the only event that
+    /// entry can issue (exact, so the next scan issues unless a refresh
+    /// intervened), capped at the next refresh (the only event that
     /// changes bank state without an issue); lowered by a push whose
     /// entry could issue sooner.
     scan_asleep_until: Cycle,
@@ -357,7 +358,7 @@ impl MemCtrl {
 
     /// Attempts to issue queue entry `i`; on success removes it and does
     /// all completion/stat/trace bookkeeping, on failure returns the
-    /// cycle its first-failing DRAM constraint expires.
+    /// earliest cycle its DRAM constraints let it issue.
     fn try_issue_at(&mut self, now: Cycle, from_writes: bool, i: usize) -> Result<(), Cycle> {
         let q = if from_writes {
             &mut self.write_q
@@ -440,10 +441,10 @@ impl MemCtrl {
                 .map_err(|second| first.min(second))
         });
         // A failed scan refused every window entry of both queues, each
-        // with the cycle its first-failing constraint expires. A refusal
-        // changes no state, so no entry can issue before the earliest of
-        // them unless a push (which lowers the memo) or a refresh (the
-        // cap) intervenes. Never sleep at or before `now`.
+        // with the exact cycle it can issue. A refusal changes no state,
+        // so no entry can issue before the earliest of them, and one
+        // issues at it, unless a push (which lowers the memo) or a
+        // refresh (the cap) intervenes. Never sleep at or before `now`.
         if let Err(bound) = issued {
             if self.has_queued() {
                 self.scan_asleep_until = bound.min(self.chan.next_refresh_at()).max(now + 1);

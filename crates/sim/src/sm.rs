@@ -1,26 +1,29 @@
 //! Streaming-multiprocessor core model: warp scheduling and trace replay.
 //!
-//! Each SM hosts a set of resident warps replaying [`WarpTrace`]s, which
-//! it borrows from the caller's kernel trace for the length of the run. Per
-//! cycle the SM can issue one instruction: compute ops retire by simply
-//! making the warp busy for their latency; memory ops are streamed through
-//! the load/store unit into the L1 at one coalesced access per cycle.
-//! Loads block their warp until all sectors return (latency is hidden by
-//! switching to other warps — the GPU execution model); stores are posted.
+//! Each SM hosts a set of resident warps replaying [`WarpTrace`]s, whose
+//! ops and atom arenas it borrows from the caller's kernel trace for the
+//! length of the run. Per cycle the SM can issue one instruction: compute
+//! ops retire by simply making the warp busy for their latency; memory ops
+//! are streamed through the load/store unit into the L1 at one coalesced
+//! access per cycle. Loads block their warp until all sectors return
+//! (latency is hidden by switching to other warps — the GPU execution
+//! model); stores are posted.
 //!
 //! Two hardware warp schedulers are modelled: greedy-then-oldest (GTO, the
 //! common default) and round-robin.
 
 use crate::config::{CoreConfig, SchedulerPolicy};
 use crate::l1::{L1Access, L1Cache};
-use crate::trace::{WarpOp, WarpTrace};
-use crate::types::{AccessKind, Cycle, SmId, WarpIdx};
+use crate::trace::{PackedOp, WarpOp, WarpTrace};
+use crate::types::{AccessKind, Cycle, LogicalAtom, SmId, WarpIdx};
 
 #[derive(Debug)]
 struct WarpState<'t> {
     /// The warp's ops, borrowed from the kernel trace. The slice carries
     /// its length, so `ready`/`done` read no further than this struct.
-    ops: &'t [WarpOp],
+    ops: &'t [PackedOp],
+    /// The warp's atom arena, which its memory ops index.
+    atoms: &'t [LogicalAtom],
     /// Next op index.
     pc: usize,
     /// Warp unavailable until this cycle (compute latency).
@@ -36,10 +39,12 @@ struct WarpState<'t> {
 }
 
 impl<'t> WarpState<'t> {
-    fn new(ops: &'t [WarpOp]) -> Self {
-        let at_memory_op = ops.first().is_some_and(WarpOp::is_memory);
+    fn new(trace: &'t WarpTrace) -> Self {
+        let (ops, atoms) = trace.parts();
+        let at_memory_op = ops.first().is_some_and(|op| op.is_memory());
         WarpState {
             ops,
+            atoms,
             pc: 0,
             ready_at: 0,
             outstanding: 0,
@@ -51,7 +56,12 @@ impl<'t> WarpState<'t> {
     /// Moves past the op at `pc`.
     fn advance(&mut self) {
         self.pc += 1;
-        self.at_memory_op = self.ops.get(self.pc).is_some_and(WarpOp::is_memory);
+        self.at_memory_op = self.ops.get(self.pc).is_some_and(|op| op.is_memory());
+    }
+
+    /// The op at `pc`.
+    fn op(&self) -> WarpOp<'t> {
+        self.ops[self.pc].view(self.atoms)
     }
 
     /// Fully retired: all ops issued, trailing compute latency elapsed,
@@ -126,10 +136,7 @@ impl<'t> SmCore<'t> {
         l1: L1Cache,
         traces: impl IntoIterator<Item = &'t WarpTrace>,
     ) -> Self {
-        let warps: Vec<WarpState<'t>> = traces
-            .into_iter()
-            .map(|t| WarpState::new(t.ops()))
-            .collect();
+        let warps: Vec<WarpState<'t>> = traces.into_iter().map(WarpState::new).collect();
         assert!(
             warps.len() <= cfg.warps_per_sm as usize,
             "more traces than warp slots"
@@ -175,10 +182,9 @@ impl<'t> SmCore<'t> {
             return;
         }
         let w = &mut self.warps[widx];
-        let op = &w.ops[w.pc];
-        let (atoms, kind): (&[crate::types::LogicalAtom], AccessKind) = match op {
+        let (atoms, kind) = match w.op() {
             WarpOp::Load { atoms } => (atoms, AccessKind::Read),
-            WarpOp::Store { atoms, full } => (atoms, AccessKind::Write { full: *full }),
+            WarpOp::Store { atoms, full } => (atoms, AccessKind::Write { full }),
             WarpOp::Compute { .. } => unreachable!("compute op in LSU"),
         };
         // One access per cycle through the LSU.
@@ -264,7 +270,7 @@ impl<'t> SmCore<'t> {
             self.cursor = widx;
             self.pump_lsu();
         } else {
-            if let WarpOp::Compute { cycles } = w.ops[w.pc] {
+            if let WarpOp::Compute { cycles } = w.op() {
                 w.ready_at = now + cycles as Cycle;
             }
             w.advance();
@@ -474,23 +480,37 @@ mod tests {
     /// warp 1 waits behind the LSU with its own loads, and the others
     /// add compute gaps and posted stores.
     fn mshr_exhausting_warps() -> Vec<WarpTrace> {
-        let load = |base: u64, n: u64| WarpOp::Load {
-            atoms: (0..n).map(|i| LogicalAtom(base + i * 100)).collect(),
+        let run = |base: u64, n: u64| -> Vec<LogicalAtom> {
+            (0..n).map(|i| LogicalAtom(base + i * 100)).collect()
         };
         vec![
-            WarpTrace::new(vec![load(0, 24), WarpOp::Compute { cycles: 2 }]),
-            WarpTrace::new(vec![
-                load(10_000, 4),
-                WarpOp::Compute { cycles: 3 },
-                load(20_000, 4),
+            WarpTrace::new([
+                WarpOp::Load { atoms: &run(0, 24) },
+                WarpOp::Compute { cycles: 2 },
             ]),
-            WarpTrace::new(vec![WarpOp::Compute { cycles: 20 }, load(30_000, 8)]),
-            WarpTrace::new(vec![
+            WarpTrace::new([
+                WarpOp::Load {
+                    atoms: &run(10_000, 4),
+                },
+                WarpOp::Compute { cycles: 3 },
+                WarpOp::Load {
+                    atoms: &run(20_000, 4),
+                },
+            ]),
+            WarpTrace::new([
+                WarpOp::Compute { cycles: 20 },
+                WarpOp::Load {
+                    atoms: &run(30_000, 8),
+                },
+            ]),
+            WarpTrace::new([
                 WarpOp::Store {
-                    atoms: (0..4).map(|i| LogicalAtom(40_000 + i)).collect(),
+                    atoms: &(0..4).map(|i| LogicalAtom(40_000 + i)).collect::<Vec<_>>(),
                     full: true,
                 },
-                load(50_000, 2),
+                WarpOp::Load {
+                    atoms: &run(50_000, 2),
+                },
             ]),
         ]
     }
@@ -581,7 +601,7 @@ mod tests {
     fn load_blocks_until_response() {
         let trace = WarpTrace::new(vec![
             WarpOp::Load {
-                atoms: vec![LogicalAtom(0)],
+                atoms: &[LogicalAtom(0)],
             },
             WarpOp::Compute { cycles: 1 },
         ]);
@@ -594,7 +614,7 @@ mod tests {
     fn stores_are_posted() {
         let trace = WarpTrace::new(vec![
             WarpOp::Store {
-                atoms: vec![LogicalAtom(0)],
+                atoms: &[LogicalAtom(0)],
                 full: true,
             },
             WarpOp::Compute { cycles: 1 },
@@ -611,7 +631,7 @@ mod tests {
         // should overlap the latencies rather than serializing 4 x 100.
         let mk = |i: u64| {
             WarpTrace::new(vec![WarpOp::Load {
-                atoms: vec![LogicalAtom(i * 1000)],
+                atoms: &[LogicalAtom(i * 1000)],
             }])
         };
         let traces: Vec<WarpTrace> = (0..4).map(mk).collect();
@@ -664,7 +684,9 @@ mod tests {
         // streaming until the first finishes dispatching.
         let mk = |base: u64| {
             WarpTrace::new(vec![WarpOp::Load {
-                atoms: (0..4).map(|i| LogicalAtom(base + i * 1000)).collect(),
+                atoms: &(0..4)
+                    .map(|i| LogicalAtom(base + i * 1000))
+                    .collect::<Vec<_>>(),
             }])
         };
         let traces = [mk(0), mk(100_000)];
@@ -692,10 +714,12 @@ mod tests {
         // is a "no ready warp" stall. Two warps with back-to-back memory
         // ops add "LSU busy" structural stalls.
         let t0 = WarpTrace::new(vec![WarpOp::Load {
-            atoms: (0..4).map(|i| LogicalAtom(i * 1000)).collect(),
+            atoms: &(0..4).map(|i| LogicalAtom(i * 1000)).collect::<Vec<_>>(),
         }]);
         let t1 = WarpTrace::new(vec![WarpOp::Load {
-            atoms: (0..4).map(|i| LogicalAtom(100_000 + i * 1000)).collect(),
+            atoms: &(0..4)
+                .map(|i| LogicalAtom(100_000 + i * 1000))
+                .collect::<Vec<_>>(),
         }]);
         let traces = [t0, t1];
         let mut sm = mk_sm(&traces);

@@ -1,11 +1,12 @@
 //! Shared building blocks for workload generators.
 
-use ccraft_sim::coalesce::{coalesce, coalesce_writes};
-use ccraft_sim::trace::WarpOp;
+use ccraft_sim::coalesce::WARP_LANES;
+use ccraft_sim::trace::{KernelTrace, WarpTrace};
 use ccraft_sim::types::ATOM_BYTES;
+use std::ops::Deref;
 
 /// Threads per warp (fixed by the SIMT model).
-pub const WARP_THREADS: u64 = 32;
+pub const WARP_THREADS: u64 = WARP_LANES as u64;
 
 /// A bump allocator for laying out kernel arrays in the logical address
 /// space, aligned to 128-byte lines.
@@ -83,89 +84,94 @@ impl ArrayRef {
     }
 }
 
-/// Builds a coalesced warp load of `WARP_THREADS` consecutive elements of
-/// `arr` starting at element `start` (lanes beyond the array are inactive).
-pub fn warp_load(arr: &ArrayRef, start: u64) -> Option<WarpOp> {
-    let addrs: Vec<u64> = (0..WARP_THREADS)
-        .map(|t| start + t)
+/// Builds a kernel of `warps` warps, calling `body` with an empty warp
+/// and its index for each. All warps are built in one reused builder, so
+/// each stored warp is allocated once at its final size (see
+/// [`WarpTrace::take`]).
+pub fn per_warp(name: &str, warps: u64, mut body: impl FnMut(&mut WarpTrace, u64)) -> KernelTrace {
+    let mut builder = WarpTrace::default();
+    let traces = (0..warps)
+        .map(|wid| {
+            body(&mut builder, wid);
+            builder.take()
+        })
+        .collect();
+    KernelTrace::new(name, traces)
+}
+
+/// One warp's per-lane byte addresses, collected on the stack so that
+/// building a warp op allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Lanes {
+    addrs: [u64; WARP_LANES],
+    len: usize,
+}
+
+impl FromIterator<u64> for Lanes {
+    /// # Panics
+    ///
+    /// Panics past [`WARP_LANES`] addresses.
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
+        let mut lanes = Lanes {
+            addrs: [0; WARP_LANES],
+            len: 0,
+        };
+        for addr in iter {
+            assert!(lanes.len < WARP_LANES, "more than {WARP_LANES} lanes");
+            lanes.addrs[lanes.len] = addr;
+            lanes.len += 1;
+        }
+        lanes
+    }
+}
+
+impl Deref for Lanes {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.addrs[..self.len]
+    }
+}
+
+impl ArrayRef {
+    /// Addresses of the `WARP_THREADS` consecutive elements from `start`;
+    /// lanes beyond the array are inactive.
+    fn lanes(&self, start: u64) -> Lanes {
+        (start..start + WARP_THREADS)
+            .take_while(|&i| i < self.len())
+            .map(|i| self.elem(i))
+            .collect()
+    }
+}
+
+/// Appends a coalesced warp load of `WARP_THREADS` consecutive elements of
+/// `arr` starting at element `start` (lanes beyond the array are
+/// inactive; nothing when none is live).
+pub fn warp_load(warp: &mut WarpTrace, arr: &ArrayRef, start: u64) {
+    warp.load(&arr.lanes(start));
+}
+
+/// Appends a coalesced warp store of consecutive elements, one `Store`
+/// per coverage class that occurs (see [`WarpTrace::store`]).
+pub fn warp_store(warp: &mut WarpTrace, arr: &ArrayRef, start: u64) {
+    warp.store(&arr.lanes(start), arr.elem_bytes as u32);
+}
+
+/// Appends a gather load from per-lane element indices (at most one per
+/// lane); indices past the array are inactive lanes.
+pub fn gather_load(warp: &mut WarpTrace, arr: &ArrayRef, indices: impl IntoIterator<Item = u64>) {
+    let addrs: Lanes = indices
+        .into_iter()
         .filter(|&i| i < arr.len())
         .map(|i| arr.elem(i))
         .collect();
-    if addrs.is_empty() {
-        None
-    } else {
-        Some(WarpOp::Load {
-            atoms: coalesce(&addrs),
-        })
-    }
-}
-
-/// Builds a coalesced warp store of consecutive elements, classifying each
-/// touched atom as fully or partially covered. Emits one `Store` per
-/// coverage class when both occur.
-pub fn warp_store(arr: &ArrayRef, start: u64) -> Vec<WarpOp> {
-    let addrs: Vec<u64> = (0..WARP_THREADS)
-        .map(|t| start + t)
-        .filter(|&i| i < arr.len())
-        .map(|i| arr.elem(i))
-        .collect();
-    store_from_addrs(&addrs, arr.elem_bytes as u32)
-}
-
-/// Builds store op(s) from raw per-thread byte addresses.
-pub fn store_from_addrs(addrs: &[u64], elem_bytes: u32) -> Vec<WarpOp> {
-    if addrs.is_empty() {
-        return Vec::new();
-    }
-    let covered = coalesce_writes(addrs, elem_bytes);
-    let mut full: Vec<_> = covered
-        .iter()
-        .filter(|&&(_, f)| f)
-        .map(|&(a, _)| a)
-        .collect();
-    let mut partial: Vec<_> = covered
-        .iter()
-        .filter(|&&(_, f)| !f)
-        .map(|&(a, _)| a)
-        .collect();
-    // The trace keeps these lists for the whole run.
-    full.shrink_to_fit();
-    partial.shrink_to_fit();
-    let mut ops = Vec::new();
-    if !full.is_empty() {
-        ops.push(WarpOp::Store {
-            atoms: full,
-            full: true,
-        });
-    }
-    if !partial.is_empty() {
-        ops.push(WarpOp::Store {
-            atoms: partial,
-            full: false,
-        });
-    }
-    ops
-}
-
-/// Builds a gather load from arbitrary per-thread element indices.
-pub fn gather_load(arr: &ArrayRef, indices: &[u64]) -> Option<WarpOp> {
-    let addrs: Vec<u64> = indices
-        .iter()
-        .filter(|&&i| i < arr.len())
-        .map(|&i| arr.elem(i))
-        .collect();
-    if addrs.is_empty() {
-        None
-    } else {
-        Some(WarpOp::Load {
-            atoms: coalesce(&addrs),
-        })
-    }
+    warp.load(&addrs);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccraft_sim::trace::WarpOp;
     use ccraft_sim::types::LogicalAtom;
 
     #[test]
@@ -189,15 +195,29 @@ mod tests {
         assert_eq!(a.elem(1) - a.elem(0), 4);
     }
 
+    /// The ops of a warp built by `build`.
+    fn built(build: impl FnOnce(&mut WarpTrace)) -> Vec<(usize, Option<bool>)> {
+        let mut warp = WarpTrace::default();
+        build(&mut warp);
+        warp.ops()
+            .map(|op| match op {
+                WarpOp::Compute { .. } => (0, None),
+                WarpOp::Load { atoms } => (atoms.len(), None),
+                WarpOp::Store { atoms, full } => (atoms.len(), Some(full)),
+            })
+            .collect()
+    }
+
     #[test]
     fn warp_load_unit_stride_is_four_atoms() {
         let mut l = Layouter::new();
         let a = l.array(1024, 4);
-        let op = warp_load(&a, 0).unwrap();
-        assert_eq!(op.access_count(), 4);
+        let mut warp = WarpTrace::default();
+        warp_load(&mut warp, &a, 0);
+        let op = warp.ops().next();
         match op {
-            WarpOp::Load { atoms } => assert_eq!(atoms[0], LogicalAtom(0)),
-            _ => panic!("not a load"),
+            Some(WarpOp::Load { atoms }) => assert_eq!(atoms, [0, 1, 2, 3].map(LogicalAtom)),
+            op => panic!("not a load: {op:?}"),
         }
     }
 
@@ -205,25 +225,16 @@ mod tests {
     fn warp_load_past_end_is_none() {
         let mut l = Layouter::new();
         let a = l.array(16, 4);
-        assert!(warp_load(&a, 16).is_none());
+        assert_eq!(built(|w| warp_load(w, &a, 16)), []);
         // Partially in-bounds warp loads only the live lanes.
-        let op = warp_load(&a, 8).unwrap();
-        assert_eq!(op.access_count(), 1);
+        assert_eq!(built(|w| warp_load(w, &a, 8)), [(1, None)]);
     }
 
     #[test]
     fn warp_store_full_coverage() {
         let mut l = Layouter::new();
         let a = l.array(1024, 4);
-        let ops = warp_store(&a, 0);
-        assert_eq!(ops.len(), 1);
-        match &ops[0] {
-            WarpOp::Store { atoms, full } => {
-                assert_eq!(atoms.len(), 4);
-                assert!(*full);
-            }
-            _ => panic!("not a store"),
-        }
+        assert_eq!(built(|w| warp_store(w, &a, 0)), [(4, Some(true))]);
     }
 
     #[test]
@@ -231,28 +242,37 @@ mod tests {
         let mut l = Layouter::new();
         // 38 elements: the tail warp writes 6 elems = 24 B of the last atom.
         let a = l.array(38, 4);
-        let ops = warp_store(&a, 32);
-        assert_eq!(ops.len(), 1);
-        match &ops[0] {
-            WarpOp::Store { full, .. } => assert!(!*full),
-            _ => panic!("not a store"),
-        }
+        assert_eq!(built(|w| warp_store(w, &a, 32)), [(1, Some(false))]);
     }
 
     #[test]
     fn gather_load_dedups_atoms() {
         let mut l = Layouter::new();
         let a = l.array(1024, 4);
-        let op = gather_load(&a, &[0, 1, 2, 800, 0]).unwrap();
-        // Elements 0,1,2 share atom 0; 800 is its own atom.
-        assert_eq!(op.access_count(), 2);
+        // Elements 0,1,2 share atom 0; 800 is its own atom; 5000 is past
+        // the array.
+        let ops = built(|w| gather_load(w, &a, [0, 1, 2, 800, 0, 5000]));
+        assert_eq!(ops, [(2, None)]);
     }
 
     #[test]
     fn empty_inputs_produce_no_ops() {
         let mut l = Layouter::new();
         let a = l.array(8, 4);
-        assert!(gather_load(&a, &[]).is_none());
-        assert!(store_from_addrs(&[], 4).is_empty());
+        assert_eq!(built(|w| gather_load(w, &a, [])), []);
+        assert_eq!(built(|w| w.store(&[], 4)), []);
+    }
+
+    #[test]
+    fn lanes_hold_one_warp() {
+        let lanes: Lanes = (0..WARP_THREADS).collect();
+        assert_eq!(lanes.len(), WARP_LANES);
+        assert_eq!(lanes[31], 31);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 32 lanes")]
+    fn lanes_reject_a_33rd_address() {
+        let _: Lanes = (0..=WARP_THREADS).collect();
     }
 }

@@ -6,9 +6,9 @@
 //! transpose — the pathological partial-sector write pattern that makes
 //! inline-ECC read-modify-writes expensive.
 
-use crate::common::{gather_load, store_from_addrs, warp_load, warp_store, Layouter, WARP_THREADS};
+use crate::common::{gather_load, per_warp, warp_load, warp_store, Lanes, Layouter, WARP_THREADS};
 use crate::SizeClass;
-use ccraft_sim::trace::{KernelTrace, WarpOp, WarpTrace};
+use ccraft_sim::trace::{KernelTrace, WarpOp};
 
 /// Tiled dense matrix multiply `C = A x B` (square `n x n`, f32).
 ///
@@ -31,34 +31,30 @@ pub fn gemm(size: SizeClass, _seed: u64) -> KernelTrace {
     let b = l.array(n * n, 4);
     let c = l.array(n * n, 4);
     let tiles = n / WARP_THREADS;
-    let traces = (0..warps)
-        .map(|w| {
-            let mut ops = Vec::new();
-            // Warp w handles C rows w, w+warps, ... one row-strip at a time.
-            let mut row = w;
-            while row < n {
-                for jt in 0..tiles {
-                    // C[row, jt*32 .. jt*32+32)
-                    for kt in 0..tiles {
-                        // A[row, kt*32..): 32 consecutive elements.
-                        ops.extend(warp_load(&a, row * n + kt * WARP_THREADS));
-                        // B[kt*32 + lane, jt*32..): the tile rows; model the
-                        // per-step B access as one row of the B tile
-                        // (shared across warps computing the same jt).
-                        ops.extend(warp_load(
-                            &b,
-                            (kt * WARP_THREADS + row % WARP_THREADS) * n + jt * WARP_THREADS,
-                        ));
-                        ops.push(WarpOp::Compute { cycles: 24 });
-                    }
-                    ops.extend(warp_store(&c, row * n + jt * WARP_THREADS));
+    per_warp("gemm", warps, |w, wid| {
+        // Warp wid handles C rows wid, wid+warps, ... one row-strip at a time.
+        let mut row = wid;
+        while row < n {
+            for jt in 0..tiles {
+                // C[row, jt*32 .. jt*32+32)
+                for kt in 0..tiles {
+                    // A[row, kt*32..): 32 consecutive elements.
+                    warp_load(w, &a, row * n + kt * WARP_THREADS);
+                    // B[kt*32 + lane, jt*32..): the tile rows; model the
+                    // per-step B access as one row of the B tile
+                    // (shared across warps computing the same jt).
+                    warp_load(
+                        w,
+                        &b,
+                        (kt * WARP_THREADS + row % WARP_THREADS) * n + jt * WARP_THREADS,
+                    );
+                    w.push(WarpOp::Compute { cycles: 24 });
                 }
-                row += warps;
+                warp_store(w, &c, row * n + jt * WARP_THREADS);
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("gemm", traces)
+            row += warps;
+        }
+    })
 }
 
 /// 5-point 2D stencil (hotspot-like) over an `h x w` grid, one output row
@@ -70,27 +66,22 @@ pub fn stencil2d(size: SizeClass, _seed: u64) -> KernelTrace {
     let mut l = Layouter::new();
     let src = l.array(h_dim * w_dim, 4);
     let dst = l.array(h_dim * w_dim, 4);
-    let traces = (0..warps)
-        .map(|wid| {
-            let mut ops = Vec::new();
-            let mut row = wid + 1;
-            while row + 1 < h_dim {
-                let mut col = 0;
-                while col < w_dim {
-                    let i = row * w_dim + col;
-                    ops.extend(warp_load(&src, i)); // center (covers E/W too)
-                    ops.extend(warp_load(&src, i - w_dim)); // north
-                    ops.extend(warp_load(&src, i + w_dim)); // south
-                    ops.push(WarpOp::Compute { cycles: 6 });
-                    ops.extend(warp_store(&dst, i));
-                    col += WARP_THREADS;
-                }
-                row += warps;
+    per_warp("stencil2d", warps, |w, wid| {
+        let mut row = wid + 1;
+        while row + 1 < h_dim {
+            let mut col = 0;
+            while col < w_dim {
+                let i = row * w_dim + col;
+                warp_load(w, &src, i); // center (covers E/W too)
+                warp_load(w, &src, i - w_dim); // north
+                warp_load(w, &src, i + w_dim); // south
+                w.push(WarpOp::Compute { cycles: 6 });
+                warp_store(w, &dst, i);
+                col += WARP_THREADS;
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("stencil2d", traces)
+            row += warps;
+        }
+    })
 }
 
 /// 3x3 convolution over an `h x w` single-channel image: sliding-window
@@ -102,29 +93,24 @@ pub fn conv2d(size: SizeClass, _seed: u64) -> KernelTrace {
     let mut l = Layouter::new();
     let src = l.array(h_dim * w_dim, 4);
     let dst = l.array(h_dim * w_dim, 4);
-    let traces = (0..warps)
-        .map(|wid| {
-            let mut ops = Vec::new();
-            let mut row = wid + 1;
-            while row + 1 < h_dim {
-                let mut col = 0;
-                while col < w_dim {
-                    let i = row * w_dim + col;
-                    // Three rows of the window; horizontal taps fall in the
-                    // same atoms as the row loads.
-                    ops.extend(warp_load(&src, i - w_dim));
-                    ops.extend(warp_load(&src, i));
-                    ops.extend(warp_load(&src, i + w_dim));
-                    ops.push(WarpOp::Compute { cycles: 18 });
-                    ops.extend(warp_store(&dst, i));
-                    col += WARP_THREADS;
-                }
-                row += warps;
+    per_warp("conv2d", warps, |w, wid| {
+        let mut row = wid + 1;
+        while row + 1 < h_dim {
+            let mut col = 0;
+            while col < w_dim {
+                let i = row * w_dim + col;
+                // Three rows of the window; horizontal taps fall in the
+                // same atoms as the row loads.
+                warp_load(w, &src, i - w_dim);
+                warp_load(w, &src, i);
+                warp_load(w, &src, i + w_dim);
+                w.push(WarpOp::Compute { cycles: 18 });
+                warp_store(w, &dst, i);
+                col += WARP_THREADS;
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("conv2d", traces)
+            row += warps;
+        }
+    })
 }
 
 /// Matrix transpose `B = A^T` (`n x n`, f32): coalesced row reads, strided
@@ -140,29 +126,24 @@ pub fn transpose(size: SizeClass, _seed: u64) -> KernelTrace {
     let mut l = Layouter::new();
     let a = l.array(n * n, 4);
     let b = l.array(n * n, 4);
-    let traces = (0..warps)
-        .map(|wid| {
-            let mut ops = Vec::new();
-            let mut row = wid;
-            while row < n {
-                let mut col = 0;
-                while col < n {
-                    ops.extend(warp_load(&a, row * n + col));
-                    ops.push(WarpOp::Compute { cycles: 1 });
-                    // Lane t writes B[col + t, row]: stride-n scatter.
-                    let addrs: Vec<u64> = (0..WARP_THREADS)
-                        .filter(|t| col + t < n)
-                        .map(|t| b.elem((col + t) * n + row))
-                        .collect();
-                    ops.extend(store_from_addrs(&addrs, 4));
-                    col += WARP_THREADS;
-                }
-                row += warps;
+    per_warp("transpose", warps, |w, wid| {
+        let mut row = wid;
+        while row < n {
+            let mut col = 0;
+            while col < n {
+                warp_load(w, &a, row * n + col);
+                w.push(WarpOp::Compute { cycles: 1 });
+                // Lane t writes B[col + t, row]: stride-n scatter.
+                let addrs: Lanes = (0..WARP_THREADS)
+                    .filter(|t| col + t < n)
+                    .map(|t| b.elem((col + t) * n + row))
+                    .collect();
+                w.store(&addrs, 4);
+                col += WARP_THREADS;
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("transpose", traces)
+            row += warps;
+        }
+    })
 }
 
 /// K-means distance phase: stream points, gather a small centroid table
@@ -180,35 +161,30 @@ pub fn kmeans(size: SizeClass, seed: u64) -> KernelTrace {
     let data = l.array(points * dims, 4);
     let centroids = l.array(k * dims, 4);
     let assign = l.array(points, 4);
-    let traces = (0..warps)
-        .map(|wid| {
-            let mut rng = SmallRng::seed_from_u64(seed ^ (wid + 1));
-            let mut ops = Vec::new();
-            let mut p = wid * WARP_THREADS;
-            while p < points {
-                // Each lane streams its point's features (SoA layout).
-                for d in 0..dims {
-                    ops.extend(gather_load(
-                        &data,
-                        &(0..WARP_THREADS)
-                            .filter(|t| p + t < points)
-                            .map(|t| d * points + p + t)
-                            .collect::<Vec<_>>(),
-                    ));
-                }
-                // Probe a few random centroids (hot, cache resident).
-                for _ in 0..4 {
-                    let c = rng.gen_range(0..k);
-                    ops.extend(warp_load(&centroids, c * dims));
-                }
-                ops.push(WarpOp::Compute { cycles: 40 });
-                ops.extend(warp_store(&assign, p));
-                p += warps * WARP_THREADS;
+    per_warp("kmeans", warps, |w, wid| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ (wid + 1));
+        let mut p = wid * WARP_THREADS;
+        while p < points {
+            // Each lane streams its point's features (SoA layout).
+            for d in 0..dims {
+                gather_load(
+                    w,
+                    &data,
+                    (0..WARP_THREADS)
+                        .filter(|t| p + t < points)
+                        .map(|t| d * points + p + t),
+                );
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("kmeans", traces)
+            // Probe a few random centroids (hot, cache resident).
+            for _ in 0..4 {
+                let c = rng.gen_range(0..k);
+                warp_load(w, &centroids, c * dims);
+            }
+            w.push(WarpOp::Compute { cycles: 40 });
+            warp_store(w, &assign, p);
+            p += warps * WARP_THREADS;
+        }
+    })
 }
 
 #[cfg(test)]
@@ -240,7 +216,7 @@ mod tests {
         for w in t.warps() {
             for op in w.ops() {
                 if let ccraft_sim::trace::WarpOp::Store { atoms, full } = op {
-                    if *full {
+                    if full {
                         full_atoms += atoms.len() as u64;
                     } else {
                         partial_atoms += atoms.len() as u64;

@@ -6,9 +6,9 @@
 //! the regime where inline-ECC overheads are largest and on-chip ECC reach
 //! matters most.
 
-use crate::common::{gather_load, store_from_addrs, warp_load, warp_store, Layouter, WARP_THREADS};
+use crate::common::{gather_load, per_warp, warp_load, warp_store, Lanes, Layouter, WARP_THREADS};
 use crate::SizeClass;
-use ccraft_sim::trace::{KernelTrace, WarpOp, WarpTrace};
+use ccraft_sim::trace::{KernelTrace, WarpOp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,31 +24,25 @@ pub fn spmv(size: SizeClass, seed: u64) -> KernelTrace {
     let vals = l.array(rows * nnz_per_row, 4);
     let x = l.array(rows, 4);
     let y = l.array(rows, 4);
-    let traces = (0..warps)
-        .map(|wid| {
-            let mut rng = SmallRng::seed_from_u64(seed ^ (0x5b0a_0000 + wid));
-            let mut ops = Vec::new();
-            let mut r = wid * WARP_THREADS;
-            while r < rows {
-                // One row per lane: row_ptr loads are unit stride.
-                ops.extend(warp_load(&row_ptr, r));
-                // Walk the nonzeros: indices and values stream; x gathers
-                // are random (band-limited to model some structure).
-                for k in 0..nnz_per_row {
-                    ops.extend(warp_load(&col_idx, r * nnz_per_row + k * WARP_THREADS));
-                    ops.extend(warp_load(&vals, r * nnz_per_row + k * WARP_THREADS));
-                    let gathers: Vec<u64> =
-                        (0..WARP_THREADS).map(|_| rng.gen_range(0..rows)).collect();
-                    ops.extend(gather_load(&x, &gathers));
-                    ops.push(WarpOp::Compute { cycles: 4 });
-                }
-                ops.extend(warp_store(&y, r));
-                r += warps * WARP_THREADS;
+    per_warp("spmv", warps, |w, wid| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ (0x5b0a_0000 + wid));
+        let mut r = wid * WARP_THREADS;
+        while r < rows {
+            // One row per lane: row_ptr loads are unit stride.
+            warp_load(w, &row_ptr, r);
+            // Walk the nonzeros: indices and values stream; x gathers
+            // are random (band-limited to model some structure).
+            for k in 0..nnz_per_row {
+                warp_load(w, &col_idx, r * nnz_per_row + k * WARP_THREADS);
+                warp_load(w, &vals, r * nnz_per_row + k * WARP_THREADS);
+                let gathers = (0..WARP_THREADS).map(|_| rng.gen_range(0..rows));
+                gather_load(w, &x, gathers);
+                w.push(WarpOp::Compute { cycles: 4 });
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("spmv", traces)
+            warp_store(w, &y, r);
+            r += warps * WARP_THREADS;
+        }
+    })
 }
 
 /// Level-synchronous BFS: stream the frontier, chase random adjacency
@@ -62,43 +56,36 @@ pub fn bfs(size: SizeClass, seed: u64) -> KernelTrace {
     let dist = l.array(nodes, 4);
     let frontier = l.array(nodes, 4);
     let levels = 4u64;
-    let traces = (0..warps)
-        .map(|wid| {
-            let mut rng = SmallRng::seed_from_u64(seed ^ (0xbf50_0000 + wid));
-            let mut ops = Vec::new();
-            for level in 0..levels {
-                // Each level visits a slice of the frontier.
-                let span = nodes / (levels * warps * WARP_THREADS).max(1);
-                for i in 0..span.max(1) {
-                    let base =
-                        (wid * WARP_THREADS + level * nodes / levels + i * warps * WARP_THREADS)
-                            % nodes;
-                    ops.extend(warp_load(&frontier, base));
-                    // Chase each lane's adjacency run (random node).
-                    let node: u64 = rng.gen_range(0..nodes);
-                    ops.extend(warp_load(
-                        &adj,
-                        (node * degree) % (nodes * degree - WARP_THREADS),
-                    ));
-                    // Check distances of 32 random neighbours.
-                    let probes: Vec<u64> =
-                        (0..WARP_THREADS).map(|_| rng.gen_range(0..nodes)).collect();
-                    ops.extend(gather_load(&dist, &probes));
-                    ops.push(WarpOp::Compute { cycles: 3 });
-                    // Scatter updates for a random subset of lanes.
-                    let mut updates = Vec::new();
-                    for _ in 0..WARP_THREADS {
+    per_warp("bfs", warps, |w, wid| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ (0xbf50_0000 + wid));
+        for level in 0..levels {
+            // Each level visits a slice of the frontier.
+            let span = nodes / (levels * warps * WARP_THREADS).max(1);
+            for i in 0..span.max(1) {
+                let base = (wid * WARP_THREADS + level * nodes / levels + i * warps * WARP_THREADS)
+                    % nodes;
+                warp_load(w, &frontier, base);
+                // Chase each lane's adjacency run (random node).
+                let node: u64 = rng.gen_range(0..nodes);
+                warp_load(w, &adj, (node * degree) % (nodes * degree - WARP_THREADS));
+                // Check distances of 32 random neighbours.
+                let probes = (0..WARP_THREADS).map(|_| rng.gen_range(0..nodes));
+                gather_load(w, &dist, probes);
+                w.push(WarpOp::Compute { cycles: 3 });
+                // Scatter updates for a random subset of lanes.
+                let updates: Lanes = (0..WARP_THREADS)
+                    .filter_map(|_| {
                         if rng.gen_bool(0.25) {
-                            updates.push(dist.elem(rng.gen_range(0..nodes)));
+                            Some(dist.elem(rng.gen_range(0..nodes)))
+                        } else {
+                            None
                         }
-                    }
-                    ops.extend(store_from_addrs(&updates, 4));
-                }
+                    })
+                    .collect();
+                w.store(&updates, 4);
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("bfs", traces)
+        }
+    })
 }
 
 /// Histogram: stream a large input, scatter partial stores into a small
@@ -111,33 +98,28 @@ pub fn histogram(size: SizeClass, seed: u64) -> KernelTrace {
     let mut l = Layouter::new();
     let input = l.array(elems, 4);
     let table = l.array(bins, 4);
-    let traces = (0..warps)
-        .map(|wid| {
-            let mut rng = SmallRng::seed_from_u64(seed ^ (0x4157_0000 + wid));
-            let mut ops = Vec::new();
-            let mut p = wid * WARP_THREADS;
-            while p < elems {
-                ops.extend(warp_load(&input, p));
-                ops.push(WarpOp::Compute { cycles: 2 });
-                // Zipfian-ish binning: most updates hit a hot subset.
-                let updates: Vec<u64> = (0..WARP_THREADS)
-                    .map(|_| {
-                        let hot = rng.gen_bool(0.8);
-                        let b = if hot {
-                            rng.gen_range(0..bins / 16)
-                        } else {
-                            rng.gen_range(0..bins)
-                        };
-                        table.elem(b)
-                    })
-                    .collect();
-                ops.extend(store_from_addrs(&updates, 4));
-                p += warps * WARP_THREADS;
-            }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("histogram", traces)
+    per_warp("histogram", warps, |w, wid| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ (0x4157_0000 + wid));
+        let mut p = wid * WARP_THREADS;
+        while p < elems {
+            warp_load(w, &input, p);
+            w.push(WarpOp::Compute { cycles: 2 });
+            // Zipfian-ish binning: most updates hit a hot subset.
+            let updates: Lanes = (0..WARP_THREADS)
+                .map(|_| {
+                    let hot = rng.gen_bool(0.8);
+                    let b = if hot {
+                        rng.gen_range(0..bins / 16)
+                    } else {
+                        rng.gen_range(0..bins)
+                    };
+                    table.elem(b)
+                })
+                .collect();
+            w.store(&updates, 4);
+            p += warps * WARP_THREADS;
+        }
+    })
 }
 
 /// Monte Carlo option pricing style kernel: heavy compute per step with
@@ -149,26 +131,19 @@ pub fn montecarlo(size: SizeClass, seed: u64) -> KernelTrace {
     let mut l = Layouter::new();
     let table = l.array(table_elems, 4);
     let out = l.array(warps * paths_per_warp, 4);
-    let traces = (0..warps)
-        .map(|wid| {
-            let mut rng = SmallRng::seed_from_u64(seed ^ (0x3c40_0000 + wid));
-            let mut ops = Vec::new();
-            for p in 0..paths_per_warp {
-                // Each path: several steps of compute + a random gather.
-                for _ in 0..4 {
-                    ops.push(WarpOp::Compute { cycles: 60 });
-                    // Half-warp-wide random table probes.
-                    let probes: Vec<u64> = (0..WARP_THREADS / 2)
-                        .map(|_| rng.gen_range(0..table_elems))
-                        .collect();
-                    ops.extend(gather_load(&table, &probes));
-                }
-                ops.extend(warp_store(&out, wid * paths_per_warp + p));
+    per_warp("montecarlo", warps, |w, wid| {
+        let mut rng = SmallRng::seed_from_u64(seed ^ (0x3c40_0000 + wid));
+        for p in 0..paths_per_warp {
+            // Each path: several steps of compute + a random gather.
+            for _ in 0..4 {
+                w.push(WarpOp::Compute { cycles: 60 });
+                // Half-warp-wide random table probes.
+                let probes = (0..WARP_THREADS / 2).map(|_| rng.gen_range(0..table_elems));
+                gather_load(w, &table, probes);
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("montecarlo", traces)
+            warp_store(w, &out, wid * paths_per_warp + p);
+        }
+    })
 }
 
 #[cfg(test)]

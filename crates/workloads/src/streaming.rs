@@ -5,26 +5,21 @@
 //! Unit-stride grid-stride loops: perfect coalescing, near-zero reuse —
 //! DRAM bandwidth and, under inline ECC, ECC-fetch amortization dominate.
 
-use crate::common::{warp_load, warp_store, Layouter, WARP_THREADS};
+use crate::common::{per_warp, warp_load, warp_store, Layouter, WARP_THREADS};
 use crate::SizeClass;
 use ccraft_sim::trace::{KernelTrace, WarpOp, WarpTrace};
 
 fn grid_stride<F>(name: &str, warps: u64, elems: u64, mut body: F) -> KernelTrace
 where
-    F: FnMut(&mut Vec<WarpOp>, u64),
+    F: FnMut(&mut WarpTrace, u64),
 {
-    let traces = (0..warps)
-        .map(|w| {
-            let mut ops = Vec::new();
-            let mut start = w * WARP_THREADS;
-            while start < elems {
-                body(&mut ops, start);
-                start += warps * WARP_THREADS;
-            }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new(name, traces)
+    per_warp(name, warps, |w, wid| {
+        let mut start = wid * WARP_THREADS;
+        while start < elems {
+            body(w, start);
+            start += warps * WARP_THREADS;
+        }
+    })
 }
 
 /// `C[i] = A[i] + B[i]` — two streaming loads, one streaming store.
@@ -35,11 +30,11 @@ pub fn vecadd(size: SizeClass, _seed: u64) -> KernelTrace {
     let a = l.array(elems, 4);
     let b = l.array(elems, 4);
     let c = l.array(elems, 4);
-    grid_stride("vecadd", warps, elems, |ops, start| {
-        ops.extend(warp_load(&a, start));
-        ops.extend(warp_load(&b, start));
-        ops.push(WarpOp::Compute { cycles: 2 });
-        ops.extend(warp_store(&c, start));
+    grid_stride("vecadd", warps, elems, |w, start| {
+        warp_load(w, &a, start);
+        warp_load(w, &b, start);
+        w.push(WarpOp::Compute { cycles: 2 });
+        warp_store(w, &c, start);
     })
 }
 
@@ -51,11 +46,11 @@ pub fn triad(size: SizeClass, _seed: u64) -> KernelTrace {
     let a = l.array(elems, 4);
     let b = l.array(elems, 4);
     let c = l.array(elems, 4);
-    grid_stride("triad", warps, elems, |ops, start| {
-        ops.extend(warp_load(&b, start));
-        ops.extend(warp_load(&c, start));
-        ops.push(WarpOp::Compute { cycles: 4 });
-        ops.extend(warp_store(&a, start));
+    grid_stride("triad", warps, elems, |w, start| {
+        warp_load(w, &b, start);
+        warp_load(w, &c, start);
+        w.push(WarpOp::Compute { cycles: 4 });
+        warp_store(w, &a, start);
     })
 }
 
@@ -66,11 +61,11 @@ pub fn saxpy(size: SizeClass, _seed: u64) -> KernelTrace {
     let mut l = Layouter::new();
     let x = l.array(elems, 4);
     let y = l.array(elems, 4);
-    grid_stride("saxpy", warps, elems, |ops, start| {
-        ops.extend(warp_load(&x, start));
-        ops.extend(warp_load(&y, start));
-        ops.push(WarpOp::Compute { cycles: 2 });
-        ops.extend(warp_store(&y, start));
+    grid_stride("saxpy", warps, elems, |w, start| {
+        warp_load(w, &x, start);
+        warp_load(w, &y, start);
+        w.push(WarpOp::Compute { cycles: 2 });
+        warp_store(w, &y, start);
     })
 }
 
@@ -81,27 +76,22 @@ pub fn reduction(size: SizeClass, _seed: u64) -> KernelTrace {
     let elems = 65_536 * mult;
     let mut l = Layouter::new();
     let data = l.array(elems, 4);
-    let traces = (0..warps)
-        .map(|w| {
-            let mut ops = Vec::new();
-            let mut n = elems;
-            // Each pass halves the live prefix; stop when it gets tiny.
-            while n >= WARP_THREADS * 2 {
-                let half = n / 2;
-                let mut start = w * WARP_THREADS;
-                while start < half {
-                    ops.extend(warp_load(&data, start));
-                    ops.extend(warp_load(&data, half + start));
-                    ops.push(WarpOp::Compute { cycles: 2 });
-                    ops.extend(warp_store(&data, start));
-                    start += warps * WARP_THREADS;
-                }
-                n = half;
+    per_warp("reduction", warps, |w, wid| {
+        let mut n = elems;
+        // Each pass halves the live prefix; stop when it gets tiny.
+        while n >= WARP_THREADS * 2 {
+            let half = n / 2;
+            let mut start = wid * WARP_THREADS;
+            while start < half {
+                warp_load(w, &data, start);
+                warp_load(w, &data, half + start);
+                w.push(WarpOp::Compute { cycles: 2 });
+                warp_store(w, &data, start);
+                start += warps * WARP_THREADS;
             }
-            WarpTrace::new(ops)
-        })
-        .collect();
-    KernelTrace::new("reduction", traces)
+            n = half;
+        }
+    })
 }
 
 #[cfg(test)]

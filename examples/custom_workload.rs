@@ -12,7 +12,6 @@
 
 use cachecraft::schemes::cachecraft::CacheCraftConfig;
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
-use cachecraft::sim::coalesce::{coalesce, coalesce_writes};
 use cachecraft::sim::config::GpuConfig;
 use cachecraft::sim::trace::{KernelTrace, WarpOp, WarpTrace};
 use rand::rngs::SmallRng;
@@ -26,37 +25,30 @@ fn particle_kernel(warps: u64, particles: u64, grid_cells: u64, seed: u64) -> Ke
     let traces = (0..warps)
         .map(|w| {
             let mut rng = SmallRng::seed_from_u64(seed ^ (0xAAC0 + w));
-            let mut ops = Vec::new();
+            let mut warp = WarpTrace::default();
             let mut p = w * 32;
             while p < particles {
-                // Stream this warp's 32 particle positions (8 B each).
+                // Stream this warp's 32 particle positions (8 B each):
+                // `load` coalesces the lanes' addresses into atoms.
                 let addrs: Vec<u64> = (0..32)
                     .filter(|t| p + t < particles)
                     .map(|t| pos_base + (p + t) * 8)
                     .collect();
-                ops.push(WarpOp::Load {
-                    atoms: coalesce(&addrs),
-                });
+                warp.load(&addrs);
                 // Gather each particle's grid cell (random).
                 let cells: Vec<u64> = addrs
                     .iter()
                     .map(|_| grid_base + rng.gen_range(0..grid_cells) * 4)
                     .collect();
-                ops.push(WarpOp::Load {
-                    atoms: coalesce(&cells),
-                });
-                ops.push(WarpOp::Compute { cycles: 12 });
-                // Scatter updated positions back (full 8 B per particle —
-                // classify atom coverage automatically).
-                for (atom, full) in coalesce_writes(&addrs, 8) {
-                    ops.push(WarpOp::Store {
-                        atoms: vec![atom],
-                        full,
-                    });
-                }
+                warp.load(&cells);
+                warp.push(WarpOp::Compute { cycles: 12 });
+                // Scatter updated positions back (full 8 B per particle):
+                // `store` classifies atom coverage into a full and a
+                // partial store.
+                warp.store(&addrs, 8);
                 p += warps * 32;
             }
-            WarpTrace::new(ops)
+            warp
         })
         .collect();
     KernelTrace::new("particles", traces)

@@ -176,7 +176,7 @@ fn trace_digest(trace: &KernelTrace) -> u64 {
             match op {
                 WarpOp::Compute { cycles } => {
                     feed(0);
-                    feed(u64::from(*cycles));
+                    feed(u64::from(cycles));
                 }
                 WarpOp::Load { atoms } => {
                     feed(1);
@@ -187,7 +187,7 @@ fn trace_digest(trace: &KernelTrace) -> u64 {
                     feed(2);
                     feed(atoms.len() as u64);
                     atoms.iter().for_each(|a| feed(a.0));
-                    feed(u64::from(*full));
+                    feed(u64::from(full));
                 }
             }
         }
@@ -309,20 +309,20 @@ fn pinned_stalls_and_busy_cycles_spmv_tiny_gddr6() {
 /// `vecadd` at tiny size, seed 1, on `GpuConfig::tiny()`: per scheme
 /// `(name, SM ticks, L2 slice ticks, controller scans)`.
 const VECADD_TINY_TICKS: [(&str, u64, u64, u64); 4] = [
-    ("no-protection", 35066, 46894, 28716),
-    ("inline-naive", 40512, 106195, 70289),
-    ("ecc-cache", 36905, 57249, 37546),
-    ("cachecraft", 35689, 53092, 34139),
+    ("no-protection", 35066, 46725, 28453),
+    ("inline-naive", 40512, 104683, 67176),
+    ("ecc-cache", 36905, 55835, 35602),
+    ("cachecraft", 35689, 52544, 33318),
 ];
 
 /// `spmv` at tiny size, seed 1, on `GpuConfig::gddr6()`, the same
 /// columns. Refresh is on here, so these also pin the scan sleep's cap at
 /// the next refresh.
 const SPMV_GDDR6_TICKS: [(&str, u64, u64, u64); 4] = [
-    ("no-protection", 81040, 27153, 10180),
-    ("inline-naive", 81062, 45726, 21048),
-    ("ecc-cache", 81055, 30381, 11893),
-    ("cachecraft", 81019, 29565, 11580),
+    ("no-protection", 81040, 27132, 10158),
+    ("inline-naive", 81062, 45417, 20698),
+    ("ecc-cache", 81055, 30095, 11589),
+    ("cachecraft", 81019, 29493, 11493),
 ];
 
 /// The wake calendar's tick counts, read from the self-profile's memo

@@ -215,7 +215,7 @@ fn lying_scheme_is_caught_mid_span() {
         "lying-probe",
         vec![WarpTrace::new(vec![
             WarpOp::Load {
-                atoms: vec![LogicalAtom(0)],
+                atoms: &[LogicalAtom(0)],
             },
             WarpOp::Compute { cycles: 4000 },
         ])],

@@ -12,7 +12,7 @@ use cachecraft::ecc::secded::SecDed64;
 use cachecraft::ecc::tagged::TaggedSecDed;
 use cachecraft::schemes::factory::{run_scheme, SchemeKind};
 use cachecraft::sim::cache::SectorCache;
-use cachecraft::sim::coalesce::{coalesce, coalesce_writes};
+use cachecraft::sim::coalesce::{coalesce_into, coalesce_writes_into};
 use cachecraft::sim::config::GpuConfig;
 use cachecraft::sim::dram::{DramChannel, RowOutcome};
 use cachecraft::sim::protection::ChannelInterleave;
@@ -174,7 +174,8 @@ fn coalesce_unique_and_covering() {
     for case in 0..CASES {
         let len: usize = rng.gen_range(1..32);
         let addrs: Vec<u64> = (0..len).map(|_| rng.gen_range(0..100_000)).collect();
-        let atoms = coalesce(&addrs);
+        let mut atoms = Vec::new();
+        coalesce_into(&addrs, &mut atoms);
         let set: std::collections::HashSet<_> = atoms.iter().collect();
         assert_eq!(set.len(), atoms.len(), "case {case}: duplicate atoms");
         for &a in &addrs {
@@ -186,7 +187,7 @@ fn coalesce_unique_and_covering() {
     }
 }
 
-/// Write coalescing marks an atom full iff the lanes cover all 32
+/// Write coalescing lists an atom among the full ones iff the lanes cover all 32
 /// bytes (checked against a bitmap oracle).
 #[test]
 fn coalesce_writes_coverage_oracle() {
@@ -196,17 +197,18 @@ fn coalesce_writes_coverage_oracle() {
         let len: usize = rng.gen_range(1..32);
         let addrs: Vec<u64> = (0..len).map(|_| rng.gen_range(0..4096)).collect();
         let width = widths[rng.gen_range(0..widths.len())];
-        let result = coalesce_writes(&addrs, width);
+        let mut atoms = Vec::new();
+        let full = coalesce_writes_into(&addrs, width, &mut atoms);
         let mut oracle: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         for &a in &addrs {
             for b in a..a + width as u64 {
                 *oracle.entry(b / 32).or_default() |= 1u64 << (b % 32);
             }
         }
-        assert_eq!(result.len(), oracle.len(), "case {case}");
-        for (atom, full) in result {
+        assert_eq!(atoms.len(), oracle.len(), "case {case}");
+        for (i, atom) in atoms.into_iter().enumerate() {
             assert_eq!(
-                full,
+                i < full,
                 oracle[&atom.0] == (1u64 << 32) - 1,
                 "case {case}: atom {atom:?}"
             );
@@ -238,7 +240,9 @@ fn cache_fill_probe_capacity() {
 /// few rows per bank (so hits, empties and conflicts all occur), with
 /// refresh on for `gddr6`; at each step the bound is `now` exactly when
 /// the access issues, and every cycle before the bound (up to the next
-/// refresh, which changes bank state) still refuses it.
+/// refresh, which changes bank state) still refuses it. The bound is not
+/// early either: when it comes before the next refresh, the access issues
+/// at it, so a scan that sleeps until the bound finds work.
 #[test]
 fn dram_issue_bound_is_never_late() {
     /// Cycles checked past `now` per step, to bound the test's run time.
@@ -269,6 +273,12 @@ fn dram_issue_bound_is_never_late() {
                 issued.is_ok(),
                 "{name} step {step}: bound {bound} at {now} but issue gave {issued:?}"
             );
+            if bound < ch.next_refresh_at() {
+                assert!(
+                    ch.clone().try_issue_at(coord, is_write, bound).is_ok(),
+                    "{name} step {step}: bound {bound} at {now} is early: no issue at it"
+                );
+            }
             let end = bound.min(ch.next_refresh_at()).min(now + MAX_SPAN);
             for n in now..end {
                 assert!(
@@ -305,29 +315,29 @@ fn random_trace_scheme_invariants() {
         let ops_per_warp: usize = rng.gen_range(4..24);
         let warps: Vec<WarpTrace> = (0..4)
             .map(|_| {
-                let ops = (0..ops_per_warp)
-                    .map(|_| {
-                        if rng.gen_bool(0.3) {
-                            WarpOp::Compute {
-                                cycles: rng.gen_range(1..20),
+                let mut warp = WarpTrace::default();
+                for _ in 0..ops_per_warp {
+                    if rng.gen_bool(0.3) {
+                        warp.push(WarpOp::Compute {
+                            cycles: rng.gen_range(1..20),
+                        });
+                    } else {
+                        let base: u64 = rng.gen_range(0..4096);
+                        let atoms: Vec<LogicalAtom> = (0..rng.gen_range(1..4u64))
+                            .map(|k| LogicalAtom(base + k))
+                            .collect();
+                        let atoms = &atoms;
+                        warp.push(if rng.gen_bool(0.3) {
+                            WarpOp::Store {
+                                atoms,
+                                full: rng.gen_bool(0.7),
                             }
                         } else {
-                            let base: u64 = rng.gen_range(0..4096);
-                            let atoms: Vec<LogicalAtom> = (0..rng.gen_range(1..4u64))
-                                .map(|k| LogicalAtom(base + k))
-                                .collect();
-                            if rng.gen_bool(0.3) {
-                                WarpOp::Store {
-                                    atoms,
-                                    full: rng.gen_bool(0.7),
-                                }
-                            } else {
-                                WarpOp::Load { atoms }
-                            }
-                        }
-                    })
-                    .collect();
-                WarpTrace::new(ops)
+                            WarpOp::Load { atoms }
+                        });
+                    }
+                }
+                warp
             })
             .collect();
         let trace = KernelTrace::new("prop", warps);
